@@ -1,10 +1,11 @@
-//! Batch-engine throughput: pairs/sec over a 1 000-region map at 1, 2,
-//! 4, and 8 worker threads, plus the MBB prefilter hit-rate.
+//! Batch-engine throughput: pairs/sec of the spatial join
+//! ([`BatchEngine::run_join`]) over a 1 000-region map at 1, 2, 4, and 8
+//! worker threads, plus the share of pairs the boxes decide.
 //!
 //! The map is the standard jittered-grid star-region workload, so most
-//! boxes are disjoint and the prefilter decides the bulk of the ~10⁶
-//! ordered pairs; the exact passes measure how well the remaining edge
-//! work scales with threads.
+//! boxes are disjoint and the sweep leaves the bulk of the ~10⁶ ordered
+//! pairs to the boxes; the exact passes measure how well the remaining
+//! edge work scales with threads.
 //!
 //! Usage: `engine_throughput [N] [--json PATH] [--trace PATH]
 //! [--threads T] [--mode qualitative|quantitative] [--warmup W]
@@ -24,15 +25,15 @@
 //! timed cell, and every timed cell reports the best of `--repeat` runs
 //! (default 3). Without this, the very first cell of the sweep — always
 //! `threads=1` — paid one-time costs no other cell paid (first-touch
-//! page faults on the ~10⁶-entry output allocation, lazy runtime
-//! initialisation), which once inflated the committed qualitative
+//! page faults on the output allocation, lazy runtime initialisation),
+//! which once inflated the committed qualitative
 //! `threads=1` cell to 633 ms against 77 ms at 2 threads: a physically
 //! impossible 9.39× "speedup" that was really a cold-start artifact in
 //! the baseline, not scaling. `speedup_vs_1` is only meaningful when
 //! every cell is measured warm.
 
 use cardir_bench::SEED;
-use cardir_engine::{BatchEngine, EngineMetrics, EngineMode, RegionCache};
+use cardir_engine::{BatchEngine, EngineMetrics, EngineMode, RegionCache, RunPolicy};
 use cardir_geometry::{BoundingBox, Point, Region};
 use cardir_telemetry::{ChromeTrace, Json, JsonLines, Registry, Tracer};
 use cardir_workloads::{random_map, SplitMix64};
@@ -119,7 +120,7 @@ fn main() {
         chrome.add_process("cache_build", &build_tracer);
     }
     println!(
-        "map: {} regions, {} edges total; cache+R-tree build {:.2?}",
+        "map: {} regions, {} edges total; cache build {:.2?}",
         cache.len(),
         cache.total_edges(),
         build
@@ -153,7 +154,7 @@ fn main() {
         // pays every one-time cost.
         for _ in 0..warmup {
             let engine = BatchEngine::new().with_mode(mode).with_threads(1);
-            black_box(engine.compute_all(&cache));
+            black_box(engine.run_join(&cache, &RunPolicy::default()));
         }
         let mut baseline = None;
         for &threads in &thread_counts {
@@ -169,7 +170,7 @@ fn main() {
                     .with_threads(threads)
                     .with_tracer(tracer.clone());
                 let start = Instant::now();
-                let result = black_box(engine.compute_all(&cache));
+                let result = black_box(engine.run_join(&cache, &RunPolicy::default()));
                 let elapsed = start.elapsed();
                 if best.as_ref().is_none_or(|(b, _, _)| elapsed < *b) {
                     best = Some((elapsed, result, tracer));
@@ -180,7 +181,8 @@ fn main() {
                 let label = format!("{} t={threads}", format!("{mode:?}").to_lowercase());
                 chrome.add_process(&label, &tracer);
             }
-            let pairs_per_sec = result.stats.pairs as f64 / elapsed.as_secs_f64();
+            let stats = result.metrics.stats;
+            let pairs_per_sec = stats.pairs as f64 / elapsed.as_secs_f64();
             let speedup = match baseline {
                 None => {
                     baseline = Some(elapsed);
@@ -189,11 +191,11 @@ fn main() {
                 Some(b) => b.as_secs_f64() / elapsed.as_secs_f64(),
             };
             println!(
-                "threads {threads}: {:>10.0} pairs/sec   ({} pairs in {:.2?}, speedup {speedup:.2}x, prefilter hit-rate {:.1}%)",
+                "threads {threads}: {:>10.0} pairs/sec   ({} pairs in {:.2?}, speedup {speedup:.2}x, mask-emitted {:.1}%)",
                 pairs_per_sec,
-                result.stats.pairs,
+                stats.pairs,
                 elapsed,
-                100.0 * result.stats.hit_rate(),
+                100.0 * stats.mask_emitted as f64 / stats.pairs.max(1) as f64,
             );
             if let Some(sink) = &mut sink {
                 let m = &result.metrics;
@@ -202,19 +204,18 @@ fn main() {
                     Json::obj([
                         ("mode", Json::from(format!("{mode:?}").to_lowercase().as_str())),
                         ("threads", Json::from(threads)),
-                        ("pairs", Json::from(result.stats.pairs)),
+                        ("pairs", Json::from(stats.pairs)),
                         ("elapsed_ns", Json::from(elapsed.as_nanos().min(u64::MAX as u128) as u64)),
                         ("pairs_per_sec", Json::from(pairs_per_sec)),
                         ("speedup_vs_1", Json::from(speedup)),
-                        ("hit_rate", Json::from(result.stats.hit_rate())),
-                        ("prefilter_hits", Json::from(result.stats.prefilter_hits)),
-                        ("exact_pairs", Json::from(result.stats.exact_pairs)),
-                        ("edges_scanned", Json::from(result.stats.edges_scanned)),
-                        ("fused_pairs", Json::from(result.stats.fused_pairs)),
-                        ("rtree_candidates", Json::from(result.stats.rtree_candidates)),
+                        ("mask_emitted", Json::from(stats.mask_emitted)),
+                        ("exact_pairs", Json::from(stats.exact_pairs)),
+                        ("edges_scanned", Json::from(stats.edges_scanned)),
+                        ("fused_pairs", Json::from(stats.fused_pairs)),
+                        ("candidates", Json::from(stats.candidates)),
                         (
-                            "mask_build_ns",
-                            Json::from(m.mask_build.as_nanos().min(u64::MAX as u128) as u64),
+                            "discover_ns",
+                            Json::from(m.discover.as_nanos().min(u64::MAX as u128) as u64),
                         ),
                         (
                             "exact_pass_ns",

@@ -102,8 +102,8 @@ fn main() {
         );
 
         // Full-recompute baseline on the same map: the cost an edit
-        // would pay without the incremental layer (prefilter-on join,
-        // same mode and threads; warm best-of-2).
+        // would pay without the incremental layer (a full join, same
+        // mode and threads; warm best-of-2).
         let cache = RegionCache::build(&regions);
         let batch = BatchEngine::new().with_mode(opts.mode).with_threads(opts.threads);
         let full_recompute = (0..2)

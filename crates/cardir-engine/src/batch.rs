@@ -1,17 +1,19 @@
 //! The batch engine: chunked, multi-threaded pair computation with
 //! deterministic assembly.
 //!
-//! A batch run has three stages:
+//! Every batch run is one pipeline — **cache → sweep → exact pass**:
 //!
 //! 1. **Cache** — the caller builds a [`RegionCache`] (MBBs, edge
-//!    counts, R-tree) once per map.
-//! 2. **Prefilter** — one [`ExactMask`](crate::prefilter::ExactMask) per
-//!    reference region, from four R-tree line searches, marks the
-//!    primaries whose relation cannot be decided from boxes alone.
-//! 3. **Exact pass** — the pair list is cut into fixed chunks; scoped
+//!    counts, SoA edge store) once per map.
+//! 2. **Sweep** — for a whole map, [`BatchEngine::run_join`] discovers
+//!    the interacting pairs with two MBB plane sweeps; every other pair
+//!    is decided by the boxes and emitted without edge work. An explicit
+//!    pair list ([`BatchEngine::run_pairs`]) skips this stage: its pairs
+//!    are the work items as given.
+//! 3. **Exact pass** — the work items are cut into fixed chunks; scoped
 //!    worker threads pull chunk indices from an atomic counter, compute
-//!    each pair (short-circuiting MBB-decided ones), and push their chunk
-//!    back tagged with its index. Sorting the finished chunks by index
+//!    each pair with the fused SoA kernels, and push their chunk back
+//!    tagged with its index. Sorting the finished chunks by index
 //!    restores exact input order, so the output is bit-identical no
 //!    matter how many workers ran or how the scheduler interleaved them.
 //!
@@ -19,29 +21,23 @@
 //! in `catch_unwind` (so one poisoned pair becomes a
 //! [`PairOutcome::Failed`] instead of aborting the batch), transient
 //! failures retry with bounded deterministic backoff, and deadline /
-//! cancellation checks run cooperatively between chunks. The plain entry
-//! points ([`BatchEngine::compute_all`], [`BatchEngine::compute_pairs`])
-//! use the default policy and re-raise the first failure after the rest
-//! of the batch has finished; the policy-aware entry points
-//! ([`BatchEngine::run_all`], [`BatchEngine::run_pairs`]) return the full
-//! [`BatchOutcome`] accounting instead. Fault injection for tests rides
-//! on `cardir-faults` failpoints (`engine.pair.compute`,
+//! cancellation checks run cooperatively between chunks; the returned
+//! [`BatchOutcome`] reports every pair's fate. Fault injection for tests
+//! rides on `cardir-faults` failpoints (`engine.pair.compute`,
 //! `engine.chunk.claim`, `engine.cache.insert`), which compile to a
 //! single relaxed atomic load when unarmed.
 
 use crate::cache::RegionCache;
-use crate::join::JoinStrategy;
 use crate::metrics::EngineMetrics;
 use crate::policy::{
     BatchOutcome, CompletionStatus, FaultTally, PairError, PairFailure, PairOutcome, RunPolicy,
 };
-use crate::prefilter::{decided_tile, exact_mask, ExactMask};
 use cardir_core::{
     areas_from_soa, cdr_areas_from_soa, cdr_from_soa, CardinalRelation, PercentageMatrix, Tile,
 };
 use cardir_faults::{sites, FaultAction};
-use cardir_telemetry::trace::{phases, MAIN_TID};
-use cardir_telemetry::{Histogram, Tracer, DURATION_BOUNDS_NS};
+use cardir_telemetry::trace::phases;
+use cardir_telemetry::Tracer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -70,73 +66,59 @@ pub struct PairRelation {
     /// `compute_cdr_pct(primary, reference)`. `None` in
     /// [`EngineMode::Qualitative`].
     pub percentages: Option<PercentageMatrix>,
-    /// `true` when the MBB prefilter decided the whole pair without any
-    /// edge work.
+    /// `true` when the boxes decided the whole pair without any edge
+    /// work: a mask-emitted pair whose primary MBB lies strictly inside
+    /// one tile, except a quantitative tile-`N` pair, whose matrix takes
+    /// the kernel (see [`BatchStats::edges_scanned`]).
     pub via_prefilter: bool,
 }
 
-/// Aggregate statistics of one batch run — the always-on counter block.
-/// Collecting it costs a handful of adds per chunk, so there is no off
-/// switch; the optional timing layer lives in
-/// [`EngineMetrics`](crate::EngineMetrics).
+/// The counter record of one batch run. Collecting it costs a handful
+/// of adds per chunk, so there is no off switch; stage timings live in
+/// [`EngineMetrics`], which carries this record.
+///
+/// The pair space is partitioned, never double-counted:
+/// `mask_emitted + exact_pairs == pairs` holds on every outcome — the
+/// compact [`JoinOutcome`](crate::JoinOutcome) and its materialized
+/// [`BatchOutcome`] report the same three numbers. How the exact pairs
+/// ended (succeeded, failed, skipped) is the outcome's accounting, not
+/// the partition's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
-    /// Ordered pairs computed.
+    /// Ordered pairs covered by the run: `N·(N−1)` for a join, the list
+    /// length for [`BatchEngine::run_pairs`].
     pub pairs: usize,
-    /// Pairs fully short-circuited by the MBB prefilter.
-    pub prefilter_hits: usize,
+    /// Pairs the sweep left to the boxes: decided by
+    /// [`decided_tile`](crate::decided_tile), never work items. Always 0
+    /// for an explicit pair list.
+    pub mask_emitted: usize,
+    /// Pairs routed to the exact pipeline as work items — the `K`
+    /// interacting pairs of a join, every pair of an explicit list.
+    pub exact_pairs: usize,
+    /// Interval/grid-coordinate contacts the two sweeps visited
+    /// (self-contacts included); 0 for an explicit pair list.
+    pub candidates: usize,
+    /// Primary-region edges scanned by kernel computations — the paper's
+    /// `Σ k_a` cost term. Each edge counts once per computed pair in both
+    /// modes (the fused quantitative kernel computes relation and areas
+    /// in one sweep). Besides the exact pairs this includes the
+    /// quantitative tile-`N` fallback: a mask-emitted pair strictly
+    /// inside `N` takes its matrix from the kernel, because the `B`
+    /// area is derived from the `N` accumulator and can keep last-ulp
+    /// residue. The fallback runs when mask-emitted pairs are produced,
+    /// so on a compact join outcome it is not yet included.
+    pub edges_scanned: usize,
+    /// Kernel computations behind [`BatchStats::edges_scanned`]: every
+    /// one runs over the cache's struct-of-arrays store.
+    pub fused_pairs: usize,
     /// Worker threads used for the exact pass.
     pub threads: usize,
-    /// Pairs that took the exact edge-division path
-    /// (`pairs − prefilter_hits`; includes the quantitative N-tile
-    /// fallback, which recomputes areas exactly).
-    pub exact_pairs: usize,
-    /// Primary-region edges scanned across all exact computations — the
-    /// paper's `Σ k_a` cost term that the prefilter exists to avoid.
-    /// Each edge counts once per exact pair in *both* modes: the fused
-    /// quantitative kernel computes relation and areas in one sweep, so
-    /// quantitative runs no longer double this count.
-    pub edges_scanned: usize,
-    /// Exact computations served by the fused SoA kernels — pairs whose
-    /// edge scan ran over the cache's struct-of-arrays store instead of
-    /// re-flattening `Region` geometry. Invariant: equals
-    /// [`BatchStats::exact_pairs`] (which already counts the quantitative
-    /// N-tile fallbacks), because no other exact path exists.
-    pub fused_pairs: usize,
-    /// R-tree line-search candidates visited while building the
-    /// per-reference exact masks (one visit per box/grid-line contact).
-    pub rtree_candidates: usize,
-}
-
-impl BatchStats {
-    /// Fraction of pairs the prefilter decided, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.pairs == 0 {
-            0.0
-        } else {
-            self.prefilter_hits as f64 / self.pairs as f64
-        }
-    }
-}
-
-/// Result of a batch run: pairs in input order plus statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchResult {
-    /// One entry per requested pair, in request order (for
-    /// [`BatchEngine::compute_all`]: primary-major, reference ascending,
-    /// self-pairs skipped).
-    pub pairs: Vec<PairRelation>,
-    /// Run statistics (also embedded in `metrics.stats`).
-    pub stats: BatchStats,
-    /// The full cost picture of this run: stage durations, per-worker
-    /// load, and (with detailed collection) chunk-duration histograms.
-    pub metrics: EngineMetrics,
 }
 
 /// The batch pairwise-relation engine.
 ///
 /// ```
-/// use cardir_engine::{BatchEngine, EngineMode, RegionCache};
+/// use cardir_engine::{BatchEngine, EngineMode, RegionCache, RunPolicy};
 /// use cardir_geometry::Region;
 ///
 /// let regions = vec![
@@ -144,26 +126,21 @@ pub struct BatchResult {
 ///     Region::from_coords([(1.0, 6.0), (3.0, 6.0), (3.0, 8.0), (1.0, 8.0)]).unwrap(),
 /// ];
 /// let cache = RegionCache::build(&regions);
-/// let result = BatchEngine::new()
-///     .with_mode(EngineMode::Qualitative)
-///     .with_threads(2)
-///     .compute_all(&cache);
-/// assert_eq!(result.pairs.len(), 2);
-/// assert_eq!(result.pairs[0].primary, 0);
-/// assert_eq!(result.pairs[0].reference, 1);
+/// let engine = BatchEngine::new().with_mode(EngineMode::Qualitative).with_threads(2);
+/// let result = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+/// let pairs: Vec<_> = result.relations().collect();
+/// assert_eq!(pairs.len(), 2);
+/// assert_eq!((pairs[0].primary, pairs[0].reference), (0, 1));
 /// // Region 0 is south of region 1 but wider, so it spans three tiles.
-/// assert_eq!(result.pairs[0].relation.to_string(), "S:SW:SE");
-/// // Region 1 sits strictly inside N(0): the MBB prefilter decides it.
-/// assert_eq!(result.pairs[1].relation.to_string(), "N");
-/// assert!(result.pairs[1].via_prefilter);
+/// assert_eq!(pairs[0].relation.to_string(), "S:SW:SE");
+/// // Region 1 sits strictly inside N(0): the boxes decide it.
+/// assert_eq!(pairs[1].relation.to_string(), "N");
+/// assert!(pairs[1].via_prefilter);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchEngine {
     threads: usize,
     mode: EngineMode,
-    detailed_metrics: bool,
-    prefilter: bool,
-    strategy: JoinStrategy,
     tracer: Tracer,
 }
 
@@ -204,18 +181,10 @@ impl Default for BatchEngine {
 const CHUNK: usize = 256;
 
 impl BatchEngine {
-    /// An engine using every available core, qualitative mode, and
-    /// detailed metrics off.
+    /// An engine using every available core, in qualitative mode.
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        BatchEngine {
-            threads,
-            mode: EngineMode::Qualitative,
-            detailed_metrics: false,
-            prefilter: true,
-            strategy: JoinStrategy::AllPairs,
-            tracer: Tracer::disabled(),
-        }
+        BatchEngine { threads, mode: EngineMode::Qualitative, tracer: Tracer::disabled() }
     }
 
     /// Sets the number of worker threads (clamped to at least 1). The
@@ -231,41 +200,10 @@ impl BatchEngine {
         self
     }
 
-    /// Enables (or disables) detailed metrics collection: per-chunk
-    /// exact-pass duration histograms. The counter block in
-    /// [`BatchStats`] and the stage durations are always collected;
-    /// computed pairs are bit-identical either way — telemetry only
-    /// observes.
-    pub fn with_detailed_metrics(mut self, detailed: bool) -> Self {
-        self.detailed_metrics = detailed;
-        self
-    }
-
-    /// Enables (or disables) the MBB prefilter. Results are bit-identical
-    /// either way — the prefilter only short-circuits pairs it can prove
-    /// from boxes alone — so disabling it exists for cross-validation
-    /// (the differential fuzzer runs both and compares) and for measuring
-    /// what the prefilter saves.
-    pub fn with_prefilter(mut self, enabled: bool) -> Self {
-        self.prefilter = enabled;
-        self
-    }
-
-    /// Sets how [`BatchEngine::run_all`] (and the entry points built on
-    /// it) enumerates the pair space. [`JoinStrategy::AllPairs`] walks
-    /// every ordered pair; [`JoinStrategy::SpatialJoin`] discovers the
-    /// interacting pairs with an MBB sweep and emits the rest straight
-    /// from the box mask. Successful relations are bit-identical either
-    /// way.
-    pub fn with_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Attaches an execution [`Tracer`]: every stage of the pipeline —
-    /// mask build, sweep discovery, per-worker queue-wait and chunk
-    /// compute, join materialisation — records timeline spans into it,
-    /// tagged with thread and chunk ids, ready for
+    /// sweep discovery, per-worker queue-wait and chunk compute, join
+    /// materialisation — records timeline spans into it, tagged with
+    /// thread and chunk ids, ready for
     /// [`ChromeTrace`](cardir_telemetry::ChromeTrace) export. The default
     /// is [`Tracer::disabled`], which costs one branch per would-be span
     /// and allocates nothing; computed pairs are bit-identical either way
@@ -281,106 +219,20 @@ impl BatchEngine {
         &self.tracer
     }
 
-    /// Worker threads this engine will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured pair-enumeration strategy.
-    pub fn strategy(&self) -> JoinStrategy {
-        self.strategy
-    }
-
-    /// Whether the MBB prefilter is enabled.
-    pub fn prefilter(&self) -> bool {
-        self.prefilter
-    }
-
     /// The configured mode.
     pub fn mode(&self) -> EngineMode {
         self.mode
     }
 
-    /// Computes every ordered pair `(i, j)`, `i ≠ j`, in primary-major
-    /// order: all references for primary 0, then primary 1, and so on —
-    /// the iteration order of a naive double loop.
+    /// Computes an explicit list of ordered pairs (e.g. the pairs an
+    /// incremental edit invalidated) under `policy`, preserving list
+    /// order: one [`PairOutcome`] per pair plus the completion status.
+    /// Every pair is an exact work item — there is no sweep to decide
+    /// any from boxes — and self-pairs are allowed.
     ///
-    /// Runs under the default [`RunPolicy`] (panic isolation on, no
-    /// retries, no deadline): a panicking pair no longer aborts the
-    /// worker scope mid-batch — every other pair still computes, and the
-    /// first failure is re-raised once the batch has finished. Callers
-    /// that want the surviving results instead should use
-    /// [`BatchEngine::run_all`].
-    pub fn compute_all(&self, cache: &RegionCache<'_>) -> BatchResult {
-        expect_complete(self.run_all(cache, &RunPolicy::default()))
-    }
-
-    /// Policy-aware [`BatchEngine::compute_all`]: computes every ordered
-    /// pair under `policy` and reports one [`PairOutcome`] per pair plus
-    /// a [`CompletionStatus`] instead of promising a relation for
-    /// everything. With the default policy the successful relations are
-    /// bit-identical to [`BatchEngine::compute_all`].
-    pub fn run_all(&self, cache: &RegionCache<'_>, policy: &RunPolicy) -> BatchOutcome {
-        if self.strategy == JoinStrategy::SpatialJoin {
-            return self.run_join(cache, policy).materialize(cache);
-        }
-        let n = cache.len();
-        if n < 2 {
-            return self.empty_outcome(cache);
-        }
-        let mut main_trace = self.tracer.thread(MAIN_TID);
-        let trace_start = main_trace.begin();
-        let mask_start = Instant::now();
-        // With the prefilter disabled, zero-length masks answer
-        // `needs_exact == true` for every index, sending all pairs down
-        // the exact path.
-        let masks: Vec<ExactMask> = if self.prefilter {
-            (0..n).map(|j| exact_mask(cache, j)).collect()
-        } else {
-            (0..n).map(|_| ExactMask::new(0)).collect()
-        };
-        let mask_build = mask_start.elapsed();
-        main_trace.end(trace_start, phases::MASK_BUILD, None);
-        let total = n * (n - 1);
-        // Pair k → (i, j): i = k / (n−1); j skips the diagonal.
-        let pair_at = |k: usize| {
-            let i = k / (n - 1);
-            let r = k % (n - 1);
-            (i, r + usize::from(r >= i))
-        };
-        self.run(cache, &masks, total, pair_at, mask_build, policy)
-    }
-
-    /// Computes an explicit list of ordered pairs (e.g. the candidates a
-    /// query evaluator selected), preserving list order. Self-pairs are
-    /// allowed and always take the exact path.
-    ///
-    /// # Panics
-    /// Panics if a pair indexes outside the cache. Use
-    /// [`BatchEngine::try_compute_pairs`] for a `Result` instead.
-    pub fn compute_pairs(&self, cache: &RegionCache<'_>, pairs: &[(usize, usize)]) -> BatchResult {
-        match self.try_compute_pairs(cache, pairs) {
-            Ok(result) => result,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`BatchEngine::compute_pairs`]: returns
-    /// [`EngineError::PairOutOfBounds`] instead of panicking when a pair
-    /// indexes outside the cache, so one malformed request cannot take
-    /// down a batch service.
-    pub fn try_compute_pairs(
-        &self,
-        cache: &RegionCache<'_>,
-        pairs: &[(usize, usize)],
-    ) -> Result<BatchResult, EngineError> {
-        Ok(expect_complete(self.run_pairs(cache, pairs, &RunPolicy::default())?))
-    }
-
-    /// Policy-aware [`BatchEngine::compute_pairs`]: computes an explicit
-    /// pair list under `policy`, reporting per-pair outcomes and the
-    /// completion status. Pre-validates indices like
-    /// [`BatchEngine::try_compute_pairs`].
+    /// Returns [`EngineError::PairOutOfBounds`] instead of panicking when
+    /// a pair indexes outside the cache, so one malformed request cannot
+    /// take down a batch service.
     pub fn run_pairs(
         &self,
         cache: &RegionCache<'_>,
@@ -391,59 +243,22 @@ impl BatchEngine {
         if let Some(&pair) = pairs.iter().find(|&&(i, j)| i >= n || j >= n) {
             return Err(EngineError::PairOutOfBounds { pair, len: n });
         }
-        // Masks only for references that actually occur.
-        let mut main_trace = self.tracer.thread(MAIN_TID);
-        let trace_start = main_trace.begin();
-        let mask_start = Instant::now();
-        let mut masks: Vec<Option<ExactMask>> = vec![None; n];
-        if self.prefilter {
-            for &(_, j) in pairs {
-                if masks[j].is_none() {
-                    masks[j] = Some(exact_mask(cache, j));
-                }
-            }
-        }
-        // Unused references (and every reference when the prefilter is
-        // off) keep a zero-length mask, which conservatively reports
-        // `needs_exact` for any index.
-        let masks: Vec<ExactMask> =
-            masks.into_iter().map(|m| m.unwrap_or_else(|| ExactMask::new(0))).collect();
-        let mask_build = mask_start.elapsed();
-        main_trace.end(trace_start, phases::MASK_BUILD, None);
-        Ok(self.run(cache, &masks, pairs.len(), |k| pairs[k], mask_build, policy))
+        Ok(self.run(cache, pairs.len(), |k| pairs[k], policy))
     }
 
-    /// The outcome of a run over fewer than two regions (or zero pairs).
-    pub(crate) fn empty_outcome(&self, cache: &RegionCache<'_>) -> BatchOutcome {
-        let stats = BatchStats { threads: self.threads, ..BatchStats::default() };
-        BatchOutcome {
-            pairs: Vec::new(),
-            status: CompletionStatus::Complete,
-            succeeded: 0,
-            failed: 0,
-            skipped: 0,
-            stats,
-            metrics: EngineMetrics {
-                stats,
-                cache_build: cache.build_time(),
-                ..EngineMetrics::default()
-            },
-        }
-    }
-
-    /// The chunked parallel driver shared by every entry point.
+    /// The chunked parallel driver behind both entry points: computes
+    /// `total` work items, item `k` being the pair `pair_at(k)`, all on
+    /// the exact path.
     ///
     /// Workers re-check the cancel token and the deadline before claiming
     /// each chunk; chunks never claimed are assembled as
     /// [`PairOutcome::Skipped`] in their input-order slots, so the output
-    /// vector always has one entry per requested pair.
+    /// vector always has one entry per work item.
     pub(crate) fn run<F>(
         &self,
         cache: &RegionCache<'_>,
-        masks: &[ExactMask],
         total: usize,
         pair_at: F,
-        mask_build: Duration,
         policy: &RunPolicy,
     ) -> BatchOutcome
     where
@@ -455,8 +270,6 @@ impl BatchEngine {
         let done: Mutex<Vec<(usize, Vec<PairOutcome>, Tally)>> =
             Mutex::new(Vec::with_capacity(n_chunks));
         let per_thread: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-        let chunk_hist =
-            self.detailed_metrics.then(|| Histogram::new_detached(&DURATION_BOUNDS_NS));
         let mode = self.mode;
         let deadline_hits = AtomicUsize::new(0);
         let cancel_hits = AtomicUsize::new(0);
@@ -467,7 +280,6 @@ impl BatchEngine {
             let next = &next;
             let done = &done;
             let per_thread = &per_thread[..];
-            let chunk_hist = chunk_hist.as_ref();
             let pair_at = &pair_at;
             let deadline_hits = &deadline_hits;
             let cancel_hits = &cancel_hits;
@@ -513,19 +325,15 @@ impl BatchEngine {
                             }
                             trace.end(wait_start, phases::QUEUE_WAIT, Some(c as u64));
                             let compute_start = trace.begin();
-                            let chunk_start = chunk_hist.map(|_| Instant::now());
                             let start = c * CHUNK;
                             let end = (start + CHUNK).min(total);
                             let mut local = Vec::with_capacity(end - start);
                             let mut tally = Tally::default();
                             for k in start..end {
                                 let (i, j) = pair_at(k);
-                                local.push(run_pair(cache, &masks[j], i, j, mode, policy, &mut tally));
+                                local.push(run_pair(cache, i, j, mode, policy, &mut tally));
                             }
                             worker_pairs += end - start;
-                            if let (Some(h), Some(t0)) = (chunk_hist, chunk_start) {
-                                h.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                            }
                             // With panic isolation off, an unwinding
                             // worker can poison this lock; recover the
                             // data rather than cascading the panic.
@@ -547,10 +355,7 @@ impl BatchEngine {
         let mut totals = Tally::default();
         for (c, local, tally) in done.into_inner().unwrap_or_else(PoisonError::into_inner) {
             slots[c] = Some(local);
-            totals.hits += tally.hits;
-            totals.edges_scanned += tally.edges_scanned;
-            totals.fused += tally.fused;
-            totals.faults.merge(&tally.faults);
+            totals.merge(&tally);
         }
         let mut pairs = Vec::with_capacity(total);
         let mut skipped = 0usize;
@@ -586,54 +391,29 @@ impl BatchEngine {
             CompletionStatus::Complete
         };
 
-        let stats = BatchStats {
-            pairs: total,
-            prefilter_hits: totals.hits,
-            threads: workers,
-            // Successful pairs that took the exact edge-division path;
-            // failed and skipped pairs count in neither bucket.
-            exact_pairs: succeeded - totals.hits,
-            edges_scanned: totals.edges_scanned,
-            fused_pairs: totals.fused,
-            rtree_candidates: masks.iter().map(ExactMask::candidates).sum(),
-        };
         let metrics = EngineMetrics {
-            stats,
+            stats: BatchStats {
+                pairs: total,
+                exact_pairs: total,
+                edges_scanned: totals.edges_scanned,
+                fused_pairs: totals.fused,
+                threads: workers,
+                ..BatchStats::default()
+            },
             cache_build: cache.build_time(),
-            mask_build,
+            discover: Duration::ZERO,
             exact_pass,
             per_thread_pairs: per_thread.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
-            chunk_durations_ns: chunk_hist.map(|h| h.snapshot()),
             faults: totals.faults,
-            join: None,
         };
-        BatchOutcome { pairs, status, succeeded, failed, skipped, stats, metrics }
+        BatchOutcome { pairs, status, succeeded, failed, skipped, metrics }
     }
-}
-
-/// Converts a default-policy outcome into the infallible [`BatchResult`]
-/// shape, re-raising the first failure (after the whole batch ran — the
-/// panic-isolation fix means other pairs are no longer lost to a poisoned
-/// worker scope, even though this legacy shape cannot carry them).
-fn expect_complete(outcome: BatchOutcome) -> BatchResult {
-    let mut pairs = Vec::with_capacity(outcome.pairs.len());
-    for outcome_pair in outcome.pairs {
-        match outcome_pair {
-            PairOutcome::Ok(pr) => pairs.push(pr),
-            PairOutcome::Failed(e) => panic!("{e}"),
-            PairOutcome::Skipped { .. } => {
-                unreachable!("the default policy has no deadline and no cancel token")
-            }
-        }
-    }
-    BatchResult { pairs, stats: outcome.stats, metrics: outcome.metrics }
 }
 
 /// Runs one pair under the policy: failpoint injection, panic isolation,
 /// and the bounded retry loop. Never panics while isolation is on.
 fn run_pair(
     cache: &RegionCache<'_>,
-    mask: &ExactMask,
     i: usize,
     j: usize,
     mode: EngineMode,
@@ -644,7 +424,7 @@ fn run_pair(
     loop {
         attempt += 1;
         let result = if policy.panic_isolation {
-            match catch_unwind(AssertUnwindSafe(|| attempt_pair(cache, mask, i, j, mode, tally))) {
+            match catch_unwind(AssertUnwindSafe(|| attempt_pair(cache, i, j, mode, tally))) {
                 Ok(r) => r,
                 Err(payload) => {
                     tally.faults.panics_caught += 1;
@@ -652,7 +432,7 @@ fn run_pair(
                 }
             }
         } else {
-            attempt_pair(cache, mask, i, j, mode, tally)
+            attempt_pair(cache, i, j, mode, tally)
         };
         match result {
             Ok(pr) => return PairOutcome::Ok(pr),
@@ -685,7 +465,6 @@ fn run_pair(
 /// behaves exactly like a real one.
 fn attempt_pair(
     cache: &RegionCache<'_>,
-    mask: &ExactMask,
     i: usize,
     j: usize,
     mode: EngineMode,
@@ -704,63 +483,57 @@ fn attempt_pair(
         Some(FaultAction::Delay(d)) => std::thread::sleep(d),
         None => {}
     }
-    Ok(compute_pair(cache, mask, i, j, mode, tally))
+    Ok(compute_pair(cache, i, j, mode, tally))
 }
 
 /// Per-chunk counter block carried back with each finished chunk.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Tally {
-    /// Pairs the prefilter fully decided.
-    pub(crate) hits: usize,
-    /// Primary edges scanned by exact computations.
+    /// Primary edges scanned by kernel computations.
     pub(crate) edges_scanned: usize,
-    /// Exact computations that ran over the fused SoA kernels.
+    /// Kernel computations (all over the fused SoA kernels).
     pub(crate) fused: usize,
     /// Fault events observed while computing this chunk.
     pub(crate) faults: FaultTally,
 }
 
-/// Computes one ordered pair, taking the MBB short-circuit when sound,
-/// and tallies prefilter hits and edge scans into `tally`.
+impl Tally {
+    pub(crate) fn merge(&mut self, other: &Tally) {
+        self.edges_scanned += other.edges_scanned;
+        self.fused += other.fused;
+        self.faults.merge(&other.faults);
+    }
+}
+
+/// Computes one ordered pair on the exact path with the fused SoA
+/// kernels, tallying the edge scan into `tally`.
 fn compute_pair(
     cache: &RegionCache<'_>,
-    mask: &ExactMask,
     i: usize,
     j: usize,
     mode: EngineMode,
     tally: &mut Tally,
 ) -> PairRelation {
-    // The mask flags every box touching a grid line of mbb(j) — including
-    // region j itself — so a clear bit proves the strict-tile decision.
-    if i != j && !mask.needs_exact(i) {
-        let tile = decided_tile(cache.mbb(i), cache.mbb(j))
-            .expect("prefilter cleared the pair, so the primary box is strictly inside one tile");
-        emit_decided(cache, i, j, tile, mode, tally)
-    } else {
-        let mbb = cache.mbb(j);
-        tally.edges_scanned += cache.edge_count(i);
-        tally.fused += 1;
-        let soa = cache.soa(i);
-        let (relation, percentages) = match mode {
-            EngineMode::Qualitative => (cdr_from_soa(&soa, mbb), None),
-            EngineMode::Quantitative => {
-                // One fused sweep computes the relation and the areas
-                // together — the old path called `compute_cdr_with_mbb`
-                // and then `tile_areas_with_mbb`, re-flattening and
-                // re-dividing every primary edge twice per pair.
-                let (relation, areas) = cdr_areas_from_soa(&soa, mbb);
-                (relation, Some(areas.percentages()))
-            }
-        };
-        PairRelation { primary: i, reference: j, relation, percentages, via_prefilter: false }
-    }
+    let mbb = cache.mbb(j);
+    tally.edges_scanned += cache.edge_count(i);
+    tally.fused += 1;
+    let soa = cache.soa(i);
+    let (relation, percentages) = match mode {
+        EngineMode::Qualitative => (cdr_from_soa(&soa, mbb), None),
+        EngineMode::Quantitative => {
+            // One fused sweep computes the relation and the areas
+            // together.
+            let (relation, areas) = cdr_areas_from_soa(&soa, mbb);
+            (relation, Some(areas.percentages()))
+        }
+    };
+    PairRelation { primary: i, reference: j, relation, percentages, via_prefilter: false }
 }
 
 /// Emits the relation for a pair the boxes alone decide: the primary's
 /// MBB lies strictly inside `tile` of the reference's grid. Shared by the
-/// all-pairs short-circuit above and the spatial join's mask-emit path,
-/// so the two strategies are bit-identical on decided pairs by
-/// construction.
+/// spatial join's materialisation and the incremental engine's reads, so
+/// both produce the same bits for every decided pair by construction.
 pub(crate) fn emit_decided(
     cache: &RegionCache<'_>,
     i: usize,
@@ -772,7 +545,6 @@ pub(crate) fn emit_decided(
     let relation = CardinalRelation::single(tile);
     match mode {
         EngineMode::Qualitative => {
-            tally.hits += 1;
             PairRelation { primary: i, reference: j, relation, percentages: None, via_prefilter: true }
         }
         EngineMode::Quantitative => {
@@ -781,7 +553,6 @@ pub(crate) fn emit_decided(
                 // `PercentageMatrix::from_areas` normalises x/x to exactly
                 // 100.0, so the single-tile matrix has the same bits as
                 // the full accumulation.
-                tally.hits += 1;
                 PairRelation {
                     primary: i,
                     reference: j,
@@ -794,7 +565,7 @@ pub(crate) fn emit_decided(
                 // (area(B) = |a_{B+N}| − |a_N|), so an all-N primary
                 // can leave last-ulp residue in B. Take the exact path
                 // for the matrix to stay bit-identical; the relation
-                // is still the prefilter's.
+                // is still the boxes'.
                 tally.edges_scanned += cache.edge_count(i);
                 tally.fused += 1;
                 let m = areas_from_soa(&cache.soa(i), cache.mbb(j)).percentages();
@@ -815,172 +586,32 @@ mod tests {
     use super::*;
     use cardir_core::{compute_cdr, compute_cdr_pct};
     use cardir_geometry::Region;
+    use cardir_telemetry::trace::MAIN_TID;
     use cardir_workloads::SplitMix64;
 
     fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
         Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
     }
 
-    fn naive_all(regions: &[Region], quantitative: bool) -> Vec<PairRelation> {
+    fn naive_all(regions: &[Region], quantitative: bool) -> Vec<(usize, usize, CardinalRelation, Option<PercentageMatrix>)> {
         let mut out = Vec::new();
         for (i, a) in regions.iter().enumerate() {
             for (j, b) in regions.iter().enumerate() {
-                if i == j {
-                    continue;
+                if i != j {
+                    out.push((i, j, compute_cdr(a, b), quantitative.then(|| compute_cdr_pct(a, b))));
                 }
-                out.push(PairRelation {
-                    primary: i,
-                    reference: j,
-                    relation: compute_cdr(a, b),
-                    percentages: quantitative.then(|| compute_cdr_pct(a, b)),
-                    via_prefilter: false,
-                });
             }
         }
         out
     }
 
-    fn assert_matches_naive(engine: &BatchResult, naive: &[PairRelation]) {
-        assert_eq!(engine.pairs.len(), naive.len());
-        for (got, want) in engine.pairs.iter().zip(naive) {
-            assert_eq!((got.primary, got.reference), (want.primary, want.reference));
-            assert_eq!(got.relation, want.relation, "pair ({}, {})", got.primary, got.reference);
-            assert_eq!(
-                got.percentages, want.percentages,
-                "pair ({}, {}) percentages must be bit-identical",
-                got.primary, got.reference
-            );
-        }
+    /// Every ordered pair `(i, j)`, `i ≠ j`, in primary-major order.
+    fn all_pairs(n: usize) -> Vec<(usize, usize)> {
+        (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j))).collect()
     }
 
-    #[test]
-    fn all_pairs_order_is_primary_major() {
-        let regions =
-            vec![rect(0.0, 0.0, 1.0, 1.0), rect(3.0, 0.0, 4.0, 1.0), rect(0.0, 3.0, 1.0, 4.0)];
-        let cache = RegionCache::build(&regions);
-        let result = BatchEngine::new().with_threads(1).compute_all(&cache);
-        let order: Vec<(usize, usize)> =
-            result.pairs.iter().map(|p| (p.primary, p.reference)).collect();
-        assert_eq!(order, vec![(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
-    }
-
-    #[test]
-    fn matches_naive_on_random_map_both_modes() {
-        let mut rng = SplitMix64::seed_from_u64(7);
-        let extent = cardir_geometry::BoundingBox::new(
-            cardir_geometry::Point::new(0.0, 0.0),
-            cardir_geometry::Point::new(400.0, 300.0),
-        );
-        let map = cardir_workloads::random_map(&mut rng, 25, extent);
-        let regions: Vec<Region> = map.into_iter().map(|m| m.region).collect();
-        let cache = RegionCache::build(&regions);
-        for quantitative in [false, true] {
-            let mode =
-                if quantitative { EngineMode::Quantitative } else { EngineMode::Qualitative };
-            let naive = naive_all(&regions, quantitative);
-            for threads in [1, 2, 4] {
-                let result =
-                    BatchEngine::new().with_mode(mode).with_threads(threads).compute_all(&cache);
-                assert_matches_naive(&result, &naive);
-            }
-        }
-    }
-
-    #[test]
-    fn prefilter_hits_on_scattered_map() {
-        // Widely scattered small boxes: almost every pair is MBB-decided.
-        let regions: Vec<Region> = (0..6)
-            .map(|i| {
-                let x = (i as f64) * 100.0;
-                rect(x, x, x + 1.0, x + 1.0)
-            })
-            .collect();
-        let cache = RegionCache::build(&regions);
-        let result = BatchEngine::new().with_threads(2).compute_all(&cache);
-        assert_eq!(result.stats.pairs, 30);
-        assert_eq!(result.stats.prefilter_hits, 30, "all pairs are strictly diagonal");
-        assert!((result.stats.hit_rate() - 1.0).abs() < 1e-12);
-        for p in &result.pairs {
-            assert!(p.via_prefilter);
-            let expect = if p.primary < p.reference { "SW" } else { "NE" };
-            assert_eq!(p.relation.to_string(), expect);
-        }
-    }
-
-    #[test]
-    fn explicit_pairs_preserve_order_and_allow_self() {
-        let regions = vec![rect(0.0, 0.0, 4.0, 4.0), rect(1.0, 6.0, 3.0, 8.0)];
-        let cache = RegionCache::build(&regions);
-        let wanted = [(1usize, 0usize), (0, 1), (0, 0), (1, 0)];
-        let result = BatchEngine::new().with_threads(4).compute_pairs(&cache, &wanted);
-        let order: Vec<(usize, usize)> =
-            result.pairs.iter().map(|p| (p.primary, p.reference)).collect();
-        assert_eq!(order, wanted);
-        assert_eq!(result.pairs[0].relation.to_string(), "N");
-        assert_eq!(result.pairs[1].relation.to_string(), "S:SW:SE", "wider primary spans 3 tiles");
-        assert_eq!(result.pairs[2].relation.to_string(), "B", "self pair");
-        assert_eq!(result.pairs[3], result.pairs[0]);
-    }
-
-    #[test]
-    fn empty_and_single_region_maps() {
-        let cache = RegionCache::build(std::iter::empty());
-        let result = BatchEngine::new().compute_all(&cache);
-        assert!(result.pairs.is_empty());
-        let one = vec![rect(0.0, 0.0, 1.0, 1.0)];
-        let cache = RegionCache::build(&one);
-        let result = BatchEngine::new().compute_all(&cache);
-        assert!(result.pairs.is_empty());
-        let result = BatchEngine::new().compute_pairs(&cache, &[]);
-        assert!(result.pairs.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_pair_panics() {
-        let regions = vec![rect(0.0, 0.0, 1.0, 1.0)];
-        let cache = RegionCache::build(&regions);
-        let _ = BatchEngine::new().compute_pairs(&cache, &[(0, 1)]);
-    }
-
-    #[test]
-    fn try_compute_pairs_reports_out_of_bounds() {
-        let regions = vec![rect(0.0, 0.0, 1.0, 1.0)];
-        let cache = RegionCache::build(&regions);
-        let err = BatchEngine::new().try_compute_pairs(&cache, &[(0, 0), (0, 1)]).unwrap_err();
-        assert_eq!(err, EngineError::PairOutOfBounds { pair: (0, 1), len: 1 });
-        assert!(err.to_string().contains("out of bounds"));
-        let ok = BatchEngine::new().try_compute_pairs(&cache, &[(0, 0)]).unwrap();
-        assert_eq!(ok.pairs.len(), 1);
-    }
-
-    #[test]
-    fn prefilter_off_is_bit_identical_and_all_exact() {
-        let mut rng = SplitMix64::seed_from_u64(9);
-        let extent = cardir_geometry::BoundingBox::new(
-            cardir_geometry::Point::new(0.0, 0.0),
-            cardir_geometry::Point::new(300.0, 300.0),
-        );
-        let map = cardir_workloads::random_map(&mut rng, 15, extent);
-        let regions: Vec<Region> = map.into_iter().map(|m| m.region).collect();
-        let cache = RegionCache::build(&regions);
-        for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
-            let on = BatchEngine::new().with_mode(mode).with_threads(2).compute_all(&cache);
-            let off = BatchEngine::new()
-                .with_mode(mode)
-                .with_threads(2)
-                .with_prefilter(false)
-                .compute_all(&cache);
-            assert_eq!(off.stats.prefilter_hits, 0);
-            assert_eq!(off.stats.rtree_candidates, 0);
-            assert_eq!(off.stats.exact_pairs, off.stats.pairs);
-            assert_eq!(on.pairs.len(), off.pairs.len());
-            for (a, b) in on.pairs.iter().zip(&off.pairs) {
-                assert_eq!((a.primary, a.reference), (b.primary, b.reference));
-                assert_eq!(a.relation, b.relation);
-                assert_eq!(a.percentages, b.percentages, "pair ({}, {})", a.primary, a.reference);
-            }
-        }
+    fn relations(outcome: &BatchOutcome) -> Vec<PairRelation> {
+        outcome.pairs.iter().map(|p| p.ok().expect("clean run").clone()).collect()
     }
 
     fn random_regions(seed: u64, n: usize) -> Vec<Region> {
@@ -993,24 +624,129 @@ mod tests {
     }
 
     #[test]
+    fn materialized_order_is_primary_major() {
+        let regions =
+            vec![rect(0.0, 0.0, 1.0, 1.0), rect(3.0, 0.0, 4.0, 1.0), rect(0.0, 3.0, 1.0, 4.0)];
+        let cache = RegionCache::build(&regions);
+        let result =
+            BatchEngine::new().with_threads(1).run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let order: Vec<(usize, usize)> = result.pairs.iter().map(PairOutcome::indices).collect();
+        assert_eq!(order, vec![(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
+    }
+
+    #[test]
+    fn matches_naive_on_random_map_both_modes() {
+        let regions = random_regions(7, 25);
+        let cache = RegionCache::build(&regions);
+        for quantitative in [false, true] {
+            let mode =
+                if quantitative { EngineMode::Quantitative } else { EngineMode::Qualitative };
+            let naive = naive_all(&regions, quantitative);
+            for threads in [1, 2, 4] {
+                let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
+                let joined =
+                    relations(&engine.run_join(&cache, &RunPolicy::default()).materialize(&cache));
+                let listed = relations(
+                    &engine.run_pairs(&cache, &all_pairs(regions.len()), &RunPolicy::default()).unwrap(),
+                );
+                assert_eq!(joined.len(), naive.len());
+                assert_eq!(listed.len(), naive.len());
+                for ((got, exact), (i, j, rel, pct)) in joined.iter().zip(&listed).zip(&naive) {
+                    for pr in [got, exact] {
+                        assert_eq!((pr.primary, pr.reference), (*i, *j));
+                        assert_eq!(pr.relation, *rel, "pair ({i}, {j})");
+                        assert_eq!(pr.percentages, *pct, "pair ({i}, {j}): bit-identical matrices");
+                    }
+                    assert!(!exact.via_prefilter, "an explicit list is all exact work");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scattered_map_is_entirely_mask_emitted() {
+        // Widely scattered small boxes: every pair is MBB-decided.
+        let regions: Vec<Region> = (0..6)
+            .map(|i| {
+                let x = (i as f64) * 100.0;
+                rect(x, x, x + 1.0, x + 1.0)
+            })
+            .collect();
+        let cache = RegionCache::build(&regions);
+        let result =
+            BatchEngine::new().with_threads(2).run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let stats = result.metrics.stats;
+        assert_eq!((stats.pairs, stats.mask_emitted, stats.exact_pairs), (30, 30, 0));
+        assert_eq!((stats.edges_scanned, stats.fused_pairs), (0, 0), "no kernel work");
+        for p in result.relations() {
+            assert!(p.via_prefilter);
+            let expect = if p.primary < p.reference { "SW" } else { "NE" };
+            assert_eq!(p.relation.to_string(), expect);
+        }
+    }
+
+    #[test]
+    fn explicit_pairs_preserve_order_and_allow_self() {
+        let regions = vec![rect(0.0, 0.0, 4.0, 4.0), rect(1.0, 6.0, 3.0, 8.0)];
+        let cache = RegionCache::build(&regions);
+        let wanted = [(1usize, 0usize), (0, 1), (0, 0), (1, 0)];
+        let result =
+            BatchEngine::new().with_threads(4).run_pairs(&cache, &wanted, &RunPolicy::default()).unwrap();
+        let pairs = relations(&result);
+        let order: Vec<(usize, usize)> = pairs.iter().map(|p| (p.primary, p.reference)).collect();
+        assert_eq!(order, wanted);
+        assert_eq!(pairs[0].relation.to_string(), "N");
+        assert_eq!(pairs[1].relation.to_string(), "S:SW:SE", "wider primary spans 3 tiles");
+        assert_eq!(pairs[2].relation.to_string(), "B", "self pair");
+        assert_eq!(pairs[3], pairs[0]);
+        let stats = result.metrics.stats;
+        assert_eq!((stats.pairs, stats.mask_emitted, stats.exact_pairs), (4, 0, 4));
+    }
+
+    #[test]
+    fn empty_and_single_region_maps() {
+        let policy = RunPolicy::default();
+        let cache = RegionCache::build(std::iter::empty());
+        assert!(BatchEngine::new().run_join(&cache, &policy).materialize(&cache).pairs.is_empty());
+        let one = vec![rect(0.0, 0.0, 1.0, 1.0)];
+        let cache = RegionCache::build(&one);
+        assert!(BatchEngine::new().run_join(&cache, &policy).materialize(&cache).pairs.is_empty());
+        let listed = BatchEngine::new().run_pairs(&cache, &[], &policy).unwrap();
+        assert!(listed.pairs.is_empty());
+        assert_eq!(listed.status, CompletionStatus::Complete);
+    }
+
+    #[test]
+    fn run_pairs_reports_out_of_bounds() {
+        let regions = vec![rect(0.0, 0.0, 1.0, 1.0)];
+        let cache = RegionCache::build(&regions);
+        let policy = RunPolicy::default();
+        let err = BatchEngine::new().run_pairs(&cache, &[(0, 0), (0, 1)], &policy).unwrap_err();
+        assert_eq!(err, EngineError::PairOutOfBounds { pair: (0, 1), len: 1 });
+        assert!(err.to_string().contains("out of bounds"));
+        let ok = BatchEngine::new().run_pairs(&cache, &[(0, 0)], &policy).unwrap();
+        assert_eq!(ok.pairs.len(), 1);
+    }
+
+    #[test]
     fn traced_run_is_bit_identical_and_covers_every_chunk() {
         let regions = random_regions(13, 20);
         let cache = RegionCache::build(&regions);
-        let plain = BatchEngine::new().with_threads(2).compute_all(&cache);
+        let pairs = all_pairs(regions.len());
+        let policy = RunPolicy::default();
+        let plain = BatchEngine::new().with_threads(2).run_pairs(&cache, &pairs, &policy).unwrap();
         let tracer = Tracer::enabled();
-        let traced =
-            BatchEngine::new().with_threads(2).with_tracer(tracer.clone()).compute_all(&cache);
+        let traced = BatchEngine::new()
+            .with_threads(2)
+            .with_tracer(tracer.clone())
+            .run_pairs(&cache, &pairs, &policy)
+            .unwrap();
         assert_eq!(plain.pairs, traced.pairs, "tracing must only observe");
 
         let events = tracer.drain();
-        assert!(
-            events.iter().any(|e| e.name == phases::MASK_BUILD && e.tid == MAIN_TID),
-            "the coordinator records the mask build"
-        );
         // Every chunk appears exactly once as a compute span, attributed
         // to a worker tid, and every worker also records queue waits.
-        let total: usize = 20 * 19;
-        let n_chunks = total.div_ceil(CHUNK);
+        let n_chunks = pairs.len().div_ceil(CHUNK);
         let mut chunks: Vec<u64> = events
             .iter()
             .filter(|e| e.name == phases::CHUNK_COMPUTE)
@@ -1033,12 +769,13 @@ mod tests {
         let regions = random_regions(29, 25);
         let cache = RegionCache::build(&regions);
         let tracer = Tracer::enabled();
-        let plain = BatchEngine::new().with_threads(2).compute_all(&cache);
+        let policy = RunPolicy::default();
+        let plain = BatchEngine::new().with_threads(2).run_join(&cache, &policy).materialize(&cache);
         let traced = BatchEngine::new()
             .with_threads(2)
-            .with_strategy(JoinStrategy::SpatialJoin)
             .with_tracer(tracer.clone())
-            .compute_all(&cache);
+            .run_join(&cache, &policy)
+            .materialize(&cache);
         assert_eq!(plain.pairs, traced.pairs);
         let events = tracer.drain();
         for phase in [phases::SWEEP_PARTITION, phases::MATERIALIZE] {
@@ -1052,16 +789,17 @@ mod tests {
     /// per-thread pair counts are rebuilt from fresh atomics on every
     /// run — one slot per worker, summing to the full pair total — so
     /// identical summaries across thread counts can only be summary
-    /// collisions (see `EngineMetrics` for the arithmetic).
+    /// collisions (see `EngineMetrics::worker_balance`).
     #[test]
     fn per_thread_pairs_is_fresh_per_run_and_sums_to_total() {
         // 47 regions → 2162 ordered pairs → 9 chunks, enough for 8 workers.
         let regions = random_regions(3, 47);
         let cache = RegionCache::build(&regions);
-        let total = 47 * 46;
+        let pairs = all_pairs(47);
+        let policy = RunPolicy::default();
         for threads in [4usize, 8] {
             let engine = BatchEngine::new().with_threads(threads);
-            let result = engine.compute_all(&cache);
+            let result = engine.run_pairs(&cache, &pairs, &policy).unwrap();
             assert_eq!(
                 result.metrics.per_thread_pairs.len(),
                 threads,
@@ -1069,19 +807,19 @@ mod tests {
             );
             assert_eq!(
                 result.metrics.per_thread_pairs.iter().sum::<usize>(),
-                total,
+                pairs.len(),
                 "claimed pairs account for the whole batch"
             );
             // A second run on the same engine starts from zeroed slots.
-            let again = engine.compute_all(&cache);
-            assert_eq!(again.metrics.per_thread_pairs.iter().sum::<usize>(), total);
+            let again = engine.run_pairs(&cache, &pairs, &policy).unwrap();
+            assert_eq!(again.metrics.per_thread_pairs.iter().sum::<usize>(), pairs.len());
         }
     }
 
     #[test]
-    fn quantitative_fast_path_is_bit_identical_including_n_tile() {
+    fn quantitative_emission_is_bit_identical_including_n_tile() {
         // A primary strictly inside each of the nine tiles of the
-        // reference; N exercises the exact-path fallback for percentages.
+        // reference; N exercises the kernel fallback for percentages.
         let b = rect(0.0, 0.0, 4.0, 4.0);
         let primaries = [
             rect(1.7, 1.2, 2.5, 2.8),    // B
@@ -1097,12 +835,17 @@ mod tests {
         let mut regions = vec![b];
         regions.extend(primaries);
         let cache = RegionCache::build(&regions);
-        let result =
-            BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(1).compute_all(&cache);
-        for p in result.pairs.iter().filter(|p| p.reference == 0) {
+        let result = BatchEngine::new()
+            .with_mode(EngineMode::Quantitative)
+            .with_threads(1)
+            .run_join(&cache, &RunPolicy::default())
+            .materialize(&cache);
+        for p in result.relations().filter(|p| p.reference == 0) {
             let naive = compute_cdr_pct(&regions[p.primary], &regions[0]);
             assert_eq!(p.percentages, Some(naive), "primary {}", p.primary);
             assert_eq!(p.relation, compute_cdr(&regions[p.primary], &regions[0]));
+            // Only the tile-N primary (index 6) falls back to the kernel.
+            assert_eq!(p.via_prefilter, p.primary != 6, "primary {}", p.primary);
         }
     }
 }

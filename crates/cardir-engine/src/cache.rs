@@ -5,16 +5,14 @@
 //! reference region's polygons) on every call; over the `n·(n−1)` ordered
 //! pairs of a map each region's box would be rebuilt `2·(n−1)` times.
 //! [`RegionCache`] hoists that work: one pass computes every region's
-//! MBB, edge count, and area, flattens every edge once into a shared
-//! struct-of-arrays store ([`SoaStore`]), and loads the MBBs into an
-//! [`RTree`] so the prefilter can locate grid-line conflicts in
-//! logarithmic time. The SoA store is what the exact loops scan — after
-//! the build, no per-pair code path touches `Region` / `Polygon` edge
-//! iterators again (`cardir_geometry::flatten::events` proves it).
+//! MBB and edge count, and flattens every edge once into a shared
+//! struct-of-arrays store ([`SoaStore`]). The MBBs feed the join's sweep;
+//! the SoA store is what the exact loops scan — after the build, no
+//! per-pair code path touches `Region` / `Polygon` edge iterators again
+//! (`cardir_geometry::flatten::events` proves it).
 
 use cardir_core::{EdgeSoa, SoaStore};
 use cardir_geometry::{BoundingBox, Region};
-use cardir_index::RTree;
 use cardir_telemetry::trace::{phases, MAIN_TID};
 use cardir_telemetry::Tracer;
 use std::time::{Duration, Instant};
@@ -26,9 +24,7 @@ pub struct RegionCache<'a> {
     regions: Vec<&'a Region>,
     mbbs: Vec<BoundingBox>,
     edge_counts: Vec<usize>,
-    areas: Vec<f64>,
     soa: SoaStore,
-    rtree: RTree<usize>,
     build_time: Duration,
 }
 
@@ -44,14 +40,9 @@ impl<'a> RegionCache<'a> {
         let regions: Vec<&'a Region> = regions.into_iter().collect();
         let mbbs: Vec<BoundingBox> = regions.iter().map(|r| r.mbb()).collect();
         let edge_counts: Vec<usize> = regions.iter().map(|r| r.edge_count()).collect();
-        let areas: Vec<f64> = regions.iter().map(|r| r.area()).collect();
         let mut soa = SoaStore::new();
         for r in &regions {
-            soa.push_region(r);
-        }
-        let mut rtree = RTree::new();
-        for (i, mbb) in mbbs.iter().enumerate() {
-            // Failpoint: a corrupt geometry blowing up mid-index-build.
+            // Failpoint: a corrupt geometry blowing up mid-build.
             match cardir_faults::hit(cardir_faults::sites::ENGINE_CACHE_INSERT) {
                 Some(cardir_faults::FaultAction::Panic(msg)) => {
                     panic!(
@@ -62,10 +53,10 @@ impl<'a> RegionCache<'a> {
                 Some(cardir_faults::FaultAction::Delay(d)) => std::thread::sleep(d),
                 _ => {}
             }
-            rtree.insert(*mbb, i);
+            soa.push_region(r);
         }
         let build_time = start.elapsed();
-        RegionCache { regions, mbbs, edge_counts, areas, soa, rtree, build_time }
+        RegionCache { regions, mbbs, edge_counts, soa, build_time }
     }
 
     /// [`RegionCache::build`] with a `cache_build` span recorded into
@@ -122,12 +113,6 @@ impl<'a> RegionCache<'a> {
         self.edge_counts[i]
     }
 
-    /// The cached area of region `i`.
-    #[inline]
-    pub fn area(&self, i: usize) -> f64 {
-        self.areas[i]
-    }
-
     /// The struct-of-arrays edge view of region `i`, flattened once at
     /// build time in the canonical polygon-major order of
     /// [`Region::edges`]. This is what the exact loops feed to the fused
@@ -137,16 +122,9 @@ impl<'a> RegionCache<'a> {
         self.soa.view(i)
     }
 
-    /// Sum of all cached edge counts — the total geometric workload of an
-    /// all-pairs exact pass is proportional to `(n − 1) · total_edges`.
+    /// Sum of all cached edge counts — the map's `Σ k`.
     pub fn total_edges(&self) -> usize {
         self.edge_counts.iter().sum()
-    }
-
-    /// The R-tree over the cached MBBs; payloads are region indices.
-    #[inline]
-    pub fn rtree(&self) -> &RTree<usize> {
-        &self.rtree
     }
 }
 
@@ -168,19 +146,9 @@ mod tests {
         for (i, r) in regions.iter().enumerate() {
             assert_eq!(cache.mbb(i), r.mbb());
             assert_eq!(cache.edge_count(i), r.edge_count());
-            assert_eq!(cache.area(i), r.area());
             assert_eq!(cache.soa(i).edge_count(), r.edge_count());
         }
         assert_eq!(cache.total_edges(), 8);
-        assert_eq!(cache.rtree().len(), 2);
-    }
-
-    #[test]
-    fn rtree_payloads_are_indices() {
-        let regions = vec![rect(0.0, 0.0, 1.0, 1.0), rect(10.0, 10.0, 11.0, 11.0)];
-        let cache = RegionCache::build(&regions);
-        let hits = cache.rtree().search(regions[1].mbb());
-        assert_eq!(hits, vec![&1]);
     }
 
     #[test]

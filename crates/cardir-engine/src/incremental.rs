@@ -4,7 +4,7 @@
 //! A full batch run over `N` regions costs `N·(N−1)` ordered pairs even
 //! when a single region moved. The [`IncrementalEngine`] instead holds
 //! the current relation set in *delta form* and, per [`Edit`],
-//! invalidates exactly the ordered pairs whose prefilter mask or
+//! invalidates exactly the ordered pairs whose box decision or
 //! relation could change — the pairs involving the edited region — and
 //! recomputes only the *interacting* subset of those through the same
 //! exact pipeline the batch engine uses, under full [`RunPolicy`] fault
@@ -57,9 +57,9 @@
 //!
 //! Recomputation builds a mini [`RegionCache`] over just the edited
 //! region and its interacting partners and runs
-//! [`BatchEngine::run_pairs`] with the prefilter off — sound because
-//! every listed pair is interacting, so the exact path would run anyway,
-//! and the exact kernels depend only on the primary's edges and the
+//! [`BatchEngine::run_pairs`] — sound because every listed pair is
+//! interacting, so a full join would run the exact path on it too, and
+//! the exact kernels depend only on the primary's edges and the
 //! reference's MBB, both of which the mini cache reproduces exactly.
 //! The stored bits are therefore identical to what a full batch run
 //! computes, which the `edits` fuzz family asserts pair by pair.
@@ -442,9 +442,6 @@ impl IncrementalEngine {
         };
         let outcome = {
             let cache = RegionCache::build(regions.iter());
-            // The join partition needs the prefilter (that is what
-            // separates interacting from decided pairs); only the
-            // mini-cache recompute passes run with it off.
             let batch = BatchEngine::new().with_mode(mode).with_threads(threads.max(1));
             batch.run_join(&cache, policy)
         };
@@ -530,14 +527,7 @@ impl IncrementalEngine {
     }
 
     fn batch_engine(&self) -> BatchEngine {
-        // Prefilter off: every pair handed to the mini cache is already
-        // known to interact, so masks would be pure overhead — and with
-        // zero-length masks every pair takes the exact path, which is
-        // exactly the bit-identical behaviour required.
-        BatchEngine::new()
-            .with_mode(self.mode)
-            .with_threads(self.threads)
-            .with_prefilter(false)
+        BatchEngine::new().with_mode(self.mode).with_threads(self.threads)
     }
 
     /// The engine's computation mode.

@@ -1,50 +1,40 @@
 //! Rich per-run engine metrics, layered over [`BatchStats`].
 //!
-//! [`BatchStats`] stays the cheap always-on counter block; this module
-//! adds the run's *shape*: where wall time went (cache build, mask
-//! build, exact pass), how evenly the workers shared the pair load, and
-//! — when [`detailed`](crate::BatchEngine::with_detailed_metrics)
-//! collection is on — the per-chunk exact-pass duration distribution.
+//! [`BatchStats`] is the cheap always-on counter record; this module
+//! adds the run's *shape*: where wall time went (cache build, sweep
+//! discovery, exact pass) and how evenly the workers shared the pair
+//! load. Per-chunk timings are the tracer's `chunk_compute` spans.
 //! [`EngineMetrics::export`] folds a run into a long-lived
 //! [`Registry`], which the sinks in `cardir-telemetry` then render as a
 //! human report or JSON lines.
 
 use crate::batch::BatchStats;
-use crate::join::JoinStats;
 use crate::policy::FaultTally;
 use cardir_geometry::RobustStats;
-use cardir_telemetry::{HistogramSnapshot, Registry, COUNT_BOUNDS, DURATION_BOUNDS_NS};
+use cardir_telemetry::{Registry, COUNT_BOUNDS, DURATION_BOUNDS_NS};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Everything one batch run can tell you about its own cost.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineMetrics {
-    /// The counter block (also available as `BatchResult::stats`).
+    /// The run's counter record.
     pub stats: BatchStats,
     /// Wall time of [`RegionCache::build`](crate::RegionCache::build)
     /// for the cache this run used.
     pub cache_build: Duration,
-    /// Wall time spent building the per-reference exact masks (four
-    /// R-tree line searches each).
-    pub mask_build: Duration,
+    /// Wall time of the join's sweep discovery; zero for an explicit
+    /// pair list.
+    pub discover: Duration,
     /// Wall time of the threaded exact pass, chunk dispatch included.
     pub exact_pass: Duration,
     /// Pairs processed by each worker of the exact pass, indexed by
     /// worker slot — the load-balance signal.
     pub per_thread_pairs: Vec<usize>,
-    /// Distribution of per-chunk exact-pass durations in nanoseconds.
-    /// `None` unless the engine ran with
-    /// [`with_detailed_metrics(true)`](crate::BatchEngine::with_detailed_metrics).
-    pub chunk_durations_ns: Option<HistogramSnapshot>,
     /// Fault events observed during this run: panics caught, injected
     /// failures, retries, failed/skipped pairs, deadline/cancel stops.
     /// All-zero ([`FaultTally::is_clean`]) on a healthy run.
     pub faults: FaultTally,
-    /// Spatial-join partition counters. `Some` only when the run went
-    /// through [`BatchEngine::run_join`](crate::BatchEngine::run_join)
-    /// (directly or via [`JoinStrategy::SpatialJoin`](crate::JoinStrategy)).
-    pub join: Option<JoinStats>,
 }
 
 impl EngineMetrics {
@@ -53,16 +43,10 @@ impl EngineMetrics {
     /// when nothing ran.
     ///
     /// This is a *scale-free summary*: distinct distributions collapse to
-    /// the same value whenever their mean/max ratio coincides. Because
-    /// pairs are claimed in whole chunks of 256, that happens in practice
-    /// — the committed BENCH_engine.json shows 4 workers peaking at 1102
-    /// chunks and 8 workers peaking at exactly half (551 chunks) over the
-    /// same total, which makes both runs report the identical
-    /// `0.885286694646098` (pinned in a test below; it looked like a
-    /// stale stat and is not — [`EngineMetrics::per_thread_pairs`] is
-    /// rebuilt from fresh atomics on every run). Consumers that need to
-    /// audit the actual distribution should read `per_thread_pairs`,
-    /// which the benches now emit raw.
+    /// the same value whenever their mean/max ratio coincides, which
+    /// chunk-granular claiming makes likely across thread counts (pinned
+    /// in a test below). Consumers that need to audit the actual distribution should read
+    /// [`EngineMetrics::per_thread_pairs`], which the benches emit raw.
     pub fn worker_balance(&self) -> f64 {
         let max = self.per_thread_pairs.iter().copied().max().unwrap_or(0);
         if max == 0 {
@@ -73,23 +57,27 @@ impl EngineMetrics {
         mean / max as f64
     }
 
-    /// Folds this run into `registry` under the `engine.` namespace:
-    /// counters `engine.{runs,pairs,prefilter_hits,exact_pairs,
-    /// edges_scanned,fused_pairs,rtree_candidates}`, duration histograms
-    /// `engine.{cache_build,mask_build,exact_pass}_ns` (one sample per
-    /// run), the per-worker pair histogram `engine.thread_pairs`, and —
-    /// when collected — the merged `engine.chunk_ns` distribution.
+    /// Folds this run into `registry`: counters `engine.{runs,pairs,
+    /// edges_scanned,fused_pairs}` and the partition counters
+    /// `join.{mask_emitted,exact_pairs,candidates}`, duration histograms
+    /// `engine.{cache_build,discover,exact_pass}_ns` (one sample per
+    /// run), and the per-worker pair histogram `engine.thread_pairs`.
     pub fn export(&self, registry: &Registry) {
+        let s = &self.stats;
         registry.counter("engine.runs").inc();
-        registry.counter("engine.pairs").add(self.stats.pairs as u64);
-        registry.counter("engine.prefilter_hits").add(self.stats.prefilter_hits as u64);
-        registry.counter("engine.exact_pairs").add(self.stats.exact_pairs as u64);
-        registry.counter("engine.edges_scanned").add(self.stats.edges_scanned as u64);
-        registry.counter("engine.fused_pairs").add(self.stats.fused_pairs as u64);
-        registry.counter("engine.rtree_candidates").add(self.stats.rtree_candidates as u64);
+        for (name, value) in [
+            ("engine.pairs", s.pairs),
+            ("engine.edges_scanned", s.edges_scanned),
+            ("engine.fused_pairs", s.fused_pairs),
+            ("join.mask_emitted", s.mask_emitted),
+            ("join.exact_pairs", s.exact_pairs),
+            ("join.candidates", s.candidates),
+        ] {
+            registry.counter(name).add(value as u64);
+        }
         for (name, duration) in [
             ("engine.cache_build_ns", self.cache_build),
-            ("engine.mask_build_ns", self.mask_build),
+            ("engine.discover_ns", self.discover),
             ("engine.exact_pass_ns", self.exact_pass),
         ] {
             registry
@@ -99,14 +87,6 @@ impl EngineMetrics {
         let thread_pairs = registry.histogram("engine.thread_pairs", &COUNT_BOUNDS);
         for &pairs in &self.per_thread_pairs {
             thread_pairs.record(pairs as u64);
-        }
-        if let Some(chunks) = &self.chunk_durations_ns {
-            registry.histogram("engine.chunk_ns", &chunks.bounds).absorb(chunks);
-        }
-        if let Some(join) = &self.join {
-            registry.counter("join.candidates").add(join.candidates as u64);
-            registry.counter("join.mask_emitted").add(join.mask_emitted as u64);
-            registry.counter("join.exact_pairs").add(join.exact_pairs as u64);
         }
         if !self.faults.is_clean() {
             for (name, value) in [
@@ -182,10 +162,10 @@ mod tests {
         assert!((m.worker_balance() - (200.0 / 300.0)).abs() < 1e-12);
     }
 
-    /// The "suspicious identical worker_balance" from BENCH_engine.json
-    /// (0.885286694646098 at both 4 and 8 threads) is a summary
-    /// collision, not a stale stat: with chunk-granular claiming, the
-    /// 8-worker peak landed on exactly half the 4-worker peak (551 vs
+    /// An earlier all-pairs `BENCH_engine.json` reported the same
+    /// worker_balance (0.885286694646098) at 4 and 8 threads. That is a
+    /// summary collision, not a stale stat: with chunk-granular claiming,
+    /// the 8-worker peak landed on exactly half the 4-worker peak (551 vs
     /// 1102 chunks of 256) over the same 999 000-pair total, and mean/max
     /// cannot tell those distributions apart. Pin the arithmetic so the
     /// explanation stays checked.
@@ -215,25 +195,23 @@ mod tests {
     }
 
     #[test]
-    fn export_writes_engine_namespace() {
+    fn export_writes_engine_and_join_namespaces() {
         let _guard = EXPORT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let m = EngineMetrics {
             stats: BatchStats {
                 pairs: 10,
-                prefilter_hits: 6,
-                threads: 2,
+                mask_emitted: 6,
                 exact_pairs: 4,
+                candidates: 12,
                 edges_scanned: 64,
                 fused_pairs: 4,
-                rtree_candidates: 12,
+                threads: 2,
             },
             cache_build: Duration::from_micros(5),
-            mask_build: Duration::from_micros(3),
+            discover: Duration::from_micros(3),
             exact_pass: Duration::from_micros(40),
             per_thread_pairs: vec![6, 4],
-            chunk_durations_ns: None,
             faults: FaultTally::default(),
-            join: None,
         };
         let registry = Registry::new();
         m.export(&registry);
@@ -243,32 +221,17 @@ mod tests {
         assert_eq!(snap.counter("engine.pairs"), Some(20));
         assert_eq!(snap.counter("engine.edges_scanned"), Some(128));
         assert_eq!(snap.counter("engine.fused_pairs"), Some(8));
-        // An all-pairs run carries no join partition: the series must not
-        // appear at all rather than report zeros.
-        assert_eq!(snap.counter("join.candidates"), None);
+        assert_eq!(snap.counter("join.mask_emitted"), Some(12));
+        assert_eq!(snap.counter("join.exact_pairs"), Some(8));
+        assert_eq!(snap.counter("join.candidates"), Some(24));
         assert_eq!(snap.histogram("engine.exact_pass_ns").unwrap().count, 2);
+        assert_eq!(snap.histogram("engine.discover_ns").unwrap().count, 2);
         assert_eq!(snap.histogram("engine.thread_pairs").unwrap().count, 4);
-        assert!(snap.histogram("engine.chunk_ns").is_none());
         // The robust-predicate and flatten series always export, even
         // when zero events happened between exports.
         assert!(snap.counter("geometry.orient2d_calls").is_some());
         assert!(snap.counter("geometry.exact_fallback").is_some());
         assert!(snap.counter("geometry.edge_flattens").is_some());
-    }
-
-    #[test]
-    fn export_writes_join_namespace_when_joined() {
-        let _guard = EXPORT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let m = EngineMetrics {
-            join: Some(JoinStats { candidates: 40, mask_emitted: 85, exact_pairs: 5 }),
-            ..EngineMetrics::default()
-        };
-        let registry = Registry::new();
-        m.export(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("join.candidates"), Some(40));
-        assert_eq!(snap.counter("join.mask_emitted"), Some(85));
-        assert_eq!(snap.counter("join.exact_pairs"), Some(5));
     }
 
     #[test]

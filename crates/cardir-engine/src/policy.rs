@@ -1,22 +1,18 @@
 //! Fault-tolerant execution policy and the outcome types it produces.
 //!
-//! The batch engine's plain entry points ([`compute_all`],
-//! [`compute_pairs`]) promise a relation for every pair — a promise a
-//! production service cannot keep when a pair panics, a tenant's deadline
-//! passes, or the caller cancels. [`RunPolicy`] makes the failure
-//! handling explicit, and [`BatchOutcome`] makes the result honest: one
-//! [`PairOutcome`] per requested pair — `Ok`, `Failed`, or `Skipped` —
-//! plus a [`CompletionStatus`] for the run as a whole. The accounting
-//! invariant `succeeded + failed + skipped == total` always holds.
+//! A production service cannot promise a relation for every pair: a pair
+//! may panic, a tenant's deadline may pass, or the caller may cancel.
+//! [`RunPolicy`] makes the failure handling explicit, and
+//! [`BatchOutcome`] makes the result honest: one [`PairOutcome`] per
+//! requested pair — `Ok`, `Failed`, or `Skipped` — plus a
+//! [`CompletionStatus`] for the run as a whole. The accounting invariant
+//! `succeeded + failed + skipped == total` always holds.
 //!
 //! With the default policy nothing is ever skipped and results are
 //! bit-identical to the naive per-pair loop; the policy only changes what
 //! happens when something goes wrong.
-//!
-//! [`compute_all`]: crate::BatchEngine::compute_all
-//! [`compute_pairs`]: crate::BatchEngine::compute_pairs
 
-use crate::batch::{BatchStats, PairRelation};
+use crate::batch::PairRelation;
 use crate::metrics::EngineMetrics;
 use cardir_core::ComputeError;
 use std::fmt;
@@ -293,19 +289,12 @@ pub struct BatchOutcome {
     pub failed: usize,
     /// Pairs never attempted (deadline/cancel).
     pub skipped: usize,
-    /// Run statistics over the *successful* pairs (`stats.pairs` still
-    /// counts every requested pair).
-    pub stats: BatchStats,
-    /// Stage timings, per-worker load, and the fault tally.
+    /// The run's counters ([`EngineMetrics::stats`]), stage timings,
+    /// per-worker load, and fault tally.
     pub metrics: EngineMetrics,
 }
 
 impl BatchOutcome {
-    /// Total requested pairs (`succeeded + failed + skipped`).
-    pub fn total(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// `true` when every pair computed successfully.
     pub fn is_complete(&self) -> bool {
         self.status == CompletionStatus::Complete

@@ -11,17 +11,15 @@
 //! Strictness is what makes the short-circuit exact: a box that merely
 //! *touches* a grid line may classify its boundary edges either way
 //! depending on which side the interior lies, so touching pairs always
-//! take the exact path. `BoundingBox::intersects` is closed, giving the
-//! conservative behaviour for free.
+//! take the exact path; the strict comparisons in `strict_band` give that
+//! conservative behaviour.
 //!
-//! Per reference region the set of primaries that *do* need the exact
-//! path is found with four R-tree searches — one degenerate query box per
-//! grid line, extended to infinity along the line — in
-//! `O(log n + hits)` each instead of a linear scan.
+//! The spatial join never asks this per pair: its sweeps find the pairs
+//! for which [`decided_tile`] is `None` (see [`crate::join`]), and the
+//! rest are emitted from the tile it returns.
 
-use crate::cache::RegionCache;
 use cardir_core::Tile;
-use cardir_geometry::{Band, BoundingBox, Point};
+use cardir_geometry::{Band, BoundingBox};
 
 /// The strict band of `[a_lo, a_hi]` relative to `[b_lo, b_hi]`:
 /// `Lower`/`Upper` when strictly outside, `Middle` when strictly inside
@@ -52,99 +50,13 @@ pub fn decided_tile(primary: BoundingBox, reference: BoundingBox) -> Option<Tile
     Some(Tile::from_bands(x, y))
 }
 
-/// A bitmask over region indices: which primaries need the exact path
-/// against one particular reference.
-#[derive(Debug, Clone)]
-pub struct ExactMask {
-    bits: Vec<u64>,
-    candidates: usize,
-}
-
-impl ExactMask {
-    pub(crate) fn new(n: usize) -> Self {
-        ExactMask { bits: vec![0; n.div_ceil(64)], candidates: 0 }
-    }
-
-    fn set(&mut self, i: usize) {
-        self.bits[i / 64] |= 1 << (i % 64);
-        self.candidates += 1;
-    }
-
-    /// R-tree line-search candidates that built this mask: the number of
-    /// visit callbacks across the four grid-line queries, counting a box
-    /// once per line it touches. The prefilter's own cost signal — it
-    /// bounds the mask-building work for this reference.
-    #[inline]
-    pub fn candidates(&self) -> usize {
-        self.candidates
-    }
-
-    /// Does primary `i` need the exact path?
-    ///
-    /// Indices beyond the mask's range answer `true` — the conservative
-    /// direction: a pair is only ever short-circuited on the strength of
-    /// a mask that actually covers its primary. This also makes the
-    /// zero-length placeholder masks (unused references, prefilter
-    /// disabled) force every consulting pair onto the exact path instead
-    /// of panicking on an out-of-bounds bit word.
-    #[inline]
-    pub fn needs_exact(&self, i: usize) -> bool {
-        match self.bits.get(i / 64) {
-            Some(w) => (w >> (i % 64)) & 1 == 1,
-            None => true,
-        }
-    }
-
-    /// Number of flagged primaries.
-    pub fn count(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// Computes the exact-path mask for reference region `j`: four R-tree
-/// searches along the grid lines of `mbb(j)` flag every primary whose
-/// MBB touches a line (including `j` itself, whose box touches all
-/// four).
-pub fn exact_mask(cache: &RegionCache<'_>, j: usize) -> ExactMask {
-    let mut mask = ExactMask::new(cache.len());
-    let mbb = cache.mbb(j);
-    let lines = [
-        // West and east lines, extended to infinity along y.
-        BoundingBox::new(
-            Point::new(mbb.min.x, f64::NEG_INFINITY),
-            Point::new(mbb.min.x, f64::INFINITY),
-        ),
-        BoundingBox::new(
-            Point::new(mbb.max.x, f64::NEG_INFINITY),
-            Point::new(mbb.max.x, f64::INFINITY),
-        ),
-        // South and north lines, extended to infinity along x.
-        BoundingBox::new(
-            Point::new(f64::NEG_INFINITY, mbb.min.y),
-            Point::new(f64::INFINITY, mbb.min.y),
-        ),
-        BoundingBox::new(
-            Point::new(f64::NEG_INFINITY, mbb.max.y),
-            Point::new(f64::INFINITY, mbb.max.y),
-        ),
-    ];
-    for line in lines {
-        cache.rtree().visit(line, &mut |&i| mask.set(i));
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cardir_geometry::Region;
+    use cardir_geometry::Point;
 
     fn bb(x0: f64, y0: f64, x1: f64, y1: f64) -> BoundingBox {
         BoundingBox::new(Point::new(x0, y0), Point::new(x1, y1))
-    }
-
-    fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
-        Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
     }
 
     #[test]
@@ -182,65 +94,12 @@ mod tests {
     }
 
     #[test]
-    fn decided_matches_strict_interior_for_prefilter_soundness() {
+    fn decided_matches_strict_interior_for_soundness() {
         // decided_tile(a, b) is Some iff a avoids all four full grid
-        // lines of b — the exact condition the R-tree queries test.
+        // lines of b — the exact condition the join's sweeps test.
         let reference = bb(0.0, 0.0, 4.0, 4.0);
         // Far north but horizontally straddling the west line: undecided
         // (NW/N ambiguous from boxes alone... and edges may cross lines).
         assert_eq!(decided_tile(bb(-1.0, 6.0, 1.0, 8.0), reference), None);
-    }
-
-    #[test]
-    fn out_of_range_indices_conservatively_need_exact() {
-        let empty = ExactMask::new(0);
-        assert!(empty.needs_exact(0));
-        assert!(empty.needs_exact(1_000_000));
-        let mask = ExactMask::new(3);
-        assert!(!mask.needs_exact(2), "in-range unset bits stay clear");
-        assert!(mask.needs_exact(64), "past the bit words: conservative true");
-    }
-
-    #[test]
-    fn exact_mask_flags_line_touchers_only() {
-        let regions = vec![
-            rect(0.0, 0.0, 4.0, 4.0),  // 0: the reference itself
-            rect(1.0, 5.0, 3.0, 7.0),  // 1: strictly N — not flagged
-            rect(3.0, 3.0, 5.0, 5.0),  // 2: straddles NE corner — flagged
-            rect(-3.0, 0.0, -1.0, 2.0), // 3: touches the south line's level — flagged
-            rect(9.0, 9.0, 11.0, 11.0), // 4: strictly NE — not flagged
-        ];
-        let cache = RegionCache::build(&regions);
-        let mask = exact_mask(&cache, 0);
-        assert!(mask.needs_exact(0), "a region always conflicts with itself");
-        assert!(!mask.needs_exact(1));
-        assert!(mask.needs_exact(2));
-        assert!(mask.needs_exact(3));
-        assert!(!mask.needs_exact(4));
-        assert_eq!(mask.count(), 3);
-        // Candidates count one visit per (box, line) contact: the
-        // reference touches all four of its own lines, the corner
-        // straddler touches two, the south-level toucher one.
-        assert_eq!(mask.candidates(), 7);
-    }
-
-    #[test]
-    fn mask_agrees_with_decided_tile_on_a_generated_map() {
-        let mut rng = cardir_workloads::SplitMix64::seed_from_u64(2004);
-        let extent = bb(0.0, 0.0, 300.0, 200.0);
-        let map = cardir_workloads::random_map(&mut rng, 40, extent);
-        let regions: Vec<Region> = map.into_iter().map(|m| m.region).collect();
-        let cache = RegionCache::build(&regions);
-        for j in 0..cache.len() {
-            let mask = exact_mask(&cache, j);
-            for i in 0..cache.len() {
-                let decided = decided_tile(cache.mbb(i), cache.mbb(j)).is_some();
-                assert_eq!(
-                    mask.needs_exact(i),
-                    !decided,
-                    "primary {i} vs reference {j}"
-                );
-            }
-        }
     }
 }

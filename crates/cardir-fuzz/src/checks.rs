@@ -5,10 +5,10 @@ use crate::{gen, legacy};
 use cardir_cardirect::{evaluate, from_xml, parse_query, to_xml, Configuration};
 use cardir_core::{
     clipping_cdr, compute_cdr, compute_cdr_with_mbb, tile_areas, tile_areas_with_mbb,
-    try_compute_cdr_with_mbb, ALL_TILES,
+    try_compute_cdr_with_mbb, CardinalRelation, PercentageMatrix, Tile, ALL_TILES,
 };
 use cardir_engine::{
-    decided_tile, exact_mask, interacting_pairs, BatchEngine, EngineMode, RegionCache, RunPolicy,
+    decided_tile, interacting_pairs, BatchEngine, BatchOutcome, EngineMode, RegionCache, RunPolicy,
 };
 use cardir_geometry::robust::{on_segment, orient2d_sign, Sign};
 use cardir_geometry::{to_wkt, Point, Polygon, Region, Segment};
@@ -78,57 +78,107 @@ pub fn check_pair(a: &Region, b: &Region) -> Option<Failure> {
     None
 }
 
-/// Checks the batch engine against the naive per-pair loop: every thread
-/// count × prefilter setting must reproduce the naive relations and
-/// percentage matrices bit for bit, in the same order.
-pub fn check_engine(regions: &[Region]) -> Option<Failure> {
-    let cache = RegionCache::build(regions);
-    let n = regions.len();
-    let mut naive = Vec::new();
-    for (i, a) in regions.iter().enumerate() {
-        for j in 0..n {
-            if i != j {
+/// The naive per-pair ground truth of a map: `compute_cdr_with_mbb` and
+/// `tile_areas_with_mbb` against the cached reference box, straight from
+/// the geometry, in primary-major order.
+pub(crate) struct Naive {
+    pub(crate) pairs: Vec<(usize, usize, CardinalRelation, PercentageMatrix)>,
+}
+
+impl Naive {
+    pub(crate) fn new(regions: &[Region], cache: &RegionCache<'_>) -> Naive {
+        let n = regions.len();
+        let mut pairs = Vec::new();
+        for (i, a) in regions.iter().enumerate() {
+            for j in (0..n).filter(|&j| j != i) {
                 let mbb = cache.mbb(j);
-                let rel = compute_cdr_with_mbb(a, mbb);
-                let pct = tile_areas_with_mbb(a, mbb).percentages();
-                naive.push((i, j, rel, pct));
+                pairs.push((i, j, compute_cdr_with_mbb(a, mbb), tile_areas_with_mbb(a, mbb).percentages()));
             }
         }
+        Naive { pairs }
     }
 
-    for threads in [1usize, 2, 4] {
-        for prefilter in [true, false] {
-            let result = BatchEngine::new()
-                .with_mode(EngineMode::Quantitative)
-                .with_threads(threads)
-                .with_prefilter(prefilter)
-                .compute_all(&cache);
-            if result.pairs.len() != naive.len() {
+    /// Compares `outcome` (one slot per ordered pair, primary-major) with
+    /// the naive results bit for bit. With `decided` set — the outcome is
+    /// a materialized join — each pair's `via_prefilter` must also be
+    /// what `decided_tile` implies: set exactly for box-decided pairs,
+    /// except quantitative tile-`N` pairs, whose matrix takes the kernel.
+    fn compare(
+        &self,
+        check: &'static str,
+        label: &str,
+        outcome: &BatchOutcome,
+        mode: EngineMode,
+        decided: Option<&RegionCache<'_>>,
+    ) -> Option<Failure> {
+        if outcome.pairs.len() != self.pairs.len() {
+            return fail(
+                check,
+                format!("{label}: {} pairs, naive has {}", outcome.pairs.len(), self.pairs.len()),
+            );
+        }
+        let quantitative = mode == EngineMode::Quantitative;
+        for (got, (i, j, rel, pct)) in outcome.pairs.iter().zip(&self.pairs) {
+            let Some(pr) = got.ok() else {
+                return fail(check, format!("{label} pair ({i}, {j}): not computed: {got:?}"));
+            };
+            let want_pct = quantitative.then_some(pct);
+            if (pr.primary, pr.reference) != (*i, *j)
+                || pr.relation != *rel
+                || pr.percentages.as_ref() != want_pct
+            {
                 return fail(
-                    "engine-vs-naive",
+                    check,
                     format!(
-                        "threads={threads} prefilter={prefilter}: {} pairs, naive has {}",
-                        result.pairs.len(),
-                        naive.len()
+                        "{label} pair ({i}, {j}): engine ({}, {}) {} / {:?}, naive {rel} / {want_pct:?}",
+                        pr.primary, pr.reference, pr.relation, pr.percentages
                     ),
                 );
             }
-            for (pair, (i, j, rel, pct)) in result.pairs.iter().zip(&naive) {
-                if pair.primary != *i
-                    || pair.reference != *j
-                    || pair.relation != *rel
-                    || pair.percentages.as_ref() != Some(pct)
-                {
-                    return fail(
-                        "engine-vs-naive",
-                        format!(
-                            "threads={threads} prefilter={prefilter} pair ({i}, {j}): \
-                             engine {} / {:?}, naive {rel} / {pct:?}",
-                            pair.relation, pair.percentages
-                        ),
-                    );
-                }
+            let via_boxes = match decided {
+                Some(cache) => match decided_tile(cache.mbb(*i), cache.mbb(*j)) {
+                    Some(tile) => !(quantitative && tile == Tile::N),
+                    None => false,
+                },
+                None => false,
+            };
+            if pr.via_prefilter != via_boxes {
+                return fail(
+                    check,
+                    format!(
+                        "{label} pair ({i}, {j}): via_prefilter = {}, decided_tile implies {via_boxes}",
+                        pr.via_prefilter
+                    ),
+                );
             }
+        }
+        None
+    }
+}
+
+/// Checks the batch engine's two entry points against the naive per-pair
+/// loop at every thread count, bit for bit and in the same order: the
+/// materialized join, and the exact pass over an explicit list of every
+/// ordered pair (which sends all of them through the kernels).
+pub fn check_engine(regions: &[Region]) -> Option<Failure> {
+    let cache = RegionCache::build(regions);
+    let naive = Naive::new(regions, &cache);
+    let every: Vec<(usize, usize)> = naive.pairs.iter().map(|&(i, j, _, _)| (i, j)).collect();
+    let mode = EngineMode::Quantitative;
+    for threads in [1usize, 2, 4] {
+        let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
+        let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let label = format!("threads={threads} join");
+        if let Some(f) = naive.compare("engine-vs-naive", &label, &joined, mode, Some(&cache)) {
+            return Some(f);
+        }
+        let listed = match engine.run_pairs(&cache, &every, &RunPolicy::default()) {
+            Ok(o) => o,
+            Err(e) => return fail("engine-vs-naive", format!("threads={threads}: {e}")),
+        };
+        let label = format!("threads={threads} every pair exact");
+        if let Some(f) = naive.compare("engine-vs-naive", &label, &listed, mode, None) {
+            return Some(f);
         }
     }
     None
@@ -138,14 +188,15 @@ pub fn check_engine(regions: &[Region]) -> Option<Failure> {
 ///
 /// 1. **Partition oracle** — the sweep's interacting set equals the set
 ///    of ordered pairs `decided_tile` cannot decide, and the sweep's
-///    contact count equals the R-tree masks' candidate sum.
+///    contact count equals a direct count of grid-line contacts.
 /// 2. **Mask ground truth** — every pair the join would emit straight
 ///    from the boxes carries the single-tile relation `compute_cdr`
 ///    computes from the actual geometry.
-/// 3. **Join vs all-pairs** — the materialized join is bit-identical to
-///    `run_all` (relations *and* percentage matrices) at every thread
-///    count × prefilter setting × mode, with `JoinStats` accounting that
-///    closes over the whole pair space.
+/// 3. **Join vs naive** — the materialized join is bit-identical to the
+///    naive per-pair results (relations *and* percentage matrices) at
+///    every thread count × mode, `via_prefilter` agrees with
+///    `decided_tile`, and the partition counters close over the whole
+///    pair space, unchanged by materializing.
 pub fn check_join(regions: &[Region]) -> Option<Failure> {
     let cache = RegionCache::build(regions);
     let n = regions.len();
@@ -171,11 +222,24 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
             ),
         );
     }
-    let rtree: usize = (0..n).map(|j| exact_mask(&cache, j).candidates()).sum();
-    if candidates != rtree {
+    // One contact per (box, grid coordinate) pair where the box's closed
+    // interval on that axis contains the coordinate.
+    let within = |lo: f64, hi: f64, c: f64| usize::from(lo <= c && c <= hi);
+    let mut contacts = 0;
+    for j in 0..n {
+        let b = cache.mbb(j);
+        for i in 0..n {
+            let a = cache.mbb(i);
+            contacts += within(a.min.x, a.max.x, b.min.x)
+                + within(a.min.x, a.max.x, b.max.x)
+                + within(a.min.y, a.max.y, b.min.y)
+                + within(a.min.y, a.max.y, b.max.y);
+        }
+    }
+    if candidates != contacts {
         return fail(
             "join-partition",
-            format!("sweep contact count {candidates} != r-tree candidate sum {rtree}"),
+            format!("sweep contact count {candidates} != direct contact count {contacts}"),
         );
     }
 
@@ -189,7 +253,7 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
             }
             if let Some(tile) = decided_tile(cache.mbb(i), cache.mbb(j)) {
                 let truth = compute_cdr(&regions[i], &regions[j]);
-                let emitted = cardir_core::CardinalRelation::single(tile);
+                let emitted = CardinalRelation::single(tile);
                 if emitted != truth {
                     return fail(
                         "join-mask-vs-cdr",
@@ -202,85 +266,44 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
         }
     }
 
-    // Independent quantitative ground truth: the naive per-pair
-    // percentage matrices, computed straight from the geometry. Both
-    // enumeration strategies below run the same fused SoA kernel, so an
-    // engine-vs-engine comparison alone would let a shared kernel bug
-    // cancel out; every quantitative run must also reproduce these bit
-    // for bit.
-    let mut naive_pct = vec![None; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                naive_pct[i * n + j] =
-                    Some(tile_areas_with_mbb(&regions[i], cache.mbb(j)).percentages());
-            }
-        }
-    }
-
+    let naive = Naive::new(regions, &cache);
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         for threads in [1usize, 2] {
-            for prefilter in [true, false] {
-                let label = format!("{mode:?} threads={threads} prefilter={prefilter}");
-                let engine = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter);
-                // Same engine configuration, enumeration strategy only:
-                // `run_all` here takes the default all-pairs path.
-                let baseline = engine.run_all(&cache, &RunPolicy::default());
-                let joined = engine.run_join(&cache, &RunPolicy::default());
-                let stats = joined.join;
-                if stats.mask_emitted + stats.exact_pairs != total
-                    || joined.succeeded + joined.failed + joined.skipped != total
-                    || (prefilter && stats.exact_pairs != interacting.len())
-                    || (!prefilter && stats.mask_emitted != 0)
-                {
-                    return fail(
-                        "join-accounting",
-                        format!(
-                            "{label}: {stats:?} does not close over {total} pairs \
-                             ({} interacting; {} + {} + {})",
-                            interacting.len(),
-                            joined.succeeded,
-                            joined.failed,
-                            joined.skipped
-                        ),
-                    );
-                }
-                let out = joined.materialize(&cache);
-                if out.pairs.len() != baseline.pairs.len() {
-                    return fail(
-                        "join-vs-allpairs",
-                        format!(
-                            "{label}: {} materialized pairs, all-pairs has {}",
-                            out.pairs.len(),
-                            baseline.pairs.len()
-                        ),
-                    );
-                }
-                for (got, want) in out.pairs.iter().zip(&baseline.pairs) {
-                    if got != want {
-                        return fail(
-                            "join-vs-allpairs",
-                            format!("{label}: join {got:?}, all-pairs {want:?}"),
-                        );
-                    }
-                }
-                if matches!(mode, EngineMode::Quantitative) {
-                    for got in out.pairs.iter().filter_map(|o| o.ok()) {
-                        let want = naive_pct[got.primary * n + got.reference].as_ref();
-                        if got.percentages.as_ref() != want {
-                            return fail(
-                                "join-pct-vs-naive",
-                                format!(
-                                    "{label} pair ({}, {}): materialized {:?}, naive {want:?}",
-                                    got.primary, got.reference, got.percentages
-                                ),
-                            );
-                        }
-                    }
-                }
+            let label = format!("{mode:?} threads={threads}");
+            let joined = BatchEngine::new()
+                .with_mode(mode)
+                .with_threads(threads)
+                .run_join(&cache, &RunPolicy::default());
+            let stats = joined.metrics.stats;
+            if stats.pairs != total
+                || stats.mask_emitted + stats.exact_pairs != total
+                || stats.exact_pairs != interacting.len()
+                || joined.succeeded + joined.failed + joined.skipped != total
+            {
+                return fail(
+                    "join-accounting",
+                    format!(
+                        "{label}: {stats:?} does not close over {total} pairs \
+                         ({} interacting; {} + {} + {})",
+                        interacting.len(),
+                        joined.succeeded,
+                        joined.failed,
+                        joined.skipped
+                    ),
+                );
+            }
+            let out = joined.materialize(&cache);
+            let after = out.metrics.stats;
+            if (after.pairs, after.mask_emitted, after.exact_pairs, after.candidates)
+                != (stats.pairs, stats.mask_emitted, stats.exact_pairs, stats.candidates)
+            {
+                return fail(
+                    "join-accounting",
+                    format!("{label}: materializing moved the partition: {stats:?} -> {after:?}"),
+                );
+            }
+            if let Some(f) = naive.compare("join-vs-naive", &label, &out, mode, Some(&cache)) {
+                return Some(f);
             }
         }
     }

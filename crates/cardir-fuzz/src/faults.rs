@@ -3,8 +3,8 @@
 //!
 //! * however many pairs a fault kills, the accounting must close
 //!   (`succeeded + failed + skipped == total`),
-//! * every *surviving* pair must be bit-identical to the fault-free
-//!   baseline,
+//! * every *surviving* pair must be bit-identical to the naive per-pair
+//!   ground truth,
 //! * after the faults are disarmed, a clean run must be fully `Complete`
 //!   and bit-identical again (no poisoned state left behind),
 //! * a torn or killed configuration write must leave a loadable file on
@@ -14,10 +14,11 @@
 //! concurrently with other failpoint users; the fuzz CLI and the smoke
 //! tests serialize them.
 
-use crate::checks::Failure;
+use crate::checks::{Failure, Naive};
 use cardir_cardirect::xml::{backup_path, load_config, save_xml_atomic, temp_path, LoadSource};
 use cardir_cardirect::Configuration;
-use cardir_engine::{BatchEngine, EngineMode, PairOutcome, RegionCache, RunPolicy};
+use cardir_core::{CardinalRelation, PercentageMatrix};
+use cardir_engine::{BatchEngine, EngineMode, PairOutcome, PairRelation, RegionCache, RunPolicy};
 use cardir_faults::{sites, FaultAction, Trigger};
 use cardir_geometry::Region;
 use std::path::PathBuf;
@@ -26,21 +27,20 @@ fn fail(check: &'static str, detail: String) -> Option<Failure> {
     Some(Failure { check, detail })
 }
 
-/// Compares one surviving engine pair against the fault-free baseline.
+/// Compares one surviving engine pair against the naive ground truth.
 fn survivor_matches(
-    got: &cardir_engine::PairRelation,
-    want: &cardir_engine::PairRelation,
+    got: &PairRelation,
+    &(i, j, relation, percentages): &(usize, usize, CardinalRelation, PercentageMatrix),
 ) -> bool {
-    got.primary == want.primary
-        && got.reference == want.reference
-        && got.relation == want.relation
-        && got.percentages == want.percentages
+    (got.primary, got.reference) == (i, j)
+        && got.relation == relation
+        && got.percentages == Some(percentages)
 }
 
 /// Seeded fault sweep over the batch engine: arms `engine.pair.compute`
 /// with a probabilistic panic (and, second pass, an injected error with
-/// retries), and checks accounting plus bit-identical survivors at
-/// several thread counts.
+/// retries) during materialized quantitative joins, and checks
+/// accounting plus bit-identical survivors at several thread counts.
 pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     if regions.len() < 2 {
         return None;
@@ -49,11 +49,14 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     let cache = RegionCache::build(regions);
     let n = regions.len();
     let total = n * (n - 1);
-
-    // Fault-free baseline, default policy.
-    let baseline = BatchEngine::new()
-        .with_mode(EngineMode::Quantitative)
-        .compute_all(&cache);
+    let baseline = Naive::new(regions, &cache).pairs;
+    let join = |threads: usize, policy: &RunPolicy| {
+        BatchEngine::new()
+            .with_mode(EngineMode::Quantitative)
+            .with_threads(threads)
+            .run_join(&cache, policy)
+            .materialize(&cache)
+    };
 
     let scenarios: [(&str, FaultAction, u32); 2] = [
         ("faults-engine-panic", FaultAction::Panic("injected".into()), 0),
@@ -70,10 +73,7 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                 Trigger::Probability { num: 1, den: 4, seed: seed ^ threads as u64 },
             );
             let outcome = cardir_faults::with_silent_panics(|| {
-                BatchEngine::new()
-                    .with_mode(EngineMode::Quantitative)
-                    .with_threads(threads)
-                    .run_all(&cache, &RunPolicy::default().with_retries(retries))
+                join(threads, &RunPolicy::default().with_retries(retries))
             });
             drop(guard);
 
@@ -98,7 +98,7 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                     format!("threads={threads}: {} outcome slots for {total} pairs", outcome.pairs.len()),
                 );
             }
-            for (k, (pair, want)) in outcome.pairs.iter().zip(&baseline.pairs).enumerate() {
+            for (k, (pair, want)) in outcome.pairs.iter().zip(&baseline).enumerate() {
                 match pair {
                     PairOutcome::Ok(pr) => {
                         if !survivor_matches(pr, want) {
@@ -106,21 +106,20 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                                 check,
                                 format!(
                                     "threads={threads} pair {k}: survivor diverged: \
-                                     engine ({}, {}) {} vs baseline ({}, {}) {}",
-                                    pr.primary, pr.reference, pr.relation,
-                                    want.primary, want.reference, want.relation
+                                     engine ({}, {}) {} vs naive ({}, {}) {}",
+                                    pr.primary, pr.reference, pr.relation, want.0, want.1, want.2
                                 ),
                             );
                         }
                     }
                     PairOutcome::Failed(e) => {
-                        if (e.primary, e.reference) != (want.primary, want.reference) {
+                        if (e.primary, e.reference) != (want.0, want.1) {
                             return fail(
                                 check,
                                 format!(
                                     "threads={threads} pair {k}: failure attributed to \
                                      ({}, {}), slot belongs to ({}, {})",
-                                    e.primary, e.reference, want.primary, want.reference
+                                    e.primary, e.reference, want.0, want.1
                                 ),
                             );
                         }
@@ -133,17 +132,14 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
 
     // A clean run after disarming must be fully complete and
     // bit-identical — injected faults must leave no residue.
-    let clean = BatchEngine::new()
-        .with_mode(EngineMode::Quantitative)
-        .with_threads(2)
-        .run_all(&cache, &RunPolicy::default());
+    let clean = join(2, &RunPolicy::default());
     if !clean.is_complete() || clean.failed != 0 {
         return fail(
             "faults-engine-residue",
             format!("clean run after disarm: status {:?}, {} failed", clean.status, clean.failed),
         );
     }
-    for (pair, want) in clean.pairs.iter().zip(&baseline.pairs) {
+    for (pair, want) in clean.pairs.iter().zip(&baseline) {
         match pair {
             PairOutcome::Ok(pr) if survivor_matches(pr, want) => {}
             other => {

@@ -8,11 +8,12 @@
 //! * `compute_cdr` against the polygon-clipping baseline,
 //! * `tile_areas` against the clipped shoelace areas (and the region's
 //!   own area),
-//! * the batch engine (every thread count, prefilter on and off) against
-//!   the naive per-pair loop, bit for bit,
+//! * the batch engine (the materialized join and the exact pass over
+//!   every pair, at every thread count) against the naive per-pair loop,
+//!   bit for bit,
 //! * the spatial join (sweep partition, mask-emitted relations, the
 //!   materialized outcome) against `decided_tile`, `compute_cdr`, and
-//!   the all-pairs engine,
+//!   the naive per-pair loop,
 //! * XML and query round-trips on a configuration built from the
 //!   scenario.
 //!
@@ -296,10 +297,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
 
+    /// Failpoints are process-global: the edits block arms them, and any
+    /// engine run beside it would receive the injected faults. Every
+    /// test that runs the engine or arms a failpoint holds this lock.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The CI smoke contract in miniature: a block of seeded iterations
     /// must produce no divergences and no panics.
     #[test]
     fn seeded_block_is_divergence_free() {
+        let _serial = serial();
         let report = run(1, 60);
         assert_eq!(report.iterations, 60);
         assert!(
@@ -323,6 +334,7 @@ mod tests {
     /// baseline, and the area matrix all said plain `SW`.
     #[test]
     fn seed_57_microscale_needle_center_containment() {
+        let _serial = serial();
         let divergences = run_seed(57);
         assert!(
             divergences.is_empty(),
@@ -341,6 +353,7 @@ mod tests {
     /// on clustered, grid-anchored, extreme-magnitude geometry.
     #[test]
     fn join_block_is_divergence_free() {
+        let _serial = serial();
         let report = run_join(1, 40);
         assert_eq!(report.iterations, 40);
         assert!(
@@ -357,6 +370,7 @@ mod tests {
 
     #[test]
     fn ulp_block_is_divergence_free() {
+        let _serial = serial();
         let report = run_ulp(1, 40);
         assert_eq!(report.iterations, 40);
         assert!(
@@ -396,6 +410,7 @@ mod tests {
     /// be divergence-free.
     #[test]
     fn edits_block_is_divergence_free() {
+        let _serial = serial();
         let report = run_edits(1, 10);
         assert_eq!(report.iterations, 10);
         assert!(

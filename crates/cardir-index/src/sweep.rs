@@ -13,7 +13,7 @@
 //! to an endpoint *is* contained, zero-width intervals `[v, v]` stab
 //! exactly the points equal to `v`, and duplicate coordinates are each
 //! reported. That is precisely the conservative contact behaviour the
-//! MBB prefilter needs — a box that merely touches a grid line must be
+//! spatial join needs — a box that merely touches a grid line must be
 //! routed to the exact pipeline, so the sweep must report the touch.
 
 /// A closed interval `[lo, hi]` on one axis.

@@ -3,7 +3,7 @@
 //!
 //! The paper's headline results are *cost* claims: `Compute-CDR` and
 //! `Compute-CDR%` are linear in the edge count (Theorems 1–2), and the
-//! batch engine's MBB prefilter removes most pairs before any edge work.
+//! batch engine's MBB spatial join removes most pairs before any edge work.
 //! Making those costs observable — counters on the hot paths, duration
 //! histograms around the passes, machine-readable emission from the
 //! benches — is what this crate provides, in three layers:

@@ -122,16 +122,6 @@ struct HistogramInner {
 }
 
 impl Histogram {
-    /// A standalone histogram not owned by any registry — for collectors
-    /// that aggregate locally and later merge a snapshot into a registry
-    /// via [`Histogram::absorb`].
-    ///
-    /// # Panics
-    /// Panics if `bounds` is not strictly increasing.
-    pub fn new_detached(bounds: &[u64]) -> Self {
-        Histogram::new(bounds)
-    }
-
     pub(crate) fn new(bounds: &[u64]) -> Self {
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must be strictly increasing");
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
@@ -158,21 +148,6 @@ impl Histogram {
     /// The bucket bounds this histogram was registered with.
     pub fn bounds(&self) -> &[u64] {
         &self.inner.bounds
-    }
-
-    /// Folds a previously taken snapshot into this histogram — used to
-    /// merge per-run collections into a long-lived registry.
-    ///
-    /// # Panics
-    /// Panics if the snapshot's bounds differ from this histogram's.
-    pub fn absorb(&self, snap: &HistogramSnapshot) {
-        let inner = &*self.inner;
-        assert_eq!(inner.bounds, snap.bounds, "absorb requires identical bucket bounds");
-        for (cell, &n) in inner.buckets.iter().zip(&snap.buckets) {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
-        inner.count.fetch_add(snap.count, Ordering::Relaxed);
-        inner.sum.fetch_add(snap.sum, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the bucket counts.
@@ -305,28 +280,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.buckets, vec![0, 1]);
         assert_eq!(s.p50(), 10.0);
-    }
-
-    #[test]
-    fn absorb_merges_counts_and_sums() {
-        let a = Histogram::new(&[10, 20]);
-        let b = Histogram::new(&[10, 20]);
-        a.record(5);
-        b.record(15);
-        b.record(25);
-        a.absorb(&b.snapshot());
-        let s = a.snapshot();
-        assert_eq!(s.buckets, vec![1, 1, 1]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.sum, 45);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical bucket bounds")]
-    fn absorb_rejects_mismatched_bounds() {
-        let a = Histogram::new(&[10]);
-        let b = Histogram::new(&[20]);
-        a.absorb(&b.snapshot());
     }
 
     #[test]

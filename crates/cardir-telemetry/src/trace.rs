@@ -45,19 +45,16 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Default per-thread event capacity: enough for ~16k chunk spans plus
-/// their queue-waits — a 1 000-region all-pairs run records ≈ 7 900
-/// events total across all workers.
+/// their queue-waits — a 1 000-region join (≈ 200 chunks of exact work)
+/// records a few hundred events across all workers.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// The phase vocabulary the engine records. The analyzer treats
 /// [`phases::QUEUE_WAIT`] as waiting and every other phase as busy; the
 /// names appear verbatim in Perfetto.
 pub mod phases {
-    /// [`RegionCache::build`] — per-map derived data + R-tree load.
+    /// [`RegionCache::build`] — per-map derived data.
     pub const CACHE_BUILD: &str = "cache_build";
-    /// Per-reference exact-mask construction (four R-tree line searches
-    /// each), on the coordinating thread.
-    pub const MASK_BUILD: &str = "mask_build";
     /// The spatial join's two plane sweeps partitioning the pair space.
     pub const SWEEP_PARTITION: &str = "sweep_partition";
     /// Between-chunk time on a worker: cooperative policy checks plus
@@ -780,7 +777,7 @@ mod tests {
         assert_eq!(tt.begin(), None);
         tt.end(None, phases::CHUNK_COMPUTE, Some(1));
         {
-            let _s = tt.span(phases::MASK_BUILD, None);
+            let _s = tt.span(phases::SWEEP_PARTITION, None);
         }
         assert!(tt.is_empty());
         drop(tt);
@@ -856,7 +853,7 @@ mod tests {
         chrome.add_events(
             "cell-a",
             vec![
-                ev(phases::MASK_BUILD, MAIN_TID, None, 10, 40),
+                ev(phases::SWEEP_PARTITION, MAIN_TID, None, 10, 40),
                 ev(phases::QUEUE_WAIT, 1, Some(0), 55, 5),
                 ev(phases::CHUNK_COMPUTE, 1, Some(0), 60, 100),
             ],

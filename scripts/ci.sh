@@ -10,16 +10,31 @@ cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Every scratch file of the run, removed by one EXIT trap (which also
+# stops the cardird server if a step failed while it was up).
+bench_json="$(mktemp /tmp/bench.XXXXXX.json)"
+bench_trace="$(mktemp /tmp/trace.XXXXXX.json)"
+join_json="$(mktemp /tmp/join.XXXXXX.json)"
+incr_json="$(mktemp /tmp/incr.XXXXXX.json)"
+server_json="$(mktemp /tmp/server.XXXXXX.json)"
+server_log="$(mktemp /tmp/cardird.XXXXXX.log)"
+server_dir="$(mktemp -d /tmp/cardird-data.XXXXXX)"
+nan_json="$(mktemp /tmp/nan.XXXXXX.json)"
+server_pid=""
+cleanup() {
+    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
+    rm -rf "$bench_json" "$bench_trace" "$join_json" "$incr_json" \
+        "$server_json" "$server_log" "$server_dir" "$nan_json"
+}
+trap cleanup EXIT
+
 # Telemetry smoke: the throughput bench must emit machine-readable JSON
 # lines that the workspace's own parser accepts, and the robust-predicate
 # and fused-pipeline counters must flow through the telemetry registry
 # into that emission (geometry.exact_fallback is the series dashboards
 # watch; engine_cell.fused_pairs and geometry.edge_flattens are the
 # SoA-pipeline accounting the zero-reflatten claim rests on).
-bench_json="$(mktemp /tmp/bench.XXXXXX.json)"
-bench_trace="$(mktemp /tmp/trace.XXXXXX.json)"
-trap 'rm -f "$bench_json" "$bench_trace"' EXIT
-cargo run --release --offline -p cardir-bench --bin engine_throughput -- 100 \
+cargo run --release --offline -p cardir-bench --bin engine_throughput -- 1000 \
     --json "$bench_json" --trace "$bench_trace" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$bench_json" \
     --require geometry.exact_fallback --require geometry.orient2d_calls \
@@ -32,13 +47,15 @@ cargo run --release --offline -p cardir-bench --bin json_check -- "$bench_json" 
 cargo run --release --offline -p cardir-bench --bin json_check -- "$bench_trace"
 cargo run --release --offline -p cardir-bench --bin trace_report -- "$bench_trace" > /dev/null
 
-# Bench-regression gate: the fresh N=100 run must stay within a generous
-# 3x of the committed N=1000 baseline, per (mode, threads) series. Only
-# the threads=1 cells are gated — multi-thread cells on a tiny N=100
-# workload are spawn-overhead noise when the CI host has fewer cores
-# than the baseline machine. The threshold absorbs the N difference and
-# machine noise; a real structural regression (an accidental O(N^2) on
-# the hot path, a serialization bug) overshoots it.
+# Bench-regression gate: the fresh run must stay within a generous 3x of
+# the committed baseline, per (mode, threads) series, on the same
+# N=1000 map. The cells time the spatial join, whose pairs/sec grows
+# with N (box-decided pairs are counted, never enumerated), so the run
+# uses the baseline's N rather than a smaller map. Only the threads=1
+# cells are gated — multi-thread cells are spawn-overhead noise when the
+# CI host has fewer cores than the baseline machine. The threshold
+# absorbs machine noise; a real structural regression (an accidental
+# O(N^2) on the hot path, a serialization bug) overshoots it.
 cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_engine.json "$bench_json" \
     --filter threads=1 --threshold 3
 
@@ -51,10 +68,8 @@ cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_engine.j
 
 # Spatial-join smoke: the sweep-partitioned batch path must complete a
 # 10k-region map (≈ 10^8 ordered pairs, counted not materialised;
-# --compare-max 0 skips the quadratic all-pairs baseline here) and emit
+# --compare-max 0 skips the quadratic naive baseline here) and emit
 # the join.* partition counters CI dashboards track.
-join_json="$(mktemp /tmp/join.XXXXXX.json)"
-trap 'rm -f "$bench_json" "$join_json"' EXIT
 cargo run --release --offline -p cardir-bench --bin join_throughput -- 10000 \
     --compare-max 0 --json "$join_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$join_json" \
@@ -97,8 +112,6 @@ cargo run --offline -p cardir-fuzz -- --family edits --iters 150 --seed 1
 # edits_per_sec is higher-is-better, so it gates WITHOUT :lower — the
 # previous :lower suffix inverted the ratio (base/new), which passed
 # regressions and failed improvements.
-incr_json="$(mktemp /tmp/incr.XXXXXX.json)"
-trap 'rm -f "$bench_json" "$bench_trace" "$join_json" "$incr_json"' EXIT
 cargo run --release --offline -p cardir-bench --bin incremental_throughput -- 1000 \
     --json "$incr_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$incr_json" \
@@ -114,17 +127,6 @@ cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_incremen
 # zero-error claim — then validate the emission and hold throughput
 # within 3x of the committed BENCH_server.json baseline (K=8 matches
 # the baseline's key; requests_per_sec is higher-is-better, no :lower).
-server_json="$(mktemp /tmp/server.XXXXXX.json)"
-server_log="$(mktemp /tmp/cardird.XXXXXX.log)"
-server_dir="$(mktemp -d /tmp/cardird-data.XXXXXX)"
-nan_json="$(mktemp /tmp/nan.XXXXXX.json)"
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$bench_json" "$bench_trace" "$join_json" "$incr_json" \
-        "$server_json" "$server_log" "$server_dir" "$nan_json"
-}
-trap cleanup EXIT
 target/release/cardird --addr 127.0.0.1:0 --data-dir "$server_dir" > "$server_log" &
 server_pid=$!
 server_addr=""

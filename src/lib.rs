@@ -18,8 +18,8 @@
 //! * [`cardirect`] — configurations, XML persistence, the query language
 //!   ([`cardir_cardirect`]);
 //! * [`index`] — the R-tree used for query pruning ([`cardir_index`]);
-//! * [`engine`] — the batch pairwise engine: region caching, MBB
-//!   prefiltering, multi-threaded exact passes ([`cardir_engine`]);
+//! * [`engine`] — the batch pairwise engine: region caching, the MBB
+//!   spatial join, multi-threaded exact passes ([`cardir_engine`]);
 //! * [`workloads`] — paper shapes, random generators, the Ancient-Greece
 //!   scenario ([`cardir_workloads`]);
 //! * [`segment`] — the raster-segmentation substrate of the usage

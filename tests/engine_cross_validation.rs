@@ -1,19 +1,25 @@
-//! Cross-validation of the batch engine (the parallel, MBB-prefiltered
-//! pair pipeline) against the naive per-pair algorithms: outputs must be
-//! **bit-identical** — relations equal and percentage matrices equal as
-//! raw f64s, not approximately — on every workload family, at every
-//! thread count, with every pair in the naive double loop's order.
+//! Cross-validation of the batch engine against the naive per-pair
+//! algorithms: outputs must be **bit-identical** — relations equal and
+//! percentage matrices equal as raw f64s, not approximately — on every
+//! workload family, at every thread count, with every pair in the naive
+//! double loop's order. Both entry points are checked: the materialized
+//! spatial join (box-decided pairs emitted from the MBBs) and the exact
+//! pass over an explicit list of every ordered pair (nothing decided
+//! from boxes).
 
 use cardir::core::{compute_cdr, compute_cdr_pct};
-use cardir::engine::{BatchEngine, EngineMode, RegionCache};
+use cardir::engine::{decided_tile, BatchEngine, BatchOutcome, EngineMode, RegionCache, RunPolicy};
 use cardir::geometry::{BoundingBox, Point, Region};
 use cardir::workloads::{archipelago, random_map, RegionSpec, SplitMix64};
 
-/// Checks one region family: engine output at 1, 2, and 4 threads — with
-/// the MBB prefilter enabled *and* disabled — is bit-identical to the
-/// naive loop, in both modes.
+/// Checks one region family: at 1, 2, and 4 threads, the materialized
+/// join *and* the all-exact pass over every ordered pair are
+/// bit-identical to the naive loop, in both modes.
 fn assert_engine_matches_naive(regions: &[Region], family: &str) {
     let cache = RegionCache::build(regions);
+    let every: Vec<(usize, usize)> = (0..regions.len())
+        .flat_map(|i| (0..regions.len()).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect();
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         // The naive reference: the plain double loop in primary-major
         // order, straight through compute_cdr / compute_cdr_pct.
@@ -27,39 +33,46 @@ fn assert_engine_matches_naive(regions: &[Region], family: &str) {
             }
         }
         for threads in [1usize, 2, 4] {
-            for prefilter in [true, false] {
-                let label = format!("{family}, {mode:?}, {threads} threads, prefilter={prefilter}");
-                let result = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter)
-                    .compute_all(&cache);
-                assert_eq!(result.pairs.len(), naive.len(), "{label}");
-                assert_eq!(result.stats.pairs, naive.len());
-                if !prefilter {
-                    assert_eq!(result.stats.prefilter_hits, 0, "{label}");
-                    assert_eq!(result.stats.exact_pairs, naive.len(), "{label}");
-                }
-                for (got, (i, j, rel, pct)) in result.pairs.iter().zip(&naive) {
-                    assert_eq!(
-                        (got.primary, got.reference),
-                        (*i, *j),
-                        "{label}: order must be primary-major"
-                    );
-                    assert_eq!(got.relation, *rel, "{label}, pair ({i}, {j})");
-                    assert_eq!(
-                        got.percentages, *pct,
-                        "{label}, pair ({i}, {j}): \
-                         percentage matrices must be bit-identical"
-                    );
-                }
+            let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
+            let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+            let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
+            for (result, path) in [(&joined, "join"), (&exact, "every pair exact")] {
+                let label = format!("{family}, {mode:?}, {threads} threads, {path}");
+                assert_matches(result, &naive, &label);
             }
+            let stats = joined.metrics.stats;
+            assert_eq!(stats.pairs, naive.len(), "{family}");
+            assert_eq!(stats.mask_emitted + stats.exact_pairs, stats.pairs, "{family}");
+            let decided = every
+                .iter()
+                .filter(|&&(i, j)| decided_tile(cache.mbb(i), cache.mbb(j)).is_some())
+                .count();
+            assert_eq!(stats.mask_emitted, decided, "{family}: the boxes decide these pairs");
+            let stats = exact.metrics.stats;
+            assert_eq!((stats.mask_emitted, stats.exact_pairs), (0, naive.len()), "{family}");
         }
     }
 }
 
+fn assert_matches(
+    result: &BatchOutcome,
+    naive: &[(usize, usize, cardir::core::CardinalRelation, Option<cardir::core::PercentageMatrix>)],
+    label: &str,
+) {
+    assert_eq!(result.pairs.len(), naive.len(), "{label}");
+    for (got, (i, j, rel, pct)) in result.pairs.iter().zip(naive) {
+        let got = got.ok().unwrap_or_else(|| panic!("{label}: pair ({i}, {j}) not computed"));
+        assert_eq!((got.primary, got.reference), (*i, *j), "{label}: order must be primary-major");
+        assert_eq!(got.relation, *rel, "{label}, pair ({i}, {j})");
+        assert_eq!(
+            got.percentages, *pct,
+            "{label}, pair ({i}, {j}): percentage matrices must be bit-identical"
+        );
+    }
+}
+
 /// Family 1: jittered-grid star maps — mostly disjoint boxes, so the
-/// prefilter carries most pairs, at several sizes.
+/// boxes decide most pairs, at several sizes.
 #[test]
 fn grid_maps_bit_identical_across_threads() {
     let mut rng = SplitMix64::seed_from_u64(601);
@@ -72,7 +85,7 @@ fn grid_maps_bit_identical_across_threads() {
 }
 
 /// Family 2: the Ancient-Greece scenario — real composite coastlines with
-/// touching and straddling boxes that defeat the prefilter.
+/// touching and straddling boxes the boxes cannot decide.
 #[test]
 fn greece_scenario_bit_identical_across_threads() {
     let regions: Vec<Region> =
@@ -82,7 +95,7 @@ fn greece_scenario_bit_identical_across_threads() {
 }
 
 /// Family 3: composite archipelagos whose members interleave, keeping the
-/// exact path dominant (the prefilter rarely fires).
+/// exact path dominant (the boxes rarely decide a pair).
 #[test]
 fn archipelagos_bit_identical_across_threads() {
     let mut rng = SplitMix64::seed_from_u64(602);
@@ -101,9 +114,10 @@ fn archipelagos_bit_identical_across_threads() {
 }
 
 /// Family 4: MBB boundary contact — every pair shares a grid line or a
-/// corner with some neighbour, the exact configurations where the
-/// prefilter must *decline* to decide. Prefilter on and off must agree
-/// bit for bit (the strictness of the short-circuit is what this pins).
+/// corner with some neighbour, the exact configurations where the boxes
+/// must *decline* to decide. The join (which emits decided pairs from
+/// the boxes) and the all-exact pass must agree bit for bit — the
+/// strictness of the box decision is what this pins.
 #[test]
 fn shared_mbb_edges_and_corners_bit_identical_with_and_without_prefilter() {
     let rect = |x0: f64, y0: f64, x1: f64, y1: f64| {
@@ -140,9 +154,10 @@ fn selected_pairs_bit_identical() {
         let result = BatchEngine::new()
             .with_mode(EngineMode::Quantitative)
             .with_threads(threads)
-            .compute_pairs(&cache, &pairs);
+            .run_pairs(&cache, &pairs, &RunPolicy::default())
+            .unwrap();
         assert_eq!(result.pairs.len(), pairs.len());
-        for (got, &(i, j)) in result.pairs.iter().zip(&pairs) {
+        for (got, &(i, j)) in result.relations().zip(&pairs) {
             assert_eq!((got.primary, got.reference), (i, j), "{threads} threads");
             assert_eq!(got.relation, compute_cdr(&regions[i], &regions[j]), "{threads} threads");
             assert_eq!(

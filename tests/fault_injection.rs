@@ -1,15 +1,21 @@
 //! Fault-injection sweep over the resilient batch pipeline: failpoint
 //! sites × actions (panic | error | latency) × thread counts, plus the
 //! policy features (retries, deadlines, cancellation) and the metrics
-//! plumbing.
+//! plumbing. The runs hand the engine every ordered pair as an explicit
+//! list, so every pair is a work item the failpoints can reach;
+//! survivors are checked against the naive `compute_cdr` /
+//! `compute_cdr_pct` results. The join's own fault semantics (only the
+//! exact subset is work) are pinned in `join_cross_validation.rs`.
 //!
 //! Failpoints are process-global; every test that arms one (or that
 //! depends on none being armed) holds `SERIAL`. This file is its own
 //! test binary, so no other suite can race it.
 
+use cardir::cardirect::Configuration;
+use cardir::core::{compute_cdr, compute_cdr_pct};
 use cardir::engine::{
-    BatchEngine, CancelToken, CompletionStatus, EngineMode, PairFailure, PairOutcome, RegionCache,
-    RunPolicy,
+    BatchEngine, BatchOutcome, CancelToken, CompletionStatus, EngineMode, PairFailure,
+    PairOutcome, PairRelation, RegionCache, RunPolicy,
 };
 use cardir::faults::{self, sites, FaultAction, Trigger};
 use cardir::geometry::Region;
@@ -38,31 +44,64 @@ fn random_regions(n: usize, seed: u64) -> Vec<Region> {
         .collect()
 }
 
+/// Every ordered pair `(i, j)`, `i ≠ j`, in primary-major order.
+fn every_pair(n: usize) -> Vec<(usize, usize)> {
+    (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j))).collect()
+}
+
+/// Runs every ordered pair of `cache` as an explicit list.
+fn run_every_pair(
+    cache: &RegionCache<'_>,
+    mode: EngineMode,
+    threads: usize,
+    policy: &RunPolicy,
+) -> BatchOutcome {
+    BatchEngine::new()
+        .with_mode(mode)
+        .with_threads(threads)
+        .run_pairs(cache, &every_pair(cache.len()), policy)
+        .expect("indices are in range")
+}
+
+/// A quantitative pair must match the naive algorithms bit for bit.
+fn assert_naive(pr: &PairRelation, regions: &[Region], context: &str) {
+    let (a, b) = (&regions[pr.primary], &regions[pr.reference]);
+    assert_eq!(pr.relation, compute_cdr(a, b), "{context}: ({}, {})", pr.primary, pr.reference);
+    assert_eq!(
+        pr.percentages,
+        Some(compute_cdr_pct(a, b)),
+        "{context}: ({}, {})",
+        pr.primary,
+        pr.reference
+    );
+}
+
 #[test]
-fn default_policy_is_bit_identical_to_legacy_compute_all() {
+fn default_policy_join_is_bit_identical_to_naive() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     faults::disarm_all();
     let regions = random_regions(12, 11);
     let cache = RegionCache::build(&regions);
+    let total = regions.len() * (regions.len() - 1);
     for threads in [1usize, 2, 4] {
-        let engine = BatchEngine::new()
+        let outcome = BatchEngine::new()
             .with_mode(EngineMode::Quantitative)
-            .with_threads(threads);
-        let legacy = engine.compute_all(&cache);
-        let outcome = engine.run_all(&cache, &RunPolicy::default());
+            .with_threads(threads)
+            .run_join(&cache, &RunPolicy::default())
+            .materialize(&cache);
 
         assert_eq!(outcome.status, CompletionStatus::Complete);
         assert!(outcome.is_complete());
-        assert_eq!(outcome.succeeded, legacy.pairs.len());
+        assert_eq!(outcome.succeeded, total);
         assert_eq!(outcome.failed, 0);
         assert_eq!(outcome.skipped, 0);
         assert!(outcome.metrics.faults.is_clean());
         let relations: Vec<_> = outcome.relations().collect();
-        assert_eq!(relations.len(), legacy.pairs.len());
-        for (got, want) in relations.iter().zip(&legacy.pairs) {
-            assert_eq!(*got, want, "threads={threads}");
+        assert_eq!(relations.len(), total);
+        for (got, (i, j)) in relations.iter().zip(every_pair(regions.len())) {
+            assert_eq!((got.primary, got.reference), (i, j), "threads={threads}");
+            assert_naive(got, &regions, &format!("threads={threads}"));
         }
-        assert_eq!(outcome.stats, legacy.stats);
     }
 }
 
@@ -73,9 +112,6 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
     let regions = random_regions(10, 23);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
-    let baseline = BatchEngine::new()
-        .with_mode(EngineMode::Quantitative)
-        .compute_all(&cache);
 
     let actions = [
         FaultAction::Panic("sweep".into()),
@@ -90,10 +126,7 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
                 Trigger::Probability { num: 1, den: 5, seed: 0xFEED ^ threads as u64 },
             );
             let outcome = faults::with_silent_panics(|| {
-                BatchEngine::new()
-                    .with_mode(EngineMode::Quantitative)
-                    .with_threads(threads)
-                    .run_all(&cache, &RunPolicy::default())
+                run_every_pair(&cache, EngineMode::Quantitative, threads, &RunPolicy::default())
             });
             drop(guard);
 
@@ -109,11 +142,9 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
                 assert_eq!(outcome.failed, 0, "latency must not fail pairs");
                 assert_eq!(outcome.status, CompletionStatus::Complete);
             }
-            // Every surviving pair is bit-identical to the baseline.
-            for (got, want) in outcome.pairs.iter().zip(&baseline.pairs) {
-                if let PairOutcome::Ok(pr) = got {
-                    assert_eq!(pr, want, "{action:?} threads={threads}");
-                }
+            // Every surviving pair is bit-identical to the naive result.
+            for pr in outcome.relations() {
+                assert_naive(pr, &regions, &format!("{action:?} threads={threads}"));
             }
         }
     }
@@ -128,9 +159,7 @@ fn one_poisoned_pair_still_yields_all_other_results() {
     let regions = random_regions(8, 5);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
-    let baseline = BatchEngine::new()
-        .with_mode(EngineMode::Quantitative)
-        .compute_all(&cache);
+    let pairs = every_pair(regions.len());
 
     for threads in [1usize, 4] {
         // Exactly the 11th pair computation panics.
@@ -140,10 +169,7 @@ fn one_poisoned_pair_still_yields_all_other_results() {
             Trigger::Nth(11),
         );
         let outcome = faults::with_silent_panics(|| {
-            BatchEngine::new()
-                .with_mode(EngineMode::Quantitative)
-                .with_threads(threads)
-                .run_all(&cache, &RunPolicy::default())
+            run_every_pair(&cache, EngineMode::Quantitative, threads, &RunPolicy::default())
         });
         drop(guard);
 
@@ -156,35 +182,38 @@ fn one_poisoned_pair_still_yields_all_other_results() {
         assert!(matches!(failures[0].failure, PairFailure::Panicked(_)));
         assert!(failures[0].to_string().contains("poisoned pair"), "{}", failures[0]);
         // The N−1 others are correct and in their slots.
-        for (got, want) in outcome.pairs.iter().zip(&baseline.pairs) {
+        for (got, &want) in outcome.pairs.iter().zip(&pairs) {
+            assert_eq!(got.indices(), want);
             match got {
-                PairOutcome::Ok(pr) => assert_eq!(pr, want),
-                PairOutcome::Failed(e) => {
-                    assert_eq!((e.primary, e.reference), (want.primary, want.reference))
-                }
+                PairOutcome::Ok(pr) => assert_naive(pr, &regions, &format!("threads={threads}")),
+                PairOutcome::Failed(_) => {}
                 PairOutcome::Skipped { .. } => panic!("nothing may be skipped"),
             }
         }
     }
 }
 
-/// The legacy infallible API re-raises the failure — but only after the
-/// whole batch has run (the scope no longer aborts mid-flight).
+/// `Configuration::compute_all_relations` promises a relation for every
+/// pair, so it re-raises a pair failure — but only after the whole batch
+/// has run (the scope no longer aborts mid-flight).
 #[test]
-fn legacy_compute_all_rethrows_an_injected_panic() {
+fn compute_all_relations_rethrows_an_injected_panic() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     faults::disarm_all();
-    let regions = random_regions(6, 7);
-    let cache = RegionCache::build(&regions);
+    // Overlapping boxes, so the join has exact work for the failpoint.
+    let mut config = Configuration::new("rethrow", "rethrow.png");
+    for (k, region) in
+        [rect(0.0, 0.0, 4.0, 4.0), rect(2.0, 2.0, 6.0, 6.0), rect(1.0, 3.0, 5.0, 7.0)].into_iter().enumerate()
+    {
+        config.add_region(format!("r{k}"), format!("r{k}"), "red", region).unwrap();
+    }
     let guard = faults::arm(
         sites::ENGINE_PAIR_COMPUTE,
         FaultAction::Panic("legacy".into()),
         Trigger::Nth(3),
     );
     let result = faults::with_silent_panics(|| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            BatchEngine::new().compute_all(&cache)
-        }))
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| config.compute_all_relations()))
     });
     drop(guard);
     let message = faults::panic_message(result.expect_err("the failure must re-raise"));
@@ -205,8 +234,10 @@ fn transient_failures_recover_with_retries() {
         FaultAction::Error("transient".into()),
         Trigger::Times(2),
     );
-    let outcome = BatchEngine::new().with_threads(1).run_all(
+    let outcome = run_every_pair(
         &cache,
+        EngineMode::Qualitative,
+        1,
         &RunPolicy::default().with_retries(2).with_backoff(Duration::ZERO),
     );
     drop(guard);
@@ -254,9 +285,12 @@ fn zero_deadline_skips_everything() {
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
 
-    let outcome = BatchEngine::new()
-        .with_threads(2)
-        .run_all(&cache, &RunPolicy::default().with_deadline(Duration::ZERO));
+    let outcome = run_every_pair(
+        &cache,
+        EngineMode::Qualitative,
+        2,
+        &RunPolicy::default().with_deadline(Duration::ZERO),
+    );
 
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
     assert_eq!(outcome.skipped, total);
@@ -285,9 +319,12 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
         FaultAction::Delay(Duration::from_millis(30)),
         Trigger::Always,
     );
-    let outcome = BatchEngine::new()
-        .with_threads(1)
-        .run_all(&cache, &RunPolicy::default().with_deadline(Duration::from_millis(50)));
+    let outcome = run_every_pair(
+        &cache,
+        EngineMode::Quantitative,
+        1,
+        &RunPolicy::default().with_deadline(Duration::from_millis(50)),
+    );
     drop(guard);
 
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
@@ -296,11 +333,10 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
     assert_eq!(outcome.succeeded + outcome.skipped, total);
     // Completed work is contiguous from the front (chunk order on one
     // thread), and all of it is correct.
-    let baseline = BatchEngine::new().compute_all(&cache);
-    for (got, want) in outcome.pairs.iter().zip(&baseline.pairs) {
-        if let PairOutcome::Ok(pr) = got {
-            assert_eq!(pr, want);
-        }
+    let done = outcome.pairs.iter().take_while(|p| p.ok().is_some()).count();
+    assert_eq!(done, outcome.succeeded, "completed work is a prefix");
+    for pr in outcome.relations() {
+        assert_naive(pr, &regions, "mid-run deadline");
     }
 }
 
@@ -314,9 +350,12 @@ fn pre_cancelled_token_skips_everything() {
 
     let token = CancelToken::new();
     token.cancel();
-    let outcome = BatchEngine::new()
-        .with_threads(4)
-        .run_all(&cache, &RunPolicy::default().with_cancel(token));
+    let outcome = run_every_pair(
+        &cache,
+        EngineMode::Qualitative,
+        4,
+        &RunPolicy::default().with_cancel(token),
+    );
 
     assert_eq!(outcome.status, CompletionStatus::Cancelled);
     assert_eq!(outcome.skipped, total);
@@ -357,7 +396,7 @@ fn fault_events_flow_into_telemetry() {
         Trigger::Nth(5),
     );
     let outcome = faults::with_silent_panics(|| {
-        BatchEngine::new().with_threads(2).run_all(&cache, &RunPolicy::default())
+        run_every_pair(&cache, EngineMode::Qualitative, 2, &RunPolicy::default())
     });
     drop(guard);
     assert_eq!(outcome.failed, 1);

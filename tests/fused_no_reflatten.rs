@@ -2,8 +2,8 @@
 //! `RegionCache::build`, the process-global flatten counter
 //! (`cardir::geometry::flatten::events`, bumped by every `Polygon::edges`
 //! / `Region::edges` construction) must not move, no matter how many
-//! pairs the engine computes, in either mode, with either enumeration
-//! strategy. Before the fused SoA pipeline, the quantitative exact loop
+//! pairs the engine computes, in either mode, through either entry point
+//! (the materialized join or an explicit pair list). Before the fused SoA pipeline, the quantitative exact loop
 //! flattened every primary's edges **twice per pair** (1,076,397 events
 //! on the N=1000 bench vs 529,065 qualitative); this file pins the fix
 //! at zero.
@@ -30,21 +30,19 @@ fn engine_runs_never_reflatten_region_geometry() {
     let cache = RegionCache::build(&regions);
     let after_build = flatten::events();
 
+    let every: Vec<(usize, usize)> = (0..regions.len())
+        .flat_map(|i| (0..regions.len()).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect();
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         for threads in [1usize, 2, 8] {
-            for prefilter in [true, false] {
-                let engine = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter);
+            let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
 
-                let all = engine.compute_all(&cache);
-                assert!(all.stats.pairs > 0);
+            let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
+            assert!(exact.metrics.stats.fused_pairs > 0);
 
-                let joined = engine.run_join(&cache, &RunPolicy::default());
-                let out = joined.materialize(&cache);
-                assert_eq!(out.pairs.len(), all.pairs.len());
-            }
+            let joined = engine.run_join(&cache, &RunPolicy::default());
+            let out = joined.materialize(&cache);
+            assert_eq!(out.pairs.len(), exact.pairs.len());
         }
     }
 

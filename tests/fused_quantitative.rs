@@ -4,12 +4,12 @@
 //! raw f64s — to the legacy two-pass per-pair path
 //! (`compute_cdr_with_mbb` then `tile_areas_with_mbb`, which re-flattens
 //! and re-divides every primary edge twice) *and* to the fully naive
-//! entry points, across threads {1, 2, 8} × prefilter on/off × both
-//! enumeration strategies (all-pairs and the spatial join).
+//! entry points, across threads {1, 2, 8} × both engine entry points
+//! (the materialized spatial join and the exact pass over every ordered
+//! pair).
 //!
-//! It also pins the `fused_pairs` accounting: every exact computation —
-//! and only exact computations — runs over the fused SoA kernels, with
-//! the two strategies agreeing on the count.
+//! It also pins the `fused_pairs` accounting: every kernel computation —
+//! and only kernel computations — runs over the fused SoA kernels.
 
 use cardir::core::{
     cdr_areas_from_soa, cdr_from_soa, compute_cdr, compute_cdr_pct, compute_cdr_with_mbb,
@@ -70,24 +70,25 @@ fn oracle(regions: &[Region], cache: &RegionCache<'_>) -> Oracle {
     Oracle { relations, percentages }
 }
 
-/// Runs both enumeration strategies over the triple oracle at every
-/// thread count × prefilter setting and checks the outputs bit for bit,
-/// plus the `fused_pairs == exact_pairs` accounting invariant.
+/// Runs both entry points over the triple oracle at every thread count
+/// and checks the outputs bit for bit, plus the `fused_pairs`
+/// accounting: one fused computation per pair not decided from boxes.
 fn assert_fused_pipeline_cross_validates(regions: &[Region], family: &str) {
     let cache = RegionCache::build(regions);
     let truth = oracle(regions, &cache);
+    let every: Vec<(usize, usize)> = (0..regions.len())
+        .flat_map(|i| (0..regions.len()).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect();
 
     for threads in [1usize, 2, 8] {
-        for prefilter in [true, false] {
-            let label = format!("{family}, {threads} threads, prefilter={prefilter}");
-            let engine = BatchEngine::new()
-                .with_mode(EngineMode::Quantitative)
-                .with_threads(threads)
-                .with_prefilter(prefilter);
-
-            let all = engine.compute_all(&cache);
-            assert_eq!(all.pairs.len(), truth.relations.len(), "{label}");
-            for (k, got) in all.pairs.iter().enumerate() {
+        let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
+        let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
+        for (out, path) in [(&joined, "join"), (&exact, "every pair exact")] {
+            let label = format!("{family}, {threads} threads, {path}");
+            assert_eq!(out.pairs.len(), truth.relations.len(), "{label}");
+            for (k, got) in out.pairs.iter().enumerate() {
+                let got = got.ok().unwrap_or_else(|| panic!("{label}: pair #{k} failed"));
                 assert_eq!(got.relation, truth.relations[k], "{label}, pair #{k}");
                 assert_eq!(
                     got.percentages.as_ref(),
@@ -95,36 +96,18 @@ fn assert_fused_pipeline_cross_validates(regions: &[Region], family: &str) {
                     "{label}, pair #{k}: percentage matrices must be bit-identical"
                 );
             }
-            // Every exact computation runs over the fused SoA kernels —
+            // Every kernel computation runs over the fused SoA kernels —
             // including the quantitative N-tile fallback — and nothing
             // else does.
-            assert_eq!(all.stats.fused_pairs, all.stats.exact_pairs, "{label}: accounting");
-            if !prefilter {
-                assert_eq!(all.stats.fused_pairs, all.stats.pairs, "{label}: accounting");
-            }
-
-            let joined = engine.run_join(&cache, &RunPolicy::default());
-            let out = joined.materialize(&cache);
-            assert_eq!(out.pairs.len(), all.pairs.len(), "{label} (join)");
-            for (k, got) in out.pairs.iter().enumerate() {
-                let got = got.ok().unwrap_or_else(|| panic!("{label}: join pair #{k} failed"));
-                assert_eq!(got.relation, truth.relations[k], "{label} (join), pair #{k}");
-                assert_eq!(
-                    got.percentages.as_ref(),
-                    Some(&truth.percentages[k]),
-                    "{label} (join), pair #{k}"
-                );
-            }
-            assert_eq!(
-                out.stats.fused_pairs, all.stats.fused_pairs,
-                "{label}: the two strategies must fuse the same pair set"
-            );
+            let kernel = out.relations().filter(|p| !p.via_prefilter).count();
+            assert_eq!(out.metrics.stats.fused_pairs, kernel, "{label}: accounting");
         }
+        assert_eq!(exact.metrics.stats.fused_pairs, every.len(), "{family}: all exact");
     }
 }
 
 /// Family 1: jittered-grid star maps at several sizes — mostly disjoint
-/// boxes, so the prefilter decides most pairs and the N-tile fallback
+/// boxes, so the boxes decide most pairs and the N-tile fallback
 /// fires for vertically stacked neighbours.
 #[test]
 fn grid_maps_fused_bit_identical() {
@@ -167,7 +150,7 @@ fn greece_scenario_fused_bit_identical() {
 }
 
 /// Family 4: MBB boundary contact and vertical stacking — exact
-/// configurations where the prefilter must decline, plus strictly-north
+/// configurations where the boxes must decline, plus strictly-north
 /// primaries that force the quantitative N-tile fallback (the one decided
 /// pair class that still runs a fused area sweep).
 #[test]

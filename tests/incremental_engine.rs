@@ -31,7 +31,7 @@ fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
     Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
 }
 
-/// The oracle: a fresh prefilter-on spatial-join run over the engine's
+/// The oracle: a fresh spatial-join run over the engine's
 /// live geometry, fully materialized.
 fn full_recompute(engine: &IncrementalEngine) -> Vec<PairRelation> {
     let regions: Vec<&Region> = engine.live_regions().map(|(_, r)| r).collect();

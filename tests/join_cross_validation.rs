@@ -1,19 +1,21 @@
-//! Differential lockdown of the spatial join: `run_join` must be
-//! **bit-identical** to `run_all` and to the naive per-pair loop —
+//! Differential lockdown of the spatial join: the materialized
+//! `run_join` must be **bit-identical** to the naive per-pair loop —
 //! relations equal and percentage matrices equal as raw f64s — at every
-//! thread count, with the prefilter on and off, in both modes, on every
-//! adversarial scenario family, and its partition must match the
-//! per-pair `decided_tile` oracle exactly.
+//! thread count, in both modes, on every adversarial scenario family,
+//! and its partition must match the per-pair `decided_tile` oracle
+//! exactly.
 //!
 //! The policy tests pin the join's documented fault semantics: the
 //! `RunPolicy` (deadline, cancellation, panic isolation, failpoints)
 //! governs the exact subset only — mask-emitted pairs are proven by the
 //! boxes, cost `O(1)`, and are never work items.
 //!
-//! Failpoint-arming tests hold `SERIAL` (failpoints are process-global);
-//! this file is its own test binary, so no other suite can race it.
+//! Every test that runs the engine holds `SERIAL`: failpoints are
+//! process-global, so a test that arms `engine.pair.compute` would
+//! otherwise inject its panic into whichever join runs beside it. This
+//! file is its own test binary, so no other suite can race it.
 
-use cardir::core::{compute_cdr, compute_cdr_pct, CardinalRelation};
+use cardir::core::{compute_cdr, compute_cdr_pct, CardinalRelation, Tile};
 use cardir::engine::{
     decided_tile, interacting_pairs, BatchEngine, CancelToken, CompletionStatus, EngineMode,
     PairOutcome, RegionCache, RunPolicy,
@@ -45,8 +47,10 @@ fn undecided_oracle(cache: &RegionCache<'_>) -> Vec<(u32, u32)> {
 }
 
 /// The full differential: the sweep partition matches the per-pair
-/// oracle, and the materialized join is bit-identical to `run_all` and
-/// to the naive double loop for every thread count × prefilter × mode.
+/// oracle, the partition counters close over the pair space before and
+/// after materializing, and the materialized join is bit-identical to
+/// the naive double loop — with `via_prefilter` set exactly where the
+/// boxes decided — for every thread count × mode.
 fn assert_join_cross_validates(regions: &[Region], label: &str) {
     let cache = RegionCache::build(regions);
     let n = regions.len();
@@ -66,59 +70,49 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
             }
         }
         for threads in [1usize, 2, 8] {
-            for prefilter in [true, false] {
-                let sub = format!("{label}, {mode:?}, {threads} threads, prefilter={prefilter}");
-                let engine = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter);
-                let all = engine.run_all(&cache, &RunPolicy::default());
-                let joined = engine.run_join(&cache, &RunPolicy::default());
+            let sub = format!("{label}, {mode:?}, {threads} threads");
+            let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
+            let joined = engine.run_join(&cache, &RunPolicy::default());
 
-                // Partition accounting closes before any materialization.
-                assert_eq!(joined.total(), total, "{sub}");
-                assert_eq!(joined.join.mask_emitted + joined.join.exact_pairs, total, "{sub}");
-                assert_eq!(
-                    joined.succeeded + joined.failed + joined.skipped,
-                    total,
-                    "{sub}: accounting must close"
-                );
-                assert_eq!(joined.interacting.len(), joined.join.exact_pairs, "{sub}");
-                if prefilter {
-                    assert_eq!(joined.join.exact_pairs, interacting.len(), "{sub}");
-                } else {
-                    assert_eq!(joined.join.mask_emitted, 0, "{sub}: nothing sound to emit");
-                }
+            // Partition accounting closes before any materialization.
+            let stats = joined.metrics.stats;
+            assert_eq!(joined.total(), total, "{sub}");
+            assert_eq!(stats.mask_emitted + stats.exact_pairs, total, "{sub}");
+            assert_eq!(
+                joined.succeeded + joined.failed + joined.skipped,
+                total,
+                "{sub}: accounting must close"
+            );
+            assert_eq!(joined.interacting.len(), stats.exact_pairs, "{sub}");
+            assert_eq!(stats.exact_pairs, interacting.len(), "{sub}");
 
-                let out = joined.materialize(&cache);
-                assert_eq!(out.pairs, all.pairs, "{sub}: join ≡ run_all, bit for bit");
-                assert_eq!(out.status, all.status, "{sub}");
-                assert_eq!(
-                    (out.succeeded, out.failed, out.skipped),
-                    (all.succeeded, all.failed, all.skipped),
-                    "{sub}"
-                );
-                // Every counter coincides except `threads` (the join's
-                // exact pass is smaller, so it may use fewer workers).
-                assert_eq!(out.stats.pairs, all.stats.pairs, "{sub}");
-                assert_eq!(out.stats.prefilter_hits, all.stats.prefilter_hits, "{sub}");
-                assert_eq!(out.stats.exact_pairs, all.stats.exact_pairs, "{sub}");
-                assert_eq!(out.stats.edges_scanned, all.stats.edges_scanned, "{sub}");
-                assert_eq!(out.stats.rtree_candidates, all.stats.rtree_candidates, "{sub}");
+            let out = joined.materialize(&cache);
+            assert_eq!(out.status, CompletionStatus::Complete, "{sub}");
+            assert_eq!((out.succeeded, out.failed, out.skipped), (total, 0, 0), "{sub}");
+            let after = out.metrics.stats;
+            assert_eq!(
+                (after.pairs, after.mask_emitted, after.exact_pairs, after.candidates),
+                (stats.pairs, stats.mask_emitted, stats.exact_pairs, stats.candidates),
+                "{sub}: materializing must not move the partition"
+            );
 
-                assert_eq!(out.pairs.len(), naive.len(), "{sub}");
-                for (got, (i, j, rel, pct)) in out.pairs.iter().zip(&naive) {
-                    match got {
-                        PairOutcome::Ok(pr) => {
-                            assert_eq!((pr.primary, pr.reference), (*i, *j), "{sub}");
-                            assert_eq!(pr.relation, *rel, "{sub}, pair ({i}, {j})");
-                            assert_eq!(
-                                pr.percentages, *pct,
-                                "{sub}, pair ({i}, {j}): matrices must be bit-identical"
-                            );
-                        }
-                        other => panic!("{sub}, pair ({i}, {j}): not computed: {other:?}"),
+            assert_eq!(out.pairs.len(), naive.len(), "{sub}");
+            for (got, (i, j, rel, pct)) in out.pairs.iter().zip(&naive) {
+                match got {
+                    PairOutcome::Ok(pr) => {
+                        assert_eq!((pr.primary, pr.reference), (*i, *j), "{sub}");
+                        assert_eq!(pr.relation, *rel, "{sub}, pair ({i}, {j})");
+                        assert_eq!(
+                            pr.percentages, *pct,
+                            "{sub}, pair ({i}, {j}): matrices must be bit-identical"
+                        );
+                        let via_boxes = match decided_tile(cache.mbb(*i), cache.mbb(*j)) {
+                            Some(tile) => !(pct.is_some() && tile == Tile::N),
+                            None => false,
+                        };
+                        assert_eq!(pr.via_prefilter, via_boxes, "{sub}, pair ({i}, {j})");
                     }
+                    other => panic!("{sub}, pair ({i}, {j}): not computed: {other:?}"),
                 }
             }
         }
@@ -130,6 +124,8 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
 /// the full join differential.
 #[test]
 fn adversarial_families_cross_validate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
     let mut seen = std::collections::BTreeMap::new();
     let mut seed = 0u64;
     while seen.len() < 7 {
@@ -148,6 +144,8 @@ fn adversarial_families_cross_validate() {
 /// differential on a block of seeds.
 #[test]
 fn join_cluster_scenarios_cross_validate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
     for seed in 0..8u64 {
         let scenario = cardir_fuzz::gen::generate_join(seed);
         assert_join_cross_validates(&scenario.regions, &format!("join-clusters seed {seed}"));
@@ -158,6 +156,8 @@ fn join_cluster_scenarios_cross_validate() {
 /// miniature) pass the full differential.
 #[test]
 fn random_maps_cross_validate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
     let mut rng = SplitMix64::seed_from_u64(71);
     for n in [6usize, 25] {
         let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(500.0, 400.0));
@@ -175,6 +175,8 @@ fn random_maps_cross_validate() {
 /// pair, then cross-validated end to end.
 #[test]
 fn boundary_contact_pairs_stay_exact() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
     let regions = vec![
         rect(0.0, 0.0, 4.0, 4.0),       // 0: the reference square
         rect(4.0, 0.0, 8.0, 4.0),       // 1: shares the full east edge
@@ -236,9 +238,9 @@ fn pre_cancelled_join_still_emits_mask_pairs() {
         .run_join(&cache, &RunPolicy::default().with_cancel(token));
 
     assert_eq!(joined.status, CompletionStatus::Cancelled);
-    assert!(joined.join.mask_emitted > 0 && joined.join.exact_pairs > 0, "{:?}", joined.join);
-    assert_eq!(joined.succeeded, joined.join.mask_emitted, "emission ignores the token");
-    assert_eq!(joined.skipped, joined.join.exact_pairs, "the whole exact subset is skipped");
+    assert!(joined.metrics.stats.mask_emitted > 0 && joined.metrics.stats.exact_pairs > 0, "{:?}", joined.metrics.stats);
+    assert_eq!(joined.succeeded, joined.metrics.stats.mask_emitted, "emission ignores the token");
+    assert_eq!(joined.skipped, joined.metrics.stats.exact_pairs, "the whole exact subset is skipped");
     assert_eq!(joined.failed, 0);
 
     let (interacting, _) = interacting_pairs(&cache);
@@ -281,9 +283,9 @@ fn zero_deadline_join_skips_only_exact_pairs() {
         .run_join(&cache, &RunPolicy::default().with_deadline(std::time::Duration::ZERO));
 
     assert_eq!(joined.status, CompletionStatus::DeadlineExceeded);
-    assert_eq!(joined.succeeded, joined.join.mask_emitted);
-    assert_eq!(joined.skipped, joined.join.exact_pairs);
-    assert!(joined.join.mask_emitted > 0 && joined.join.exact_pairs > 0, "{:?}", joined.join);
+    assert_eq!(joined.succeeded, joined.metrics.stats.mask_emitted);
+    assert_eq!(joined.skipped, joined.metrics.stats.exact_pairs);
+    assert!(joined.metrics.stats.mask_emitted > 0 && joined.metrics.stats.exact_pairs > 0, "{:?}", joined.metrics.stats);
 }
 
 /// Panic isolation parity: a poisoned exact pair fails alone — every
@@ -297,7 +299,7 @@ fn poisoned_exact_pair_is_isolated_and_survivors_match() {
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
     let engine = BatchEngine::new().with_threads(1);
-    let baseline = engine.run_all(&cache, &RunPolicy::default());
+    let baseline = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
     assert_eq!(baseline.status, CompletionStatus::Complete);
 
     let guard = faults::arm(
