@@ -12,6 +12,8 @@
 //!   recompute + durable journal append),
 //! * the measured speedup of one edit over a fresh full spatial-join
 //!   recompute of the same map,
+//! * the cost of taking an engine snapshot after the edits (median of
+//!   repeated calls) — what a server pays to publish each edit,
 //! * journal traffic (bytes, compactions) and the crash-replay cost:
 //!   the store is dropped and reopened, timing the journal replay that
 //!   restores the full relation set without recomputing geometry.
@@ -30,6 +32,9 @@ use cardir_telemetry::{Json, JsonLines};
 use cardir_workloads::{random_map, SplitMix64};
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Timed `snapshot()` calls per N.
+const SNAPSHOTS: usize = 101;
 
 fn ns(d: std::time::Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
@@ -153,6 +158,21 @@ fn main() {
             "full recompute baseline: {full_recompute:.2?} → one edit is {speedup_vs_full:.0}x faster"
         );
 
+        // Snapshot cost on the post-edit state: the median of repeated
+        // `snapshot()` calls, each dropped before the next is timed.
+        let mut snapshot_ns: Vec<u64> = (0..SNAPSHOTS)
+            .map(|_| {
+                let start = Instant::now();
+                let snapshot = black_box(store.engine().snapshot());
+                let elapsed = ns(start.elapsed());
+                drop(snapshot);
+                elapsed
+            })
+            .collect();
+        snapshot_ns.sort_unstable();
+        let snapshot_ns = snapshot_ns[SNAPSHOTS / 2];
+        println!("snapshot: {snapshot_ns} ns (median of {SNAPSHOTS})");
+
         let journal_bytes = store.journal_bytes();
         let compactions = store.stats().compactions;
         let appends = store.stats().appends;
@@ -195,6 +215,7 @@ fn main() {
                     ("edits_per_sec", Json::from(edits_per_sec)),
                     ("full_recompute_ns", Json::from(ns(full_recompute))),
                     ("speedup_vs_full", Json::from(speedup_vs_full)),
+                    ("snapshot_ns", Json::from(snapshot_ns)),
                     ("journal_bytes", Json::from(journal_bytes)),
                     ("journal_appends", Json::from(appends)),
                     ("compactions", Json::from(compactions)),

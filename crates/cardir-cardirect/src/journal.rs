@@ -49,6 +49,10 @@
 //! [`IncrementalEngine::from_parts`]-style validation, so corrupt-but-
 //! checksummed state is rejected rather than served.
 //!
+//! Compaction encodes the snapshot straight into its frame, and replay
+//! reads one frame at a time, so beyond the engine state neither holds
+//! more than one snapshot's bytes, however long the journal tail.
+//!
 //! Every IO step carries a `cardir-faults` failpoint (`journal.append`,
 //! `journal.compact.write`, `journal.compact.rename`, `journal.replay`),
 //! so the `edits` fuzz family can kill the protocol at any byte and
@@ -56,15 +60,15 @@
 
 use cardir_core::{CardinalRelation, PercentageMatrix};
 use cardir_engine::{
-    ApplyDelta, Edit, EditError, EditKind, EngineMode, IncrementalEngine, InstalledPair,
-    RepairDelta, RunPolicy,
+    ApplyDelta, Edit, EditError, EditKind, EngineMode, EngineSnapshot, IncrementalEngine,
+    InstalledPair, RepairDelta, RunPolicy,
 };
 use cardir_faults::{sites, FaultAction};
 use cardir_geometry::{Point, Polygon, Region};
 use cardir_telemetry::Registry;
 use std::fmt;
 use std::fs;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 8] = *b"CDIRJNL1";
@@ -171,9 +175,12 @@ pub struct StoreOptions {
     pub threads: usize,
     /// Compaction floor in bytes: a snapshot rewrite triggers once the
     /// append tail since the last snapshot exceeds
-    /// `max(compact_threshold, snapshot size)`. Scaling by the snapshot
-    /// keeps compaction amortized — a large relation set is not
-    /// rewritten for every few kilobytes of appends.
+    /// `max(compact_threshold, snapshot size / 2)`. Scaling by the
+    /// snapshot keeps compaction amortized — a large relation set is not
+    /// rewritten for every few kilobytes of appends — and the half bounds
+    /// what a reopen replays past the snapshot to half its size, so
+    /// restart time varies by at most that much with where the last
+    /// compaction fell.
     pub compact_threshold: u64,
 }
 
@@ -334,7 +341,8 @@ impl RelationStore {
     /// successful write (see [`journal_healthy`](Self::journal_healthy)).
     pub fn apply(&mut self, edit: Edit, policy: &RunPolicy) -> Result<ApplyDelta, EditError> {
         let delta = self.engine.apply_with(edit, policy)?;
-        let frame = encode_frame(&encode_apply(&delta));
+        let mut frame = Vec::new();
+        push_frame(&mut frame, |out| encode_apply(out, &delta));
         self.persist(&frame);
         Ok(delta)
     }
@@ -343,7 +351,8 @@ impl RelationStore {
     pub fn repair(&mut self, policy: &RunPolicy) -> RepairDelta {
         let delta = self.engine.repair_with(policy);
         if !delta.installed.is_empty() {
-            let frame = encode_frame(&encode_repair(&delta.installed));
+            let mut frame = Vec::new();
+            push_frame(&mut frame, |out| encode_repair(out, &delta.installed));
             self.persist(&frame);
         }
         delta
@@ -375,12 +384,14 @@ impl RelationStore {
             name.push(".tmp");
             self.path.with_file_name(name)
         };
-        let mut bytes = Vec::with_capacity(4096);
+        // One buffer, sized by the last snapshot: the state is encoded
+        // straight into its frame, with no intermediate pair list or copy.
+        let mut bytes = Vec::with_capacity((self.snapshot_len as usize).max(4096));
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.push(mode_byte(self.opts.mode));
         bytes.extend_from_slice(&self.fingerprint.to_le_bytes());
-        bytes.extend_from_slice(&encode_frame(&encode_snapshot(&self.engine)));
+        push_frame(&mut bytes, |out| encode_snapshot(out, &self.engine));
 
         let result = (|| {
             let torn = step_fault(sites::JOURNAL_COMPACT_WRITE, "compact-write", &tmp)?;
@@ -462,7 +473,7 @@ impl RelationStore {
                 self.records += 1;
                 self.stats.appends += 1;
                 let tail = self.durable_len.saturating_sub(self.snapshot_len);
-                if tail > self.opts.compact_threshold.max(self.snapshot_len) {
+                if tail > self.opts.compact_threshold.max(self.snapshot_len / 2) {
                     let _ = self.compact();
                 }
             }
@@ -513,30 +524,38 @@ impl RelationStore {
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             _ => {}
         }
-        let bytes = match fs::read(&self.path) {
-            Ok(bytes) => bytes,
+        // Frames are read one at a time, so replay holds one record's
+        // bytes — never the whole journal — and its memory does not grow
+        // with the tail appended since the last snapshot.
+        let (mut reader, total) = match fs::File::open(&self.path)
+            .and_then(|file| Ok((file.metadata()?.len(), file)))
+        {
+            Ok((total, file)) => (BufReader::new(file), total),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err((RebuildReason::Missing, None));
             }
-            // Any other read failure means the bytes were never
+            // Any other open failure means the bytes were never
             // inspected — an IO-level problem (permissions, ENOTDIR,
             // device error), not corruption.
             Err(e) => return Err((RebuildReason::Unreadable, Some(e.to_string()))),
         };
-        if bytes.len() < HEADER_LEN as usize {
+        let unreadable = |e: std::io::Error| (RebuildReason::Unreadable, Some(e.to_string()));
+        if total < HEADER_LEN {
             return Err((RebuildReason::Corrupt, Some("truncated header".into())));
         }
-        if bytes[..8] != MAGIC {
+        let mut header = [0u8; HEADER_LEN as usize];
+        reader.read_exact(&mut header).map_err(unreadable)?;
+        if header[..8] != MAGIC {
             return Err((RebuildReason::Corrupt, Some("bad magic".into())));
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
         if version != VERSION {
             return Err((RebuildReason::Corrupt, Some(format!("unknown version {version}"))));
         }
-        if bytes[12] != mode_byte(self.opts.mode) {
+        if header[12] != mode_byte(self.opts.mode) {
             return Err((RebuildReason::Stale, Some("journal written in a different mode".into())));
         }
-        let fp = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes"));
+        let fp = u64::from_le_bytes(header[13..21].try_into().expect("8 bytes"));
         if fp != self.fingerprint {
             return Err((
                 RebuildReason::Stale,
@@ -544,31 +563,28 @@ impl RelationStore {
             ));
         }
 
-        let mut offset = HEADER_LEN as usize;
+        let mut offset = HEADER_LEN;
         let mut records = 0u64;
         let mut engine: Option<IncrementalEngine> = None;
         let mut truncated = 0u64;
         let mut snapshot_end = HEADER_LEN;
-        while offset < bytes.len() {
-            let remaining = bytes.len() - offset;
-            let frame_ok = remaining >= FRAME_PREFIX as usize && {
-                let len =
-                    u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"))
-                        as usize;
-                remaining - FRAME_PREFIX as usize >= len
-            };
-            if !frame_ok {
+        let mut prefix = [0u8; FRAME_PREFIX as usize];
+        while offset < total {
+            let remaining = total - offset;
+            if remaining >= FRAME_PREFIX {
+                reader.read_exact(&mut prefix).map_err(unreadable)?;
+            }
+            let len = u64::from(u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes")));
+            if remaining < FRAME_PREFIX || remaining - FRAME_PREFIX < len {
                 // The final record is incomplete: the signature of a
                 // crashed append. Truncate to the clean prefix.
-                truncated = remaining as u64;
+                truncated = remaining;
                 break;
             }
-            let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"))
-                as usize;
-            let checksum =
-                u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().expect("8 bytes"));
-            let payload = &bytes[offset + 12..offset + 12 + len];
-            if fnv1a64(payload) != checksum {
+            let checksum = u64::from_le_bytes(prefix[4..].try_into().expect("8 bytes"));
+            let mut payload = vec![0u8; len as usize];
+            reader.read_exact(&mut payload).map_err(unreadable)?;
+            if fnv1a64(&payload) != checksum {
                 // A complete record whose bytes changed: corruption, not
                 // a crash.
                 return Err((
@@ -576,9 +592,10 @@ impl RelationStore {
                     Some(format!("checksum mismatch in record at byte {offset}")),
                 ));
             }
-            let decoded = decode_record(payload).map_err(|e| {
+            let decoded = decode_record(&payload).map_err(|e| {
                 (RebuildReason::Corrupt, Some(format!("record at byte {offset}: {e}")))
             })?;
+            drop(payload);
             let corrupt =
                 |e: String| (RebuildReason::Corrupt, Some(format!("record at byte {offset}: {e}")));
             match decoded {
@@ -592,7 +609,7 @@ impl RelationStore {
                     )
                     .map_err(|e| corrupt(e.to_string()))?;
                     engine = Some(rebuilt);
-                    snapshot_end = (offset + FRAME_PREFIX as usize + len) as u64;
+                    snapshot_end = offset + FRAME_PREFIX + len;
                 }
                 Record::Apply { kind, id, region, installed, pending_added } => {
                     let engine = engine.as_mut().ok_or_else(|| {
@@ -606,11 +623,11 @@ impl RelationStore {
                     let engine = engine.as_mut().ok_or_else(|| {
                         corrupt("repair record before any snapshot".to_string())
                     })?;
-                    engine.replay_repair(installed);
+                    engine.replay_repair(installed).map_err(|e| corrupt(e.to_string()))?;
                 }
             }
             records += 1;
-            offset += FRAME_PREFIX as usize + len;
+            offset += FRAME_PREFIX + len;
         }
         let Some(engine) = engine else {
             return Err((RebuildReason::Corrupt, Some("journal has no snapshot".into())));
@@ -622,12 +639,12 @@ impl RelationStore {
                 .write(true)
                 .open(&self.path)
                 .map_err(|e| (RebuildReason::Corrupt, Some(e.to_string())))?;
-            file.set_len(offset as u64)
+            file.set_len(offset)
                 .map_err(|e| (RebuildReason::Corrupt, Some(e.to_string())))?;
             let _ = file.sync_all();
         }
         self.engine = engine;
-        self.durable_len = offset as u64;
+        self.durable_len = offset;
         self.snapshot_len = snapshot_end;
         self.records = records;
         self.healthy = true;
@@ -698,12 +715,17 @@ fn fingerprint(base: &[Region], mode: EngineMode) -> u64 {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(payload.len() + FRAME_PREFIX as usize);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+/// Appends one frame to `out`: the length and checksum of the payload
+/// `encode` writes, then that payload, encoded in place.
+fn push_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    let payload = start + FRAME_PREFIX as usize;
+    out.resize(payload, 0);
+    encode(out);
+    let len = (out.len() - payload) as u32;
+    let sum = fnv1a64(&out[payload..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..payload].copy_from_slice(&sum.to_le_bytes());
 }
 
 fn encode_region(out: &mut Vec<u8>, region: &Region) {
@@ -722,20 +744,24 @@ fn encode_region(out: &mut Vec<u8>, region: &Region) {
 fn encode_pairs(out: &mut Vec<u8>, pairs: &[InstalledPair]) {
     out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
     for p in pairs {
-        out.extend_from_slice(&p.primary.to_le_bytes());
-        out.extend_from_slice(&p.reference.to_le_bytes());
-        out.extend_from_slice(&p.relation.bits().to_le_bytes());
-        match &p.percentages {
-            Some(m) => {
-                out.push(1);
-                for row in m.rows() {
-                    for cell in row {
-                        out.extend_from_slice(&cell.to_bits().to_le_bytes());
-                    }
+        encode_pair(out, p);
+    }
+}
+
+fn encode_pair(out: &mut Vec<u8>, p: &InstalledPair) {
+    out.extend_from_slice(&p.primary.to_le_bytes());
+    out.extend_from_slice(&p.reference.to_le_bytes());
+    out.extend_from_slice(&p.relation.bits().to_le_bytes());
+    match &p.percentages {
+        Some(m) => {
+            out.push(1);
+            for row in m.rows() {
+                for cell in row {
+                    out.extend_from_slice(&cell.to_bits().to_le_bytes());
                 }
             }
-            None => out.push(0),
         }
+        None => out.push(0),
     }
 }
 
@@ -747,26 +773,28 @@ fn encode_pending(out: &mut Vec<u8>, pending: &[(u32, u32)]) {
     }
 }
 
-fn encode_snapshot(engine: &IncrementalEngine) -> Vec<u8> {
-    let mut out = vec![TAG_SNAPSHOT];
-    let slots = engine.slots();
-    out.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-    for slot in slots {
-        match slot {
+fn encode_snapshot(out: &mut Vec<u8>, state: &EngineSnapshot) {
+    out.push(TAG_SNAPSHOT);
+    let slots = state.slot_count() as u32;
+    out.extend_from_slice(&slots.to_le_bytes());
+    for slot in 0..slots {
+        match state.region(slot) {
             Some(region) => {
                 out.push(1);
-                encode_region(&mut out, region);
+                encode_region(out, region);
             }
             None => out.push(0),
         }
     }
-    encode_pairs(&mut out, &engine.exact_entries());
-    encode_pending(&mut out, &engine.pending_pairs());
-    out
+    out.extend_from_slice(&(state.exact_count() as u32).to_le_bytes());
+    for p in state.exact_entries() {
+        encode_pair(out, &p);
+    }
+    encode_pending(out, &state.pending_pairs());
 }
 
-fn encode_apply(delta: &ApplyDelta) -> Vec<u8> {
-    let mut out = vec![TAG_APPLY];
+fn encode_apply(out: &mut Vec<u8>, delta: &ApplyDelta) {
+    out.push(TAG_APPLY);
     out.push(match delta.kind {
         EditKind::Insert => 0,
         EditKind::Remove => 1,
@@ -776,19 +804,17 @@ fn encode_apply(delta: &ApplyDelta) -> Vec<u8> {
     match &delta.region {
         Some(region) => {
             out.push(1);
-            encode_region(&mut out, region);
+            encode_region(out, region);
         }
         None => out.push(0),
     }
-    encode_pairs(&mut out, &delta.installed);
-    encode_pending(&mut out, &delta.pending_added);
-    out
+    encode_pairs(out, &delta.installed);
+    encode_pending(out, &delta.pending_added);
 }
 
-fn encode_repair(installed: &[InstalledPair]) -> Vec<u8> {
-    let mut out = vec![TAG_REPAIR];
-    encode_pairs(&mut out, installed);
-    out
+fn encode_repair(out: &mut Vec<u8>, installed: &[InstalledPair]) {
+    out.push(TAG_REPAIR);
+    encode_pairs(out, installed);
 }
 
 // ---------------------------------------------------------------------
@@ -841,10 +867,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
     fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
@@ -892,25 +914,24 @@ fn decode_pairs(r: &mut Reader<'_>) -> Result<Vec<InstalledPair>, String> {
     let count = r.count(11)?;
     let mut pairs = Vec::with_capacity(count);
     for _ in 0..count {
-        let primary = r.u32()?;
-        let reference = r.u32()?;
-        let bits = r.u16()?;
+        // One bounds check for the fixed fields and one for a matrix.
+        let head = r.take(11)?;
+        let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+        let bits = u16::from_le_bytes([head[8], head[9]]);
         let relation = CardinalRelation::from_bits(bits)
             .ok_or_else(|| format!("invalid relation bits {bits:#06x}"))?;
-        let percentages = match r.u8()? {
+        let percentages = match head[10] {
             0 => None,
             1 => {
                 let mut cells = [[0.0f64; 3]; 3];
-                for row in &mut cells {
-                    for cell in row.iter_mut() {
-                        *cell = r.f64()?;
-                    }
+                for (cell, bytes) in cells.iter_mut().flatten().zip(r.take(72)?.chunks_exact(8)) {
+                    *cell = f64::from_le_bytes(bytes.try_into().expect("8 bytes"));
                 }
                 Some(PercentageMatrix::from_rows(cells))
             }
             other => return Err(format!("invalid percentage flag {other}")),
         };
-        pairs.push(InstalledPair { primary, reference, relation, percentages });
+        pairs.push(InstalledPair { primary: word(0), reference: word(4), relation, percentages });
     }
     Ok(pairs)
 }
@@ -1009,13 +1030,13 @@ mod tests {
 
     fn assert_same_state(a: &IncrementalEngine, b: &IncrementalEngine) {
         assert_eq!(
-            a.slots().len(),
-            b.slots().len(),
+            a.slot_count(),
+            b.slot_count(),
             "slot tables differ: {} vs {}",
-            a.slots().len(),
-            b.slots().len()
+            a.slot_count(),
+            b.slot_count()
         );
-        assert_eq!(a.exact_entries(), b.exact_entries());
+        assert!(a.exact_entries().eq(b.exact_entries()));
         assert_eq!(a.pending_pairs(), b.pending_pairs());
         assert_eq!(a.materialize().unwrap(), b.materialize().unwrap());
     }
@@ -1225,12 +1246,11 @@ mod tests {
         let err = decode_record(&bad).unwrap_err();
         assert!(err.contains("invalid relation bits"), "{err}");
         // Trailing garbage is rejected.
-        let mut snapshot = encode_snapshot(&IncrementalEngine::bootstrap(
-            EngineMode::Qualitative,
-            1,
-            Vec::new(),
-            &RunPolicy::default(),
-        ));
+        let mut snapshot = Vec::new();
+        encode_snapshot(
+            &mut snapshot,
+            &IncrementalEngine::bootstrap(EngineMode::Qualitative, 1, Vec::new(), &RunPolicy::default()),
+        );
         snapshot.push(0);
         assert!(decode_record(&snapshot).unwrap_err().contains("trailing"));
     }

@@ -18,20 +18,24 @@
 //! journal assigned at insert time still names the same slot on replay.
 //!
 //! Relations are stored sparsely, mirroring the spatial join's
-//! partition:
+//! partition, in one **row** per live slot — the slot's outgoing pairs:
 //!
-//! * **exact** — the interacting ordered pairs (those
+//! * **exact** entries — the interacting ordered pairs (those
 //!   [`decided_tile`] cannot decide), with their computed relation and
 //!   optional percentage matrix. `O(K)` where `K` is the interacting
 //!   count, not `O(N²)`.
-//! * **pending** — interacting pairs whose computation failed under an
-//!   armed fault or was skipped by deadline/cancel. They are excluded
-//!   from reads until [`IncrementalEngine::repair`] recomputes them, so
-//!   a faulted edit degrades to "these pairs are unknown", never to a
-//!   wrong relation.
+//! * **pending** entries — interacting pairs whose computation failed
+//!   under an armed fault or was skipped by deadline/cancel. They are
+//!   excluded from reads until [`IncrementalEngine::repair`] recomputes
+//!   them, so a faulted edit degrades to "these pairs are unknown",
+//!   never to a wrong relation.
 //! * everything else is **box-decided** and derived on demand from the
 //!   two MBBs — exactly what the join's mask-emit path does, via the
-//!   same `emit_decided` code in [`materialize`](IncrementalEngine::materialize).
+//!   same `emit_decided` code in [`materialize`](EngineSnapshot::materialize).
+//!
+//! Each slot (geometry + row) sits behind an [`Arc`]; the slot table is
+//! the [`EngineSnapshot`] the engine holds, publishes and reads through.
+//! See its docs for the copy-on-write cost model.
 //!
 //! # Invalidation rule
 //!
@@ -66,14 +70,15 @@
 
 use crate::batch::{emit_decided, BatchEngine, EngineMode, PairRelation, Tally};
 use crate::cache::RegionCache;
-use crate::policy::{BatchOutcome, CompletionStatus, FaultTally, RunPolicy};
+use crate::policy::{BatchOutcome, CompletionStatus, RunPolicy};
 use crate::prefilter::decided_tile;
 use cardir_core::{CardinalRelation, PercentageMatrix};
 use cardir_geometry::{BoundingBox, Point, Region};
 use cardir_index::RTree;
 use cardir_telemetry::Registry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A mutation of the region set.
@@ -228,83 +233,89 @@ pub struct IncrementalStats {
     pub rtree_rebuilds: u64,
 }
 
-/// The incremental engine: current regions plus the delta-maintained
-/// relation set. See the module docs for the state model.
-#[derive(Debug)]
-pub struct IncrementalEngine {
-    mode: EngineMode,
-    threads: usize,
-    /// Slot-keyed regions; `None` marks a removed slot (never reused).
-    slots: Vec<Option<Region>>,
-    live: usize,
-    /// Interacting ordered pairs with their computed values.
-    exact: BTreeMap<(u32, u32), StoredPair>,
-    /// Interacting ordered pairs awaiting repair.
-    pending: BTreeSet<(u32, u32)>,
-    /// Undirected adjacency: `x ∈ partners[r]` iff some stored pair
-    /// (exact or pending) involves both `r` and `x`. Bounds the
-    /// invalidation walk by the edited region's degree.
-    partners: BTreeMap<u32, BTreeSet<u32>>,
-    /// R-tree over current MBBs, with tombstoned stale entries.
-    rtree: RTree<u32>,
-    /// Entries in the tree that no longer describe a live slot's
-    /// current MBB.
-    stale: usize,
-    stats: IncrementalStats,
-    /// Fault events absorbed across all recompute passes.
-    faults: FaultTally,
-}
-
-#[derive(Debug, Clone, PartialEq)]
+/// One stored pair's value: the computed relation and, in quantitative
+/// mode, its percentage matrix.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct StoredPair {
     relation: CardinalRelation,
     percentages: Option<PercentageMatrix>,
 }
 
-/// An immutable, cheaply-cloneable view of an [`IncrementalEngine`]'s
-/// relation state at one instant.
+impl StoredPair {
+    fn of(p: &InstalledPair) -> Self {
+        StoredPair { relation: p.relation, percentages: p.percentages }
+    }
+}
+
+/// One live slot's published state: shared geometry plus the slot's
+/// outgoing stored pairs, in no particular order — `values[i]` is the
+/// pair on reference `refs[i]`, `None` while it awaits repair. The
+/// 4-byte references sit apart so a lookup is one short scan, and an
+/// unordered row takes and drops pairs without shifting its values.
+#[derive(Debug, Clone)]
+struct Slot {
+    region: Arc<Region>,
+    mbb: BoundingBox,
+    refs: Vec<u32>,
+    values: Vec<Option<StoredPair>>,
+}
+
+/// The relation state of an [`IncrementalEngine`] at one instant — the
+/// one read type for engine state.
 ///
-/// The snapshot shares the slot table and pair maps behind [`Arc`]s, so
-/// cloning it is O(1) and every read method works without touching the
-/// engine — which is what lets a server hand out snapshots to concurrent
-/// reader threads while a single writer keeps applying edits to the
-/// engine and publishing fresh snapshots on commit. A snapshot never
-/// changes after creation: readers observe the exact state the writer
-/// published, never a half-applied edit.
+/// The engine holds one of these as its current state (every engine
+/// read goes through it by `Deref`), and [`IncrementalEngine::snapshot`]
+/// clones it. State is sharded per slot behind [`Arc`]s, which sets the
+/// cost model:
 ///
-/// All read paths (`relation`, `materialize`) are shared with the
-/// engine's own implementations, so a snapshot's answers are
-/// bit-identical to asking the engine at the moment [`IncrementalEngine::snapshot`]
-/// was taken.
+/// * taking a snapshot (or cloning one) costs O(slots) refcount bumps —
+///   no region, pair or matrix is copied;
+/// * a later edit copies, through `Arc::make_mut`, only the rows it
+///   writes: the edited slot is rebuilt, and each partner whose row
+///   held or gains a pair with it is copied once. Every other slot
+///   stays shared between the snapshot and the engine.
+///
+/// A snapshot therefore never changes after creation: readers observe
+/// the exact state the writer published, never a half-applied edit,
+/// which is what lets a server hand snapshots to concurrent reader
+/// threads while one writer keeps applying edits.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     mode: EngineMode,
-    slots: Arc<[Option<Region>]>,
+    /// Slot-keyed state; `None` marks a removed slot (never reused).
+    slots: Vec<Option<Arc<Slot>>>,
     live: usize,
-    exact: Arc<BTreeMap<(u32, u32), StoredPair>>,
-    pending: Arc<BTreeSet<(u32, u32)>>,
+    /// Stored entries holding a computed value.
+    exact: usize,
+    /// Stored entries awaiting repair.
+    pending: usize,
     stats: IncrementalStats,
 }
 
 impl EngineSnapshot {
-    /// The computation mode of the engine this snapshot came from.
+    fn slot(&self, id: u32) -> Option<&Slot> {
+        self.slots.get(id as usize).and_then(Option::as_deref)
+    }
+
+    /// The computation mode.
     pub fn mode(&self) -> EngineMode {
         self.mode
     }
 
-    /// Number of live regions at snapshot time.
+    /// Number of live regions.
     pub fn live_count(&self) -> usize {
         self.live
     }
 
-    /// The slot table, including removed (`None`) slots.
-    pub fn slots(&self) -> &[Option<Region>] {
-        &self.slots
+    /// Number of slots ever assigned, removed ones included (the next
+    /// insert receives this id).
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// The region in `slot`, when live.
     pub fn region(&self, slot: u32) -> Option<&Region> {
-        self.slots.get(slot as usize).and_then(Option::as_ref)
+        self.slot(slot).map(|s| &*s.region)
     }
 
     /// Live `(slot, region)` entries in slot order.
@@ -312,110 +323,143 @@ impl EngineSnapshot {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(id, slot)| slot.as_ref().map(|r| (id as u32, r)))
+            .filter_map(|(id, slot)| slot.as_ref().map(|s| (id as u32, &*s.region)))
     }
 
-    /// Number of stored exact pairs at snapshot time.
+    /// Number of stored exact pairs.
     pub fn exact_count(&self) -> usize {
-        self.exact.len()
+        self.exact
     }
 
-    /// Number of pairs awaiting repair at snapshot time.
+    /// Number of pairs awaiting repair.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
-    /// Cumulative engine counters at snapshot time.
+    /// Cumulative engine counters.
     pub fn stats(&self) -> IncrementalStats {
         self.stats
     }
 
-    /// The relation `primary R reference` under this snapshot — same
-    /// semantics as [`IncrementalEngine::relation`].
+    /// Every stored `(primary, reference, entry)` in key order.
+    fn entries(&self) -> impl Iterator<Item = (u32, u32, &Option<StoredPair>)> {
+        self.slots.iter().enumerate().flat_map(|(a, slot)| {
+            let mut row: Vec<_> =
+                slot.iter().flat_map(|s| s.refs.iter().copied().zip(&s.values)).collect();
+            row.sort_unstable_by_key(|e| e.0);
+            row.into_iter().map(move |(b, entry)| (a as u32, b, entry))
+        })
+    }
+
+    /// Stored exact pairs in key order (journal snapshot source), all
+    /// [`exact_count`](Self::exact_count) of them, produced one row at a
+    /// time rather than collected.
+    pub fn exact_entries(&self) -> impl Iterator<Item = InstalledPair> + '_ {
+        self.entries().filter_map(|(primary, reference, entry)| {
+            let StoredPair { relation, percentages } = (*entry)?;
+            Some(InstalledPair { primary, reference, relation, percentages })
+        })
+    }
+
+    /// Pairs awaiting repair, in key order.
+    pub fn pending_pairs(&self) -> Vec<(u32, u32)> {
+        self.entries().filter(|e| e.2.is_none()).map(|(a, b, _)| (a, b)).collect()
+    }
+
+    /// The relation `primary R reference`: the stored value, else the
+    /// box-derived tile, else `None` when either slot is dead, the slots
+    /// are equal, or the pair is pending repair.
     pub fn relation(&self, primary: u32, reference: u32) -> Option<CardinalRelation> {
-        relation_in(&self.slots, &self.exact, &self.pending, primary, reference)
+        if primary == reference {
+            return None;
+        }
+        let a = self.slot(primary)?;
+        match a.refs.iter().position(|&r| r == reference) {
+            Some(i) => a.values[i].as_ref().map(|sp| sp.relation),
+            None => decided_tile(a.mbb, self.slot(reference)?.mbb).map(CardinalRelation::single),
+        }
     }
 
-    /// Expands the snapshot to the full ordered-pair relation list —
-    /// same semantics and bit-identical output as
-    /// [`IncrementalEngine::materialize`] at snapshot time.
+    /// Expands the delta state to the full ordered-pair relation list,
+    /// primary-major in live-slot order, with decided pairs derived
+    /// through the batch engine's own `emit_decided` path — the output
+    /// is bit-identical to a fresh full recompute of the same
+    /// configuration. Fails while pairs are pending repair.
     pub fn materialize(&self) -> Result<Vec<PairRelation>, IncrementalError> {
-        materialize_state(self.mode, &self.slots, &self.exact, &self.pending)
+        if self.pending > 0 {
+            return Err(IncrementalError::PendingPairs(self.pending));
+        }
+        let live: Vec<(u32, &Slot)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, slot)| slot.as_deref().map(|s| (id as u32, s)))
+            .collect();
+        let cache = RegionCache::build(live.iter().map(|(_, s)| &*s.region));
+        let mut tally = Tally::default();
+        let n = live.len();
+        let mut out = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)));
+        // Row position of each reference of the current primary.
+        let mut at = vec![usize::MAX; self.slots.len()];
+        for (i, &(a, slot)) in live.iter().enumerate() {
+            for (k, &b) in slot.refs.iter().enumerate() {
+                at[b as usize] = k;
+            }
+            for (j, &(b, _)) in live.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                if let Some(entry) = slot.values.get(at[b as usize]) {
+                    let sp = entry.as_ref().expect("no pairs are pending");
+                    out.push(PairRelation {
+                        primary: i,
+                        reference: j,
+                        relation: sp.relation,
+                        percentages: sp.percentages,
+                        via_prefilter: false,
+                    });
+                    continue;
+                }
+                match decided_tile(cache.mbb(i), cache.mbb(j)) {
+                    Some(tile) => out.push(emit_decided(&cache, i, j, tile, self.mode, &mut tally)),
+                    None => {
+                        return Err(IncrementalError::InconsistentState { primary: a, reference: b })
+                    }
+                }
+            }
+            for &b in &slot.refs {
+                at[b as usize] = usize::MAX;
+            }
+        }
+        Ok(out)
     }
 }
 
-/// Shared read path: the relation `primary R reference` over a slot
-/// table and pair maps (stored exact value, else box-derived, else
-/// `None` for dead/equal/pending).
-fn relation_in(
-    slots: &[Option<Region>],
-    exact: &BTreeMap<(u32, u32), StoredPair>,
-    pending: &BTreeSet<(u32, u32)>,
-    primary: u32,
-    reference: u32,
-) -> Option<CardinalRelation> {
-    if primary == reference || pending.contains(&(primary, reference)) {
-        return None;
-    }
-    if let Some(sp) = exact.get(&(primary, reference)) {
-        return Some(sp.relation);
-    }
-    let ma = slots.get(primary as usize).and_then(Option::as_ref).map(Region::mbb)?;
-    let mb = slots.get(reference as usize).and_then(Option::as_ref).map(Region::mbb)?;
-    decided_tile(ma, mb).map(CardinalRelation::single)
+/// The incremental engine: the current [`EngineSnapshot`] plus the
+/// writer-only indices that bound each edit's work. See the module docs
+/// for the state model. Every read of the current state is an
+/// [`EngineSnapshot`] method, reached through `Deref`.
+#[derive(Debug)]
+pub struct IncrementalEngine {
+    state: EngineSnapshot,
+    threads: usize,
+    /// Sorted per slot: `x ∈ incoming[r]` iff `x`'s row stores a pair
+    /// (exact or pending) on `r`. With `r`'s own row these are `r`'s
+    /// partners, which bound an edit's work by the region's degree.
+    incoming: Vec<Vec<u32>>,
+    /// R-tree over current MBBs, with tombstoned stale entries.
+    rtree: RTree<u32>,
+    /// Entries in the tree that no longer describe a live slot's
+    /// current MBB.
+    stale: usize,
 }
 
-/// Shared materialize path: expands delta state to the full ordered-pair
-/// relation list, primary-major in live-slot order, with decided pairs
-/// derived through the batch engine's own `emit_decided`. Fails while
-/// pairs are pending repair.
-fn materialize_state(
-    mode: EngineMode,
-    slots: &[Option<Region>],
-    exact: &BTreeMap<(u32, u32), StoredPair>,
-    pending: &BTreeSet<(u32, u32)>,
-) -> Result<Vec<PairRelation>, IncrementalError> {
-    if !pending.is_empty() {
-        return Err(IncrementalError::PendingPairs(pending.len()));
+impl Deref for IncrementalEngine {
+    type Target = EngineSnapshot;
+
+    fn deref(&self) -> &EngineSnapshot {
+        &self.state
     }
-    let mut ids: Vec<u32> = Vec::new();
-    let mut regions: Vec<&Region> = Vec::new();
-    for (id, slot) in slots.iter().enumerate() {
-        if let Some(region) = slot {
-            ids.push(id as u32);
-            regions.push(region);
-        }
-    }
-    let cache = RegionCache::build(regions);
-    let mut tally = Tally::default();
-    let n = ids.len();
-    let mut out = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)));
-    for (i, &a) in ids.iter().enumerate() {
-        for (j, &b) in ids.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            if let Some(sp) = exact.get(&(a, b)) {
-                out.push(PairRelation {
-                    primary: i,
-                    reference: j,
-                    relation: sp.relation,
-                    percentages: sp.percentages,
-                    via_prefilter: false,
-                });
-                continue;
-            }
-            match decided_tile(cache.mbb(i), cache.mbb(j)) {
-                Some(tile) => {
-                    out.push(emit_decided(&cache, i, j, tile, mode, &mut tally));
-                }
-                None => {
-                    return Err(IncrementalError::InconsistentState { primary: a, reference: b })
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 impl IncrementalEngine {
@@ -427,54 +471,34 @@ impl IncrementalEngine {
         regions: Vec<Region>,
         policy: &RunPolicy,
     ) -> Self {
-        let mut engine = IncrementalEngine {
-            mode,
-            threads: threads.max(1),
-            slots: Vec::new(),
-            live: 0,
-            exact: BTreeMap::new(),
-            pending: BTreeSet::new(),
-            partners: BTreeMap::new(),
-            rtree: RTree::new(),
-            stale: 0,
-            stats: IncrementalStats::default(),
-            faults: FaultTally::default(),
-        };
         let outcome = {
             let cache = RegionCache::build(regions.iter());
-            let batch = BatchEngine::new().with_mode(mode).with_threads(threads.max(1));
-            batch.run_join(&cache, policy)
+            BatchEngine::new().with_mode(mode).with_threads(threads.max(1)).run_join(&cache, policy)
         };
-        engine.faults.merge(&outcome.metrics.faults);
-        for (id, region) in regions.into_iter().enumerate() {
-            let mbb = region.mbb();
-            engine.slots.push(Some(region));
-            engine.rtree.insert(mbb, id as u32);
-        }
-        engine.live = engine.slots.len();
+        let (mut exact, mut pending) = (Vec::new(), Vec::new());
         for outcome in &outcome.interacting {
             let (i, j) = outcome.indices();
-            let (a, b) = (i as u32, j as u32);
+            let (primary, reference) = (i as u32, j as u32);
             match outcome.ok() {
-                Some(pr) => {
-                    engine.exact.insert(
-                        (a, b),
-                        StoredPair { relation: pr.relation, percentages: pr.percentages },
-                    );
-                }
-                None => {
-                    engine.pending.insert((a, b));
-                }
+                Some(pr) => exact.push(InstalledPair {
+                    primary,
+                    reference,
+                    relation: pr.relation,
+                    percentages: pr.percentages,
+                }),
+                None => pending.push((primary, reference)),
             }
-            engine.link(a, b);
         }
-        engine
+        let slots = regions.into_iter().map(Some).collect();
+        IncrementalEngine::from_parts(mode, threads, slots, exact, pending)
+            .expect("a join yields each interacting pair once")
     }
 
     /// Rebuilds an engine from externally stored state (journal replay).
-    /// Validates that every stored pair names two distinct live slots
-    /// and is actually interacting under the geometry, so corrupted
-    /// state is rejected instead of silently served.
+    /// Validates that every stored pair names two distinct live slots,
+    /// is actually interacting under the geometry and is stored once,
+    /// so corrupted state is rejected instead of silently served. Each
+    /// row and `incoming` list is allocated once, at its exact length.
     pub fn from_parts(
         mode: EngineMode,
         threads: usize,
@@ -482,147 +506,81 @@ impl IncrementalEngine {
         exact: Vec<InstalledPair>,
         pending: Vec<(u32, u32)>,
     ) -> Result<Self, IncrementalError> {
+        let n = slots.len();
         let mut engine = IncrementalEngine {
-            mode,
+            state: EngineSnapshot {
+                mode,
+                slots: Vec::with_capacity(n),
+                live: 0,
+                exact: 0,
+                pending: 0,
+                stats: IncrementalStats::default(),
+            },
             threads: threads.max(1),
-            slots,
-            live: 0,
-            exact: BTreeMap::new(),
-            pending: BTreeSet::new(),
-            partners: BTreeMap::new(),
+            incoming: Vec::new(),
             rtree: RTree::new(),
             stale: 0,
-            stats: IncrementalStats::default(),
-            faults: FaultTally::default(),
         };
-        for (id, slot) in engine.slots.iter().enumerate() {
-            if let Some(region) = slot {
-                engine.rtree.insert(region.mbb(), id as u32);
-                engine.live += 1;
+        for (id, region) in slots.into_iter().enumerate() {
+            let slot = region.map(|region| engine.new_slot(id as u32, region));
+            engine.state.slots.push(slot);
+        }
+        let keys = exact.iter().map(|p| (p.primary, p.reference)).chain(pending.iter().copied());
+        let (mut lengths, mut holders) = (vec![0; n], vec![0; n]);
+        for (a, b) in keys {
+            match (engine.live_mbb(a), engine.live_mbb(b)) {
+                (Some(ma), Some(mb)) if a != b && decided_tile(ma, mb).is_none() => {}
+                _ => return Err(IncrementalError::InconsistentState { primary: a, reference: b }),
+            }
+            lengths[a as usize] += 1;
+            holders[b as usize] += 1;
+        }
+        engine.incoming = holders.into_iter().map(Vec::with_capacity).collect();
+        for (slot, length) in engine.state.slots.iter_mut().zip(lengths) {
+            if let Some(slot) = slot.as_mut().and_then(Arc::get_mut) {
+                slot.refs.reserve_exact(length);
+                slot.values.reserve_exact(length);
             }
         }
-        let check = |engine: &IncrementalEngine, a: u32, b: u32| {
-            let bad = IncrementalError::InconsistentState { primary: a, reference: b };
-            let ma = engine.live_mbb(a).ok_or_else(|| bad.clone())?;
-            let mb = engine.live_mbb(b).ok_or_else(|| bad.clone())?;
-            if a == b || decided_tile(ma, mb).is_some() {
-                return Err(bad);
-            }
-            Ok(())
-        };
-        for entry in exact {
-            check(&engine, entry.primary, entry.reference)?;
-            engine.exact.insert(
-                (entry.primary, entry.reference),
-                StoredPair { relation: entry.relation, percentages: entry.percentages },
-            );
-            engine.link(entry.primary, entry.reference);
+        let values = exact.iter().map(|p| (p.primary, p.reference, Some(StoredPair::of(p))));
+        for (a, b, entry) in values.chain(pending.into_iter().map(|(a, b)| (a, b, None))) {
+            *engine.counter(&entry) += 1;
+            let slot = engine.state.slots[a as usize].as_mut().and_then(Arc::get_mut);
+            let slot = slot.expect("validated and not yet shared");
+            slot.refs.push(b);
+            slot.values.push(entry);
+            engine.incoming[b as usize].push(a);
         }
-        for (a, b) in pending {
-            check(&engine, a, b)?;
-            engine.pending.insert((a, b));
-            engine.link(a, b);
+        // A pair stored twice is corrupt state too.
+        let mut last = vec![u32::MAX; n];
+        for (primary, slot) in engine.state.slots.iter().enumerate() {
+            let primary = primary as u32;
+            for &reference in slot.iter().flat_map(|s| &s.refs) {
+                if std::mem::replace(&mut last[reference as usize], primary) == primary {
+                    return Err(IncrementalError::InconsistentState { primary, reference });
+                }
+            }
         }
         Ok(engine)
     }
 
-    fn batch_engine(&self) -> BatchEngine {
-        BatchEngine::new().with_mode(self.mode).with_threads(self.threads)
+    /// A live slot over `region`, entered into the R-tree, with no pairs.
+    fn new_slot(&mut self, id: u32, region: Region) -> Arc<Slot> {
+        let mbb = region.mbb();
+        self.rtree.insert(mbb, id);
+        self.state.live += 1;
+        Arc::new(Slot { region: Arc::new(region), mbb, refs: Vec::new(), values: Vec::new() })
     }
 
-    /// The engine's computation mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Worker threads used by recompute passes.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of live regions.
-    pub fn live_count(&self) -> usize {
-        self.live
-    }
-
-    /// The slot table, including removed (`None`) slots.
-    pub fn slots(&self) -> &[Option<Region>] {
-        &self.slots
-    }
-
-    /// The region in `slot`, when live.
-    pub fn region(&self, slot: u32) -> Option<&Region> {
-        self.slots.get(slot as usize).and_then(Option::as_ref)
-    }
-
-    /// Live `(slot, region)` entries in slot order.
-    pub fn live_regions(&self) -> impl Iterator<Item = (u32, &Region)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| slot.as_ref().map(|r| (id as u32, r)))
-    }
-
-    /// Stored exact pairs in key order (journal snapshot source).
-    pub fn exact_entries(&self) -> Vec<InstalledPair> {
-        self.exact
-            .iter()
-            .map(|(&(a, b), sp)| InstalledPair {
-                primary: a,
-                reference: b,
-                relation: sp.relation,
-                percentages: sp.percentages,
-            })
-            .collect()
-    }
-
-    /// Pairs awaiting repair, in key order.
-    pub fn pending_pairs(&self) -> Vec<(u32, u32)> {
-        self.pending.iter().copied().collect()
-    }
-
-    /// Number of stored exact pairs.
-    pub fn exact_count(&self) -> usize {
-        self.exact.len()
-    }
-
-    /// Number of pairs awaiting repair.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> IncrementalStats {
-        self.stats
-    }
-
-    /// Fault events absorbed across all recompute passes.
-    pub fn faults(&self) -> FaultTally {
-        self.faults
-    }
-
-    /// The relation `primary R reference`, or `None` when either slot is
-    /// dead, the slots are equal, or the pair is pending repair.
-    pub fn relation(&self, primary: u32, reference: u32) -> Option<CardinalRelation> {
-        relation_in(&self.slots, &self.exact, &self.pending, primary, reference)
-    }
-
-    /// Takes an immutable snapshot of the current relation state. The
-    /// snapshot is detached: later edits to the engine do not affect it,
-    /// and cloning it is O(1) — see [`EngineSnapshot`].
+    /// Takes an immutable snapshot of the current relation state: a
+    /// clone of the engine's [`EngineSnapshot`], O(slots) refcount bumps.
+    /// Later edits do not affect it.
     pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            mode: self.mode,
-            slots: self.slots.clone().into(),
-            live: self.live,
-            exact: Arc::new(self.exact.clone()),
-            pending: Arc::new(self.pending.clone()),
-            stats: self.stats,
-        }
+        self.state.clone()
     }
 
     fn live_mbb(&self, slot: u32) -> Option<BoundingBox> {
-        self.region(slot).map(Region::mbb)
+        self.state.slot(slot).map(|s| s.mbb)
     }
 
     /// Applies an edit under the default policy.
@@ -636,30 +594,17 @@ impl IncrementalEngine {
     /// skipped park in the pending set (see [`repair`](Self::repair)).
     pub fn apply_with(&mut self, edit: Edit, policy: &RunPolicy) -> Result<ApplyDelta, EditError> {
         let (id, kind, region) = self.admit(edit)?;
-        let live_before = self.live;
-        let dropped = self.invalidate(id);
-        self.update_geometry(id, kind, region.clone());
-        // Every ordered pair involving the slot, under whichever of the
-        // old/new configurations had it live.
-        let neighbours = match kind {
-            EditKind::Insert => self.live - 1,
-            EditKind::Remove => live_before - 1,
-            EditKind::Replace => self.live - 1,
-        };
-        let invalidated = 2 * neighbours;
-        let reused = self.exact.len();
-
+        let old = self.swap_geometry(id, kind, region.clone());
         let (installed, pending_added, status) = if kind == EditKind::Remove {
             (Vec::new(), Vec::new(), CompletionStatus::Complete)
         } else {
-            let pairs = self.discover(id);
-            self.recompute(&pairs, policy)
+            self.compute(&self.discover(id), policy)
         };
-
-        self.stats.edits_applied += 1;
-        self.stats.pairs_invalidated += invalidated as u64;
-        self.stats.pairs_recomputed += (installed.len() + pending_added.len()) as u64;
-        self.stats.pairs_reused += reused as u64;
+        let pairs = installed.iter().map(|p| (p.primary, p.reference, Some(StoredPair::of(p))));
+        let pending = pending_added.iter().map(|&(a, b)| (a, b, None));
+        let (invalidated, dropped) =
+            self.restore(id, old, pairs.chain(pending)).expect("recomputed pairs involve the slot");
+        self.state.stats.pairs_recomputed += (installed.len() + pending_added.len()) as u64;
         Ok(ApplyDelta {
             id,
             kind,
@@ -695,37 +640,20 @@ impl IncrementalEngine {
         if assigned != id {
             return Err(EditError::ReplayMismatch { expected: id, found: assigned });
         }
-        self.invalidate(id);
-        self.update_geometry(id, kind, region);
-        let neighbours = if kind == EditKind::Remove { self.live } else { self.live - 1 };
-        self.stats.edits_applied += 1;
-        self.stats.pairs_invalidated += (2 * neighbours) as u64;
-        self.stats.pairs_reused += self.exact.len() as u64;
-        for entry in installed {
-            self.exact.insert(
-                (entry.primary, entry.reference),
-                StoredPair { relation: entry.relation, percentages: entry.percentages },
-            );
-            self.link(entry.primary, entry.reference);
-        }
-        for (a, b) in pending_added {
-            self.pending.insert((a, b));
-            self.link(a, b);
-        }
+        let old = self.swap_geometry(id, kind, region);
+        let pairs = installed.iter().map(|p| (p.primary, p.reference, Some(StoredPair::of(p))));
+        let pending = pending_added.into_iter().map(|(a, b)| (a, b, None));
+        self.restore(id, old, pairs.chain(pending))?;
         Ok(())
     }
 
     /// Replays a recorded repair: moves the recorded pairs from pending
     /// to exact verbatim.
-    pub fn replay_repair(&mut self, installed: Vec<InstalledPair>) {
-        for entry in installed {
-            self.pending.remove(&(entry.primary, entry.reference));
-            self.exact.insert(
-                (entry.primary, entry.reference),
-                StoredPair { relation: entry.relation, percentages: entry.percentages },
-            );
-            self.link(entry.primary, entry.reference);
+    pub fn replay_repair(&mut self, installed: Vec<InstalledPair>) -> Result<(), EditError> {
+        for p in &installed {
+            self.put(p.primary, p.reference, StoredPair::of(p))?;
         }
+        Ok(())
     }
 
     /// Recomputes every pending pair under the default policy.
@@ -736,34 +664,27 @@ impl IncrementalEngine {
     /// Recomputes every pending pair under `policy`; pairs that fail
     /// again stay pending.
     pub fn repair_with(&mut self, policy: &RunPolicy) -> RepairDelta {
-        self.stats.repairs += 1;
-        if self.pending.is_empty() {
+        self.state.stats.repairs += 1;
+        if self.state.pending == 0 {
             return RepairDelta {
                 installed: Vec::new(),
                 still_pending: 0,
                 status: CompletionStatus::Complete,
             };
         }
-        let pairs: Vec<(u32, u32)> = self.pending.iter().copied().collect();
-        let (installed, still_pending, status) = self.recompute(&pairs, policy);
-        self.stats.pairs_recomputed += (installed.len() + still_pending.len()) as u64;
+        let (installed, still_pending, status) = self.compute(&self.pending_pairs(), policy);
+        for p in &installed {
+            self.put(p.primary, p.reference, StoredPair::of(p)).expect("pending pairs are live");
+        }
+        self.state.stats.pairs_recomputed += (installed.len() + still_pending.len()) as u64;
         RepairDelta { installed, still_pending: still_pending.len(), status }
-    }
-
-    /// Expands the delta state to the full ordered-pair relation list,
-    /// primary-major in live-slot order, with decided pairs derived
-    /// through the batch engine's own `emit_decided` path — the output
-    /// is bit-identical to a fresh full recompute of the current
-    /// configuration. Fails while pairs are pending repair.
-    pub fn materialize(&self) -> Result<Vec<PairRelation>, IncrementalError> {
-        materialize_state(self.mode, &self.slots, &self.exact, &self.pending)
     }
 
     /// Folds the engine's counters into `registry` as `incremental.*`
     /// (absolute values — export into a fresh registry per report, like
     /// the bench bins do).
     pub fn export(&self, registry: &Registry) {
-        let s = self.stats;
+        let s = self.state.stats;
         for (name, value) in [
             ("incremental.edits_applied", s.edits_applied),
             ("incremental.pairs_invalidated", s.pairs_invalidated),
@@ -771,9 +692,9 @@ impl IncrementalEngine {
             ("incremental.pairs_reused", s.pairs_reused),
             ("incremental.repairs", s.repairs),
             ("incremental.rtree_rebuilds", s.rtree_rebuilds),
-            ("incremental.live_regions", self.live as u64),
-            ("incremental.exact_stored", self.exact.len() as u64),
-            ("incremental.pending_pairs", self.pending.len() as u64),
+            ("incremental.live_regions", self.state.live as u64),
+            ("incremental.exact_stored", self.state.exact as u64),
+            ("incremental.pending_pairs", self.state.pending as u64),
         ] {
             registry.counter(name).add(value);
         }
@@ -783,8 +704,8 @@ impl IncrementalEngine {
     fn admit(&self, edit: Edit) -> Result<(u32, EditKind, Option<Region>), EditError> {
         match edit {
             Edit::Insert(region) => {
-                let id =
-                    u32::try_from(self.slots.len()).map_err(|_| EditError::SlotSpaceExhausted)?;
+                let id = u32::try_from(self.state.slots.len())
+                    .map_err(|_| EditError::SlotSpaceExhausted)?;
                 if id == u32::MAX {
                     return Err(EditError::SlotSpaceExhausted);
                 }
@@ -801,61 +722,180 @@ impl IncrementalEngine {
         }
     }
 
-    /// Drops every stored pair involving `id`; returns how many exact
-    /// entries were discarded.
-    fn invalidate(&mut self, id: u32) -> usize {
-        let neighbours = self.partners.remove(&id).unwrap_or_default();
-        let mut dropped = 0;
-        for x in neighbours {
-            dropped += usize::from(self.exact.remove(&(id, x)).is_some());
-            dropped += usize::from(self.exact.remove(&(x, id)).is_some());
-            self.pending.remove(&(id, x));
-            self.pending.remove(&(x, id));
-            if let Some(set) = self.partners.get_mut(&x) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.partners.remove(&x);
-                }
-            }
+    /// Installs the slot's new geometry (none for a removal) with an
+    /// empty row, and returns the slot it replaced.
+    fn swap_geometry(
+        &mut self,
+        id: u32,
+        kind: EditKind,
+        region: Option<Region>,
+    ) -> Option<Arc<Slot>> {
+        if kind == EditKind::Insert {
+            self.state.slots.push(None);
+            self.incoming.push(Vec::new());
+        } else {
+            self.state.live -= 1;
+            self.stale += 1;
         }
-        dropped
-    }
-
-    fn update_geometry(&mut self, id: u32, kind: EditKind, region: Option<Region>) {
-        match kind {
-            EditKind::Insert => {
-                let region = region.expect("insert carries geometry");
-                let mbb = region.mbb();
-                self.slots.push(Some(region));
-                self.live += 1;
-                self.rtree.insert(mbb, id);
-            }
-            EditKind::Remove => {
-                self.slots[id as usize] = None;
-                self.live -= 1;
-                self.stale += 1;
-            }
-            EditKind::Replace => {
-                let region = region.expect("replace carries geometry");
-                let mbb = region.mbb();
-                self.slots[id as usize] = Some(region);
-                self.rtree.insert(mbb, id);
-                self.stale += 1;
-            }
-        }
-        if self.stale > self.live + 16 {
+        let slot = region.map(|region| self.new_slot(id, region));
+        let old = std::mem::replace(&mut self.state.slots[id as usize], slot);
+        if self.stale > self.state.live + 16 {
             self.rebuild_rtree();
         }
+        old
+    }
+
+    /// Makes `pairs` — each involving `id` and another live slot — the
+    /// stored pairs on `id`, whose slot `old` held before its geometry
+    /// changed. `id`'s row is built from them; each row that held or gains
+    /// a pair on `id` is updated in place, copied first if a snapshot
+    /// shares it. Counts the edit and returns the ordered pairs it
+    /// invalidated (every pair involving the slot, under whichever of the
+    /// old/new configurations had it live) and the exact entries it
+    /// discarded.
+    fn restore(
+        &mut self,
+        id: u32,
+        old: Option<Arc<Slot>>,
+        pairs: impl Iterator<Item = (u32, u32, Option<StoredPair>)>,
+    ) -> Result<(usize, usize), EditError> {
+        let exact_before = self.state.exact;
+        let (mut row, mut incoming) = (Vec::new(), Vec::new());
+        for (a, b, entry) in pairs {
+            let x = if a == id { b } else { a };
+            if x == id || (b != id && a != id) || self.state.slot(x).is_none() {
+                return Err(EditError::UnknownRegion(x));
+            }
+            if a == id {
+                row.push((b, entry));
+            } else {
+                incoming.push((a, entry));
+            }
+        }
+        for list in [&mut row, &mut incoming] {
+            list.sort_unstable_by_key(|e| e.0);
+            if let Some(w) = list.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(EditError::UnknownRegion(w[0].0));
+            }
+        }
+        for (_, entry) in &row {
+            *self.counter(entry) += 1;
+        }
+        let mut dropped = 0;
+        // The old row goes whole; the references it loses or gains move
+        // out of and into their `incoming` lists.
+        let mut old_refs = Vec::new();
+        if let Some(slot) = &old {
+            for entry in &slot.values {
+                *self.counter(entry) -= 1;
+                dropped += usize::from(entry.is_some());
+            }
+            old_refs.clone_from(&slot.refs);
+            old_refs.sort_unstable();
+        }
+        for &x in &old_refs {
+            if row.binary_search_by_key(&x, |e| e.0).is_err() {
+                let list = &mut self.incoming[x as usize];
+                let at = list.iter().position(|&h| h == id).expect("incoming mirrors rows");
+                list.swap_remove(at);
+            }
+        }
+        for &(x, _) in &row {
+            if old_refs.binary_search(&x).is_err() {
+                self.incoming[x as usize].push(id);
+            }
+        }
+        // Pairs on `id` held in other rows change in place.
+        let holders = incoming.iter().map(|e| e.0).collect();
+        for x in std::mem::replace(&mut self.incoming[id as usize], holders) {
+            if incoming.binary_search_by_key(&x, |e| e.0).is_err() {
+                dropped += usize::from(matches!(self.write(x, id, None), Some(Some(_))));
+            }
+        }
+        for (x, entry) in incoming {
+            dropped += usize::from(matches!(self.write(x, id, Some(entry)), Some(Some(_))));
+        }
+        if let Some(slot) = self.state.slots[id as usize].as_mut() {
+            let slot = Arc::get_mut(slot).expect("a fresh slot is not shared");
+            (slot.refs, slot.values) = row.into_iter().unzip();
+        }
+        let invalidated = 2 * (self.state.live - usize::from(self.state.slot(id).is_some()));
+        let stats = &mut self.state.stats;
+        stats.edits_applied += 1;
+        stats.pairs_invalidated += invalidated as u64;
+        stats.pairs_reused += (exact_before - dropped) as u64;
+        Ok((invalidated, dropped))
+    }
+
+    /// The count an entry is tallied in: exact or pending.
+    fn counter(&mut self, entry: &Option<StoredPair>) -> &mut usize {
+        match entry {
+            Some(_) => &mut self.state.exact,
+            None => &mut self.state.pending,
+        }
+    }
+
+    /// Sets (`Some`) or clears (`None`) the stored entry `(a, b)` and
+    /// returns the entry it replaced, copying `a`'s row first if a
+    /// snapshot shares it. Clearing an absent entry copies nothing.
+    fn write(
+        &mut self,
+        a: u32,
+        b: u32,
+        new: Option<Option<StoredPair>>,
+    ) -> Option<Option<StoredPair>> {
+        let slot = self.state.slots[a as usize].as_mut().expect("stored pairs name live slots");
+        let found = slot.refs.iter().position(|&r| r == b);
+        if found.is_none() && new.is_none() {
+            return None;
+        }
+        let slot = Arc::make_mut(slot);
+        let old = match (found, new) {
+            (Some(i), Some(entry)) => Some(std::mem::replace(&mut slot.values[i], entry)),
+            (Some(i), None) => {
+                slot.refs.swap_remove(i);
+                Some(slot.values.swap_remove(i))
+            }
+            (None, _) => {
+                slot.refs.push(b);
+                slot.values.extend(new);
+                None
+            }
+        };
+        if let Some(entry) = &new {
+            *self.counter(entry) += 1;
+        }
+        if let Some(entry) = &old {
+            *self.counter(entry) -= 1;
+        }
+        old
+    }
+
+    /// Stores a computed value for `(a, b)`: a repaired pending pair, or
+    /// a recorded one on replay. Fails unless the pair names two distinct
+    /// live slots.
+    fn put(&mut self, a: u32, b: u32, value: StoredPair) -> Result<(), EditError> {
+        for x in [a, b] {
+            if a == b || self.state.slot(x).is_none() {
+                return Err(EditError::UnknownRegion(x));
+            }
+        }
+        if self.write(a, b, Some(Some(value))).is_none() {
+            self.incoming[b as usize].push(a);
+        }
+        Ok(())
     }
 
     fn rebuild_rtree(&mut self) {
         let mut tree = RTree::new();
-        for (id, region) in self.live_regions() {
-            tree.insert(region.mbb(), id);
+        for (id, slot) in self.state.slots.iter().enumerate() {
+            if let Some(slot) = slot {
+                tree.insert(slot.mbb, id as u32);
+            }
         }
         self.rtree = tree;
         self.stale = 0;
-        self.stats.rtree_rebuilds += 1;
+        self.state.stats.rtree_rebuilds += 1;
     }
 
     /// Finds the interacting ordered pairs involving `id` under its new
@@ -902,10 +942,11 @@ impl IncrementalEngine {
     }
 
     /// Runs the exact pipeline over `pairs` (slot ids) through a mini
-    /// cache holding only the involved regions.
+    /// cache holding only the involved regions; pairs that fail or are
+    /// skipped come back as pending.
     #[allow(clippy::type_complexity)]
-    fn recompute(
-        &mut self,
+    fn compute(
+        &self,
         pairs: &[(u32, u32)],
         policy: &RunPolicy,
     ) -> (Vec<InstalledPair>, Vec<(u32, u32)>, CompletionStatus) {
@@ -924,44 +965,26 @@ impl IncrementalEngine {
                 .map(|&slot| self.region(slot).expect("involved slots are live"))
                 .collect();
             let cache = RegionCache::build(regions);
-            self.batch_engine()
+            BatchEngine::new()
+                .with_mode(self.state.mode)
+                .with_threads(self.threads)
                 .run_pairs(&cache, &dense_pairs, policy)
                 .expect("pair indices are in range by construction")
         };
-        self.faults.merge(&outcome.metrics.faults);
-        let status = outcome.status;
         let mut installed = Vec::new();
         let mut pending_added = Vec::new();
         for (outcome, &(a, b)) in outcome.pairs.iter().zip(pairs) {
             match outcome.ok() {
-                Some(pr) => {
-                    // A repair pass recomputes pairs that sit in the
-                    // pending set; success graduates them out of it.
-                    self.pending.remove(&(a, b));
-                    self.exact.insert(
-                        (a, b),
-                        StoredPair { relation: pr.relation, percentages: pr.percentages },
-                    );
-                    installed.push(InstalledPair {
-                        primary: a,
-                        reference: b,
-                        relation: pr.relation,
-                        percentages: pr.percentages,
-                    });
-                }
-                None => {
-                    self.pending.insert((a, b));
-                    pending_added.push((a, b));
-                }
+                Some(pr) => installed.push(InstalledPair {
+                    primary: a,
+                    reference: b,
+                    relation: pr.relation,
+                    percentages: pr.percentages,
+                }),
+                None => pending_added.push((a, b)),
             }
-            self.link(a, b);
         }
-        (installed, pending_added, status)
-    }
-
-    fn link(&mut self, a: u32, b: u32) {
-        self.partners.entry(a).or_default().insert(b);
-        self.partners.entry(b).or_default().insert(a);
+        (installed, pending_added, outcome.status)
     }
 }
 
@@ -1088,7 +1111,7 @@ mod tests {
         engine.apply(Edit::Remove(0)).expect("applies");
         let delta = engine.apply(Edit::Insert(rect(1.0, 1.0, 2.0, 2.0))).expect("applies");
         assert_eq!(delta.id, 1, "removed slot 0 must not be recycled");
-        assert_eq!(engine.slots().len(), 2);
+        assert_eq!(engine.slot_count(), 2);
     }
 
     #[test]
@@ -1125,6 +1148,14 @@ mod tests {
         assert_matches_full(&engine);
     }
 
+    /// An engine rebuilt from `engine`'s stored state, as replay does.
+    fn twin(engine: &IncrementalEngine) -> IncrementalEngine {
+        let slots = (0..engine.slot_count() as u32).map(|id| engine.region(id).cloned());
+        let (exact, pending) = (engine.exact_entries().collect(), engine.pending_pairs());
+        IncrementalEngine::from_parts(engine.mode(), 1, slots.collect(), exact, pending)
+            .expect("stored state is consistent")
+    }
+
     #[test]
     fn replay_reproduces_the_applied_state() {
         let mut engine = IncrementalEngine::bootstrap(
@@ -1133,14 +1164,7 @@ mod tests {
             map(41, 12),
             &RunPolicy::default(),
         );
-        let mut twin = IncrementalEngine::from_parts(
-            EngineMode::Quantitative,
-            1,
-            engine.slots().to_vec(),
-            engine.exact_entries(),
-            engine.pending_pairs(),
-        )
-        .expect("snapshot state is consistent");
+        let mut twin = twin(&engine);
         let edits = [
             Edit::Replace(3, rect(2.0, 2.0, 30.0, 20.0)),
             Edit::Insert(rect(7.0, 7.0, 7.5, 9.0)),
@@ -1158,7 +1182,7 @@ mod tests {
             .expect("replays");
         }
         assert_eq!(engine.materialize().unwrap(), twin.materialize().unwrap());
-        assert_eq!(engine.exact_entries(), twin.exact_entries());
+        assert!(engine.exact_entries().eq(twin.exact_entries()));
     }
 
     #[test]
@@ -1175,7 +1199,7 @@ mod tests {
             EngineMode::Qualitative,
             1,
             slots.clone(),
-            vec![bogus],
+            vec![bogus.clone()],
             Vec::new(),
         )
         .unwrap_err();
@@ -1190,6 +1214,25 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, IncrementalError::InconsistentState { primary: 0, reference: 9 });
+        // So is a pair stored twice, here as both exact and pending.
+        let overlapping = vec![Some(rect(0.0, 0.0, 10.0, 10.0)), Some(rect(5.0, 5.0, 15.0, 15.0))];
+        let err = IncrementalEngine::from_parts(
+            EngineMode::Qualitative,
+            1,
+            overlapping,
+            vec![bogus],
+            vec![(0, 1)],
+        )
+        .unwrap_err();
+        assert_eq!(err, IncrementalError::InconsistentState { primary: 0, reference: 1 });
+    }
+
+    /// Every observable of a snapshot, for before/after comparisons.
+    #[allow(clippy::type_complexity)]
+    fn observe(
+        snap: &EngineSnapshot,
+    ) -> (Result<Vec<PairRelation>, IncrementalError>, Vec<InstalledPair>, Vec<(u32, u32)>, usize) {
+        (snap.materialize(), snap.exact_entries().collect(), snap.pending_pairs(), snap.live_count())
     }
 
     #[test]
@@ -1197,55 +1240,91 @@ mod tests {
         for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
             let mut engine =
                 IncrementalEngine::bootstrap(mode, 1, map(61, 20), &RunPolicy::default());
-            let before = engine.materialize().expect("no pending pairs");
-            let snap = engine.snapshot();
-            assert_eq!(snap.live_count(), engine.live_count());
-            assert_eq!(snap.exact_count(), engine.exact_count());
-            // Mutate the engine heavily after the snapshot was taken.
-            for replacement in map(67, 6) {
+            let mut replacements = map(67, 8).into_iter();
+            let mut next = || replacements.next().expect("enough replacements");
+            let strict = RunPolicy::default().with_deadline(std::time::Duration::from_nanos(0));
+            let mut held = Vec::new();
+            // One step per copy-on-write path: replace, insert, remove,
+            // a replayed apply, an apply that parks pairs as pending, and
+            // the repair that graduates them. A snapshot is taken before
+            // each step and must never move afterwards.
+            for step in 0..6 {
+                let snap = engine.snapshot();
+                held.push((observe(&snap), snap));
                 let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
-                engine.apply(Edit::Replace(live[0], replacement)).expect("applies");
-            }
-            engine.apply(Edit::Remove(3)).expect("applies");
-            // The snapshot still answers with the pre-edit state, and its
-            // materialization is bit-identical to the pre-edit engine's.
-            assert_eq!(snap.materialize().expect("snapshot has no pending"), before);
-            assert_ne!(engine.materialize().expect("no pending").len(), 0);
-            // Per-pair reads agree with the pre-edit full list.
-            let ids: Vec<u32> = snap.live_regions().map(|(id, _)| id).collect();
-            for &a in ids.iter().take(5) {
-                for &b in ids.iter().take(5) {
-                    if a == b {
-                        continue;
+                match step {
+                    0 => drop(engine.apply(Edit::Replace(live[0], next())).expect("applies")),
+                    1 => drop(engine.apply(Edit::Insert(next())).expect("applies")),
+                    2 => drop(engine.apply(Edit::Remove(live[3])).expect("applies")),
+                    3 => {
+                        let mut twin = twin(&engine);
+                        let d = twin.apply(Edit::Replace(live[1], next())).expect("applies");
+                        engine
+                            .replay_apply(d.kind, d.id, d.region, d.installed, d.pending_added)
+                            .expect("replays");
+                        assert_eq!(engine.materialize(), twin.materialize());
                     }
-                    assert!(snap.relation(a, b).is_some());
+                    4 => {
+                        let delta = engine
+                            .apply_with(Edit::Replace(live[2], next()), &strict)
+                            .expect("applies");
+                        assert!(!delta.pending_added.is_empty(), "a zero deadline parks pairs");
+                    }
+                    _ => {
+                        // The snapshot taken with pairs pending excludes
+                        // them from reads and refuses to materialise.
+                        let snap = &held[step].1;
+                        let (a, b) = snap.pending_pairs()[0];
+                        assert!(snap.relation(a, b).is_none());
+                        let pending = IncrementalError::PendingPairs(snap.pending_count());
+                        assert_eq!(snap.materialize(), Err(pending));
+                        let repair = engine.repair();
+                        assert_eq!(repair.status, CompletionStatus::Complete);
+                        assert_eq!(engine.pending_count(), 0);
+                    }
                 }
+                for (before, snap) in &held {
+                    assert_eq!(&observe(snap), before, "a held snapshot moved at step {step}");
+                }
+            }
+            assert_matches_full(&engine);
+            // Per-pair reads agree with the first snapshot's full list.
+            let (first, snap) = &held[0];
+            let pairs = first.0.as_ref().expect("no pending pairs at bootstrap");
+            let ids: Vec<u32> = snap.live_regions().map(|(id, _)| id).collect();
+            for p in pairs {
+                assert_eq!(snap.relation(ids[p.primary], ids[p.reference]), Some(p.relation));
             }
         }
     }
 
     #[test]
-    fn snapshot_reflects_pending_pairs() {
-        let mut engine = IncrementalEngine::bootstrap(
-            EngineMode::Qualitative,
-            1,
-            vec![rect(0.0, 0.0, 10.0, 10.0), rect(5.0, 5.0, 15.0, 15.0)],
-            &RunPolicy::default(),
-        );
-        // Force a pending pair by replaying one verbatim.
-        engine
-            .replay_apply(
-                EditKind::Replace,
-                0,
-                Some(rect(0.0, 0.0, 10.0, 10.0)),
-                Vec::new(),
-                vec![(0, 1), (1, 0)],
-            )
-            .expect("replays");
-        let snap = engine.snapshot();
-        assert_eq!(snap.pending_count(), 2);
-        assert!(snap.relation(0, 1).is_none(), "pending pairs are excluded from reads");
-        assert_eq!(snap.materialize().unwrap_err(), IncrementalError::PendingPairs(2));
+    fn replace_shares_every_slot_outside_the_edit_and_its_partners() {
+        let policy = RunPolicy::default();
+        let mut engine =
+            IncrementalEngine::bootstrap(EngineMode::Quantitative, 1, map(71, 60), &policy);
+        let id = 17;
+        let partners = |engine: &IncrementalEngine| {
+            let row = engine.state.slot(id).expect("live").refs.iter().copied();
+            row.chain(engine.incoming[id as usize].iter().copied()).collect::<Vec<_>>()
+        };
+        let mut touched: BTreeSet<u32> = partners(&engine).into_iter().collect();
+        let before = engine.snapshot();
+        let moved = before.region(id).expect("live").translated(35.0, -20.0);
+        engine.apply(Edit::Replace(id, moved)).expect("applies");
+        touched.extend(partners(&engine));
+        touched.insert(id);
+        let after = engine.snapshot();
+        let same = |slot: usize| {
+            Arc::ptr_eq(before.slots[slot].as_ref().unwrap(), after.slots[slot].as_ref().unwrap())
+        };
+        let shared: Vec<usize> =
+            (0..after.slot_count()).filter(|&s| !touched.contains(&(s as u32))).collect();
+        for &slot in &shared {
+            assert!(same(slot), "slot {slot} was copied but is not a partner");
+        }
+        assert!(!shared.is_empty() && !same(id as usize), "the edit must both share and copy");
+        assert_matches_full(&engine);
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! * after any prefix of an edit script, `IncrementalEngine::materialize`
 //!   equals a full `BatchEngine` run over the same live geometry —
 //!   relations, percentages, and `via_prefilter` provenance included,
+//! * a snapshot taken after one step still materialises bit-identically
+//!   to that step's full recompute after the next edit — the edit's
+//!   copy-on-write never reaches state a snapshot shares,
 //! * dropping the [`RelationStore`] at any point and reopening replays
 //!   to exactly the durable state (and that state also bit-matches a
 //!   full recompute of its geometry),
@@ -25,7 +28,8 @@
 use crate::checks::Failure;
 use cardir_cardirect::{RelationStore, ReplaySource, StoreOptions};
 use cardir_engine::{
-    BatchEngine, Edit, EngineMode, IncrementalEngine, PairRelation, RegionCache, RunPolicy,
+    BatchEngine, Edit, EngineMode, EngineSnapshot, IncrementalEngine, PairRelation, RegionCache,
+    RunPolicy,
 };
 use cardir_faults::{sites, FaultAction, Trigger};
 use cardir_geometry::{BoundingBox, Point, Region};
@@ -101,18 +105,14 @@ fn full_recompute(engine: &IncrementalEngine) -> Result<Vec<PairRelation>, Strin
         .collect()
 }
 
-/// Bit-compares the engine's materialized state against the oracle.
-fn diff_vs_full(engine: &IncrementalEngine, context: &str) -> Option<String> {
-    let materialized = match engine.materialize() {
-        Ok(m) => m,
-        Err(e) => return Some(format!("{context}: materialize failed: {e}")),
-    };
-    let oracle = match full_recompute(engine) {
-        Ok(o) => o,
-        Err(e) => return Some(format!("{context}: {e}")),
-    };
+/// Bit-compares the engine's materialized state against the oracle;
+/// returns the oracle's pairs when they agree.
+fn check_vs_full(engine: &IncrementalEngine, context: &str) -> Result<Vec<PairRelation>, String> {
+    let materialized =
+        engine.materialize().map_err(|e| format!("{context}: materialize failed: {e}"))?;
+    let oracle = full_recompute(engine).map_err(|e| format!("{context}: {e}"))?;
     if materialized.len() != oracle.len() {
-        return Some(format!(
+        return Err(format!(
             "{context}: {} materialized pairs vs {} from full recompute",
             materialized.len(),
             oracle.len()
@@ -120,7 +120,7 @@ fn diff_vs_full(engine: &IncrementalEngine, context: &str) -> Option<String> {
     }
     for (got, want) in materialized.iter().zip(&oracle) {
         if got != want {
-            return Some(format!(
+            return Err(format!(
                 "{context}: pair ({}, {}) diverged:\n  incremental: {} via_prefilter={}\n  \
                  full:        {} via_prefilter={}",
                 got.primary, got.reference, got.relation, got.via_prefilter,
@@ -128,7 +128,7 @@ fn diff_vs_full(engine: &IncrementalEngine, context: &str) -> Option<String> {
             ));
         }
     }
-    None
+    Ok(oracle)
 }
 
 fn store_options(seed: u64) -> StoreOptions {
@@ -163,14 +163,30 @@ pub fn check_edit_script(seed: u64) -> Option<Failure> {
 
     let result = (|| {
         let mut store = RelationStore::open(&path, &base, opts);
+        // The previous step's snapshot and the oracle it matched: later
+        // edits copy on write, so it must keep materialising to exactly
+        // that list.
+        let mut held: Option<(EngineSnapshot, Vec<PairRelation>)> = None;
         let steps = 4 + (rng.random_range(0..7u64));
         for step in 0..steps {
             let edit = draw_edit(&mut rng, store.engine(), &mut pool);
             if let Err(e) = store.apply(edit.clone(), &policy) {
                 return fail("edits-apply", format!("step {step}: edit {edit:?} rejected: {e}"));
             }
-            if let Some(diff) = diff_vs_full(store.engine(), &format!("step {step}")) {
-                return fail("edits-differential", diff);
+            if let Some((snapshot, oracle)) = held.take() {
+                if snapshot.materialize().as_ref() != Ok(&oracle) {
+                    return fail(
+                        "edits-snapshot",
+                        format!(
+                            "step {step}: the step-{} snapshot changed under edit {edit:?}",
+                            step - 1
+                        ),
+                    );
+                }
+            }
+            match check_vs_full(store.engine(), &format!("step {step}")) {
+                Ok(oracle) => held = Some((store.engine().snapshot(), oracle)),
+                Err(diff) => return fail("edits-differential", diff),
             }
             // Crash cycle roughly every third step: drop the store cold
             // and reopen from disk.
@@ -275,7 +291,7 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
                 format!("{} pairs still pending after disarmed repair", repaired.still_pending),
             );
         }
-        if let Some(diff) = diff_vs_full(store.engine(), "after repair") {
+        if let Err(diff) = check_vs_full(store.engine(), "after repair") {
             return fail("edits-repair", diff);
         }
         // Re-establish durability (appends may have been killed above).
@@ -325,7 +341,7 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
                 ),
             );
         }
-        if let Some(diff) = diff_vs_full(store.engine(), "after kill mid-append") {
+        if let Err(diff) = check_vs_full(store.engine(), "after kill mid-append") {
             return fail("edits-kill-append", diff);
         }
 
@@ -368,7 +384,7 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
                 format!("{site}: compaction kill changed the durable state"),
             );
         }
-        if let Some(diff) = diff_vs_full(store.engine(), "after kill mid-compaction") {
+        if let Err(diff) = check_vs_full(store.engine(), "after kill mid-compaction") {
             return fail("edits-kill-compact", diff);
         }
         None

@@ -1,19 +1,27 @@
 //! Named sessions: journaled relation stores behind a snapshot/epoch
 //! reader scheme.
 //!
-//! This closes ROADMAP item 4's open gap. `IncrementalEngine` is
-//! `&mut` single-writer, so naive sharing would serialise every reader
-//! behind every edit. A [`Session`] instead splits the two roles:
+//! `IncrementalEngine` is `&mut` single-writer, so naive sharing would
+//! serialise every reader behind every edit. A [`Session`] instead
+//! splits the two roles:
 //!
 //! * **Writers** (apply / repair / save) serialise on one `Mutex`
 //!   around the [`RelationStore`]. After every successful mutation the
-//!   writer builds an [`EngineSnapshot`] — `Arc`-shared immutable
-//!   state — and swaps it into the session as the new *current epoch*.
+//!   writer publishes the engine's [`EngineSnapshot`] and the annotation
+//!   table as the new *current epoch*.
 //! * **Readers** (relation lookups, materialize, queries) take a brief
 //!   read lock only to clone the current `Arc<SessionSnapshot>`, then
 //!   compute entirely on that immutable snapshot. A reader never holds
 //!   any lock while computing, so it never blocks behind a long edit —
 //!   and an edit never blocks behind a slow reader.
+//!
+//! Publishing costs O(edit), not O(state). The engine keeps its state
+//! in per-slot `Arc` shards, so taking the snapshot is O(slots) refcount
+//! bumps and the edit before it copied only the edited slot and its
+//! partners' rows. The annotation table is an `Arc` too, copied only
+//! when an edit changes a slot's annotation. The replaced epoch is
+//! dropped after the lock is released, so freeing the rows only the old
+//! epoch held never locks readers out.
 //!
 //! Epochs are monotone per session; a response built from epoch `e`
 //! reports `e`, so clients can detect staleness across requests.
@@ -27,7 +35,9 @@ use crate::api::RegionMeta;
 use cardir_cardirect::{
     Configuration, JournalError, RelationStore, StoreOptions, StoredRelation,
 };
-use cardir_engine::{ApplyDelta, Edit, EditError, EngineSnapshot, RepairDelta, RunPolicy};
+use cardir_engine::{
+    ApplyDelta, Edit, EditError, EditKind, EngineSnapshot, RepairDelta, RunPolicy,
+};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
@@ -41,7 +51,8 @@ pub struct SessionSnapshot {
     pub epoch: u64,
     /// The engine state at this epoch.
     pub engine: EngineSnapshot,
-    /// Slot-indexed annotations (ids, colours) at this epoch.
+    /// Slot-indexed annotations (ids, colours) at this epoch. A slot
+    /// with `None`, or past the end, has the default annotation.
     pub meta: Arc<Vec<Option<RegionMeta>>>,
     /// Lazily built query configuration (see [`Self::configuration`]).
     config: OnceLock<Result<Configuration, String>>,
@@ -126,7 +137,8 @@ pub struct SessionSummary {
 
 struct WriterState {
     store: RelationStore,
-    meta: Vec<Option<RegionMeta>>,
+    /// Shared with every published epoch; copied only when it changes.
+    meta: Arc<Vec<Option<RegionMeta>>>,
     epoch: u64,
 }
 
@@ -141,12 +153,11 @@ pub struct Session {
 impl Session {
     fn open(name: &str, path: PathBuf, opts: StoreOptions) -> Session {
         let store = RelationStore::open(path, &[], opts);
-        let meta = vec![None; store.engine().slots().len()];
-        let state = WriterState { store, meta, epoch: 1 };
+        let state = WriterState { store, meta: Arc::default(), epoch: 1 };
         let snapshot = Arc::new(SessionSnapshot {
             epoch: state.epoch,
             engine: state.store.engine().snapshot(),
-            meta: Arc::new(state.meta.clone()),
+            meta: state.meta.clone(),
             config: OnceLock::new(),
         });
         Session { name: name.to_string(), writer: Mutex::new(state), current: RwLock::new(snapshot) }
@@ -177,19 +188,24 @@ impl Session {
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let delta = w.store.apply(edit, policy)?;
         let slot = delta.id as usize;
-        if w.meta.len() <= slot {
-            w.meta.resize(slot + 1, None);
-        }
-        match delta.kind {
-            cardir_engine::EditKind::Remove => w.meta[slot] = None,
-            cardir_engine::EditKind::Insert => w.meta[slot] = Some(meta),
-            cardir_engine::EditKind::Replace => {
-                let existing = w.meta[slot].take().unwrap_or_default();
-                w.meta[slot] = Some(RegionMeta {
-                    id: meta.id.or(existing.id),
-                    color: meta.color.or(existing.color),
-                });
+        let existing = w.meta.get(slot).cloned().flatten().unwrap_or_default();
+        let next = match delta.kind {
+            EditKind::Remove => RegionMeta::default(),
+            EditKind::Insert => meta,
+            EditKind::Replace => RegionMeta {
+                id: meta.id.or_else(|| existing.id.clone()),
+                color: meta.color.or_else(|| existing.color.clone()),
+            },
+        };
+        // The table is shared with published epochs: copy it only when
+        // this slot's annotation changes. Default annotations (`r<slot>`,
+        // no colour) are stored as `None`.
+        if next != existing {
+            let table = Arc::make_mut(&mut w.meta);
+            if table.len() <= slot {
+                table.resize(slot + 1, None);
             }
+            table[slot] = (next != RegionMeta::default()).then_some(next);
         }
         self.publish(&mut w);
         Ok(delta)
@@ -235,10 +251,15 @@ impl Session {
         let snapshot = Arc::new(SessionSnapshot {
             epoch: w.epoch,
             engine: w.store.engine().snapshot(),
-            meta: Arc::new(w.meta.clone()),
+            meta: w.meta.clone(),
             config: OnceLock::new(),
         });
-        *self.current.write().unwrap_or_else(PoisonError::into_inner) = snapshot;
+        let replaced = {
+            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *current, snapshot)
+        };
+        // Freed (when no reader still holds it) after the lock is gone.
+        drop(replaced);
     }
 }
 
@@ -349,6 +370,35 @@ mod tests {
         assert_eq!(before.engine.live_count(), 2);
         assert_eq!(after.engine.live_count(), 3);
         assert_eq!(before.engine.materialize().unwrap(), pairs_before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn publish_shares_the_annotation_table_until_it_changes() {
+        let dir = temp_dir("meta");
+        let reg = registry(&dir);
+        let session = reg.open("meta").unwrap();
+        let policy = RunPolicy::default();
+        let named = RegionMeta { id: Some("a".into()), color: None };
+        session.apply(Edit::Insert(square(0.0, 0.0, 10.0)), named, &policy).unwrap();
+        let before = session.snapshot();
+        // A replace without annotations publishes the same table.
+        session
+            .apply(Edit::Replace(0, square(1.0, 1.0, 10.0)), RegionMeta::default(), &policy)
+            .unwrap();
+        let moved = session.snapshot();
+        assert!(Arc::ptr_eq(&before.meta, &moved.meta));
+        assert_eq!(moved.region_id(0), "a");
+        // An annotated replace copies it; the held epoch keeps its value.
+        let red = RegionMeta { id: None, color: Some("red".into()) };
+        session.apply(Edit::Replace(0, square(2.0, 2.0, 10.0)), red, &policy).unwrap();
+        let recoloured = session.snapshot();
+        assert!(!Arc::ptr_eq(&moved.meta, &recoloured.meta));
+        assert_eq!(recoloured.meta[0].as_ref().unwrap().color.as_deref(), Some("red"));
+        assert_eq!(recoloured.region_id(0), "a");
+        assert_eq!(moved.meta[0].as_ref().unwrap().color, None);
+        session.apply(Edit::Remove(0), RegionMeta::default(), &policy).unwrap();
+        assert_eq!(session.snapshot().meta[0], None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -107,7 +107,8 @@ cargo test -q --offline --test fault_injection
 cargo run --offline -p cardir-fuzz -- --family edits --iters 150 --seed 1
 
 # Incremental-engine gate: the edit bench at N=1000 must emit the
-# invalidation and replay counters the delta-maintenance claims rest on,
+# invalidation, replay and snapshot-cost figures the delta-maintenance
+# and O(edit)-publish claims rest on,
 # and edit throughput must stay within 3x of the committed baseline.
 # edits_per_sec is higher-is-better, so it gates WITHOUT :lower — the
 # previous :lower suffix inverted the ratio (base/new), which passed
@@ -116,7 +117,7 @@ cargo run --release --offline -p cardir-bench --bin incremental_throughput -- 10
     --json "$incr_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$incr_json" \
     --require incremental.pairs_invalidated --require incremental.replay \
-    --require incremental.speedup_vs_full
+    --require incremental.speedup_vs_full --require incremental.snapshot_ns
 cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_incremental.json "$incr_json" \
     --key incremental=regions --metric incremental.edits_per_sec \
     --filter regions=1000 --threshold 3
