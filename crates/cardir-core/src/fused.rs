@@ -10,30 +10,46 @@
 //! edge twice per pair. This module removes both costs:
 //!
 //! * [`SoaStore`] flattens every region's edges **once** into contiguous
-//!   `x0/y0/x1/y1` arrays (plus per-polygon extents), in exactly the
-//!   order `Polygon::edges()` yields them;
+//!   `x0/y0/x1/y1` arrays (plus per-polygon edge ranges and bounding
+//!   boxes), in exactly the order `Polygon::edges()` yields them;
 //! * one generic kernel walks those arrays a single time per pair and
 //!   computes — depending on which outputs the caller asked for — the
 //!   tile-membership bits of `Compute-CDR` (paper Fig. 5) *and* the
 //!   `E_l` / `E'_m` signed-area accumulators of `Compute-CDR%` (paper
 //!   Fig. 10) in the same pass.
 //!
+//! The kernel skips two kinds of work that cannot change an answer, each
+//! decided by a polygon's bounding box:
+//!
+//! * **grid lines outside the polygon's extent.** An edge is divided
+//!   only by lines that cross it, with endpoints strictly on both sides.
+//!   A vertical line `x = m` with `m ≤ min.x` or `m ≥ max.x` of the
+//!   polygon box has every vertex on one side, so it crosses no edge of
+//!   that polygon (likewise for horizontal lines), and the kernel divides
+//!   the polygon's edges by the remaining lines only;
+//! * **the centre test when the centre is outside the polygon box.** A
+//!   point on or inside a polygon lies in the polygon's closed box, so
+//!   the exact boundary and ray-cast test runs only for centres inside
+//!   it. In a map join the reference centre almost never lies in the
+//!   primary's box, so most pairs run no `orient2d` at all.
+//!
 //! Bit-identity with the `&Region` entry points is a hard invariant, not
 //! an aspiration: the SoA stores the identical edge sequence, sub-edge
 //! division and classification are shared code, the area accumulators
 //! add the identical terms in the identical order, and the per-polygon
 //! centre test replicates `Polygon::contains` decision-for-decision via
-//! the same exact predicates. The differential tests below (and the
-//! engine's suites) pin `==` on every output, including the sign of
-//! every rounding.
+//! the same exact predicates. The `&Region` entry points keep the
+//! unpruned loop, so they stay an independent leg of the differential
+//! tests below (and of the engine's suites), which pin `==` on every
+//! output, including the sign of every rounding.
 
-use crate::divide::{classify_subedge, for_each_division};
+use crate::divide::{classify_subedge, for_each_division_by};
 use crate::hook::{MetricsHook, NoopHook};
 use crate::matrix::TileAreas;
 use crate::relation::CardinalRelation;
 use crate::tile::{Tile, ALL_TILES};
 use cardir_geometry::area::{e_l, e_m};
-use cardir_geometry::{orient2d_sign, BoundingBox, Point, Region, Segment, Sign};
+use cardir_geometry::{orient2d_sign, BoundingBox, Line, Point, Region, Segment, Sign};
 
 /// A borrowed view of one region's edges in struct-of-arrays layout.
 ///
@@ -42,7 +58,8 @@ use cardir_geometry::{orient2d_sign, BoundingBox, Point, Region, Segment, Sign};
 /// `Region::polygons()` × `Polygon::edges()` produces them;
 /// `polygon_ends[k]` is the exclusive end (relative to this view) of
 /// polygon `k`'s edge range, so polygon `k` owns edges
-/// `polygon_ends[k-1] .. polygon_ends[k]`.
+/// `polygon_ends[k-1] .. polygon_ends[k]`, and `polygon_boxes[k]` is the
+/// bounding box of its vertices.
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeSoa<'a> {
     /// Start x of each edge.
@@ -55,6 +72,8 @@ pub struct EdgeSoa<'a> {
     pub y1: &'a [f64],
     /// Exclusive per-polygon edge-range ends, relative to this view.
     pub polygon_ends: &'a [u32],
+    /// Per-polygon bounding boxes, parallel to `polygon_ends`.
+    pub polygon_boxes: &'a [BoundingBox],
 }
 
 impl EdgeSoa<'_> {
@@ -94,10 +113,12 @@ pub struct SoaStore {
     x1: Vec<f64>,
     y1: Vec<f64>,
     polygon_ends: Vec<u32>,
+    polygon_boxes: Vec<BoundingBox>,
     /// Per-region prefix into the edge arrays; `edge_start.len()` is
     /// `regions + 1`.
     edge_start: Vec<usize>,
-    /// Per-region prefix into `polygon_ends`; same shape.
+    /// Per-region prefix into `polygon_ends` and `polygon_boxes`; same
+    /// shape.
     poly_start: Vec<usize>,
 }
 
@@ -111,9 +132,24 @@ impl SoaStore {
         }
     }
 
+    /// An empty store with room for `edges` edges over `polygons`
+    /// polygons, so building it never reallocates.
+    pub fn with_capacity(edges: usize, polygons: usize) -> Self {
+        SoaStore {
+            x0: Vec::with_capacity(edges),
+            y0: Vec::with_capacity(edges),
+            x1: Vec::with_capacity(edges),
+            y1: Vec::with_capacity(edges),
+            polygon_ends: Vec::with_capacity(polygons),
+            polygon_boxes: Vec::with_capacity(polygons),
+            ..SoaStore::new()
+        }
+    }
+
     /// Appends one region's edges, in exactly the order
     /// `Region::polygons()` × `Polygon::edges()` yields them
-    /// (`v[i] → v[(i+1) mod n]` per clockwise-stored polygon).
+    /// (`v[i] → v[(i+1) mod n]` per clockwise-stored polygon), and each
+    /// polygon's bounding box.
     pub fn push_region(&mut self, region: &Region) {
         let base = self.x0.len();
         for polygon in region.polygons() {
@@ -131,6 +167,7 @@ impl SoaStore {
             self.polygon_ends.push(
                 u32::try_from(rel_end).expect("region exceeds u32::MAX edges"),
             );
+            self.polygon_boxes.push(polygon.bounding_box());
         }
         self.edge_start.push(self.x0.len());
         self.poly_start.push(self.polygon_ends.len());
@@ -140,12 +177,14 @@ impl SoaStore {
     #[inline]
     pub fn view(&self, i: usize) -> EdgeSoa<'_> {
         let es = self.edge_start[i]..self.edge_start[i + 1];
+        let ps = self.poly_start[i]..self.poly_start[i + 1];
         EdgeSoa {
             x0: &self.x0[es.clone()],
             y0: &self.y0[es.clone()],
             x1: &self.x1[es.clone()],
             y1: &self.y1[es],
-            polygon_ends: &self.polygon_ends[self.poly_start[i]..self.poly_start[i + 1]],
+            polygon_ends: &self.polygon_ends[ps.clone()],
+            polygon_boxes: &self.polygon_boxes[ps],
         }
     }
 
@@ -191,11 +230,37 @@ fn polygon_contains(soa: &EdgeSoa<'_>, start: usize, end: usize, p: Point) -> bo
     inside
 }
 
+/// The lines of `mbb` (in [`BoundingBox::lines`] order) that lie strictly
+/// inside `extent` on their axis — the only ones that can cross an edge
+/// of a polygon whose vertices `extent` bounds. Returns the lines and
+/// how many of the four slots are used.
+#[inline]
+fn lines_within(mbb: BoundingBox, extent: BoundingBox) -> ([Line; 4], usize) {
+    let mut lines = [Line::Vertical(0.0); 4];
+    let mut n = 0;
+    for line in mbb.lines() {
+        let (lo, hi) = match line {
+            Line::Vertical(_) => (extent.min.x, extent.max.x),
+            Line::Horizontal(_) => (extent.min.y, extent.max.y),
+        };
+        let c = line.coordinate();
+        if lo < c && c < hi {
+            lines[n] = line;
+            n += 1;
+        }
+    }
+    (lines, n)
+}
+
 /// The fused sweep. `RELATION` enables the tile-bit union and the
 /// per-polygon centre test of `Compute-CDR`; `AREAS` enables the
 /// `E_l` / `E'_m` accumulators of `Compute-CDR%`. Both const flags
 /// monomorphise away: the three public shapes compile to exactly the
 /// loop they need, with no runtime branches on the configuration.
+///
+/// Per polygon, the edges are divided only by the grid lines inside the
+/// polygon's box, and the centre test runs only when the centre lies in
+/// that box (see the module docs for why neither changes an output).
 fn fused_scan<H: MetricsHook, const RELATION: bool, const AREAS: bool>(
     soa: &EdgeSoa<'_>,
     mbb: BoundingBox,
@@ -214,13 +279,15 @@ fn fused_scan<H: MetricsHook, const RELATION: bool, const AREAS: bool>(
     let mut acc_bn = 0.0f64;
 
     let mut start = 0usize;
-    for &rel_end in soa.polygon_ends {
+    for (&rel_end, &extent) in soa.polygon_ends.iter().zip(soa.polygon_boxes) {
         let end = rel_end as usize;
+        let (lines, n_lines) = lines_within(mbb, extent);
+        let lines = &lines[..n_lines];
         for e in start..end {
             let edge = soa.segment(e);
             hook.edge_scanned();
             let mut parts = 0usize;
-            for_each_division(edge, mbb, |sub| {
+            for_each_division_by(edge, lines, |sub| {
                 parts += 1;
                 let t = classify_subedge(sub, mbb);
                 hook.sub_edge(t);
@@ -245,7 +312,12 @@ fn fused_scan<H: MetricsHook, const RELATION: bool, const AREAS: bool>(
             }
         }
         // Fig. 5: "If the center of mbb(b) is in p then R = tile-union(R, B)".
-        if RELATION && bits & Tile::B.bit() == 0 && polygon_contains(soa, start, end, center) {
+        // A centre outside p's closed box is outside p.
+        if RELATION
+            && bits & Tile::B.bit() == 0
+            && extent.contains(center)
+            && polygon_contains(soa, start, end, center)
+        {
             bits |= Tile::B.bit();
             hook.b_center_hit();
         }
@@ -333,7 +405,7 @@ mod tests {
     use super::*;
     use crate::compute::{compute_cdr_hooked, compute_cdr_with_mbb};
     use crate::hook::CountingHook;
-    use crate::percent::tile_areas_with_mbb;
+    use crate::percent::{tile_areas_hooked, tile_areas_with_mbb};
     use cardir_geometry::{Polygon, Region};
 
     fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
@@ -394,7 +466,122 @@ mod tests {
             for (e, expect) in flat.iter().enumerate() {
                 assert_eq!(soa.segment(e), *expect, "region {i} edge {e}");
             }
+            let boxes: Vec<_> = r.polygons().iter().map(|p| p.bounding_box()).collect();
+            assert_eq!(soa.polygon_boxes, &boxes[..], "region {i} polygon boxes");
         }
+    }
+
+    /// Asserts that every SoA kernel agrees with the `&Region` entry
+    /// points on `a` against `b`'s box: relation, raw areas and hook event
+    /// streams. Returns the relation hook of the `&Region` path.
+    fn assert_kernels_match(a: &Region, soa: &EdgeSoa<'_>, b: &Region, context: &str) -> CountingHook {
+        let mbb = b.mbb();
+        let mut want = CountingHook::new();
+        let rel = compute_cdr_hooked(a, b, &mut want);
+        let mut want_areas_hook = CountingHook::new();
+        let areas = tile_areas_hooked(a, b, &mut want_areas_hook);
+
+        let mut got = CountingHook::new();
+        assert_eq!(cdr_from_soa_hooked(soa, mbb, &mut got), rel, "{context}: relation");
+        assert_eq!(got, want, "{context}: relation hook stream");
+        let mut got = CountingHook::new();
+        let (fused_rel, fused_areas) = cdr_areas_from_soa_hooked(soa, mbb, &mut got);
+        assert_eq!(fused_rel, rel, "{context}: fused relation");
+        assert_eq!(fused_areas, areas, "{context}: fused areas");
+        assert_eq!(got, want, "{context}: fused hook stream");
+        let mut got = CountingHook::new();
+        assert_eq!(areas_from_soa_hooked(soa, mbb, &mut got), areas, "{context}: areas");
+        assert_eq!(got, want_areas_hook, "{context}: areas hook stream");
+        want
+    }
+
+    /// `c` and its two neighbouring floats.
+    fn ulp_around(c: f64) -> [f64; 3] {
+        [c.next_down(), c, c.next_up()]
+    }
+
+    /// Both short-circuits of the kernel at their boundaries: grid lines
+    /// exactly on a polygon box's extent and one ulp to either side of it
+    /// (the pruning keeps only lines strictly inside), and reference
+    /// centres on and just off a polygon box's boundary (the centre test
+    /// runs only for centres in the closed box).
+    #[test]
+    fn short_circuits_agree_at_their_boundaries() {
+        let (mut lines_on_extent, mut centres_on_box, mut centres_off_box) = (0, 0, 0);
+        for (i, a) in adversarial_regions().iter().enumerate() {
+            let mut store = SoaStore::new();
+            store.push_region(a);
+            let soa = store.view(0);
+            for extent in soa.polygon_boxes {
+                // Lines on (and one ulp around) each extent coordinate,
+                // with the other axis's lines either outside the extent
+                // or exactly on it.
+                let (x0, x1, y0, y1) = (extent.min.x, extent.max.x, extent.min.y, extent.max.y);
+                for c in ulp_around(x0).into_iter().chain(ulp_around(x1)) {
+                    for (lo, hi) in [(y0 - 1.0, y1 + 1.0), (y0, y1)] {
+                        for b in [rect(c, lo, c + 2.0, hi), rect(c - 2.0, lo, c, hi)] {
+                            lines_on_extent += usize::from(c == x0 || c == x1);
+                            assert_kernels_match(a, &soa, &b, &format!("region {i}, x line {c}"));
+                        }
+                    }
+                }
+                for c in ulp_around(y0).into_iter().chain(ulp_around(y1)) {
+                    for (lo, hi) in [(x0 - 1.0, x1 + 1.0), (x0, x1)] {
+                        for b in [rect(lo, c, hi, c + 2.0), rect(lo, c - 2.0, hi, c)] {
+                            assert_kernels_match(a, &soa, &b, &format!("region {i}, y line {c}"));
+                        }
+                    }
+                }
+                // Centres at the corners and edge midpoints of the box, and
+                // one ulp to either side of them on each axis.
+                let (mx, my) = ((x0 + x1) / 2.0, (y0 + y1) / 2.0);
+                for tx in [x0, mx, x1] {
+                    for ty in [y0, my, y1] {
+                        for cx in ulp_around(tx) {
+                            for cy in ulp_around(ty) {
+                                let b = rect(cx - 1.0, cy - 1.0, cx + 1.0, cy + 1.0);
+                                let centre = b.mbb().center();
+                                let on_boundary = extent.contains(centre)
+                                    && (centre.x == x0 || centre.x == x1 || centre.y == y0 || centre.y == y1);
+                                centres_on_box += usize::from(on_boundary);
+                                centres_off_box += usize::from(
+                                    !extent.contains(centre)
+                                        && (centre.x == x0.next_down()
+                                            || centre.x == x1.next_up()
+                                            || centre.y == y0.next_down()
+                                            || centre.y == y1.next_up()),
+                                );
+                                assert_kernels_match(a, &soa, &b, &format!("region {i}, centre {centre}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(lines_on_extent > 0 && centres_on_box > 0 && centres_off_box > 0);
+
+        // A centre inside the region's box but outside every polygon box:
+        // the frame around the hole [-2, 6]².
+        let regions = adversarial_regions();
+        let frame = &regions[8];
+        let b = rect(0.0, 0.0, 4.0, 4.0);
+        let centre = b.mbb().center();
+        let mut store = SoaStore::new();
+        store.push_region(frame);
+        assert!(frame.mbb().contains(centre));
+        assert!(store.view(0).polygon_boxes.iter().all(|p| !p.contains(centre)));
+        let hook = assert_kernels_match(frame, &store.view(0), &b, "frame");
+        assert_eq!(hook.b_center_hits, 0);
+        assert!(!compute_cdr_with_mbb(frame, b.mbb()).contains(Tile::B));
+
+        // A centre inside a polygon with no edge in the central tile: the
+        // centre test must still add B.
+        let slab = &regions[7];
+        let mut store = SoaStore::new();
+        store.push_region(slab);
+        let hook = assert_kernels_match(slab, &store.view(0), &b, "covering slab");
+        assert_eq!(hook.b_center_hits, 1);
+        assert!(cdr_from_soa(&store.view(0), b.mbb()).contains(Tile::B));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The batch engine: chunked, multi-threaded pair computation with
-//! deterministic assembly.
+//! The batch engine: chunked, multi-threaded pair computation that writes
+//! every outcome in place, in input order.
 //!
 //! Every batch run is one pipeline — **cache → sweep → exact pass**:
 //!
@@ -10,12 +10,15 @@
 //!    is decided by the boxes and emitted without edge work. An explicit
 //!    pair list ([`BatchEngine::run_pairs`]) skips this stage: its pairs
 //!    are the work items as given.
-//! 3. **Exact pass** — the work items are cut into fixed chunks; scoped
-//!    worker threads pull chunk indices from an atomic counter, compute
-//!    each pair with the fused SoA kernels, and push their chunk back
-//!    tagged with its index. Sorting the finished chunks by index
-//!    restores exact input order, so the output is bit-identical no
-//!    matter how many workers ran or how the scheduler interleaved them.
+//! 3. **Exact pass** — the output vector is allocated once, one
+//!    [`PairOutcome::Skipped`] slot per work item in input order, and cut
+//!    into fixed chunks. Scoped worker threads take the chunks, as
+//!    disjoint mutable slices, from one shared queue and overwrite each
+//!    slot with the pair's outcome from the fused SoA kernels. Every pair
+//!    is written straight into its input-order slot, so the output is
+//!    bit-identical no matter how many workers ran or how the scheduler
+//!    interleaved them, and a chunk nobody claimed simply keeps its
+//!    `Skipped` slots.
 //!
 //! Every run executes under a [`RunPolicy`]: each pair attempt is wrapped
 //! in `catch_unwind` (so one poisoned pair becomes a
@@ -40,7 +43,7 @@ use cardir_telemetry::trace::phases;
 use cardir_telemetry::Tracer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What the engine computes per pair.
@@ -175,9 +178,9 @@ impl Default for BatchEngine {
     }
 }
 
-/// Chunk size of the work queue: big enough to amortise the atomic
-/// fetch and the per-chunk allocation, small enough to load-balance maps
-/// where a few regions carry most edges.
+/// Chunk size of the work queue: big enough to amortise the queue lock
+/// and the per-chunk stop checks and trace spans, small enough to
+/// load-balance maps where a few regions carry most edges.
 const CHUNK: usize = 256;
 
 impl BatchEngine {
@@ -250,10 +253,13 @@ impl BatchEngine {
     /// `total` work items, item `k` being the pair `pair_at(k)`, all on
     /// the exact path.
     ///
+    /// The output starts as one [`PairOutcome::Skipped`] slot per work
+    /// item, and workers overwrite the slots of the chunks they claim.
     /// Workers re-check the cancel token and the deadline before claiming
-    /// each chunk; chunks never claimed are assembled as
-    /// [`PairOutcome::Skipped`] in their input-order slots, so the output
-    /// vector always has one entry per work item.
+    /// each chunk, so a chunk never claimed keeps its `Skipped` slots and
+    /// the output always has one entry per work item, in input order.
+    /// With panic isolation off, a panicking pair unwinds out of `run`
+    /// with its original payload.
     pub(crate) fn run<F>(
         &self,
         cache: &RegionCache<'_>,
@@ -266,113 +272,95 @@ impl BatchEngine {
     {
         let n_chunks = total.div_ceil(CHUNK).max(1);
         let workers = self.threads.min(n_chunks);
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, Vec<PairOutcome>, Tally)>> =
-            Mutex::new(Vec::with_capacity(n_chunks));
-        let per_thread: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
         let mode = self.mode;
         let deadline_hits = AtomicUsize::new(0);
         let cancel_hits = AtomicUsize::new(0);
 
         let exact_start = Instant::now();
         let deadline_at = policy.deadline.and_then(|d| exact_start.checked_add(d));
-        {
-            let next = &next;
-            let done = &done;
-            let per_thread = &per_thread[..];
+        let mut pairs: Vec<PairOutcome> = (0..total)
+            .map(|k| {
+                let (primary, reference) = pair_at(k);
+                PairOutcome::Skipped { primary, reference }
+            })
+            .collect();
+        let (tallies, per_thread_pairs): (Vec<Tally>, Vec<usize>) = {
+            // The queue lock is held only to take the next chunk, never
+            // while a pair runs, so no panic can poison it.
+            let queue = Mutex::new(pairs.chunks_mut(CHUNK).enumerate());
+            let queue = &queue;
             let pair_at = &pair_at;
             let deadline_hits = &deadline_hits;
             let cancel_hits = &cancel_hits;
             let tracer = &self.tracer;
             std::thread::scope(|s| {
-                for (slot, my_pairs) in per_thread.iter().enumerate() {
-                    s.spawn(move || {
-                        // Worker tids are 1-based; MAIN_TID is the
-                        // coordinator. The buffer merges on drop, once.
-                        let mut trace = tracer.thread(slot as u32 + 1);
-                        let mut worker_pairs = 0usize;
-                        loop {
-                            // A queue_wait span covers everything between
-                            // chunks: the stop checks, the atomic claim,
-                            // and any injected claim stall.
-                            let wait_start = trace.begin();
-                            // Cooperative stop checks, between chunks only
-                            // — claimed chunks always run to completion.
-                            if let Some(token) = &policy.cancel {
-                                if token.is_cancelled() {
-                                    cancel_hits.fetch_add(1, Ordering::Relaxed);
-                                    trace.end(wait_start, phases::QUEUE_WAIT, None);
-                                    break;
-                                }
-                            }
-                            if let Some(t) = deadline_at {
-                                if Instant::now() >= t {
-                                    deadline_hits.fetch_add(1, Ordering::Relaxed);
-                                    trace.end(wait_start, phases::QUEUE_WAIT, None);
-                                    break;
-                                }
-                            }
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                trace.end(wait_start, phases::QUEUE_WAIT, None);
-                                break;
-                            }
-                            // Failpoint: a slow tenant stalling a worker.
-                            if let Some(FaultAction::Delay(d)) =
-                                cardir_faults::hit(sites::ENGINE_CHUNK_CLAIM)
-                            {
-                                std::thread::sleep(d);
-                            }
-                            trace.end(wait_start, phases::QUEUE_WAIT, Some(c as u64));
-                            let compute_start = trace.begin();
-                            let start = c * CHUNK;
-                            let end = (start + CHUNK).min(total);
-                            let mut local = Vec::with_capacity(end - start);
+                let handles: Vec<_> = (0..workers)
+                    .map(|slot| {
+                        s.spawn(move || {
+                            // Worker tids are 1-based; MAIN_TID is the
+                            // coordinator. The buffer merges on drop, once.
+                            let mut trace = tracer.thread(slot as u32 + 1);
                             let mut tally = Tally::default();
-                            for k in start..end {
-                                let (i, j) = pair_at(k);
-                                local.push(run_pair(cache, i, j, mode, policy, &mut tally));
+                            let mut worker_pairs = 0usize;
+                            loop {
+                                // A queue_wait span covers everything
+                                // between chunks: the stop checks, the
+                                // claim, and any injected claim stall.
+                                let wait_start = trace.begin();
+                                // Cooperative stop checks, between chunks
+                                // only — claimed chunks always run to
+                                // completion.
+                                if let Some(token) = &policy.cancel {
+                                    if token.is_cancelled() {
+                                        cancel_hits.fetch_add(1, Ordering::Relaxed);
+                                        trace.end(wait_start, phases::QUEUE_WAIT, None);
+                                        break;
+                                    }
+                                }
+                                if let Some(t) = deadline_at {
+                                    if Instant::now() >= t {
+                                        deadline_hits.fetch_add(1, Ordering::Relaxed);
+                                        trace.end(wait_start, phases::QUEUE_WAIT, None);
+                                        break;
+                                    }
+                                }
+                                let claimed = queue.lock().expect("queue lock is never poisoned").next();
+                                let Some((c, chunk)) = claimed else {
+                                    trace.end(wait_start, phases::QUEUE_WAIT, None);
+                                    break;
+                                };
+                                // Failpoint: a slow tenant stalling a worker.
+                                if let Some(FaultAction::Delay(d)) =
+                                    cardir_faults::hit(sites::ENGINE_CHUNK_CLAIM)
+                                {
+                                    std::thread::sleep(d);
+                                }
+                                trace.end(wait_start, phases::QUEUE_WAIT, Some(c as u64));
+                                let compute_start = trace.begin();
+                                for (k, out) in (c * CHUNK..).zip(chunk.iter_mut()) {
+                                    let (i, j) = pair_at(k);
+                                    *out = run_pair(cache, i, j, mode, policy, &mut tally);
+                                }
+                                worker_pairs += chunk.len();
+                                trace.end(compute_start, phases::CHUNK_COMPUTE, Some(c as u64));
                             }
-                            worker_pairs += end - start;
-                            // With panic isolation off, an unwinding
-                            // worker can poison this lock; recover the
-                            // data rather than cascading the panic.
-                            done.lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push((c, local, tally));
-                            trace.end(compute_start, phases::CHUNK_COMPUTE, Some(c as u64));
-                        }
-                        my_pairs.store(worker_pairs, Ordering::Relaxed);
-                    });
-                }
-            });
-        }
+                            (tally, worker_pairs)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+                    .collect()
+            })
+        };
         let exact_pass = exact_start.elapsed();
 
-        // Assemble in input order, filling never-claimed chunks with
-        // `Skipped` slots.
-        let mut slots: Vec<Option<Vec<PairOutcome>>> = (0..n_chunks).map(|_| None).collect();
         let mut totals = Tally::default();
-        for (c, local, tally) in done.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            slots[c] = Some(local);
-            totals.merge(&tally);
+        for tally in &tallies {
+            totals.merge(tally);
         }
-        let mut pairs = Vec::with_capacity(total);
-        let mut skipped = 0usize;
-        for (c, slot) in slots.iter_mut().enumerate() {
-            match slot.take() {
-                Some(local) => pairs.extend(local),
-                None => {
-                    let start = c * CHUNK;
-                    let end = (start + CHUNK).min(total);
-                    for k in start..end {
-                        let (i, j) = pair_at(k);
-                        pairs.push(PairOutcome::Skipped { primary: i, reference: j });
-                    }
-                    skipped += end - start;
-                }
-            }
-        }
+        let skipped = total - per_thread_pairs.iter().sum::<usize>();
         let failed = totals.faults.failed_pairs;
         let succeeded = total - failed - skipped;
         totals.faults.skipped_pairs = skipped;
@@ -403,7 +391,7 @@ impl BatchEngine {
             cache_build: cache.build_time(),
             discover: Duration::ZERO,
             exact_pass,
-            per_thread_pairs: per_thread.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
+            per_thread_pairs,
             faults: totals.faults,
         };
         BatchOutcome { pairs, status, succeeded, failed, skipped, metrics }
@@ -486,14 +474,14 @@ fn attempt_pair(
     Ok(compute_pair(cache, i, j, mode, tally))
 }
 
-/// Per-chunk counter block carried back with each finished chunk.
+/// Per-worker counter block, returned by each worker thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Tally {
     /// Primary edges scanned by kernel computations.
     pub(crate) edges_scanned: usize,
     /// Kernel computations (all over the fused SoA kernels).
     pub(crate) fused: usize,
-    /// Fault events observed while computing this chunk.
+    /// Fault events observed while computing.
     pub(crate) faults: FaultTally,
 }
 

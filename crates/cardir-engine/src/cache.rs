@@ -40,7 +40,8 @@ impl<'a> RegionCache<'a> {
         let regions: Vec<&'a Region> = regions.into_iter().collect();
         let mbbs: Vec<BoundingBox> = regions.iter().map(|r| r.mbb()).collect();
         let edge_counts: Vec<usize> = regions.iter().map(|r| r.edge_count()).collect();
-        let mut soa = SoaStore::new();
+        let polygons = regions.iter().map(|r| r.polygons().len()).sum();
+        let mut soa = SoaStore::with_capacity(edge_counts.iter().sum(), polygons);
         for r in &regions {
             // Failpoint: a corrupt geometry blowing up mid-build.
             match cardir_faults::hit(cardir_faults::sites::ENGINE_CACHE_INSERT) {

@@ -13,9 +13,9 @@
 //!    strictly inside one tile of its reference's grid
 //!    ([`decided_tile`]) and is emitted with zero edge work.
 //! 3. [`BatchEngine`] — the exact work items fan out across scoped
-//!    worker threads over a chunked work queue, and the finished chunks
-//!    reassemble in input order, so results are bit-identical to the
-//!    naive per-pair loop at any thread count.
+//!    worker threads over a chunked work queue, and each outcome is
+//!    written into its input-order slot of one output vector, so results
+//!    are bit-identical to the naive per-pair loop at any thread count.
 //!
 //! [`BatchEngine::run_join`] runs all three stages for a whole map;
 //! [`BatchEngine::run_pairs`] runs the exact pass over an explicit pair

@@ -26,7 +26,8 @@ pub struct EngineMetrics {
     /// Wall time of the join's sweep discovery; zero for an explicit
     /// pair list.
     pub discover: Duration,
-    /// Wall time of the threaded exact pass, chunk dispatch included.
+    /// Wall time of the threaded exact pass, from allocating the output
+    /// slots through chunk dispatch to the last worker's exit.
     pub exact_pass: Duration,
     /// Pairs processed by each worker of the exact pass, indexed by
     /// worker slot — the load-balance signal.

@@ -15,6 +15,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 bench_json="$(mktemp /tmp/bench.XXXXXX.json)"
 bench_trace="$(mktemp /tmp/trace.XXXXXX.json)"
 join_json="$(mktemp /tmp/join.XXXXXX.json)"
+kernel_json="$(mktemp /tmp/kernel.XXXXXX.json)"
 incr_json="$(mktemp /tmp/incr.XXXXXX.json)"
 server_json="$(mktemp /tmp/server.XXXXXX.json)"
 server_log="$(mktemp /tmp/cardird.XXXXXX.log)"
@@ -23,7 +24,7 @@ nan_json="$(mktemp /tmp/nan.XXXXXX.json)"
 server_pid=""
 cleanup() {
     [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$bench_json" "$bench_trace" "$join_json" "$incr_json" \
+    rm -rf "$bench_json" "$bench_trace" "$join_json" "$kernel_json" "$incr_json" \
         "$server_json" "$server_log" "$server_dir" "$nan_json"
 }
 trap cleanup EXIT
@@ -65,6 +66,15 @@ cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_engine.j
 # work (or worse) even if the qualitative cells still look fine.
 cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_engine.json "$bench_json" \
     --filter mode=quantitative --filter threads=1 --threshold 3
+
+# Kernel smoke: the fused kernel's ns/edge per edge count and per number
+# of reference grid lines inside the primary's box, with the orient2d
+# calls each pair spends on the centre test. Star polygons of 8 to 256
+# edges keep the run to a few seconds.
+cargo run --release --offline -p cardir-bench --bin kernel_throughput -- 256 \
+    --json "$kernel_json" > /dev/null
+cargo run --release --offline -p cardir-bench --bin json_check -- "$kernel_json" \
+    --require kernel.ns_per_edge --require kernel.orient_calls_per_pair
 
 # Spatial-join smoke: the sweep-partitioned batch path must complete a
 # 10k-region map (≈ 10^8 ordered pairs, counted not materialised;

@@ -331,12 +331,62 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
     assert!(outcome.skipped > 0, "some chunks must miss the deadline");
     assert!(outcome.succeeded > 0, "the first chunk fits in the deadline");
     assert_eq!(outcome.succeeded + outcome.skipped, total);
+    assert_eq!(outcome.succeeded + outcome.failed + outcome.skipped, total);
+    // Every slot, skipped or computed, names its own pair in input order.
+    let order: Vec<(usize, usize)> = outcome.pairs.iter().map(PairOutcome::indices).collect();
+    assert_eq!(order, every_pair(regions.len()));
+    assert_eq!(
+        outcome.pairs.iter().filter(|p| matches!(p, PairOutcome::Skipped { .. })).count(),
+        outcome.skipped
+    );
     // Completed work is contiguous from the front (chunk order on one
     // thread), and all of it is correct.
     let done = outcome.pairs.iter().take_while(|p| p.ok().is_some()).count();
     assert_eq!(done, outcome.succeeded, "completed work is a prefix");
     for pr in outcome.relations() {
         assert_naive(pr, &regions, "mid-run deadline");
+    }
+}
+
+/// With panic isolation off, a panicking pair is not turned into a
+/// `Failed` slot: it unwinds out of both entry points, whichever worker
+/// thread it ran on.
+#[test]
+fn panic_without_isolation_unwinds_out_of_both_entry_points() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
+    let regions = random_regions(30, 29);
+    let cache = RegionCache::build(&regions);
+    let policy = RunPolicy::default().with_panic_isolation(false);
+    for threads in [1usize, 2] {
+        let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
+        let guard = faults::arm(
+            sites::ENGINE_PAIR_COMPUTE,
+            FaultAction::Panic("unisolated".into()),
+            Trigger::Nth(2),
+        );
+        let joined = faults::with_silent_panics(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_join(&cache, &policy)
+            }))
+        });
+        drop(guard);
+        let message = faults::panic_message(joined.expect_err("run_join must unwind"));
+        assert!(message.contains("unisolated"), "threads={threads}: {message}");
+
+        let guard = faults::arm(
+            sites::ENGINE_PAIR_COMPUTE,
+            FaultAction::Panic("unisolated".into()),
+            Trigger::Nth(300),
+        );
+        let listed = faults::with_silent_panics(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_pairs(&cache, &every_pair(regions.len()), &policy)
+            }))
+        });
+        drop(guard);
+        let message = faults::panic_message(listed.expect_err("run_pairs must unwind"));
+        assert!(message.contains("unisolated"), "threads={threads}: {message}");
     }
 }
 
