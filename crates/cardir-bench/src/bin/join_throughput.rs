@@ -18,7 +18,9 @@
 //! Usage: `join_throughput [N ...] [--json PATH] [--compare-max M]
 //! [--trace PATH]`. Default sweep: N ∈ {1000, 10000, 100000}. `--json`
 //! writes one JSON-lines record per N with `"type": "join"` (the
-//! `join.*` telemetry fields CI gates on via `json_check --require`).
+//! `join.*` telemetry fields CI gates on via `json_check --require`),
+//! including `unattributed_ns`: the join's wall time outside its
+//! `discover_ns` and `exact_pass_ns` phases.
 //! `--trace` records each N's execution timeline (sweep discovery plus
 //! the exact pass's per-worker tracks) in Chrome `trace_event` format.
 
@@ -118,6 +120,9 @@ fn main() {
         }
         assert!(outcome.status == cardir_engine::CompletionStatus::Complete);
         let join = outcome.metrics.stats;
+        // The part of the join's wall time outside its two timed phases.
+        let unattributed =
+            elapsed.saturating_sub(outcome.metrics.discover + outcome.metrics.exact_pass);
         let relations_per_sec = total as f64 / elapsed.as_secs_f64();
         println!(
             "join: {total} relations in {elapsed:.2?} ({relations_per_sec:.0} relations/sec)"
@@ -165,6 +170,7 @@ fn main() {
                 ("relations_per_sec", Json::from(relations_per_sec)),
                 ("discover_ns", Json::from(ns(outcome.metrics.discover))),
                 ("exact_pass_ns", Json::from(ns(outcome.metrics.exact_pass))),
+                ("unattributed_ns", Json::from(ns(unattributed))),
                 ("threads", Json::from(join.threads)),
                 ("fused_pairs", Json::from(join.fused_pairs)),
             ];

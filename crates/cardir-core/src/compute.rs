@@ -66,7 +66,7 @@ fn cdr_over_mbb(a: &Region, mbb: BoundingBox) -> (CardinalRelation, DivisionStat
     cdr_over_mbb_hooked(a, mbb, &mut NoopHook)
 }
 
-fn cdr_over_mbb_hooked<H: MetricsHook>(
+pub(crate) fn cdr_over_mbb_hooked<H: MetricsHook>(
     a: &Region,
     mbb: BoundingBox,
     hook: &mut H,

@@ -18,9 +18,24 @@
 //!   `E_l` / `E'_m` signed-area accumulators of `Compute-CDR%` (paper
 //!   Fig. 10) in the same pass.
 //!
-//! The kernel skips two kinds of work that cannot change an answer, each
-//! decided by a polygon's bounding box:
+//! The kernel skips three kinds of work that cannot change an answer. The
+//! first is decided per edge, the other two by a polygon's bounding box:
 //!
+//! * **division and midpoint classification of an edge inside one open
+//!   tile.** Each vertex gets a strict cell code against `mbb`: below,
+//!   strictly inside or above on each axis, or "on a line". An edge starts
+//!   where its predecessor ended, so the code is computed once per vertex
+//!   and carried from edge to edge. When both endpoints share one code and
+//!   neither is on a line, no line crosses the edge (a crossing needs
+//!   endpoints strictly on both sides), so the edge is its own single
+//!   sub-edge. Its midpoint `(a + b) / 2` is rounded monotonically, so it
+//!   lies in `[min(a, b), max(a, b)]`, inside the same open band on each
+//!   axis, where `band_of_hinted` returns that band without reading the
+//!   hint. The kernel therefore takes the tile straight from the code.
+//!   That argument needs `a + b` not to overflow, so the shortcut runs
+//!   only when every coordinate of `mbb` lies within `±f64::MAX / 2`:
+//!   then a sum can overflow only in an outer band, towards the infinity
+//!   on that band's side, and stays in it;
 //! * **grid lines outside the polygon's extent.** An edge is divided
 //!   only by lines that cross it, with endpoints strictly on both sides.
 //!   A vertical line `x = m` with `m ≤ min.x` or `m ≥ max.x` of the
@@ -55,25 +70,31 @@ use cardir_geometry::{orient2d_sign, BoundingBox, Line, Point, Region, Segment, 
 ///
 /// Edge `e` is the directed segment `(x0[e], y0[e]) → (x1[e], y1[e])`.
 /// Edges are stored polygon-major in the exact order
-/// `Region::polygons()` × `Polygon::edges()` produces them;
+/// `Region::polygons()` × `Polygon::edges()` produces them, so within a
+/// polygon each edge starts where the previous one ended;
 /// `polygon_ends[k]` is the exclusive end (relative to this view) of
 /// polygon `k`'s edge range, so polygon `k` owns edges
 /// `polygon_ends[k-1] .. polygon_ends[k]`, and `polygon_boxes[k]` is the
 /// bounding box of its vertices.
+///
+/// The kernels rely on both invariants (they carry each vertex's cell
+/// from one edge to the next and skip the centre test outside a polygon's
+/// box), so the fields are private to this crate and the only way to get
+/// a view is [`SoaStore::view`].
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeSoa<'a> {
     /// Start x of each edge.
-    pub x0: &'a [f64],
+    pub(crate) x0: &'a [f64],
     /// Start y of each edge.
-    pub y0: &'a [f64],
+    pub(crate) y0: &'a [f64],
     /// End x of each edge.
-    pub x1: &'a [f64],
+    pub(crate) x1: &'a [f64],
     /// End y of each edge.
-    pub y1: &'a [f64],
+    pub(crate) y1: &'a [f64],
     /// Exclusive per-polygon edge-range ends, relative to this view.
-    pub polygon_ends: &'a [u32],
+    pub(crate) polygon_ends: &'a [u32],
     /// Per-polygon bounding boxes, parallel to `polygon_ends`.
-    pub polygon_boxes: &'a [BoundingBox],
+    pub(crate) polygon_boxes: &'a [BoundingBox],
 }
 
 impl EdgeSoa<'_> {
@@ -252,60 +273,125 @@ fn lines_within(mbb: BoundingBox, extent: BoundingBox) -> ([Line; 4], usize) {
     (lines, n)
 }
 
+/// Tile of each strict cell code `sx + 3·sy`, where `sx`/`sy` are 0, 1
+/// or 2 for a coordinate below, strictly inside or above the box's band.
+const CELL_TILES: [Tile; 9] = [
+    Tile::SW,
+    Tile::S,
+    Tile::SE,
+    Tile::W,
+    Tile::B,
+    Tile::E,
+    Tile::NW,
+    Tile::N,
+    Tile::NE,
+];
+
+/// Flag of [`strict_cell`] for a point on one of the four lines.
+const ON_LINE: u8 = 16;
+
+/// The strict cell code of `(x, y)` against the box `[m1, m2] × [l1, l2]`:
+/// an index into [`CELL_TILES`], with [`ON_LINE`] added when the point
+/// lies on a grid line (in which case its band is not strict).
+#[inline(always)]
+fn strict_cell(x: f64, y: f64, m1: f64, m2: f64, l1: f64, l2: f64) -> u8 {
+    let sx = u8::from(x > m1) + u8::from(x > m2);
+    let sy = u8::from(y > l1) + u8::from(y > l2);
+    let on = (x == m1) | (x == m2) | (y == l1) | (y == l2);
+    sx + 3 * sy + ON_LINE * u8::from(on)
+}
+
+/// Running outputs of one fused sweep: the tile-bit union and the signed
+/// area accumulators, indexed by canonical tile index (the `B` slot is
+/// unused; `B` is derived from `acc_bn` by the caller).
+struct Sweep {
+    bits: u16,
+    acc: [f64; 9],
+    acc_bn: f64,
+}
+
+impl Sweep {
+    /// Adds sub-edge `sub`, which lies in tile `t`, to the outputs the
+    /// const flags enable.
+    #[inline(always)]
+    fn add<const RELATION: bool, const AREAS: bool>(
+        &mut self,
+        sub: Segment,
+        t: Tile,
+        mbb: BoundingBox,
+    ) {
+        if RELATION {
+            self.bits |= t.bit();
+        }
+        if AREAS {
+            let acc = &mut self.acc;
+            match t {
+                Tile::NW | Tile::W | Tile::SW => acc[t.index()] += e_m(mbb.min.x, sub),
+                Tile::NE | Tile::E | Tile::SE => acc[t.index()] += e_m(mbb.max.x, sub),
+                Tile::S => acc[t.index()] += e_l(mbb.min.y, sub),
+                Tile::N => acc[t.index()] += e_l(mbb.max.y, sub),
+                Tile::B => {}
+            }
+            if t == Tile::N || t == Tile::B {
+                self.acc_bn += e_l(mbb.min.y, sub);
+            }
+        }
+    }
+}
+
 /// The fused sweep. `RELATION` enables the tile-bit union and the
 /// per-polygon centre test of `Compute-CDR`; `AREAS` enables the
 /// `E_l` / `E'_m` accumulators of `Compute-CDR%`. Both const flags
 /// monomorphise away: the three public shapes compile to exactly the
 /// loop they need, with no runtime branches on the configuration.
 ///
-/// Per polygon, the edges are divided only by the grid lines inside the
-/// polygon's box, and the centre test runs only when the centre lies in
-/// that box (see the module docs for why neither changes an output).
+/// An edge whose endpoints share one strict cell is added as one
+/// sub-edge in that cell's tile. Every other edge is divided only by the
+/// grid lines inside its polygon's box, and the centre test runs only
+/// when the centre lies in that box (see the module docs for why none of
+/// the three changes an output).
 fn fused_scan<H: MetricsHook, const RELATION: bool, const AREAS: bool>(
     soa: &EdgeSoa<'_>,
     mbb: BoundingBox,
     hook: &mut H,
 ) -> (u16, [f64; 9], f64) {
     let center = mbb.center();
-    let m1 = mbb.min.x;
-    let m2 = mbb.max.x;
-    let l1 = mbb.min.y;
-    let l2 = mbb.max.y;
+    let (m1, m2, l1, l2) = (mbb.min.x, mbb.max.x, mbb.min.y, mbb.max.y);
+    // Within ±MAX/2 no endpoint sum can overflow out of its band.
+    let shortcut = [m1, m2, l1, l2].iter().all(|c| c.abs() <= f64::MAX / 2.0);
 
-    let mut bits = 0u16;
-    // Signed accumulators, indexed by canonical tile index; the B slot is
-    // unused (B is derived from `acc_bn` by the caller).
-    let mut acc = [0.0f64; 9];
-    let mut acc_bn = 0.0f64;
-
+    let mut sweep = Sweep { bits: 0, acc: [0.0; 9], acc_bn: 0.0 };
     let mut start = 0usize;
     for (&rel_end, &extent) in soa.polygon_ends.iter().zip(soa.polygon_boxes) {
         let end = rel_end as usize;
         let (lines, n_lines) = lines_within(mbb, extent);
         let lines = &lines[..n_lines];
+        // Edge `e` starts where edge `e - 1` ended, so each vertex's cell
+        // is computed once and carried to the next edge.
+        let mut cell_a = if start < end {
+            strict_cell(soa.x0[start], soa.y0[start], m1, m2, l1, l2)
+        } else {
+            ON_LINE
+        };
         for e in start..end {
             let edge = soa.segment(e);
+            debug_assert!(e == start || edge.a == Point::new(soa.x1[e - 1], soa.y1[e - 1]));
             hook.edge_scanned();
+            let cell_b = strict_cell(edge.b.x, edge.b.y, m1, m2, l1, l2);
+            let one_cell = shortcut && cell_a < ON_LINE && cell_a == cell_b;
+            cell_a = cell_b;
+            if one_cell {
+                let t = CELL_TILES[cell_b as usize];
+                hook.sub_edge(t);
+                sweep.add::<RELATION, AREAS>(edge, t, mbb);
+                continue;
+            }
             let mut parts = 0usize;
             for_each_division_by(edge, lines, |sub| {
                 parts += 1;
                 let t = classify_subedge(sub, mbb);
                 hook.sub_edge(t);
-                if RELATION {
-                    bits |= t.bit();
-                }
-                if AREAS {
-                    match t {
-                        Tile::NW | Tile::W | Tile::SW => acc[t.index()] += e_m(m1, sub),
-                        Tile::NE | Tile::E | Tile::SE => acc[t.index()] += e_m(m2, sub),
-                        Tile::S => acc[t.index()] += e_l(l1, sub),
-                        Tile::N => acc[t.index()] += e_l(l2, sub),
-                        Tile::B => {}
-                    }
-                    if t == Tile::N || t == Tile::B {
-                        acc_bn += e_l(l1, sub);
-                    }
-                }
+                sweep.add::<RELATION, AREAS>(sub, t, mbb);
             });
             if parts > 1 {
                 hook.edge_divided(parts);
@@ -314,16 +400,16 @@ fn fused_scan<H: MetricsHook, const RELATION: bool, const AREAS: bool>(
         // Fig. 5: "If the center of mbb(b) is in p then R = tile-union(R, B)".
         // A centre outside p's closed box is outside p.
         if RELATION
-            && bits & Tile::B.bit() == 0
+            && sweep.bits & Tile::B.bit() == 0
             && extent.contains(center)
             && polygon_contains(soa, start, end, center)
         {
-            bits |= Tile::B.bit();
+            sweep.bits |= Tile::B.bit();
             hook.b_center_hit();
         }
         start = end;
     }
-    (bits, acc, acc_bn)
+    (sweep.bits, sweep.acc, sweep.acc_bn)
 }
 
 /// Finalises the signed accumulators exactly as `Compute-CDR%` does:
@@ -354,7 +440,7 @@ pub fn cdr_from_soa(soa: &EdgeSoa<'_>, mbb: BoundingBox) -> CardinalRelation {
 
 /// [`cdr_from_soa`] observed by a [`MetricsHook`] (hooks only observe;
 /// the result is bit-identical for any hook).
-pub fn cdr_from_soa_hooked<H: MetricsHook>(
+pub(crate) fn cdr_from_soa_hooked<H: MetricsHook>(
     soa: &EdgeSoa<'_>,
     mbb: BoundingBox,
     hook: &mut H,
@@ -373,7 +459,7 @@ pub fn cdr_areas_from_soa(soa: &EdgeSoa<'_>, mbb: BoundingBox) -> (CardinalRelat
 }
 
 /// [`cdr_areas_from_soa`] observed by a [`MetricsHook`].
-pub fn cdr_areas_from_soa_hooked<H: MetricsHook>(
+pub(crate) fn cdr_areas_from_soa_hooked<H: MetricsHook>(
     soa: &EdgeSoa<'_>,
     mbb: BoundingBox,
     hook: &mut H,
@@ -391,7 +477,7 @@ pub fn areas_from_soa(soa: &EdgeSoa<'_>, mbb: BoundingBox) -> TileAreas {
 }
 
 /// [`areas_from_soa`] observed by a [`MetricsHook`].
-pub fn areas_from_soa_hooked<H: MetricsHook>(
+pub(crate) fn areas_from_soa_hooked<H: MetricsHook>(
     soa: &EdgeSoa<'_>,
     mbb: BoundingBox,
     hook: &mut H,
@@ -403,9 +489,9 @@ pub fn areas_from_soa_hooked<H: MetricsHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{compute_cdr_hooked, compute_cdr_with_mbb};
+    use crate::compute::{cdr_over_mbb_hooked, compute_cdr_hooked, compute_cdr_with_mbb};
     use crate::hook::CountingHook;
-    use crate::percent::{tile_areas_hooked, tile_areas_with_mbb};
+    use crate::percent::{areas_over_mbb_hooked, tile_areas_with_mbb};
     use cardir_geometry::{Polygon, Region};
 
     fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
@@ -472,14 +558,15 @@ mod tests {
     }
 
     /// Asserts that every SoA kernel agrees with the `&Region` entry
-    /// points on `a` against `b`'s box: relation, raw areas and hook event
-    /// streams. Returns the relation hook of the `&Region` path.
-    fn assert_kernels_match(a: &Region, soa: &EdgeSoa<'_>, b: &Region, context: &str) -> CountingHook {
-        let mbb = b.mbb();
+    /// points on `a` against the box `mbb`: relation, raw areas and hook
+    /// event streams. Returns the relation hook of the `&Region` path.
+    fn assert_kernels_match(a: &Region, soa: &EdgeSoa<'_>, mbb: BoundingBox, context: &str) -> CountingHook {
         let mut want = CountingHook::new();
-        let rel = compute_cdr_hooked(a, b, &mut want);
+        let rel = cdr_over_mbb_hooked(a, mbb, &mut want).0;
+        assert_eq!(rel, compute_cdr_with_mbb(a, mbb), "{context}: hooked relation");
         let mut want_areas_hook = CountingHook::new();
-        let areas = tile_areas_hooked(a, b, &mut want_areas_hook);
+        let areas = areas_over_mbb_hooked(a, mbb, &mut want_areas_hook).0;
+        assert_eq!(areas, tile_areas_with_mbb(a, mbb), "{context}: hooked areas");
 
         let mut got = CountingHook::new();
         assert_eq!(cdr_from_soa_hooked(soa, mbb, &mut got), rel, "{context}: relation");
@@ -500,11 +587,13 @@ mod tests {
         [c.next_down(), c, c.next_up()]
     }
 
-    /// Both short-circuits of the kernel at their boundaries: grid lines
+    /// The kernel's short-circuits at their boundaries: grid lines
     /// exactly on a polygon box's extent and one ulp to either side of it
-    /// (the pruning keeps only lines strictly inside), and reference
-    /// centres on and just off a polygon box's boundary (the centre test
-    /// runs only for centres in the closed box).
+    /// (the pruning keeps only lines strictly inside), reference centres
+    /// on and just off a polygon box's boundary (the centre test runs only
+    /// for centres in the closed box), and edge endpoints on and around
+    /// every grid line (the strict-cell shortcut), each also at 2^±40
+    /// scale.
     #[test]
     fn short_circuits_agree_at_their_boundaries() {
         let (mut lines_on_extent, mut centres_on_box, mut centres_off_box) = (0, 0, 0);
@@ -521,14 +610,14 @@ mod tests {
                     for (lo, hi) in [(y0 - 1.0, y1 + 1.0), (y0, y1)] {
                         for b in [rect(c, lo, c + 2.0, hi), rect(c - 2.0, lo, c, hi)] {
                             lines_on_extent += usize::from(c == x0 || c == x1);
-                            assert_kernels_match(a, &soa, &b, &format!("region {i}, x line {c}"));
+                            assert_kernels_match(a, &soa, b.mbb(), &format!("region {i}, x line {c}"));
                         }
                     }
                 }
                 for c in ulp_around(y0).into_iter().chain(ulp_around(y1)) {
                     for (lo, hi) in [(x0 - 1.0, x1 + 1.0), (x0, x1)] {
                         for b in [rect(lo, c, hi, c + 2.0), rect(lo, c - 2.0, hi, c)] {
-                            assert_kernels_match(a, &soa, &b, &format!("region {i}, y line {c}"));
+                            assert_kernels_match(a, &soa, b.mbb(), &format!("region {i}, y line {c}"));
                         }
                     }
                 }
@@ -551,7 +640,7 @@ mod tests {
                                             || centre.y == y0.next_down()
                                             || centre.y == y1.next_up()),
                                 );
-                                assert_kernels_match(a, &soa, &b, &format!("region {i}, centre {centre}"));
+                                assert_kernels_match(a, &soa, b.mbb(), &format!("region {i}, centre {centre}"));
                             }
                         }
                     }
@@ -570,7 +659,7 @@ mod tests {
         store.push_region(frame);
         assert!(frame.mbb().contains(centre));
         assert!(store.view(0).polygon_boxes.iter().all(|p| !p.contains(centre)));
-        let hook = assert_kernels_match(frame, &store.view(0), &b, "frame");
+        let hook = assert_kernels_match(frame, &store.view(0), b.mbb(), "frame");
         assert_eq!(hook.b_center_hits, 0);
         assert!(!compute_cdr_with_mbb(frame, b.mbb()).contains(Tile::B));
 
@@ -579,9 +668,102 @@ mod tests {
         let slab = &regions[7];
         let mut store = SoaStore::new();
         store.push_region(slab);
-        let hook = assert_kernels_match(slab, &store.view(0), &b, "covering slab");
+        let hook = assert_kernels_match(slab, &store.view(0), b.mbb(), "covering slab");
         assert_eq!(hook.b_center_hits, 1);
         assert!(cdr_from_soa(&store.view(0), b.mbb()).contains(Tile::B));
+
+        for scale in [1.0, 2f64.powi(40), 2f64.powi(-40)] {
+            cell_shortcut_agrees_at_its_boundaries(scale);
+        }
+        cell_shortcut_is_off_where_endpoint_sums_overflow();
+    }
+
+    /// Coordinates on, one ulp around, between and outside the lines
+    /// `lo` and `hi` of one axis, ascending and distinct.
+    fn around_lines(lo: f64, hi: f64, scale: f64) -> Vec<f64> {
+        let mut v: Vec<f64> = [lo - 2.0 * scale, (lo + hi) / 2.0, hi + 2.0 * scale]
+            .into_iter()
+            .chain(ulp_around(lo))
+            .chain(ulp_around(hi))
+            .collect();
+        v.sort_by(f64::total_cmp);
+        v.dedup();
+        v
+    }
+
+    /// Primaries whose vertices take every coordinate [`around_lines`]
+    /// gives, against a square, a zero-width, a zero-height and a point
+    /// reference box: rectangles (edges on and one ulp off each line) and
+    /// the two triangles under each rectangle's diagonal. Both kernels
+    /// must agree on every one, and both the shortcut and the division
+    /// path must be taken.
+    fn cell_shortcut_agrees_at_its_boundaries(scale: f64) {
+        let (lo, mid, hi) = (0.0, 2.0 * scale, 4.0 * scale);
+        let boxes = [(lo, hi, lo, hi), (mid, mid, lo, hi), (lo, hi, mid, mid), (mid, mid, mid, mid)];
+        for (m1, m2, l1, l2) in boxes {
+            let mbb = BoundingBox::new(Point::new(m1, l1), Point::new(m2, l2));
+            let (xs, ys) = (around_lines(m1, m2, scale), around_lines(l1, l2, scale));
+            let (mut inside_one_cell, mut endpoint_on_line, mut divided) = (0, 0, 0);
+            for (k, &x0) in xs.iter().enumerate() {
+                for &x1 in &xs[k + 1..] {
+                    for (k, &y0) in ys.iter().enumerate() {
+                        for &y1 in &ys[k + 1..] {
+                            let shapes = [
+                                vec![(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
+                                vec![(x0, y0), (x1, y1), (x1, y0)],
+                                vec![(x0, y0), (x0, y1), (x1, y1)],
+                            ];
+                            for coords in shapes {
+                                // Slivers one ulp wide near 0 round to zero
+                                // area, which a region rejects.
+                                let Ok(a) = Region::from_coords(coords) else { continue };
+                                let mut store = SoaStore::new();
+                                store.push_region(&a);
+                                let soa = store.view(0);
+                                for e in 0..soa.edge_count() {
+                                    let edge = soa.segment(e);
+                                    let cell = |p: Point| strict_cell(p.x, p.y, m1, m2, l1, l2);
+                                    let (ca, cb) = (cell(edge.a), cell(edge.b));
+                                    inside_one_cell += usize::from(ca == cb && ca < ON_LINE);
+                                    endpoint_on_line += usize::from(ca >= ON_LINE || cb >= ON_LINE);
+                                }
+                                let context = format!("scale {scale}, box {mbb:?}, primary {a:?}");
+                                let hook = assert_kernels_match(&a, &soa, mbb, &context);
+                                divided += hook.edges_divided;
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(inside_one_cell > 0 && endpoint_on_line > 0 && divided > 0, "box {mbb:?}");
+        }
+    }
+
+    /// Where `a + b` can overflow, the midpoint of an edge inside one
+    /// open band can land outside it, so the shortcut must stay off: an
+    /// edge strictly inside the middle x band of `[0, MAX]` whose
+    /// endpoint sum rounds to `+inf` has its midpoint in the east band.
+    /// (The areas overflow to NaN there, so only relations and hook
+    /// streams are compared.)
+    fn cell_shortcut_is_off_where_endpoint_sums_overflow() {
+        let a = rect(f64::MAX * 0.75, 1.0, f64::MAX * 0.875, 2.0);
+        let mut store = SoaStore::new();
+        store.push_region(&a);
+        let soa = store.view(0);
+        for max_x in [f64::MAX, (f64::MAX / 2.0).next_up()] {
+            let mbb = BoundingBox::new(Point::new(0.0, 0.0), Point::new(max_x, 4.0));
+            let mut want = CountingHook::new();
+            let rel = cdr_over_mbb_hooked(&a, mbb, &mut want).0;
+            let mut got = CountingHook::new();
+            assert_eq!(cdr_from_soa_hooked(&soa, mbb, &mut got), rel, "box {mbb:?}");
+            assert_eq!(got, want, "box {mbb:?}: relation hook stream");
+            let mut got = CountingHook::new();
+            assert_eq!(cdr_areas_from_soa_hooked(&soa, mbb, &mut got).0, rel, "box {mbb:?}");
+            assert_eq!(got, want, "box {mbb:?}: fused hook stream");
+            if max_x == f64::MAX {
+                assert!(rel.contains(Tile::E), "the overflowed midpoint classifies east");
+            }
+        }
     }
 
     #[test]

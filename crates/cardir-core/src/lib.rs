@@ -50,10 +50,7 @@ pub use compute::{
 };
 pub use divide::{classify_subedge, for_each_division, DivisionStats};
 pub use error::ComputeError;
-pub use fused::{
-    areas_from_soa, areas_from_soa_hooked, cdr_areas_from_soa, cdr_areas_from_soa_hooked,
-    cdr_from_soa, cdr_from_soa_hooked, EdgeSoa, SoaStore,
-};
+pub use fused::{areas_from_soa, cdr_areas_from_soa, cdr_from_soa, EdgeSoa, SoaStore};
 pub use hook::{CountingHook, MetricsHook, NoopHook};
 pub use matrix::{DirectionMatrix, PercentageMatrix, TileAreas};
 pub use percent::{

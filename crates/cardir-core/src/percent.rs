@@ -73,7 +73,7 @@ fn areas_over_mbb(a: &Region, mbb: BoundingBox) -> (TileAreas, DivisionStats) {
     areas_over_mbb_hooked(a, mbb, &mut NoopHook)
 }
 
-fn areas_over_mbb_hooked<H: MetricsHook>(
+pub(crate) fn areas_over_mbb_hooked<H: MetricsHook>(
     a: &Region,
     mbb: BoundingBox,
     hook: &mut H,

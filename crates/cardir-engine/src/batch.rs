@@ -6,19 +6,20 @@
 //! 1. **Cache** — the caller builds a [`RegionCache`] (MBBs, edge
 //!    counts, SoA edge store) once per map.
 //! 2. **Sweep** — for a whole map, [`BatchEngine::run_join`] discovers
-//!    the interacting pairs with two MBB plane sweeps; every other pair
-//!    is decided by the boxes and emitted without edge work. An explicit
-//!    pair list ([`BatchEngine::run_pairs`]) skips this stage: its pairs
-//!    are the work items as given.
+//!    the interacting pairs with two MBB plane sweeps, grouped into one
+//!    row per primary; every other pair is decided by the boxes and
+//!    emitted without edge work. An explicit pair list
+//!    ([`BatchEngine::run_pairs`]) skips this stage: its pairs are the
+//!    work items as given.
 //! 3. **Exact pass** — the output vector is allocated once, one
 //!    [`PairOutcome::Skipped`] slot per work item in input order, and cut
 //!    into fixed chunks. Scoped worker threads take the chunks, as
 //!    disjoint mutable slices, from one shared queue and overwrite each
-//!    slot with the pair's outcome from the fused SoA kernels. Every pair
-//!    is written straight into its input-order slot, so the output is
-//!    bit-identical no matter how many workers ran or how the scheduler
-//!    interleaved them, and a chunk nobody claimed simply keeps its
-//!    `Skipped` slots.
+//!    slot with the outcome of the pair it names, from the fused SoA
+//!    kernels. Every pair is written straight into its input-order slot,
+//!    so the output is bit-identical no matter how many workers ran or
+//!    how the scheduler interleaved them, and a chunk nobody claimed
+//!    simply keeps its `Skipped` slots.
 //!
 //! Every run executes under a [`RunPolicy`]: each pair attempt is wrapped
 //! in `catch_unwind` (so one poisoned pair becomes a
@@ -246,30 +247,28 @@ impl BatchEngine {
         if let Some(&pair) = pairs.iter().find(|&&(i, j)| i >= n || j >= n) {
             return Err(EngineError::PairOutOfBounds { pair, len: n });
         }
-        Ok(self.run(cache, pairs.len(), |k| pairs[k], policy))
+        Ok(self.run(cache, pairs.iter().copied(), policy))
     }
 
     /// The chunked parallel driver behind both entry points: computes
-    /// `total` work items, item `k` being the pair `pair_at(k)`, all on
-    /// the exact path.
+    /// every `(primary, reference)` work item of `work`, all on the exact
+    /// path.
     ///
     /// The output starts as one [`PairOutcome::Skipped`] slot per work
-    /// item, and workers overwrite the slots of the chunks they claim.
-    /// Workers re-check the cancel token and the deadline before claiming
-    /// each chunk, so a chunk never claimed keeps its `Skipped` slots and
-    /// the output always has one entry per work item, in input order.
-    /// With panic isolation off, a panicking pair unwinds out of `run`
-    /// with its original payload.
-    pub(crate) fn run<F>(
+    /// item, in input order, and workers overwrite the slots of the
+    /// chunks they claim, each with the outcome of the pair the slot
+    /// names. Workers re-check the cancel token and the deadline before
+    /// claiming each chunk, so a chunk never claimed keeps its `Skipped`
+    /// slots and the output always has one entry per work item, in input
+    /// order. With panic isolation off, a panicking pair unwinds out of
+    /// `run` with its original payload.
+    pub(crate) fn run(
         &self,
         cache: &RegionCache<'_>,
-        total: usize,
-        pair_at: F,
+        work: impl ExactSizeIterator<Item = (usize, usize)>,
         policy: &RunPolicy,
-    ) -> BatchOutcome
-    where
-        F: Fn(usize) -> (usize, usize) + Sync,
-    {
+    ) -> BatchOutcome {
+        let total = work.len();
         let n_chunks = total.div_ceil(CHUNK).max(1);
         let workers = self.threads.min(n_chunks);
         let mode = self.mode;
@@ -278,18 +277,14 @@ impl BatchEngine {
 
         let exact_start = Instant::now();
         let deadline_at = policy.deadline.and_then(|d| exact_start.checked_add(d));
-        let mut pairs: Vec<PairOutcome> = (0..total)
-            .map(|k| {
-                let (primary, reference) = pair_at(k);
-                PairOutcome::Skipped { primary, reference }
-            })
+        let mut pairs: Vec<PairOutcome> = work
+            .map(|(primary, reference)| PairOutcome::Skipped { primary, reference })
             .collect();
         let (tallies, per_thread_pairs): (Vec<Tally>, Vec<usize>) = {
             // The queue lock is held only to take the next chunk, never
             // while a pair runs, so no panic can poison it.
             let queue = Mutex::new(pairs.chunks_mut(CHUNK).enumerate());
             let queue = &queue;
-            let pair_at = &pair_at;
             let deadline_hits = &deadline_hits;
             let cancel_hits = &cancel_hits;
             let tracer = &self.tracer;
@@ -337,8 +332,8 @@ impl BatchEngine {
                                 }
                                 trace.end(wait_start, phases::QUEUE_WAIT, Some(c as u64));
                                 let compute_start = trace.begin();
-                                for (k, out) in (c * CHUNK..).zip(chunk.iter_mut()) {
-                                    let (i, j) = pair_at(k);
+                                for out in chunk.iter_mut() {
+                                    let (i, j) = out.indices();
                                     *out = run_pair(cache, i, j, mode, policy, &mut tally);
                                 }
                                 worker_pairs += chunk.len();

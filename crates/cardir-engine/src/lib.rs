@@ -9,7 +9,9 @@
 //! 1. [`RegionCache`] — per-region derived data (MBB, edge count, area,
 //!    SoA edge store) computed once per map.
 //! 2. [Spatial join](join) — two plane sweeps over the MBBs find the
-//!    `K` interacting pairs in `O(N log N + K)`; every other pair lies
+//!    `K` interacting pairs in `O(N log N + C)` for `C` grid-line
+//!    contacts, and a counting sort groups them into one row per
+//!    primary; every other pair lies
 //!    strictly inside one tile of its reference's grid
 //!    ([`decided_tile`]) and is emitted with zero edge work.
 //! 3. [`BatchEngine`] — the exact work items fan out across scoped
@@ -22,7 +24,8 @@
 //! list (what the [`IncrementalEngine`] does after an edit).
 //!
 //! Everything is standard library only: the thread pool is
-//! `std::thread::scope`, the queue an `AtomicUsize`.
+//! `std::thread::scope`, the work queue a `Mutex` over the output's
+//! chunks, held only while a worker claims the next one.
 //!
 //! Every run also reports its own cost: the always-on counter record
 //! [`BatchStats`] inside the stage-timing layer [`EngineMetrics`], which

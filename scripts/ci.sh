@@ -79,12 +79,13 @@ cargo run --release --offline -p cardir-bench --bin json_check -- "$kernel_json"
 # Spatial-join smoke: the sweep-partitioned batch path must complete a
 # 10k-region map (≈ 10^8 ordered pairs, counted not materialised;
 # --compare-max 0 skips the quadratic naive baseline here) and emit
-# the join.* partition counters CI dashboards track.
+# the join.* partition counters CI dashboards track, plus the part of
+# the join's wall time outside its discover and exact-pass phases.
 cargo run --release --offline -p cardir-bench --bin join_throughput -- 10000 \
     --compare-max 0 --json "$join_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$join_json" \
     --require join.candidates --require join.mask_emitted --require join.exact_pairs \
-    --require join.fused_pairs
+    --require join.fused_pairs --require join.unattributed_ns
 
 # Differential-fuzz smoke: 500 deterministic adversarial scenarios
 # cross-checked across the whole stack; any divergence or panic fails the

@@ -14,8 +14,8 @@
 use cardir::cardirect::Configuration;
 use cardir::core::{compute_cdr, compute_cdr_pct};
 use cardir::engine::{
-    BatchEngine, BatchOutcome, CancelToken, CompletionStatus, EngineMode, PairFailure,
-    PairOutcome, PairRelation, RegionCache, RunPolicy,
+    interacting_pairs, BatchEngine, BatchOutcome, CancelToken, CompletionStatus, EngineMode,
+    PairFailure, PairOutcome, PairRelation, RegionCache, RunPolicy,
 };
 use cardir::faults::{self, sites, FaultAction, Trigger};
 use cardir::geometry::Region;
@@ -345,6 +345,66 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
     assert_eq!(done, outcome.succeeded, "completed work is a prefix");
     for pr in outcome.relations() {
         assert_naive(pr, &regions, "mid-run deadline");
+    }
+}
+
+/// The join's exact pass under a deadline: the work items come from
+/// the discovery rows, so a chunk nobody claimed still names its pairs,
+/// in the primary-major order `interacting_pairs` reports.
+#[test]
+fn mid_run_deadline_on_the_join_keeps_unclaimed_pairs_in_row_order() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
+    // Heavily overlapping boxes: most of the 40·39 pairs interact, so the
+    // exact pass has several chunks of 256.
+    let mut rng = SplitMix64::seed_from_u64(31);
+    let regions: Vec<Region> = (0..40)
+        .map(|_| {
+            let x0 = (rng.next_u64() % 200) as f64 / 10.0;
+            let y0 = (rng.next_u64() % 200) as f64 / 10.0;
+            let w = 5.0 + (rng.next_u64() % 200) as f64 / 10.0;
+            let h = 5.0 + (rng.next_u64() % 200) as f64 / 10.0;
+            rect(x0, y0, x0 + w, y0 + h)
+        })
+        .collect();
+    let cache = RegionCache::build(&regions);
+    let total = regions.len() * (regions.len() - 1);
+    let (interacting, _) = interacting_pairs(&cache);
+    assert!(interacting.len() > 3 * 256, "{} interacting pairs", interacting.len());
+
+    let guard = faults::arm(
+        sites::ENGINE_CHUNK_CLAIM,
+        FaultAction::Delay(Duration::from_millis(30)),
+        Trigger::Always,
+    );
+    let outcome = BatchEngine::new()
+        .with_mode(EngineMode::Quantitative)
+        .with_threads(1)
+        .run_join(&cache, &RunPolicy::default().with_deadline(Duration::from_millis(50)));
+    drop(guard);
+
+    assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
+    assert!(outcome.skipped > 0, "some chunks must miss the deadline");
+    assert_eq!(outcome.total(), total);
+    assert_eq!(outcome.succeeded + outcome.failed + outcome.skipped, total);
+    let order: Vec<(u32, u32)> = outcome
+        .interacting
+        .iter()
+        .map(|p| {
+            let (i, j) = p.indices();
+            (i as u32, j as u32)
+        })
+        .collect();
+    assert_eq!(order, interacting, "every slot names its pair in primary-major order");
+    assert_eq!(
+        outcome.interacting.iter().filter(|p| matches!(p, PairOutcome::Skipped { .. })).count(),
+        outcome.skipped
+    );
+    let done = outcome.interacting.iter().take_while(|p| p.ok().is_some()).count();
+    assert!(done > 0, "the first chunk fits in the deadline");
+    assert_eq!(done, interacting.len() - outcome.skipped, "completed work is a prefix");
+    for pr in outcome.interacting.iter().filter_map(PairOutcome::ok) {
+        assert_naive(pr, &regions, "join deadline");
     }
 }
 
