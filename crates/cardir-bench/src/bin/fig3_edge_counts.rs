@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p cardir-bench --bin fig3_edge_counts`
 
-use cardir_core::{clipping_cdr, compute_cdr_with_stats};
+use cardir_core::{clipping_cdr, compute_cdr_with_mbb, CountingHook};
 use cardir_workloads::paper;
 
 fn main() {
@@ -23,20 +23,21 @@ fn main() {
     );
     println!("|{}|{}|{}|{}|{}|{}|", "-".repeat(24), "-".repeat(8), "-".repeat(14), "-".repeat(14), "-".repeat(16), "-".repeat(24));
     for (name, region, paper_ours, paper_clip) in cases {
-        let (relation, stats) = compute_cdr_with_stats(&region, &b);
+        let mut counts = CountingHook::new();
+        let relation = compute_cdr_with_mbb(&region, b.mbb(), &mut counts);
         let clipped = clipping_cdr(&region, &b);
         println!(
             "| {:<22} | {:>6} | {:>6} ({:>3}) | {:>6} ({:>3}) | {:>14} | {:<22} |",
             name,
-            stats.input_edges,
-            stats.output_edges,
+            counts.edges_scanned,
+            counts.sub_edges,
             paper_ours,
             clipped.stats.output_edges,
             paper_clip,
             clipped.stats.output_polygons,
             relation.to_string(),
         );
-        assert_eq!(stats.output_edges, paper_ours, "{name}: divided-edge count drifted");
+        assert_eq!(counts.sub_edges, paper_ours, "{name}: divided-edge count drifted");
     }
     println!("\n(parenthesised numbers are the paper's; exact coordinates of the figures");
     println!(" are reconstructions, so clipped counts may differ by a vertex or two)");

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p cardir-bench --bin vs_clipping_table`
 
 use cardir_bench::{calibrate_iters, scaling_pair, time_mean, SEED};
-use cardir_core::{clipping_cdr, compute_cdr, compute_cdr_pct, compute_cdr_with_stats};
+use cardir_core::{clipping_cdr, compute_cdr, compute_cdr_pct, compute_cdr_with_mbb, CountingHook};
 use cardir_geometry::Region;
 use cardir_workloads::comb_polygon;
 use std::hint::black_box;
@@ -33,7 +33,8 @@ fn report(label: &str, a: &Region, b: &Region) {
         black_box(clipping_cdr(black_box(a), black_box(b)));
     });
 
-    let (_, stats) = compute_cdr_with_stats(a, b);
+    let mut counts = CountingHook::new();
+    compute_cdr_with_mbb(a, b.mbb(), &mut counts);
     let clip = clipping_cdr(a, b);
     println!(
         "| {:<14} | {:>7} | {:>12.2?} | {:>12.2?} | {:>12.2?} | {:>9.2}x | {:>9.2}x | {:>5} vs {:<5} |",
@@ -44,7 +45,7 @@ fn report(label: &str, a: &Region, b: &Region) {
         t_clip,
         t_clip.as_nanos() as f64 / t_cdr.as_nanos() as f64,
         t_clip.as_nanos() as f64 / t_pct.as_nanos() as f64,
-        stats.output_edges,
+        counts.sub_edges,
         clip.stats.output_edges,
     );
 }

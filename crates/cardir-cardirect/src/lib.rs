@@ -48,8 +48,8 @@ pub use journal::{
 };
 pub use model::{AnnotatedRegion, ConfigError, Configuration, StoredRelation};
 pub use query::{
-    evaluate, evaluate_indexed, evaluate_indexed_with_stats, evaluate_with_stats, parse_query,
-    Binding, EvalError, EvalStats, LexError, Query, QueryParseError, RegionIndex,
+    evaluate, evaluate_indexed, parse_query, Binding, EvalError, LexError, Query, QueryParseError,
+    RegionIndex,
 };
 pub use xml::{
     from_xml, load_config, save_xml_atomic, to_xml, LoadSource, Loaded, PersistError, SaveReport,

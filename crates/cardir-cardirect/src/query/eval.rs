@@ -40,7 +40,7 @@ pub struct Binding {
 
 /// Check counts for one direction conjunct, in query order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConjunctStats {
+pub(crate) struct ConjunctStats {
     /// Times the conjunct became decidable and was checked.
     pub checked: usize,
     /// Checks that passed (`checked − passed` bindings died here).
@@ -51,7 +51,7 @@ pub struct ConjunctStats {
 /// generated, how many the R-tree pruned before any relation check, and
 /// how each direction conjunct filtered the rest.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EvalStats {
+pub(crate) struct EvalStats {
     /// Candidate bindings actually tried (post-pruning), across all
     /// variables of the backtracking join.
     pub candidates_considered: usize,
@@ -162,7 +162,8 @@ pub fn evaluate_indexed(
 
 /// [`evaluate`], also reporting [`EvalStats`] for the run. The answers
 /// are identical to [`evaluate`]'s — the counters only observe.
-pub fn evaluate_with_stats(
+#[cfg(test)]
+pub(crate) fn evaluate_with_stats(
     query: &Query,
     config: &Configuration,
 ) -> Result<(Vec<Binding>, EvalStats), EvalError> {
@@ -171,7 +172,8 @@ pub fn evaluate_with_stats(
 
 /// [`evaluate_indexed`], also reporting [`EvalStats`] — in particular
 /// `index_pruned`, the candidates the R-tree removed.
-pub fn evaluate_indexed_with_stats(
+#[cfg(test)]
+pub(crate) fn evaluate_indexed_with_stats(
     query: &Query,
     config: &Configuration,
     index: &RegionIndex,

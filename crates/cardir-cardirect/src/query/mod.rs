@@ -27,9 +27,6 @@ mod parser;
 mod token;
 
 pub use ast::{Condition, Query};
-pub use eval::{
-    evaluate, evaluate_indexed, evaluate_indexed_with_stats, evaluate_with_stats, Binding,
-    ConjunctStats, EvalError, EvalStats, RegionIndex,
-};
+pub use eval::{evaluate, evaluate_indexed, Binding, EvalError, RegionIndex};
 pub use parser::{parse_query, QueryParseError};
 pub use token::{tokenize, tokenize_spanned, LexError, Token};

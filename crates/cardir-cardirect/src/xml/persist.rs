@@ -158,9 +158,10 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> PersistError {
 }
 
 /// Serialises `config` and saves it to `path` with the atomic
-/// write-temp / fsync / backup / rename protocol described in the
-/// [module docs](self). On any failure the primary is left exactly as it
-/// was and the temp file is removed.
+/// write-temp / fsync / backup / rename protocol: the fsynced `<file>.tmp`
+/// is renamed over the primary after the old primary is copied to
+/// `<file>.bak`. On any failure the primary is left exactly as it was and
+/// the temp file is removed.
 pub fn save_xml_atomic(config: &Configuration, path: &Path) -> Result<SaveReport, PersistError> {
     let xml = to_xml(config);
     let tmp = temp_path(path);

@@ -1,7 +1,7 @@
 //! Algorithm `Compute-CDR` (paper Fig. 5): qualitative cardinal direction
 //! relations in a single linear pass.
 
-use crate::divide::{classify_subedge, for_each_division, DivisionStats};
+use crate::divide::{classify_subedge, for_each_division};
 use crate::hook::{MetricsHook, NoopHook};
 use crate::relation::CardinalRelation;
 use crate::tile::Tile;
@@ -22,71 +22,42 @@ use cardir_geometry::{BoundingBox, Region};
 /// assert_eq!(compute_cdr(&a, &b).to_string(), "S");
 /// ```
 pub fn compute_cdr(a: &Region, b: &Region) -> CardinalRelation {
-    compute_cdr_with_stats(a, b).0
+    // NoopHook monomorphises to the plain un-instrumented loop.
+    compute_cdr_with_mbb(a, b.mbb(), &mut NoopHook)
 }
 
-/// [`compute_cdr`] against a precomputed `mbb(b)`.
+/// [`compute_cdr`] against a precomputed `mbb(b)`, observed by a
+/// [`MetricsHook`].
 ///
 /// Bit-identical to `compute_cdr(a, b)` whenever `mbb == b.mbb()` — the
-/// relation depends on `b` only through its bounding box. The batch
-/// engine uses this to compute each reference box once per region
-/// instead of once per pair.
-pub fn compute_cdr_with_mbb(a: &Region, mbb: BoundingBox) -> CardinalRelation {
-    cdr_over_mbb(a, mbb).0
-}
-
-/// Fallible [`compute_cdr_with_mbb`]: rejects a non-finite or inverted
-/// reference box instead of producing garbage tiles (NaN bounds classify
-/// every comparison false, silently funnelling all sub-edges into one
-/// band).
-pub fn try_compute_cdr_with_mbb(
-    a: &Region,
-    mbb: BoundingBox,
-) -> Result<CardinalRelation, crate::error::ComputeError> {
-    crate::error::validate_mbb(mbb)?;
-    Ok(cdr_over_mbb(a, mbb).0)
-}
-
-/// [`compute_cdr`] plus edge-division statistics (for the Fig. 3
-/// experiments).
-pub fn compute_cdr_with_stats(a: &Region, b: &Region) -> (CardinalRelation, DivisionStats) {
-    cdr_over_mbb(a, b.mbb())
-}
-
-/// [`compute_cdr`] observed by a [`MetricsHook`]: the hook sees every
-/// edge scanned, every sub-edge emitted (with its tile), and every
-/// centre-test `B` detection. The result is bit-identical to
-/// [`compute_cdr`] for any hook — hooks only observe.
-pub fn compute_cdr_hooked<H: MetricsHook>(a: &Region, b: &Region, hook: &mut H) -> CardinalRelation {
-    cdr_over_mbb_hooked(a, b.mbb(), hook).0
-}
-
-fn cdr_over_mbb(a: &Region, mbb: BoundingBox) -> (CardinalRelation, DivisionStats) {
-    // NoopHook monomorphises to the plain un-instrumented loop.
-    cdr_over_mbb_hooked(a, mbb, &mut NoopHook)
-}
-
-pub(crate) fn cdr_over_mbb_hooked<H: MetricsHook>(
+/// relation depends on `b` only through its bounding box — and for any
+/// hook, because hooks only observe. The hook sees every edge scanned,
+/// every sub-edge emitted (with its tile), and every centre-test `B`
+/// detection; pass [`NoopHook`] for the plain loop.
+///
+/// `mbb` must be a valid box, as [`BoundingBox::try_new`] checks: every
+/// coordinate finite and `min ≤ max` on both axes (degenerate point and
+/// segment boxes are fine). Boxes from `Region::mbb` always are. A NaN
+/// bound makes every comparison false and funnels all sub-edges into one
+/// band, so a box from outside the library goes through `try_new` first.
+pub fn compute_cdr_with_mbb<H: MetricsHook>(
     a: &Region,
     mbb: BoundingBox,
     hook: &mut H,
-) -> (CardinalRelation, DivisionStats) {
+) -> CardinalRelation {
     let center = mbb.center();
     let mut bits = 0u16;
-    let mut stats = DivisionStats::default();
 
     for polygon in a.polygons() {
         for edge in polygon.edges() {
-            stats.input_edges += 1;
             hook.edge_scanned();
-            let before = stats.output_edges;
+            let mut parts = 0usize;
             for_each_division(edge, mbb, |sub| {
-                stats.output_edges += 1;
+                parts += 1;
                 let tile = classify_subedge(sub, mbb);
                 bits |= tile.bit();
                 hook.sub_edge(tile);
             });
-            let parts = stats.output_edges - before;
             if parts > 1 {
                 hook.edge_divided(parts);
             }
@@ -103,14 +74,21 @@ pub(crate) fn cdr_over_mbb_hooked<H: MetricsHook>(
         }
     }
 
-    let relation = CardinalRelation::from_bits(bits)
-        .expect("a valid region always produces at least one sub-edge tile");
-    (relation, stats)
+    relation_from_bits(bits)
+}
+
+/// The relation whose tiles are the set bits of `bits`: the final step of
+/// both `Compute-CDR` kernels.
+#[inline]
+pub(crate) fn relation_from_bits(bits: u16) -> CardinalRelation {
+    CardinalRelation::from_bits(bits)
+        .expect("a valid region always produces at least one sub-edge tile")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hook::CountingHook;
     use cardir_geometry::{Polygon, Region};
 
     fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
@@ -120,6 +98,12 @@ mod tests {
     /// Reference region used by most tests: the square [0,4]².
     fn b() -> Region {
         rect(0.0, 0.0, 4.0, 4.0)
+    }
+
+    /// `a R b` together with the edge counts of the pass.
+    fn counted(a: &Region, b: &Region) -> (CardinalRelation, CountingHook) {
+        let mut hook = CountingHook::new();
+        (compute_cdr_with_mbb(a, b.mbb(), &mut hook), hook)
     }
 
     #[test]
@@ -215,11 +199,11 @@ mod tests {
         let b = b();
         // N1 ∈ W, N2 ∈ NW, N3 ∈ NW, N4 ∈ NE (N4 on the closed tile corner).
         let a = Region::from_coords([(-2.0, 2.0), (-3.0, 5.0), (-1.0, 6.0), (5.0, 4.0)]).unwrap();
-        let (r, stats) = compute_cdr_with_stats(&a, &b);
+        let (r, counts) = counted(&a, &b);
         assert_eq!(r.to_string(), "B:W:NW:N:NE:E");
         // Example 3: 4 input edges become 9 sub-edges (2 + 1 + 3 + 3).
-        assert_eq!(stats.input_edges, 4);
-        assert_eq!(stats.output_edges, 9);
+        assert_eq!(counts.edges_scanned, 4);
+        assert_eq!(counts.sub_edges, 9);
     }
 
     #[test]
@@ -228,9 +212,9 @@ mod tests {
         // is divided into 8 edges (clipping needs 16).
         let b = b();
         let a = rect(-1.0, 3.0, 1.0, 5.0); // centred on the NW corner (0,4)
-        let (r, stats) = compute_cdr_with_stats(&a, &b);
-        assert_eq!(stats.input_edges, 4);
-        assert_eq!(stats.output_edges, 8);
+        let (r, counts) = counted(&a, &b);
+        assert_eq!(counts.edges_scanned, 4);
+        assert_eq!(counts.sub_edges, 8);
         assert_eq!(r.to_string(), "B:W:NW:N");
     }
 
@@ -240,9 +224,9 @@ mod tests {
         // with 11 edges; the relation covers all nine tiles.
         let b = b();
         let a = Region::from_coords([(-6.0, -3.0), (3.0, 10.0), (10.0, -5.0)]).unwrap();
-        let (r, stats) = compute_cdr_with_stats(&a, &b);
-        assert_eq!(stats.input_edges, 3);
-        assert_eq!(stats.output_edges, 11);
+        let (r, counts) = counted(&a, &b);
+        assert_eq!(counts.edges_scanned, 3);
+        assert_eq!(counts.sub_edges, 11);
         assert_eq!(r, CardinalRelation::OMNI);
     }
 
@@ -262,28 +246,5 @@ mod tests {
     fn identical_regions_relate_by_b() {
         let b = b();
         assert_eq!(compute_cdr(&b, &b).to_string(), "B");
-    }
-
-    #[test]
-    fn try_variant_validates_the_reference_box() {
-        use crate::error::ComputeError;
-        use cardir_geometry::{BoundingBox, Point};
-
-        let b = b();
-        let a = rect(1.0, -3.0, 3.0, -1.0);
-        assert_eq!(
-            super::try_compute_cdr_with_mbb(&a, b.mbb()),
-            Ok(compute_cdr(&a, &b))
-        );
-        let nan = BoundingBox { min: Point::new(f64::NAN, 0.0), max: Point::new(4.0, 4.0) };
-        assert!(matches!(
-            super::try_compute_cdr_with_mbb(&a, nan),
-            Err(ComputeError::NonFiniteBounds(_))
-        ));
-        let inverted = BoundingBox { min: Point::new(4.0, 0.0), max: Point::new(0.0, 4.0) };
-        assert!(matches!(
-            super::try_compute_cdr_with_mbb(&a, inverted),
-            Err(ComputeError::InvertedBounds(_))
-        ));
     }
 }

@@ -10,31 +10,6 @@
 use crate::tile::Tile;
 use cardir_geometry::{band_of_hinted, BoundingBox, Line, Point, Segment};
 
-/// Statistics of an edge-division pass, used to reproduce the paper's
-/// Fig. 3 edge counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DivisionStats {
-    /// Edges of the primary region before division (the paper's `k_a`).
-    pub input_edges: usize,
-    /// Sub-edges after division (paper: "the resulting number of introduced
-    /// edges is significantly smaller than … polygon clipping").
-    pub output_edges: usize,
-}
-
-impl DivisionStats {
-    /// Edges added by the division, saturating at zero.
-    ///
-    /// For stats produced by [`for_each_division`] the invariant
-    /// `output_edges >= input_edges` holds — division only ever splits
-    /// edges, never merges them. The fields are public, though, so a
-    /// caller aggregating or hand-building stats can feed a pair where
-    /// `output < input`; `saturating_sub` keeps that a defined `0`
-    /// instead of a debug-build overflow panic.
-    pub fn edges_added(&self) -> usize {
-        self.output_edges.saturating_sub(self.input_edges)
-    }
-}
-
 /// Divides `edge` at its interior crossings with the four lines of `mbb`
 /// and invokes `f` on each resulting sub-edge, in order from `A` to `B`.
 ///
@@ -251,15 +226,5 @@ mod tests {
         assert_eq!(classify_subedge(on_west_above, mbb()), Tile::NW);
         let on_west_above_e = seg(0.0, 5.0, 0.0, 6.0); // interior east
         assert_eq!(classify_subedge(on_west_above_e, mbb()), Tile::N);
-    }
-
-    #[test]
-    fn division_stats_added() {
-        let s = DivisionStats { input_edges: 4, output_edges: 9 };
-        assert_eq!(s.edges_added(), 5);
-        // Hand-built stats with output < input must not panic in debug
-        // builds; the difference saturates at zero.
-        let inverted = DivisionStats { input_edges: 9, output_edges: 4 };
-        assert_eq!(inverted.edges_added(), 0);
     }
 }

@@ -51,18 +51,22 @@
 //! Bit-identity with the `&Region` entry points is a hard invariant, not
 //! an aspiration: the SoA stores the identical edge sequence, sub-edge
 //! division and classification are shared code, the area accumulators
-//! add the identical terms in the identical order, and the per-polygon
+//! add the identical terms in the identical order, the relation bits and
+//! the accumulators are finalised by the same two functions
+//! (`relation_from_bits`, `finalize_areas`), and the per-polygon
 //! centre test replicates `Polygon::contains` decision-for-decision via
 //! the same exact predicates. The `&Region` entry points keep the
 //! unpruned loop, so they stay an independent leg of the differential
 //! tests below (and of the engine's suites), which pin `==` on every
 //! output, including the sign of every rounding.
 
+use crate::compute::relation_from_bits;
 use crate::divide::{classify_subedge, for_each_division_by};
 use crate::hook::{MetricsHook, NoopHook};
 use crate::matrix::TileAreas;
+use crate::percent::finalize_areas;
 use crate::relation::CardinalRelation;
-use crate::tile::{Tile, ALL_TILES};
+use crate::tile::Tile;
 use cardir_geometry::area::{e_l, e_m};
 use cardir_geometry::{orient2d_sign, BoundingBox, Line, Point, Region, Segment, Sign};
 
@@ -412,28 +416,9 @@ fn fused_scan<H: MetricsHook, const RELATION: bool, const AREAS: bool>(
     (sweep.bits, sweep.acc, sweep.acc_bn)
 }
 
-/// Finalises the signed accumulators exactly as `Compute-CDR%` does:
-/// peripheral tiles take `|acc|`, and `area(B) = |a_{B+N}| − |a_N|`
-/// clamped against round-off.
-fn finalize_areas(acc: &[f64; 9], acc_bn: f64) -> TileAreas {
-    let mut areas = TileAreas::default();
-    for t in ALL_TILES {
-        if t != Tile::B {
-            *areas.get_mut(t) = acc[t.index()].abs();
-        }
-    }
-    *areas.get_mut(Tile::B) = (acc_bn.abs() - acc[Tile::N.index()].abs()).max(0.0);
-    areas
-}
-
-#[inline]
-fn relation_from_bits(bits: u16) -> CardinalRelation {
-    CardinalRelation::from_bits(bits)
-        .expect("a valid region always produces at least one sub-edge tile")
-}
-
 /// `Compute-CDR` over cached SoA edges — bit-identical to
-/// [`crate::compute_cdr_with_mbb`] on the region the SoA was built from.
+/// [`crate::compute_cdr_with_mbb`] on the region the SoA was built from,
+/// with the same hook event stream.
 pub fn cdr_from_soa(soa: &EdgeSoa<'_>, mbb: BoundingBox) -> CardinalRelation {
     cdr_from_soa_hooked(soa, mbb, &mut NoopHook)
 }
@@ -489,9 +474,9 @@ pub(crate) fn areas_from_soa_hooked<H: MetricsHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{cdr_over_mbb_hooked, compute_cdr_hooked, compute_cdr_with_mbb};
+    use crate::compute::compute_cdr_with_mbb;
     use crate::hook::CountingHook;
-    use crate::percent::{areas_over_mbb_hooked, tile_areas_with_mbb};
+    use crate::percent::tile_areas_with_mbb;
     use cardir_geometry::{Polygon, Region};
 
     fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
@@ -562,11 +547,11 @@ mod tests {
     /// event streams. Returns the relation hook of the `&Region` path.
     fn assert_kernels_match(a: &Region, soa: &EdgeSoa<'_>, mbb: BoundingBox, context: &str) -> CountingHook {
         let mut want = CountingHook::new();
-        let rel = cdr_over_mbb_hooked(a, mbb, &mut want).0;
-        assert_eq!(rel, compute_cdr_with_mbb(a, mbb), "{context}: hooked relation");
+        let rel = compute_cdr_with_mbb(a, mbb, &mut want);
+        assert_eq!(rel, compute_cdr_with_mbb(a, mbb, &mut NoopHook), "{context}: hooked relation");
         let mut want_areas_hook = CountingHook::new();
-        let areas = areas_over_mbb_hooked(a, mbb, &mut want_areas_hook).0;
-        assert_eq!(areas, tile_areas_with_mbb(a, mbb), "{context}: hooked areas");
+        let areas = tile_areas_with_mbb(a, mbb, &mut want_areas_hook);
+        assert_eq!(areas, tile_areas_with_mbb(a, mbb, &mut NoopHook), "{context}: hooked areas");
 
         let mut got = CountingHook::new();
         assert_eq!(cdr_from_soa_hooked(soa, mbb, &mut got), rel, "{context}: relation");
@@ -661,7 +646,7 @@ mod tests {
         assert!(store.view(0).polygon_boxes.iter().all(|p| !p.contains(centre)));
         let hook = assert_kernels_match(frame, &store.view(0), b.mbb(), "frame");
         assert_eq!(hook.b_center_hits, 0);
-        assert!(!compute_cdr_with_mbb(frame, b.mbb()).contains(Tile::B));
+        assert!(!compute_cdr_with_mbb(frame, b.mbb(), &mut NoopHook).contains(Tile::B));
 
         // A centre inside a polygon with no edge in the central tile: the
         // centre test must still add B.
@@ -753,7 +738,7 @@ mod tests {
         for max_x in [f64::MAX, (f64::MAX / 2.0).next_up()] {
             let mbb = BoundingBox::new(Point::new(0.0, 0.0), Point::new(max_x, 4.0));
             let mut want = CountingHook::new();
-            let rel = cdr_over_mbb_hooked(&a, mbb, &mut want).0;
+            let rel = compute_cdr_with_mbb(&a, mbb, &mut want);
             let mut got = CountingHook::new();
             assert_eq!(cdr_from_soa_hooked(&soa, mbb, &mut got), rel, "box {mbb:?}");
             assert_eq!(got, want, "box {mbb:?}: relation hook stream");
@@ -776,8 +761,8 @@ mod tests {
         let mbb = rect(0.0, 0.0, 4.0, 4.0).mbb();
         for (i, r) in regions.iter().enumerate() {
             let soa = store.view(i);
-            let want_rel = compute_cdr_with_mbb(r, mbb);
-            let want_areas = tile_areas_with_mbb(r, mbb);
+            let want_rel = compute_cdr_with_mbb(r, mbb, &mut NoopHook);
+            let want_areas = tile_areas_with_mbb(r, mbb, &mut NoopHook);
             assert_eq!(cdr_from_soa(&soa, mbb), want_rel, "region {i}");
             let (rel, areas) = cdr_areas_from_soa(&soa, mbb);
             assert_eq!(rel, want_rel, "region {i}");
@@ -800,11 +785,11 @@ mod tests {
             for b in &regions {
                 let mbb = b.mbb();
                 let (rel, areas) = cdr_areas_from_soa(&soa, mbb);
-                assert_eq!(rel, compute_cdr_with_mbb(a, mbb));
-                assert_eq!(areas, tile_areas_with_mbb(a, mbb));
+                assert_eq!(rel, compute_cdr_with_mbb(a, mbb, &mut NoopHook));
+                assert_eq!(areas, tile_areas_with_mbb(a, mbb, &mut NoopHook));
                 assert_eq!(
                     areas.percentages(),
-                    tile_areas_with_mbb(a, mbb).percentages()
+                    tile_areas_with_mbb(a, mbb, &mut NoopHook).percentages()
                 );
             }
         }
@@ -819,7 +804,7 @@ mod tests {
             let soa = store.view(0);
             let mut legacy = CountingHook::new();
             let mut fused = CountingHook::new();
-            let want = compute_cdr_hooked(&a, &b, &mut legacy);
+            let want = compute_cdr_with_mbb(&a, b.mbb(), &mut legacy);
             let got = cdr_from_soa_hooked(&soa, b.mbb(), &mut fused);
             assert_eq!(got, want);
             assert_eq!(fused, legacy, "hook event streams must agree");

@@ -4,12 +4,15 @@
 //! `O(k_a + k_b)`: every input edge is scanned once, divided into at
 //! most five sub-edges (one interior crossing per `mbb(b)` line), and
 //! each sub-edge is classified once. [`MetricsHook`] makes those counts
-//! *observable*: the algorithm entry points are generic over a hook whose
-//! methods default to no-ops, so the everyday paths monomorphise with
-//! [`NoopHook`] to exactly the un-instrumented code — the optimiser sees
-//! empty inlined calls and deletes them — while an instrumented caller
-//! passes a [`CountingHook`] (or its own implementation) and reads the
-//! paper's cost model off a real run.
+//! *observable*: the algorithm entry points
+//! ([`crate::compute_cdr_with_mbb`], [`crate::tile_areas_with_mbb`]) are
+//! generic over a hook whose methods default to no-ops, so the everyday
+//! paths monomorphise with [`NoopHook`] to exactly the un-instrumented
+//! code — the optimiser sees empty inlined calls and deletes them — while
+//! an instrumented caller passes a [`CountingHook`] (or its own
+//! implementation) and reads the paper's cost model off a real run: its
+//! `edges_scanned` and `sub_edges` are the input and divided edge counts
+//! of the Fig. 3 experiments.
 //!
 //! The hook only *observes*: no hook implementation can alter the
 //! computed relation or areas, so instrumented and plain runs are
@@ -109,8 +112,8 @@ impl MetricsHook for CountingHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{compute_cdr, compute_cdr_hooked};
-    use crate::percent::{tile_areas, tile_areas_hooked};
+    use crate::compute::{compute_cdr, compute_cdr_with_mbb};
+    use crate::percent::{tile_areas, tile_areas_with_mbb};
     use cardir_geometry::Region;
 
     fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
@@ -124,7 +127,7 @@ mod tests {
         let b = rect(0.0, 0.0, 4.0, 4.0);
         let a = Region::from_coords([(-2.0, 2.0), (-3.0, 5.0), (-1.0, 6.0), (5.0, 4.0)]).unwrap();
         let mut hook = CountingHook::new();
-        let r = compute_cdr_hooked(&a, &b, &mut hook);
+        let r = compute_cdr_with_mbb(&a, b.mbb(), &mut hook);
         assert_eq!(r, compute_cdr(&a, &b), "hook must not alter the result");
         assert_eq!(hook.edges_scanned, 4);
         assert_eq!(hook.sub_edges, 9);
@@ -139,7 +142,7 @@ mod tests {
         let b = rect(0.0, 0.0, 4.0, 4.0);
         let a = rect(1.0, 1.0, 3.0, 3.0); // strictly inside B
         let mut hook = CountingHook::new();
-        compute_cdr_hooked(&a, &b, &mut hook);
+        compute_cdr_with_mbb(&a, b.mbb(), &mut hook);
         assert_eq!(hook.edges_scanned, 4);
         assert_eq!(hook.edges_divided, 0);
         assert_eq!(hook.sub_edges, 4);
@@ -151,7 +154,7 @@ mod tests {
         let b = rect(0.0, 0.0, 4.0, 4.0);
         let cover = rect(-2.0, -2.0, 6.0, 6.0); // covers all of mbb(b)
         let mut hook = CountingHook::new();
-        compute_cdr_hooked(&cover, &b, &mut hook);
+        compute_cdr_with_mbb(&cover, b.mbb(), &mut hook);
         assert_eq!(hook.b_center_hits, 1);
     }
 
@@ -161,8 +164,8 @@ mod tests {
         let a = rect(3.0, 3.0, 5.0, 5.0);
         let mut ch = CountingHook::new();
         let mut ph = CountingHook::new();
-        compute_cdr_hooked(&a, &b, &mut ch);
-        let areas = tile_areas_hooked(&a, &b, &mut ph);
+        compute_cdr_with_mbb(&a, b.mbb(), &mut ch);
+        let areas = tile_areas_with_mbb(&a, b.mbb(), &mut ph);
         assert_eq!(areas, tile_areas(&a, &b), "hook must not alter areas");
         assert_eq!(ch.edges_scanned, ph.edges_scanned);
         assert_eq!(ch.sub_edges, ph.sub_edges);

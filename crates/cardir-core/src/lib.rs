@@ -13,6 +13,15 @@
 //! * [`clipping_cdr`] — the polygon-clipping baseline the paper compares
 //!   against, instrumented for the Fig. 3 edge-count experiments.
 //!
+//! Both algorithms read `b` only through `mbb(b)`, so each has one more
+//! entry point over a box: [`compute_cdr_with_mbb`] and
+//! [`tile_areas_with_mbb`] take `mbb(b)` and a [`MetricsHook`] that
+//! observes the pass ([`NoopHook`] compiles to the plain loop,
+//! [`CountingHook`] counts the edges of the Fig. 3 experiments). The batch
+//! engine calls the fused kernels instead: [`cdr_from_soa`],
+//! [`areas_from_soa`] and [`cdr_areas_from_soa`] scan edges cached in a
+//! [`SoaStore`], bit-identical to the `&Region` entry points.
+//!
 //! The model types follow Section 2 of the paper: [`Tile`],
 //! [`CardinalRelation`] (the 511 basic relations `D*`),
 //! [`DirectionMatrix`] and [`PercentageMatrix`] (the Goyal–Egenhofer
@@ -35,7 +44,6 @@
 pub mod baseline;
 pub mod compute;
 pub mod divide;
-pub mod error;
 pub mod fused;
 pub mod hook;
 pub mod matrix;
@@ -44,18 +52,11 @@ pub mod relation;
 pub mod tile;
 
 pub use baseline::{clipping_cdr, ClippingOutcome, ClippingStats};
-pub use compute::{
-    compute_cdr, compute_cdr_hooked, compute_cdr_with_mbb, compute_cdr_with_stats,
-    try_compute_cdr_with_mbb,
-};
-pub use divide::{classify_subedge, for_each_division, DivisionStats};
-pub use error::ComputeError;
+pub use compute::{compute_cdr, compute_cdr_with_mbb};
+pub use divide::{classify_subedge, for_each_division};
 pub use fused::{areas_from_soa, cdr_areas_from_soa, cdr_from_soa, EdgeSoa, SoaStore};
 pub use hook::{CountingHook, MetricsHook, NoopHook};
 pub use matrix::{DirectionMatrix, PercentageMatrix, TileAreas};
-pub use percent::{
-    compute_cdr_pct, tile_areas, tile_areas_hooked, tile_areas_with_mbb, tile_areas_with_stats,
-    try_tile_areas_with_mbb,
-};
+pub use percent::{compute_cdr_pct, tile_areas, tile_areas_with_mbb};
 pub use relation::{CardinalRelation, RelationParseError};
 pub use tile::{Tile, ALL_TILES};

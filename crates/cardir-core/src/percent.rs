@@ -23,79 +23,53 @@
 //! areas without ever materialising clipped polygons — the paper's key
 //! observation.
 
-use crate::divide::{classify_subedge, for_each_division, DivisionStats};
+use crate::divide::{classify_subedge, for_each_division};
 use crate::hook::{MetricsHook, NoopHook};
 use crate::matrix::{PercentageMatrix, TileAreas};
-use crate::tile::Tile;
+use crate::tile::{Tile, ALL_TILES};
 use cardir_geometry::area::{e_l, e_m};
 use cardir_geometry::{BoundingBox, Region};
 
 /// Computes the per-tile areas of `a` relative to the tiles of `mbb(b)`
 /// (paper Theorem 2: correct for `a, b ∈ REG*`, `O(k_a + k_b)` time).
 pub fn tile_areas(a: &Region, b: &Region) -> TileAreas {
-    tile_areas_with_stats(a, b).0
+    // NoopHook monomorphises to the plain un-instrumented loop.
+    tile_areas_with_mbb(a, b.mbb(), &mut NoopHook)
 }
 
-/// [`tile_areas`] against a precomputed `mbb(b)`.
+/// [`tile_areas`] against a precomputed `mbb(b)`, observed by a
+/// [`MetricsHook`].
 ///
 /// Bit-identical to `tile_areas(a, b)` whenever `mbb == b.mbb()` — the
-/// areas depend on `b` only through its bounding box. The batch engine
-/// uses this to compute each reference box once per region instead of
-/// once per pair.
-pub fn tile_areas_with_mbb(a: &Region, mbb: BoundingBox) -> TileAreas {
-    areas_over_mbb(a, mbb).0
-}
-
-/// Fallible [`tile_areas_with_mbb`]: rejects a non-finite or inverted
-/// reference box instead of accumulating NaN areas.
-pub fn try_tile_areas_with_mbb(
-    a: &Region,
-    mbb: BoundingBox,
-) -> Result<TileAreas, crate::error::ComputeError> {
-    crate::error::validate_mbb(mbb)?;
-    Ok(areas_over_mbb(a, mbb).0)
-}
-
-/// [`tile_areas`] plus edge-division statistics.
-pub fn tile_areas_with_stats(a: &Region, b: &Region) -> (TileAreas, DivisionStats) {
-    areas_over_mbb(a, b.mbb())
-}
-
-/// [`tile_areas`] observed by a [`MetricsHook`]: the hook sees every
-/// edge scanned and every sub-edge emitted with its tile. The areas are
-/// bit-identical to [`tile_areas`] for any hook — hooks only observe.
-pub fn tile_areas_hooked<H: MetricsHook>(a: &Region, b: &Region, hook: &mut H) -> TileAreas {
-    areas_over_mbb_hooked(a, b.mbb(), hook).0
-}
-
-fn areas_over_mbb(a: &Region, mbb: BoundingBox) -> (TileAreas, DivisionStats) {
-    // NoopHook monomorphises to the plain un-instrumented loop.
-    areas_over_mbb_hooked(a, mbb, &mut NoopHook)
-}
-
-pub(crate) fn areas_over_mbb_hooked<H: MetricsHook>(
+/// areas depend on `b` only through its bounding box — and for any hook,
+/// because hooks only observe. The hook sees every edge scanned and every
+/// sub-edge emitted with its tile; pass [`NoopHook`] for the plain loop.
+///
+/// `mbb` must be a valid box, as [`BoundingBox::try_new`] checks: every
+/// coordinate finite and `min ≤ max` on both axes (degenerate point and
+/// segment boxes are fine). Boxes from `Region::mbb` always are; a
+/// non-finite bound would accumulate NaN areas.
+pub fn tile_areas_with_mbb<H: MetricsHook>(
     a: &Region,
     mbb: BoundingBox,
     hook: &mut H,
-) -> (TileAreas, DivisionStats) {
+) -> TileAreas {
     let m1 = mbb.min.x;
     let m2 = mbb.max.x;
     let l1 = mbb.min.y;
     let l2 = mbb.max.y;
 
     // Signed accumulators, indexed by canonical tile index. The B slot is
-    // unused; B is derived from `acc_bn` below.
+    // unused; B is derived from `acc_bn` by `finalize_areas`.
     let mut acc = [0.0f64; 9];
     let mut acc_bn = 0.0f64;
-    let mut stats = DivisionStats::default();
 
     for polygon in a.polygons() {
         for edge in polygon.edges() {
-            stats.input_edges += 1;
             hook.edge_scanned();
-            let before = stats.output_edges;
+            let mut parts = 0usize;
             for_each_division(edge, mbb, |sub| {
-                stats.output_edges += 1;
+                parts += 1;
                 let t = classify_subedge(sub, mbb);
                 hook.sub_edge(t);
                 match t {
@@ -109,22 +83,27 @@ pub(crate) fn areas_over_mbb_hooked<H: MetricsHook>(
                     acc_bn += e_l(l1, sub);
                 }
             });
-            let parts = stats.output_edges - before;
             if parts > 1 {
                 hook.edge_divided(parts);
             }
         }
     }
 
+    finalize_areas(&acc, acc_bn)
+}
+
+/// Turns the signed accumulators of a `Compute-CDR%` pass into tile
+/// areas: peripheral tiles take `|acc|`, and
+/// `area(B ∩ a) = |a_{B+N}| − |a_N|`, clamped against round-off.
+pub(crate) fn finalize_areas(acc: &[f64; 9], acc_bn: f64) -> TileAreas {
     let mut areas = TileAreas::default();
-    for t in crate::tile::ALL_TILES {
+    for t in ALL_TILES {
         if t != Tile::B {
             *areas.get_mut(t) = acc[t.index()].abs();
         }
     }
-    // area(B ∩ a) = |a_{B+N}| − |a_N|; clamp against round-off.
     *areas.get_mut(Tile::B) = (acc_bn.abs() - acc[Tile::N.index()].abs()).max(0.0);
-    (areas, stats)
+    areas
 }
 
 /// Computes the cardinal direction relation with percentages between `a`
@@ -288,30 +267,5 @@ mod tests {
         let b = b();
         let m = compute_cdr_pct(&b, &b);
         assert_close(m.get(Tile::B), 100.0);
-    }
-
-    #[test]
-    fn try_variant_validates_the_reference_box() {
-        use crate::error::ComputeError;
-        use cardir_geometry::{BoundingBox, Point};
-
-        let b = b();
-        let a = rect(3.0, 3.0, 5.0, 5.0);
-        let areas = super::try_tile_areas_with_mbb(&a, b.mbb()).unwrap();
-        assert_close(areas.total(), a.area());
-        let inf = BoundingBox { min: Point::new(0.0, 0.0), max: Point::new(f64::INFINITY, 4.0) };
-        assert!(matches!(
-            super::try_tile_areas_with_mbb(&a, inf),
-            Err(ComputeError::NonFiniteBounds(_))
-        ));
-    }
-
-    #[test]
-    fn stats_match_compute_cdr() {
-        let b = b();
-        let a = Region::from_coords([(-2.0, 2.0), (-3.0, 5.0), (-1.0, 6.0), (5.0, 4.0)]).unwrap();
-        let (_, stats) = tile_areas_with_stats(&a, &b);
-        assert_eq!(stats.input_edges, 4);
-        assert_eq!(stats.output_edges, 9);
     }
 }

@@ -14,7 +14,6 @@
 
 use crate::batch::PairRelation;
 use crate::metrics::EngineMetrics;
-use cardir_core::ComputeError;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -135,8 +134,6 @@ pub enum PairFailure {
     Panicked(String),
     /// An armed failpoint injected this failure.
     Injected(String),
-    /// A fallible compute entry point rejected the pair.
-    Compute(ComputeError),
 }
 
 impl fmt::Display for PairFailure {
@@ -144,7 +141,6 @@ impl fmt::Display for PairFailure {
         match self {
             PairFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
             PairFailure::Injected(msg) => write!(f, "injected fault: {msg}"),
-            PairFailure::Compute(e) => write!(f, "compute error: {e}"),
         }
     }
 }
@@ -237,9 +233,8 @@ impl fmt::Display for CompletionStatus {
     }
 }
 
-/// Fault-handling counters of one run, embedded in
-/// [`EngineMetrics`](crate::EngineMetrics) and exported as
-/// `engine.faults.*` telemetry counters.
+/// Fault-handling counters of one run, embedded in [`EngineMetrics`] and
+/// exported as `engine.faults.*` telemetry counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultTally {
     /// Panics caught by per-pair isolation (retried attempts included).
@@ -366,13 +361,6 @@ mod tests {
             PairFailure::Injected("x".into()).to_string(),
             "injected fault: x"
         );
-        let compute = PairFailure::Compute(ComputeError::InvertedBounds(
-            cardir_geometry::BoundingBox {
-                min: cardir_geometry::Point::new(1.0, 0.0),
-                max: cardir_geometry::Point::new(0.0, 1.0),
-            },
-        ));
-        assert!(compute.to_string().contains("inverted"));
         assert_eq!(CompletionStatus::DeadlineExceeded.to_string(), "deadline exceeded");
     }
 

@@ -12,10 +12,6 @@
 //!   fixed-bucket [`Histogram`]s. Handles are cheap `Arc` clones over
 //!   atomics: increments on hot paths are single lock-free RMW ops, the
 //!   registry lock is taken only to register or to [`Registry::snapshot`].
-//! * [`Span`] — lightweight timers over `std::time::Instant` with
-//!   explicit parent handles ([`Span::child`]) and RAII recording: when a
-//!   span drops, its duration lands in the registry histogram named
-//!   `span.<path>.ns`.
 //! * Sinks — [`Report`] renders a snapshot for humans; [`JsonLines`]
 //!   writes one self-describing JSON object per line using the
 //!   hand-rolled [`json`] module (writer *and* parser, so emitted output
@@ -36,9 +32,6 @@
 //! let chunk_ns = registry.histogram("engine.chunk_ns", &cardir_telemetry::DURATION_BOUNDS_NS);
 //! pairs.add(512);
 //! chunk_ns.record(35_000);
-//! {
-//!     let _span = registry.span("exact_pass"); // records span.exact_pass.ns on drop
-//! }
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("engine.pairs"), Some(512));
 //! println!("{}", Report::render(&snap));
@@ -48,14 +41,12 @@ pub mod json;
 pub mod metric;
 pub mod registry;
 pub mod sink;
-pub mod span;
 pub mod trace;
 
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metric::{Counter, Histogram, HistogramSnapshot, COUNT_BOUNDS, DURATION_BOUNDS_NS};
 pub use registry::{Registry, Snapshot};
 pub use sink::{render_json_lines, JsonLines, Report};
-pub use span::Span;
 pub use trace::{
     ChromeTrace, PhaseBreakdown, ProcessAnalysis, ThreadTrace, ThreadUtilization, TraceEvent,
     TraceProcess, TraceSpan, Tracer,

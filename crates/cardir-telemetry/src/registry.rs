@@ -7,10 +7,8 @@
 //! back update lock-free.
 
 use crate::metric::{Counter, Histogram, HistogramSnapshot};
-use crate::span::Span;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// A named collection of metrics. Cheap to create; share by reference
 /// (it is `Sync`) or wrap in an `Arc` for ownership across threads.
@@ -54,18 +52,6 @@ impl Registry {
             .clone();
         assert_eq!(h.bounds(), bounds, "histogram {name:?} re-registered with different bounds");
         h
-    }
-
-    /// Starts a root [`Span`] named `name`; its duration is recorded into
-    /// the histogram `span.<name>.ns` when the span drops.
-    pub fn span(&self, name: &str) -> Span<'_> {
-        Span::root(self, name)
-    }
-
-    /// Called by [`Span`] on drop.
-    pub(crate) fn record_span(&self, path: &str, start: Instant) {
-        let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.histogram(&format!("span.{path}.ns"), &crate::metric::DURATION_BOUNDS_NS).record(ns);
     }
 
     /// A point-in-time copy of every metric, in name order.

@@ -53,7 +53,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// [`phases::QUEUE_WAIT`] as waiting and every other phase as busy; the
 /// names appear verbatim in Perfetto.
 pub mod phases {
-    /// [`RegionCache::build`] — per-map derived data.
+    /// `RegionCache::build` (engine crate) — per-map derived data.
     pub const CACHE_BUILD: &str = "cache_build";
     /// The spatial join's two plane sweeps partitioning the pair space.
     pub const SWEEP_PARTITION: &str = "sweep_partition";
@@ -63,7 +63,7 @@ pub mod phases {
     pub const QUEUE_WAIT: &str = "queue_wait";
     /// One claimed chunk's exact-pass computation, result push included.
     pub const CHUNK_COMPUTE: &str = "chunk_compute";
-    /// [`JoinOutcome::materialize`] — expanding mask-emitted pairs into
+    /// `JoinOutcome::materialize` (engine crate) — expanding mask-emitted pairs into
     /// the full ordered-pair vector.
     pub const MATERIALIZE: &str = "materialize";
 }

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
-# The repository's offline CI gate: release build, full test suite, and
-# warning-free clippy — with --offline, because the workspace has zero
-# external dependencies and must keep building on a machine that has
-# never contacted a registry.
+# The repository's offline CI gate: release build, full test suite,
+# warning-free clippy and rustdoc — with --offline, because the
+# workspace has zero external dependencies and must keep building on a
+# machine that has never contacted a registry.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# Warning-free rustdoc: a doc link to a renamed or deleted item, or to a
+# private one, fails the gate instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Every scratch file of the run, removed by one EXIT trap (which also
 # stops the cardird server if a step failed while it was up).

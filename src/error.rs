@@ -12,7 +12,7 @@
 use std::fmt;
 
 use cardir_cardirect::{ConfigError, EvalError, PersistError, QueryParseError, XmlError};
-use cardir_core::{ComputeError, RelationParseError};
+use cardir_core::RelationParseError;
 use cardir_engine::EngineError;
 use cardir_geometry::{BoundingBoxError, PolygonError, RegionError, WktError};
 
@@ -29,8 +29,6 @@ pub enum CardirError {
     Wkt(WktError),
     /// Malformed relation text (`"B:N:NE"`-style).
     RelationParse(RelationParseError),
-    /// A computation rejected its caller-supplied reference box.
-    Compute(ComputeError),
     /// The batch engine rejected its input.
     Engine(EngineError),
     /// Invalid configuration edit (duplicate or unknown region id, …).
@@ -53,7 +51,6 @@ impl fmt::Display for CardirError {
             CardirError::BoundingBox(e) => write!(f, "bounding box: {e}"),
             CardirError::Wkt(e) => write!(f, "wkt: {e}"),
             CardirError::RelationParse(e) => write!(f, "relation: {e}"),
-            CardirError::Compute(e) => write!(f, "compute: {e}"),
             CardirError::Engine(e) => write!(f, "engine: {e}"),
             CardirError::Config(e) => write!(f, "configuration: {e}"),
             CardirError::Xml(e) => write!(f, "xml: {e}"),
@@ -72,7 +69,6 @@ impl std::error::Error for CardirError {
             CardirError::BoundingBox(e) => Some(e),
             CardirError::Wkt(e) => Some(e),
             CardirError::RelationParse(e) => Some(e),
-            CardirError::Compute(e) => Some(e),
             CardirError::Engine(e) => Some(e),
             CardirError::Config(e) => Some(e),
             CardirError::Xml(e) => Some(e),
@@ -98,7 +94,6 @@ from_impl!(RegionError => Region);
 from_impl!(BoundingBoxError => BoundingBox);
 from_impl!(WktError => Wkt);
 from_impl!(RelationParseError => RelationParse);
-from_impl!(ComputeError => Compute);
 from_impl!(EngineError => Engine);
 from_impl!(ConfigError => Config);
 from_impl!(XmlError => Xml);
@@ -115,10 +110,11 @@ mod tests {
     #[test]
     fn question_mark_works_across_the_stack() {
         fn pipeline() -> Result<String, CardirError> {
-            use cardir_geometry::from_wkt;
-            let b = from_wkt("POLYGON ((0 0, 4 0, 4 4, 0 4))")?;
+            use cardir_geometry::{from_wkt, BoundingBox, Point};
             let a = from_wkt("POLYGON ((5 2, 7 2, 7 6, 5 6))")?;
-            let rel = cardir_core::try_compute_cdr_with_mbb(&a, b.mbb())?;
+            // A reference box from outside the library is validated first.
+            let mbb = BoundingBox::try_new(Point::new(0.0, 0.0), Point::new(4.0, 4.0))?;
+            let rel = cardir_core::compute_cdr_with_mbb(&a, mbb, &mut cardir_core::NoopHook);
             let query = cardir_cardirect::parse_query("{(x, y) | x NE:E y}")?;
             let _ = query;
             Ok(rel.to_string())
@@ -134,14 +130,13 @@ mod tests {
         assert!(unified.source().is_some());
         assert!(unified.to_string().starts_with("wkt: "));
 
-        let compute = cardir_core::ComputeError::InvertedBounds(
-            cardir_geometry::BoundingBox {
-                min: cardir_geometry::Point::new(1.0, 0.0),
-                max: cardir_geometry::Point::new(0.0, 1.0),
-            },
-        );
-        let unified: CardirError = compute.into();
-        assert!(matches!(unified, CardirError::Compute(_)));
+        let inverted = cardir_geometry::BoundingBox::try_new(
+            cardir_geometry::Point::new(1.0, 0.0),
+            cardir_geometry::Point::new(0.0, 1.0),
+        )
+        .unwrap_err();
+        let unified: CardirError = inverted.into();
+        assert!(matches!(unified, CardirError::BoundingBox(_)));
         assert!(unified.to_string().contains("inverted"));
     }
 }

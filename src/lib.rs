@@ -24,7 +24,7 @@
 //!   scenario ([`cardir_workloads`]);
 //! * [`segment`] — the raster-segmentation substrate of the usage
 //!   scenario ([`cardir_segment`]);
-//! * [`telemetry`] — stdlib-only counters, histograms, span timers, and
+//! * [`telemetry`] — stdlib-only counters, histograms, execution traces, and
 //!   report / JSON-lines sinks ([`cardir_telemetry`]);
 //! * [`faults`] — deterministic failpoint injection for testing the
 //!   stack's failure paths ([`cardir_faults`]);

@@ -112,9 +112,10 @@ fn division_bounds() {
     for case in 0..128 {
         let a = random_star(&mut rng);
         let b = random_star(&mut rng);
-        let (_, stats) = cardir::core::compute_cdr_with_stats(&a, &b);
-        assert!(stats.output_edges >= stats.input_edges, "case {case}");
-        assert!(stats.output_edges <= 5 * stats.input_edges, "case {case}");
+        let mut counts = cardir::core::CountingHook::new();
+        cardir::core::compute_cdr_with_mbb(&a, b.mbb(), &mut counts);
+        assert!(counts.sub_edges >= counts.edges_scanned, "case {case}");
+        assert!(counts.sub_edges <= 5 * counts.edges_scanned, "case {case}");
     }
 }
 

@@ -13,7 +13,7 @@
 
 use cardir::core::{
     cdr_areas_from_soa, cdr_from_soa, compute_cdr, compute_cdr_pct, compute_cdr_with_mbb,
-    tile_areas_with_mbb, CardinalRelation, PercentageMatrix,
+    tile_areas_with_mbb, CardinalRelation, NoopHook, PercentageMatrix,
 };
 use cardir::engine::{BatchEngine, EngineMode, RegionCache, RunPolicy};
 use cardir::geometry::{BoundingBox, Point, Region};
@@ -49,8 +49,8 @@ fn oracle(regions: &[Region], cache: &RegionCache<'_>) -> Oracle {
             let naive_rel = compute_cdr(a, b);
             let naive_pct = compute_cdr_pct(a, b);
 
-            let legacy_rel = compute_cdr_with_mbb(a, mbb);
-            let legacy_pct = tile_areas_with_mbb(a, mbb).percentages();
+            let legacy_rel = compute_cdr_with_mbb(a, mbb, &mut NoopHook);
+            let legacy_pct = tile_areas_with_mbb(a, mbb, &mut NoopHook).percentages();
 
             let soa = cache.soa(i);
             let fused_rel_only = cdr_from_soa(&soa, mbb);

@@ -2,10 +2,18 @@
 //! number in the paper, reproduced end to end through the public API.
 
 use cardir::core::{
-    clipping_cdr, compute_cdr, compute_cdr_pct, compute_cdr_with_stats, CardinalRelation,
-    DirectionMatrix, Tile,
+    clipping_cdr, compute_cdr, compute_cdr_pct, compute_cdr_with_mbb, CardinalRelation,
+    CountingHook, DirectionMatrix, Tile,
 };
+use cardir::geometry::Region;
 use cardir::workloads::paper;
+
+/// `a R b` together with the edge counts of the pass: `edges_scanned` is
+/// the input edge count and `sub_edges` the divided one.
+fn counted(a: &Region, b: &Region) -> (CardinalRelation, CountingHook) {
+    let mut counts = CountingHook::new();
+    (compute_cdr_with_mbb(a, b.mbb(), &mut counts), counts)
+}
 
 /// E1 — Example 1 / Fig. 1: `a S b`, `c NE:E b`,
 /// `d B:S:SW:W:NW:N:E:SE b`.
@@ -73,17 +81,17 @@ fn a1_example_2_vertices_alone_are_wrong() {
 fn e3_example_3_edge_counts() {
     let b = paper::reference_b();
     let quad = paper::example3_quadrangle();
-    let (rel, stats) = compute_cdr_with_stats(&quad, &b);
+    let (rel, counts) = counted(&quad, &b);
     assert_eq!(rel.to_string(), "B:W:NW:N:NE:E");
-    assert_eq!(stats.input_edges, 4);
-    assert_eq!(stats.output_edges, 9);
+    assert_eq!(counts.edges_scanned, 4);
+    assert_eq!(counts.sub_edges, 9);
     let clipped = clipping_cdr(&quad, &b);
     assert_eq!(clipped.relation, rel);
     assert!(
-        clipped.stats.output_edges > stats.output_edges,
+        clipped.stats.output_edges > counts.sub_edges,
         "clipping must introduce more edges: {} vs {}",
         clipped.stats.output_edges,
-        stats.output_edges
+        counts.sub_edges
     );
 }
 
@@ -92,8 +100,8 @@ fn e3_example_3_edge_counts() {
 fn e3_fig_3b_edge_counts() {
     let b = paper::reference_b();
     let quad = paper::fig3b_quadrangle();
-    let (_, stats) = compute_cdr_with_stats(&quad, &b);
-    assert_eq!(stats.output_edges, 8);
+    let (_, counts) = counted(&quad, &b);
+    assert_eq!(counts.sub_edges, 8);
     let clipped = clipping_cdr(&quad, &b);
     assert_eq!(clipped.stats.output_edges, 16);
     assert_eq!(clipped.stats.output_polygons, 4);
@@ -106,9 +114,9 @@ fn e3_fig_3b_edge_counts() {
 fn e3_fig_3c_edge_counts() {
     let b = paper::reference_b();
     let tri = paper::fig3c_triangle();
-    let (rel, stats) = compute_cdr_with_stats(&tri, &b);
-    assert_eq!(stats.input_edges, 3);
-    assert_eq!(stats.output_edges, 11);
+    let (rel, counts) = counted(&tri, &b);
+    assert_eq!(counts.edges_scanned, 3);
+    assert_eq!(counts.sub_edges, 11);
     assert_eq!(rel, CardinalRelation::OMNI);
     let clipped = clipping_cdr(&tri, &b);
     assert_eq!(clipped.stats.output_polygons, 9);

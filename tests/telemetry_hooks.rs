@@ -11,7 +11,7 @@
 //! stays linear in the map's edge count. The hook must never change a
 //! relation bit: plain and hooked results are compared exactly.
 
-use cardir_core::{compute_cdr, compute_cdr_hooked, CountingHook};
+use cardir_core::{compute_cdr, compute_cdr_with_mbb, CountingHook};
 use cardir_engine::{BatchEngine, RegionCache, RunPolicy};
 use cardir_geometry::{BoundingBox, Point, Region};
 use cardir_telemetry::trace::phases;
@@ -37,7 +37,7 @@ fn hook_counts_satisfy_theorem_1_on_jittered_grid() {
             }
             let k_a = a.edge_count();
             let mut hook = CountingHook::new();
-            let hooked = compute_cdr_hooked(a, b, &mut hook);
+            let hooked = compute_cdr_with_mbb(a, b.mbb(), &mut hook);
             let plain = compute_cdr(a, b);
             assert_eq!(hooked, plain, "hook altered pair ({i}, {j})");
             assert_eq!(hook.edges_scanned, k_a, "pair ({i}, {j}): every edge scanned once");
@@ -79,7 +79,7 @@ fn disabled_hook_is_bit_identical_to_plain() {
     for a in &regions {
         for b in &regions {
             let mut noop = cardir_core::NoopHook;
-            assert_eq!(compute_cdr_hooked(a, b, &mut noop), compute_cdr(a, b));
+            assert_eq!(compute_cdr_with_mbb(a, b.mbb(), &mut noop), compute_cdr(a, b));
         }
     }
 }
