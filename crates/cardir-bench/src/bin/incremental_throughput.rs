@@ -97,7 +97,7 @@ fn main() {
             ..StoreOptions::default()
         };
         let start = Instant::now();
-        let mut store = RelationStore::open(&journal_path, &regions, opts);
+        let mut store = RelationStore::open(&journal_path, &regions, opts.clone());
         let bootstrap = start.elapsed();
         assert!(store.journal_healthy(), "bootstrap journal must land");
         println!(
@@ -183,7 +183,7 @@ fn main() {
         let final_exact = store.engine().exact_count();
         drop(store);
         let start = Instant::now();
-        let reopened = RelationStore::open(&journal_path, &regions, opts);
+        let reopened = RelationStore::open(&journal_path, &regions, opts.clone());
         let replay_elapsed = start.elapsed();
         let replay = reopened.replay_report().source.label().to_string();
         assert_eq!(

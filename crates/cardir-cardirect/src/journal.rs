@@ -55,21 +55,23 @@
 //!
 //! Every IO step carries a `cardir-faults` failpoint (`journal.append`,
 //! `journal.compact.write`, `journal.compact.rename`, `journal.replay`),
-//! so the `edits` fuzz family can kill the protocol at any byte and
-//! assert the replayed store still bit-matches a full recompute.
+//! armed through the plan in [`StoreOptions::faults`], so the `edits`
+//! fuzz family can kill the protocol at any byte and assert the replayed
+//! store still bit-matches a full recompute.
 
 use cardir_core::{CardinalRelation, PercentageMatrix};
 use cardir_engine::{
     ApplyDelta, Edit, EditError, EditKind, EngineMode, EngineSnapshot, IncrementalEngine,
     InstalledPair, RepairDelta, RunPolicy,
 };
-use cardir_faults::{sites, FaultAction};
+use cardir_faults::{sites, FaultPlan};
 use cardir_geometry::{Point, Polygon, Region};
 use cardir_telemetry::Registry;
 use std::fmt;
 use std::fs;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MAGIC: [u8; 8] = *b"CDIRJNL1";
 const VERSION: u32 = 1;
@@ -166,7 +168,7 @@ pub struct ReplayReport {
 }
 
 /// Tunables of a [`RelationStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Relation computation mode. Part of the journal identity: a
     /// journal written in one mode is stale for the other.
@@ -182,6 +184,10 @@ pub struct StoreOptions {
     /// restart time varies by at most that much with where the last
     /// compaction fell.
     pub compact_threshold: u64,
+    /// Failpoints of the journal's IO steps (`journal.*`); `None`
+    /// injects nothing. Recompute faults ride the [`RunPolicy`] each
+    /// edit takes instead.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for StoreOptions {
@@ -190,6 +196,7 @@ impl Default for StoreOptions {
             mode: EngineMode::Quantitative,
             threads: 1,
             compact_threshold: 1 << 20,
+            faults: None,
         }
     }
 }
@@ -262,8 +269,8 @@ impl RelationStore {
             Ok(report) => store.report = report,
             Err((reason, detail)) => {
                 store.engine = IncrementalEngine::bootstrap(
-                    opts.mode,
-                    opts.threads,
+                    store.opts.mode,
+                    store.opts.threads,
                     base.to_vec(),
                     &RunPolicy::default(),
                 );
@@ -393,8 +400,9 @@ impl RelationStore {
         bytes.extend_from_slice(&self.fingerprint.to_le_bytes());
         push_frame(&mut bytes, |out| encode_snapshot(out, &self.engine));
 
+        let faults = self.opts.faults.as_deref();
         let result = (|| {
-            let torn = step_fault(sites::JOURNAL_COMPACT_WRITE, "compact-write", &tmp)?;
+            let torn = step_fault(faults, sites::JOURNAL_COMPACT_WRITE, "compact-write", &tmp)?;
             let mut file =
                 fs::File::create(&tmp).map_err(|e| io_err("compact-write", &tmp, &e))?;
             match torn {
@@ -413,7 +421,7 @@ impl RelationStore {
                 }
             }
             file.sync_all().map_err(|e| io_err("compact-write", &tmp, &e))?;
-            step_fault(sites::JOURNAL_COMPACT_RENAME, "compact-rename", &self.path)?;
+            step_fault(faults, sites::JOURNAL_COMPACT_RENAME, "compact-rename", &self.path)?;
             fs::rename(&tmp, &self.path).map_err(|e| io_err("compact-rename", &self.path, &e))?;
             if let Some(parent) = self.path.parent() {
                 if !parent.as_os_str().is_empty() {
@@ -485,7 +493,8 @@ impl RelationStore {
     }
 
     fn append(&self, frame: &[u8]) -> Result<(), JournalError> {
-        let torn = step_fault(sites::JOURNAL_APPEND, "append", &self.path)?;
+        let faults = self.opts.faults.as_deref();
+        let torn = step_fault(faults, sites::JOURNAL_APPEND, "append", &self.path)?;
         let mut file = fs::OpenOptions::new()
             .write(true)
             .open(&self.path)
@@ -516,13 +525,10 @@ impl RelationStore {
     /// the journal must be abandoned (the caller rebuilds).
     #[allow(clippy::result_large_err)]
     fn replay(&mut self) -> Result<ReplayReport, (RebuildReason, Option<String>)> {
-        match cardir_faults::hit(sites::JOURNAL_REPLAY) {
-            Some(FaultAction::Panic(msg)) => panic!("injected panic at journal.replay: {msg}"),
-            Some(FaultAction::Error(msg)) | Some(FaultAction::IoError(msg)) => {
+        if let Some(plan) = &self.opts.faults {
+            if let Err(msg) = plan.step(sites::JOURNAL_REPLAY) {
                 return Err((RebuildReason::Corrupt, Some(format!("injected: {msg}"))));
             }
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            _ => {}
         }
         // Frames are read one at a time, so replay holds one record's
         // bytes — never the whole journal — and its memory does not grow
@@ -671,21 +677,17 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> JournalError {
     JournalError { op, path: path.to_path_buf(), message: e.to_string() }
 }
 
-/// Checks the failpoint for one journal step; same contract as the XML
-/// persistence layer's `step_fault`.
-fn step_fault(site: &str, op: &'static str, path: &Path) -> Result<Option<usize>, JournalError> {
-    match cardir_faults::hit(site) {
-        Some(FaultAction::Panic(msg)) => panic!("injected panic at {site}: {msg}"),
-        Some(FaultAction::Error(msg)) | Some(FaultAction::IoError(msg)) => {
-            Err(JournalError { op, path: path.to_path_buf(), message: msg })
-        }
-        Some(FaultAction::TornWrite(n)) => Ok(Some(n)),
-        Some(FaultAction::Delay(d)) => {
-            std::thread::sleep(d);
-            Ok(None)
-        }
-        None => Ok(None),
-    }
+/// Checks the failpoint for one journal step ([`FaultPlan::step`]),
+/// mapping an injected error into a [`JournalError`].
+fn step_fault(
+    faults: Option<&FaultPlan>,
+    site: &str,
+    op: &'static str,
+    path: &Path,
+) -> Result<Option<usize>, JournalError> {
+    faults
+        .map_or(Ok(None), |plan| plan.step(site))
+        .map_err(|message| JournalError { op, path: path.to_path_buf(), message })
 }
 
 /// FNV-1a 64-bit — the workspace's stdlib-only frame checksum. Not
@@ -1048,7 +1050,7 @@ mod tests {
         let opts = StoreOptions::default();
         let policy = RunPolicy::default();
 
-        let mut store = RelationStore::open(&path, &base(), opts);
+        let mut store = RelationStore::open(&path, &base(), opts.clone());
         assert_eq!(store.replay_report().source, ReplaySource::Rebuilt(RebuildReason::Missing));
         assert!(store.journal_healthy());
 
@@ -1057,7 +1059,7 @@ mod tests {
         store.apply(Edit::Remove(0), &policy).unwrap();
         assert_eq!(store.stats().appends, 3);
 
-        let reopened = RelationStore::open(&path, &base(), opts);
+        let reopened = RelationStore::open(&path, &base(), opts.clone());
         assert_eq!(reopened.replay_report().source, ReplaySource::Journal);
         assert_eq!(reopened.replay_report().records_replayed, 4, "snapshot + 3 applies");
         assert_same_state(store.engine(), reopened.engine());
@@ -1071,14 +1073,14 @@ mod tests {
         // Tiny threshold: compact after nearly every edit.
         let opts = StoreOptions { compact_threshold: 512, ..StoreOptions::default() };
         let policy = RunPolicy::default();
-        let mut store = RelationStore::open(&path, &base(), opts);
+        let mut store = RelationStore::open(&path, &base(), opts.clone());
         for i in 0..6 {
             let dx = f64::from(i);
             store.apply(Edit::Replace(1, rect(5.0 + dx, 5.0, 15.0 + dx, 15.0)), &policy).unwrap();
         }
         assert!(store.stats().compactions > 1, "threshold must have triggered compactions");
 
-        let reopened = RelationStore::open(&path, &base(), opts);
+        let reopened = RelationStore::open(&path, &base(), opts.clone());
         assert_eq!(reopened.replay_report().source, ReplaySource::Journal);
         assert_same_state(store.engine(), reopened.engine());
         cleanup(&path);
@@ -1089,18 +1091,18 @@ mod tests {
         let path = scratch("stale");
         cleanup(&path);
         let opts = StoreOptions::default();
-        let mut store = RelationStore::open(&path, &base(), opts);
+        let mut store = RelationStore::open(&path, &base(), opts.clone());
         store.apply(Edit::Remove(0), &RunPolicy::default()).unwrap();
 
         // Different base set → stale.
         let other_base = vec![rect(0.0, 0.0, 1.0, 1.0)];
-        let store2 = RelationStore::open(&path, &other_base, opts);
+        let store2 = RelationStore::open(&path, &other_base, opts.clone());
         assert_eq!(store2.replay_report().source, ReplaySource::Rebuilt(RebuildReason::Stale));
         assert_eq!(store2.engine().live_count(), 1, "state is the new base, fully recomputed");
 
         // Same base, different mode → stale (store2's rebuild re-wrote
         // the journal for other_base, so open with other_base).
-        let qualitative = StoreOptions { mode: EngineMode::Qualitative, ..opts };
+        let qualitative = StoreOptions { mode: EngineMode::Qualitative, ..opts.clone() };
         let store3 = RelationStore::open(&path, &other_base, qualitative);
         assert_eq!(store3.replay_report().source, ReplaySource::Rebuilt(RebuildReason::Stale));
         cleanup(&path);
@@ -1111,7 +1113,7 @@ mod tests {
         let path = scratch("corrupt");
         cleanup(&path);
         let opts = StoreOptions::default();
-        let mut store = RelationStore::open(&path, &base(), opts);
+        let mut store = RelationStore::open(&path, &base(), opts.clone());
         store.apply(Edit::Replace(0, rect(1.0, 1.0, 9.0, 9.0)), &RunPolicy::default()).unwrap();
         drop(store);
 
@@ -1122,7 +1124,7 @@ mod tests {
         bytes[target] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
 
-        let store = RelationStore::open(&path, &base(), opts);
+        let store = RelationStore::open(&path, &base(), opts.clone());
         assert_eq!(store.replay_report().source, ReplaySource::Rebuilt(RebuildReason::Corrupt));
         assert!(store.replay_report().detail.as_deref().unwrap().contains("checksum mismatch"));
         // The rebuild recomputed the *base* — the journaled edit is lost
@@ -1138,7 +1140,7 @@ mod tests {
         cleanup(&path);
         let opts = StoreOptions::default();
         let policy = RunPolicy::default();
-        let mut store = RelationStore::open(&path, &base(), opts);
+        let mut store = RelationStore::open(&path, &base(), opts.clone());
         store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).unwrap();
         let durable = store.journal_bytes();
         store.apply(Edit::Insert(rect(0.5, 0.5, 0.75, 0.75)), &policy).unwrap();
@@ -1149,7 +1151,7 @@ mod tests {
         let cut = durable as usize + (bytes.len() - durable as usize) / 2;
         fs::write(&path, &bytes[..cut]).unwrap();
 
-        let store = RelationStore::open(&path, &base(), opts);
+        let store = RelationStore::open(&path, &base(), opts.clone());
         match store.replay_report().source {
             ReplaySource::TruncatedJournal { dropped_bytes } => {
                 assert_eq!(dropped_bytes as usize, cut - durable as usize);
@@ -1161,7 +1163,7 @@ mod tests {
         assert_eq!(fs::metadata(&path).unwrap().len(), durable, "tail removed on disk");
 
         // And the truncated journal replays cleanly next time.
-        let again = RelationStore::open(&path, &base(), opts);
+        let again = RelationStore::open(&path, &base(), opts.clone());
         assert_eq!(again.replay_report().source, ReplaySource::Journal);
         assert_same_state(store.engine(), again.engine());
         cleanup(&path);

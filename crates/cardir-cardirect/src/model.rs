@@ -235,8 +235,8 @@ impl Configuration {
     ///
     /// # Panics
     /// Re-raises the first pair failure, which only a bug in the kernels
-    /// (or an armed failpoint) can cause — the default policy has no
-    /// deadline and no cancel token, so nothing is skipped.
+    /// can cause — the default policy has no deadline, no cancel token
+    /// and no fault plan, so nothing is skipped or injected.
     pub fn compute_all_relations(&mut self) -> BatchStats {
         self.relations.clear();
         self.relation_map.clear();
@@ -319,14 +319,14 @@ impl Configuration {
     /// write-temp / fsync / `.bak` generation / rename. A crash at any
     /// point leaves a loadable file on disk.
     pub fn save_to(&self, path: &std::path::Path) -> Result<crate::xml::SaveReport, crate::xml::PersistError> {
-        crate::xml::save_xml_atomic(self, path)
+        crate::xml::save_xml_atomic(self, path, None)
     }
 
     /// Loads a configuration from `path`, recovering from the `.bak`
     /// generation when the primary is missing or torn
     /// ([`load_config`](crate::xml::load_config)).
     pub fn load_from(path: &std::path::Path) -> Result<crate::xml::Loaded, crate::xml::PersistError> {
-        crate::xml::load_config(path)
+        crate::xml::load_config(path, None)
     }
 }
 

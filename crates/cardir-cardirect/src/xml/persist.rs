@@ -20,12 +20,13 @@
 //!
 //! Every step carries a `cardir-faults` failpoint
 //! (`xml.write.{create,data,flush,backup,rename}`, `xml.read.primary`),
-//! so tests can kill the protocol at any point and assert the
-//! configuration is still loadable.
+//! checked against the `Option<&FaultPlan>` both entry points take, so
+//! tests can kill the protocol at any point and assert the configuration
+//! is still loadable.
 
 use super::schema::{from_xml, to_xml, XmlError};
 use crate::model::Configuration;
-use cardir_faults::{sites, FaultAction};
+use cardir_faults::{sites, FaultPlan};
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -130,27 +131,21 @@ pub fn temp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Checks the failpoint for one protocol step. Returns the torn-write
-/// byte budget if one was injected; propagates injected errors; injected
-/// panics unwind from here (the step is "mid-write" from the caller's
-/// point of view).
+/// Checks the failpoint for one protocol step ([`FaultPlan::step`]):
+/// returns the torn-write byte budget if one was injected and maps an
+/// injected error into [`PersistError::Io`]; injected panics unwind from
+/// here (the step is "mid-write" from the caller's point of view).
 fn step_fault(
+    faults: Option<&FaultPlan>,
     site: &str,
     op: &'static str,
     path: &Path,
 ) -> Result<Option<usize>, PersistError> {
-    match cardir_faults::hit(site) {
-        Some(FaultAction::Panic(msg)) => panic!("injected panic at {site}: {msg}"),
-        Some(FaultAction::Error(msg)) | Some(FaultAction::IoError(msg)) => {
-            Err(PersistError::Io { op, path: path.to_path_buf(), message: msg })
-        }
-        Some(FaultAction::TornWrite(n)) => Ok(Some(n)),
-        Some(FaultAction::Delay(d)) => {
-            std::thread::sleep(d);
-            Ok(None)
-        }
-        None => Ok(None),
-    }
+    faults.map_or(Ok(None), |plan| plan.step(site)).map_err(|message| PersistError::Io {
+        op,
+        path: path.to_path_buf(),
+        message,
+    })
 }
 
 fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> PersistError {
@@ -161,15 +156,19 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> PersistError {
 /// write-temp / fsync / backup / rename protocol: the fsynced `<file>.tmp`
 /// is renamed over the primary after the old primary is copied to
 /// `<file>.bak`. On any failure the primary is left exactly as it was and
-/// the temp file is removed.
-pub fn save_xml_atomic(config: &Configuration, path: &Path) -> Result<SaveReport, PersistError> {
+/// the temp file is removed. `faults` arms the `xml.write.*` steps.
+pub fn save_xml_atomic(
+    config: &Configuration,
+    path: &Path,
+    faults: Option<&FaultPlan>,
+) -> Result<SaveReport, PersistError> {
     let xml = to_xml(config);
     let tmp = temp_path(path);
     let bak = backup_path(path);
 
     // Write + fsync the temp file; on any error, remove the debris so a
     // retry starts clean.
-    let write_result = write_temp(&xml, &tmp);
+    let write_result = write_temp(&xml, &tmp, faults);
     if let Err(e) = write_result {
         let _ = fs::remove_file(&tmp);
         return Err(e);
@@ -179,7 +178,7 @@ pub fn save_xml_atomic(config: &Configuration, path: &Path) -> Result<SaveReport
     // one primary.
     let had_primary = path.exists();
     if had_primary {
-        if let Err(e) = step_fault(sites::XML_WRITE_BACKUP, "backup", &bak) {
+        if let Err(e) = step_fault(faults, sites::XML_WRITE_BACKUP, "backup", &bak) {
             let _ = fs::remove_file(&tmp);
             return Err(e);
         }
@@ -189,7 +188,7 @@ pub fn save_xml_atomic(config: &Configuration, path: &Path) -> Result<SaveReport
         })?;
     }
 
-    if let Err(e) = step_fault(sites::XML_WRITE_RENAME, "rename", path) {
+    if let Err(e) = step_fault(faults, sites::XML_WRITE_RENAME, "rename", path) {
         let _ = fs::remove_file(&tmp);
         return Err(e);
     }
@@ -213,11 +212,11 @@ pub fn save_xml_atomic(config: &Configuration, path: &Path) -> Result<SaveReport
 
 /// The temp-file half of the protocol: create, write (honouring an
 /// injected torn-write budget), flush, fsync.
-fn write_temp(xml: &str, tmp: &Path) -> Result<(), PersistError> {
-    step_fault(sites::XML_WRITE_CREATE, "create", tmp)?;
+fn write_temp(xml: &str, tmp: &Path, faults: Option<&FaultPlan>) -> Result<(), PersistError> {
+    step_fault(faults, sites::XML_WRITE_CREATE, "create", tmp)?;
     let mut file = fs::File::create(tmp).map_err(|e| io_err("create", tmp, &e))?;
 
-    let torn = step_fault(sites::XML_WRITE_DATA, "write", tmp)?;
+    let torn = step_fault(faults, sites::XML_WRITE_DATA, "write", tmp)?;
     let bytes = xml.as_bytes();
     match torn {
         // A torn write: only the first `n` bytes reach the disk, then
@@ -236,7 +235,7 @@ fn write_temp(xml: &str, tmp: &Path) -> Result<(), PersistError> {
         None => file.write_all(bytes).map_err(|e| io_err("write", tmp, &e))?,
     }
 
-    step_fault(sites::XML_WRITE_FLUSH, "flush", tmp)?;
+    step_fault(faults, sites::XML_WRITE_FLUSH, "flush", tmp)?;
     file.sync_all().map_err(|e| io_err("flush", tmp, &e))?;
     Ok(())
 }
@@ -247,38 +246,30 @@ fn write_temp(xml: &str, tmp: &Path) -> Result<(), PersistError> {
 /// When no backup exists the primary's error is returned as-is; when a
 /// backup exists but also fails, both errors are surfaced together as
 /// [`PersistError::RecoveryFailed`], so operators still see why the
-/// primary was rejected. A successful backup recovery is not an error,
-/// but it is counted via [`cardir_faults::note_recovery`] so telemetry
-/// shows it.
-pub fn load_config(path: &Path) -> Result<Loaded, PersistError> {
-    let primary_err = match read_parse(path, sites::XML_READ_PRIMARY) {
+/// primary was rejected. A successful backup recovery is not an error;
+/// it reports [`LoadSource::Backup`]. `faults` arms `xml.read.primary`.
+pub fn load_config(path: &Path, faults: Option<&FaultPlan>) -> Result<Loaded, PersistError> {
+    let primary_err = match read_parse(path, faults) {
         Ok(config) => return Ok(Loaded { config, source: LoadSource::Primary }),
         Err(e) => e,
     };
     let bak = backup_path(path);
-    if bak.exists() {
-        match read_parse(&bak, "") {
-            Ok(config) => {
-                cardir_faults::note_recovery();
-                return Ok(Loaded { config, source: LoadSource::Backup });
-            }
-            Err(backup_err) => {
-                return Err(PersistError::RecoveryFailed {
-                    primary: Box::new(primary_err),
-                    backup: Box::new(backup_err),
-                })
-            }
-        }
+    if !bak.exists() {
+        return Err(primary_err);
     }
-    Err(primary_err)
+    read_parse(&bak, None).map(|config| Loaded { config, source: LoadSource::Backup }).map_err(
+        |backup_err| PersistError::RecoveryFailed {
+            primary: Box::new(primary_err),
+            backup: Box::new(backup_err),
+        },
+    )
 }
 
-/// Reads and parses one candidate file; `site` optionally names a read
-/// failpoint (empty for the backup — recovery itself is not injectable).
-fn read_parse(path: &Path, site: &str) -> Result<Configuration, PersistError> {
-    if !site.is_empty() {
-        step_fault(site, "read", path)?;
-    }
+/// Reads and parses one candidate file under the `xml.read.primary`
+/// failpoint (`None` for the backup — recovery itself is not
+/// injectable).
+fn read_parse(path: &Path, faults: Option<&FaultPlan>) -> Result<Configuration, PersistError> {
+    step_fault(faults, sites::XML_READ_PRIMARY, "read", path)?;
     let text = fs::read_to_string(path).map_err(|e| io_err("read", path, &e))?;
     Ok(from_xml(&text)?)
 }

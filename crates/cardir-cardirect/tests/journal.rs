@@ -4,22 +4,20 @@
 //! relations, and always come back to a state that bit-matches a fresh
 //! full recompute of whatever geometry it reports.
 //!
-//! Failpoints are process-global, so every test that arms one holds
-//! `SERIAL` for its duration. This file is its own test binary (its own
-//! process), so it cannot race other suites.
+//! Each store carries its test's own fault plan in its options, so the
+//! tests run in parallel.
 
 use cardir_cardirect::{RebuildReason, RelationStore, ReplaySource, StoreOptions};
 use cardir_engine::{
     BatchEngine, Edit, EngineMode, IncrementalEngine, PairRelation, RegionCache, RunPolicy,
 };
-use cardir_faults::{sites, FaultAction, Trigger};
+use cardir_faults::{sites, FaultAction, FaultPlan, Trigger};
 use cardir_geometry::{BoundingBox, Point, Region};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
-static SERIAL: Mutex<()> = Mutex::new(());
 static NEXT: AtomicUsize = AtomicUsize::new(0);
 
 fn scratch(tag: &str) -> PathBuf {
@@ -40,6 +38,13 @@ fn cleanup(path: &Path) {
 fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
     Region::rectangle(BoundingBox::new(Point::new(x0, y0), Point::new(x1, y1)))
         .expect("valid rectangle")
+}
+
+/// Default store options carrying a fresh, unarmed fault plan.
+fn planned() -> (Arc<FaultPlan>, StoreOptions) {
+    let plan = Arc::new(FaultPlan::new());
+    let opts = StoreOptions { faults: Some(Arc::clone(&plan)), ..StoreOptions::default() };
+    (plan, opts)
 }
 
 fn base() -> Vec<Region> {
@@ -92,15 +97,13 @@ fn assert_matches_full(engine: &IncrementalEngine, context: &str) {
 /// to a rebuild of the base.
 #[test]
 fn truncation_at_every_byte_offset_never_panics_never_serves_garbage() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     let source = scratch("sweep-src");
     cleanup(&source);
     let opts =
         StoreOptions { mode: EngineMode::Qualitative, threads: 1, ..StoreOptions::default() };
     let policy = RunPolicy::default();
 
-    let mut store = RelationStore::open(&source, &base(), opts);
+    let mut store = RelationStore::open(&source, &base(), opts.clone());
     for edit in edits() {
         store.apply(edit, &policy).expect("edit applies");
     }
@@ -113,10 +116,9 @@ fn truncation_at_every_byte_offset_never_panics_never_serves_garbage() {
         cleanup(&target);
         std::fs::write(&target, &bytes[..cut]).unwrap();
         let context = format!("cut at byte {cut} of {}", bytes.len());
-        let store = catch_unwind(AssertUnwindSafe(|| {
-            RelationStore::open(&target, &base(), opts)
-        }))
-        .unwrap_or_else(|_| panic!("{context}: open panicked"));
+        let store =
+            catch_unwind(AssertUnwindSafe(|| RelationStore::open(&target, &base(), opts.clone())))
+                .unwrap_or_else(|_| panic!("{context}: open panicked"));
         // Whatever the outcome, the reported state must be internally
         // consistent and bit-match a fresh recompute of its geometry.
         assert_matches_full(store.engine(), &context);
@@ -139,32 +141,28 @@ fn truncation_at_every_byte_offset_never_panics_never_serves_garbage() {
 /// durable state, bit-identical to a full recompute.
 #[test]
 fn kill_mid_append_loses_only_the_inflight_record() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     let path = scratch("kill-append");
     cleanup(&path);
-    let opts = StoreOptions::default();
+    let (plan, opts) = planned();
     let policy = RunPolicy::default();
 
-    let mut store = RelationStore::open(&path, &base(), opts);
+    let mut store = RelationStore::open(&path, &base(), opts.clone());
     store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
     let live_before = store.engine().live_count();
 
-    let guard = cardir_faults::arm(
+    plan.arm(
         sites::JOURNAL_APPEND,
         FaultAction::Panic("killed mid-append".into()),
         Trigger::Times(1),
     );
-    let result = cardir_faults::with_silent_panics(|| {
-        catch_unwind(AssertUnwindSafe(|| {
-            store.apply(Edit::Insert(rect(7.0, 7.0, 8.0, 8.0)), &policy)
-        }))
-    });
-    drop(guard);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        store.apply(Edit::Insert(rect(7.0, 7.0, 8.0, 8.0)), &policy)
+    }));
     assert!(result.is_err(), "the injected kill escaped the append");
+    assert_eq!(plan.fired(sites::JOURNAL_APPEND), 1);
     drop(store);
 
-    let reopened = RelationStore::open(&path, &base(), opts);
+    let reopened = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(reopened.replay_report().source, ReplaySource::Journal);
     assert_eq!(reopened.engine().live_count(), live_before, "the doomed insert is gone");
     assert_matches_full(reopened.engine(), "after kill mid-append");
@@ -177,22 +175,16 @@ fn kill_mid_append_loses_only_the_inflight_record() {
 /// complete state — including the edit whose append tore.
 #[test]
 fn torn_append_recovers_by_compaction_without_losing_the_edit() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     let path = scratch("torn-append");
     cleanup(&path);
-    let opts = StoreOptions::default();
+    let (plan, opts) = planned();
     let policy = RunPolicy::default();
 
-    let mut store = RelationStore::open(&path, &base(), opts);
-    let guard = cardir_faults::arm(
-        sites::JOURNAL_APPEND,
-        FaultAction::TornWrite(7),
-        Trigger::Times(1),
-    );
+    let mut store = RelationStore::open(&path, &base(), opts.clone());
+    plan.arm(sites::JOURNAL_APPEND, FaultAction::TornWrite(7), Trigger::Times(1));
     // The edit itself succeeds — in-memory state is authoritative.
     store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
-    drop(guard);
+    assert_eq!(plan.fired(sites::JOURNAL_APPEND), 1);
     assert_eq!(store.stats().append_failures, 1);
     assert!(!store.journal_healthy());
 
@@ -202,7 +194,7 @@ fn torn_append_recovers_by_compaction_without_losing_the_edit() {
     let live = store.engine().live_count();
     drop(store);
 
-    let reopened = RelationStore::open(&path, &base(), opts);
+    let reopened = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(reopened.replay_report().source, ReplaySource::Journal);
     assert_eq!(reopened.engine().live_count(), live, "both edits survive");
     assert_matches_full(reopened.engine(), "after torn-append recovery");
@@ -213,27 +205,25 @@ fn torn_append_recovers_by_compaction_without_losing_the_edit() {
 /// without waiting for the next edit.
 #[test]
 fn sync_after_append_failure_compacts_the_full_state() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     let path = scratch("sync");
     cleanup(&path);
-    let opts = StoreOptions::default();
+    let (plan, opts) = planned();
     let policy = RunPolicy::default();
 
-    let mut store = RelationStore::open(&path, &base(), opts);
-    let guard = cardir_faults::arm(
+    let mut store = RelationStore::open(&path, &base(), opts.clone());
+    plan.arm(
         sites::JOURNAL_APPEND,
         FaultAction::IoError("injected ENOSPC".into()),
         Trigger::Times(1),
     );
     store.apply(Edit::Remove(3), &policy).expect("edit applies");
-    drop(guard);
+    plan.disarm(sites::JOURNAL_APPEND);
     assert!(!store.journal_healthy());
     store.sync().expect("compaction succeeds once the fault is disarmed");
     assert!(store.journal_healthy());
     drop(store);
 
-    let reopened = RelationStore::open(&path, &base(), opts);
+    let reopened = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(reopened.replay_report().source, ReplaySource::Journal);
     assert_eq!(reopened.engine().live_count(), base().len() - 1, "the remove survived");
     assert_matches_full(reopened.engine(), "after sync recovery");
@@ -245,31 +235,23 @@ fn sync_after_append_failure_compacts_the_full_state() {
 /// state from it.
 #[test]
 fn kill_mid_compaction_keeps_the_old_journal_authoritative() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     for site in [sites::JOURNAL_COMPACT_WRITE, sites::JOURNAL_COMPACT_RENAME] {
         let path = scratch("kill-compact");
         cleanup(&path);
-        let opts = StoreOptions::default();
+        let (plan, opts) = planned();
         let policy = RunPolicy::default();
 
-        let mut store = RelationStore::open(&path, &base(), opts);
+        let mut store = RelationStore::open(&path, &base(), opts.clone());
         // The edit's append lands durably; the kill hits the explicit
         // compaction that follows it.
         store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
-        let guard = cardir_faults::arm(
-            site,
-            FaultAction::Panic(format!("killed at {site}")),
-            Trigger::Times(1),
-        );
-        let result = cardir_faults::with_silent_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| store.compact()))
-        });
-        drop(guard);
+        plan.arm(site, FaultAction::Panic(format!("killed at {site}")), Trigger::Times(1));
+        let result = catch_unwind(AssertUnwindSafe(|| store.compact()));
+        plan.disarm(site);
         assert!(result.is_err(), "{site}: the injected kill escaped");
         drop(store);
 
-        let reopened = RelationStore::open(&path, &base(), opts);
+        let reopened = RelationStore::open(&path, &base(), opts.clone());
         match reopened.replay_report().source {
             // The append itself was durable before the compaction began,
             // so the edit must be present either way.
@@ -291,22 +273,20 @@ fn kill_mid_compaction_keeps_the_old_journal_authoritative() {
 /// journal stays valid and a later successful compaction catches up.
 #[test]
 fn failed_compaction_degrades_gracefully_and_retries() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     let path = scratch("compact-err");
     cleanup(&path);
-    let opts = StoreOptions::default();
+    let (plan, opts) = planned();
     let policy = RunPolicy::default();
 
-    let mut store = RelationStore::open(&path, &base(), opts);
+    let mut store = RelationStore::open(&path, &base(), opts.clone());
     store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
-    let guard = cardir_faults::arm(
+    plan.arm(
         sites::JOURNAL_COMPACT_WRITE,
         FaultAction::IoError("injected EIO".into()),
         Trigger::Times(1),
     );
     let err = store.compact().expect_err("injected compaction failure");
-    drop(guard);
+    plan.disarm(sites::JOURNAL_COMPACT_WRITE);
     assert!(err.to_string().contains("injected EIO"), "{err}");
     assert_eq!(store.stats().compaction_failures, 1);
 
@@ -317,7 +297,7 @@ fn failed_compaction_degrades_gracefully_and_retries() {
     let live = store.engine().live_count();
     drop(store);
 
-    let reopened = RelationStore::open(&path, &base(), opts);
+    let reopened = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(reopened.engine().live_count(), live);
     assert_matches_full(reopened.engine(), "after compaction retry");
     cleanup(&path);
@@ -327,23 +307,17 @@ fn failed_compaction_degrades_gracefully_and_retries() {
 /// still opens, reports the degradation, and serves correct relations.
 #[test]
 fn injected_replay_failure_degrades_to_rebuild() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     let path = scratch("replay-err");
     cleanup(&path);
-    let opts = StoreOptions::default();
+    let (plan, opts) = planned();
 
-    let mut store = RelationStore::open(&path, &base(), opts);
+    let mut store = RelationStore::open(&path, &base(), opts.clone());
     store.apply(Edit::Remove(3), &RunPolicy::default()).expect("edit applies");
     drop(store);
 
-    let guard = cardir_faults::arm(
-        sites::JOURNAL_REPLAY,
-        FaultAction::IoError("injected EIO".into()),
-        Trigger::Times(1),
-    );
-    let reopened = RelationStore::open(&path, &base(), opts);
-    drop(guard);
+    plan.arm(sites::JOURNAL_REPLAY, FaultAction::IoError("injected EIO".into()), Trigger::Times(1));
+    let reopened = RelationStore::open(&path, &base(), opts.clone());
+    plan.disarm(sites::JOURNAL_REPLAY);
     assert_eq!(
         reopened.replay_report().source,
         ReplaySource::Rebuilt(RebuildReason::Corrupt),
@@ -353,7 +327,7 @@ fn injected_replay_failure_degrades_to_rebuild() {
     assert_matches_full(reopened.engine(), "after replay-failure rebuild");
 
     // With the fault gone, the rebuild's fresh journal replays normally.
-    let again = RelationStore::open(&path, &base(), opts);
+    let again = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(again.replay_report().source, ReplaySource::Journal);
     cleanup(&path);
 }
@@ -363,42 +337,39 @@ fn injected_replay_failure_degrades_to_rebuild() {
 /// store to the script's end state.
 #[test]
 fn crash_reopen_cycles_converge_to_the_script_end_state() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cardir_faults::disarm_all();
     let path = scratch("cycles");
     cleanup(&path);
-    let opts = StoreOptions { compact_threshold: 1024, ..StoreOptions::default() };
+    let (plan, opts) = planned();
+    let opts = StoreOptions { compact_threshold: 1024, ..opts };
     let policy = RunPolicy::default();
 
     {
-        let store = RelationStore::open(&path, &base(), opts);
+        let store = RelationStore::open(&path, &base(), opts.clone());
         drop(store);
     }
     // Apply each edit in its own open/close cycle, killing every other
     // append mid-flight and re-applying after the reopen.
     for (step, edit) in edits().into_iter().enumerate() {
-        let mut store = RelationStore::open(&path, &base(), opts);
+        let mut store = RelationStore::open(&path, &base(), opts.clone());
         if step % 2 == 1 {
-            let guard = cardir_faults::arm(
+            plan.arm(
                 sites::JOURNAL_APPEND,
                 FaultAction::Panic("killed in cycle".into()),
                 Trigger::Times(1),
             );
-            let result = cardir_faults::with_silent_panics(|| {
-                catch_unwind(AssertUnwindSafe(|| store.apply(edit.clone(), &policy)))
-            });
-            drop(guard);
+            let result = catch_unwind(AssertUnwindSafe(|| store.apply(edit.clone(), &policy)));
+            plan.disarm(sites::JOURNAL_APPEND);
             assert!(result.is_err(), "step {step}: injected kill escaped");
             // "Process died" — reopen from disk and apply the edit again.
             drop(store);
-            store = RelationStore::open(&path, &base(), opts);
+            store = RelationStore::open(&path, &base(), opts.clone());
             assert_matches_full(store.engine(), &format!("step {step} post-kill reopen"));
         }
         store.apply(edit, &policy).unwrap_or_else(|e| panic!("step {step}: {e}"));
         drop(store);
     }
 
-    let final_store = RelationStore::open(&path, &base(), opts);
+    let final_store = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(final_store.replay_report().source, ReplaySource::Journal);
     assert_matches_full(final_store.engine(), "script end state");
     // The script net effect: 4 base − 1 removed + 2 inserted = 5 live.

@@ -27,9 +27,9 @@
 //! failures retry with bounded deterministic backoff, and deadline /
 //! cancellation checks run cooperatively between chunks; the returned
 //! [`BatchOutcome`] reports every pair's fate. Fault injection for tests
-//! rides on `cardir-faults` failpoints (`engine.pair.compute`,
-//! `engine.chunk.claim`, `engine.cache.insert`), which compile to a
-//! single relaxed atomic load when unarmed.
+//! rides on the `cardir-faults` plan the policy carries
+//! ([`RunPolicy::faults`]: `engine.pair.compute`, `engine.chunk.claim`);
+//! a run without a plan pays one `None` branch per site.
 
 use crate::cache::RegionCache;
 use crate::metrics::EngineMetrics;
@@ -39,7 +39,7 @@ use crate::policy::{
 use cardir_core::{
     areas_from_soa, cdr_areas_from_soa, cdr_from_soa, CardinalRelation, PercentageMatrix, Tile,
 };
-use cardir_faults::{sites, FaultAction};
+use cardir_faults::{sites, FaultAction, FaultPlan};
 use cardir_telemetry::trace::phases;
 use cardir_telemetry::Tracer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -325,8 +325,10 @@ impl BatchEngine {
                                     break;
                                 };
                                 // Failpoint: a slow tenant stalling a worker.
-                                if let Some(FaultAction::Delay(d)) =
-                                    cardir_faults::hit(sites::ENGINE_CHUNK_CLAIM)
+                                if let Some(FaultAction::Delay(d)) = policy
+                                    .faults
+                                    .as_ref()
+                                    .and_then(|plan| plan.hit(sites::ENGINE_CHUNK_CLAIM))
                                 {
                                     std::thread::sleep(d);
                                 }
@@ -406,8 +408,10 @@ fn run_pair(
     let mut attempt = 0u32;
     loop {
         attempt += 1;
+        let faults = policy.faults.as_deref();
         let result = if policy.panic_isolation {
-            match catch_unwind(AssertUnwindSafe(|| attempt_pair(cache, i, j, mode, tally))) {
+            match catch_unwind(AssertUnwindSafe(|| attempt_pair(cache, i, j, mode, faults, tally)))
+            {
                 Ok(r) => r,
                 Err(payload) => {
                     tally.faults.panics_caught += 1;
@@ -415,7 +419,7 @@ fn run_pair(
                 }
             }
         } else {
-            attempt_pair(cache, i, j, mode, tally)
+            attempt_pair(cache, i, j, mode, faults, tally)
         };
         match result {
             Ok(pr) => return PairOutcome::Ok(pr),
@@ -443,28 +447,25 @@ fn run_pair(
     }
 }
 
-/// One pair attempt: the `engine.pair.compute` failpoint, then the real
-/// computation. Runs inside the isolation boundary, so an injected panic
-/// behaves exactly like a real one.
+/// One pair attempt: the `engine.pair.compute` failpoint of the run's
+/// plan, then the real computation. Runs inside the isolation boundary,
+/// so an injected panic behaves exactly like a real one.
 fn attempt_pair(
     cache: &RegionCache<'_>,
     i: usize,
     j: usize,
     mode: EngineMode,
+    faults: Option<&FaultPlan>,
     tally: &mut Tally,
 ) -> Result<PairRelation, PairFailure> {
-    match cardir_faults::hit(sites::ENGINE_PAIR_COMPUTE) {
-        Some(FaultAction::Panic(msg)) => {
-            panic!("injected panic at {}: {msg}", sites::ENGINE_PAIR_COMPUTE)
+    if let Some(plan) = faults {
+        match plan.step(sites::ENGINE_PAIR_COMPUTE) {
+            Ok(None) => {}
+            Ok(Some(_)) => {
+                return Err(PairFailure::Injected("torn write at a compute site".into()))
+            }
+            Err(msg) => return Err(PairFailure::Injected(msg)),
         }
-        Some(FaultAction::Error(msg)) | Some(FaultAction::IoError(msg)) => {
-            return Err(PairFailure::Injected(msg))
-        }
-        Some(FaultAction::TornWrite(_)) => {
-            return Err(PairFailure::Injected("torn write at a compute site".into()))
-        }
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        None => {}
     }
     Ok(compute_pair(cache, i, j, mode, tally))
 }

@@ -43,17 +43,6 @@ impl<'a> RegionCache<'a> {
         let polygons = regions.iter().map(|r| r.polygons().len()).sum();
         let mut soa = SoaStore::with_capacity(edge_counts.iter().sum(), polygons);
         for r in &regions {
-            // Failpoint: a corrupt geometry blowing up mid-build.
-            match cardir_faults::hit(cardir_faults::sites::ENGINE_CACHE_INSERT) {
-                Some(cardir_faults::FaultAction::Panic(msg)) => {
-                    panic!(
-                        "injected panic at {}: {msg}",
-                        cardir_faults::sites::ENGINE_CACHE_INSERT
-                    )
-                }
-                Some(cardir_faults::FaultAction::Delay(d)) => std::thread::sleep(d),
-                _ => {}
-            }
             soa.push_region(r);
         }
         let build_time = start.elapsed();

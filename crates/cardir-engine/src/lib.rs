@@ -36,7 +36,7 @@
 //! deadline/cancellation, and [`BatchOutcome`] reports per-pair
 //! success/failure plus a [`CompletionStatus`] instead of promising a
 //! relation for every pair. Failure paths are testable deterministically
-//! through the `cardir-faults` failpoint registry.
+//! through the `cardir-faults` fault plan a [`RunPolicy`] carries.
 
 pub mod batch;
 pub mod cache;

@@ -104,22 +104,19 @@ impl EngineMetrics {
                 }
             }
         }
-        // Fold in whatever the failpoint registry injected since the last
-        // export (a no-op when fault injection never ran).
-        cardir_faults::export(registry);
         export_geometry(registry);
     }
 }
 
 /// Folds the robust-predicate counters accumulated since the previous
 /// export into `registry` as `geometry.orient2d_calls` /
-/// `geometry.exact_fallback` — same delta pattern as
-/// [`cardir_faults::export`]. `cardir-geometry` has no telemetry
-/// dependency, so the engine is the export point.
+/// `geometry.exact_fallback`, as deltas so repeated exports do not
+/// double-count. `cardir-geometry` has no telemetry dependency, so the
+/// engine is the export point.
 ///
-/// Unlike the fault counters, both counters are created even when the
-/// delta is zero: "the exact fallback never fired" is itself the signal
-/// dashboards watch (a healthy filter hit-rate), so the series must
+/// Unlike the `engine.faults.*` counters, both counters are created even
+/// when the delta is zero: "the exact fallback never fired" is itself the
+/// signal dashboards watch (a healthy filter hit-rate), so the series must
 /// exist on every export.
 fn export_geometry(registry: &Registry) {
     static LAST: OnceLock<Mutex<RobustStats>> = OnceLock::new();
@@ -150,7 +147,7 @@ mod tests {
     use super::*;
 
     /// `export` drains process-global delta state (predicate counters,
-    /// fault events); tests that call it must not interleave.
+    /// edge flattens); tests that call it must not interleave.
     static EXPORT_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]

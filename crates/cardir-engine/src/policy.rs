@@ -14,6 +14,7 @@
 
 use crate::batch::PairRelation;
 use crate::metrics::EngineMetrics;
+use cardir_faults::FaultPlan;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,8 +46,8 @@ impl CancelToken {
 
 /// How a batch run handles faults: panic isolation, bounded retries with
 /// deterministic backoff, a wall-clock deadline, and cooperative
-/// cancellation. The default policy isolates panics, never retries, and
-/// never stops early.
+/// cancellation. The default policy isolates panics, never retries,
+/// never stops early, and carries no fault plan.
 #[derive(Debug, Clone)]
 pub struct RunPolicy {
     /// Wall-clock budget measured from the start of the exact pass;
@@ -65,6 +66,10 @@ pub struct RunPolicy {
     /// [`PairFailure::Panicked`] instead of aborting the batch. Disabling
     /// this restores fail-fast propagation out of the worker scope.
     pub panic_isolation: bool,
+    /// Failpoints this run obeys (`engine.pair.compute`,
+    /// `engine.chunk.claim`); `None` injects nothing. Runs under other
+    /// plans, or none, never see these faults.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for RunPolicy {
@@ -75,6 +80,7 @@ impl Default for RunPolicy {
             retries: 0,
             backoff: Duration::from_millis(1),
             panic_isolation: true,
+            faults: None,
         }
     }
 }
@@ -116,6 +122,12 @@ impl RunPolicy {
     /// Enables or disables per-pair panic isolation.
     pub fn with_panic_isolation(mut self, isolate: bool) -> Self {
         self.panic_isolation = isolate;
+        self
+    }
+
+    /// Runs under `plan`'s failpoints.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
         self
     }
 

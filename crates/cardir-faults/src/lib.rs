@@ -4,42 +4,37 @@
 //! A **failpoint** is a named site compiled into production code
 //! (`engine.pair.compute`, `xml.write.flush`, …) where a fault can be
 //! injected on demand: a panic, an error, added latency, or a short
-//! write. Sites cost a single relaxed atomic load when nothing is armed,
-//! so they stay in release builds; tests and the differential fuzzer arm
-//! them to prove the batch pipeline and the persistence layer degrade
-//! gracefully instead of aborting or corrupting state.
-//!
-//! The registry is process-global (sites fire deep inside worker threads
-//! that no handle can reach), so tests that arm failpoints must
-//! serialise among themselves — integration-test binaries are separate
-//! processes, which keeps suites isolated from each other for free.
+//! write. A [`FaultPlan`] holds the armed sites. The code under test
+//! carries the plan it obeys as an `Option`: `RunPolicy::faults` for the
+//! engine, `StoreOptions::faults` for the relation journal, an argument
+//! for the XML persistence layer. An unarmed run pays one `None` branch
+//! per site, so sites stay in release builds, and two runs under
+//! different plans never see each other's faults — tests that arm
+//! failpoints need no serialisation.
 //!
 //! # Example
 //!
 //! ```
-//! use cardir_faults::{arm, hit, FaultAction, Trigger};
+//! use cardir_faults::{FaultAction, FaultPlan, Trigger};
 //!
 //! // Nothing armed: the site is a no-op check.
-//! assert_eq!(hit("doc.example"), None);
+//! let plan = FaultPlan::new();
+//! assert_eq!(plan.hit("doc.example"), None);
 //!
 //! // Arm the site to error on its first two hits, then pass.
-//! let guard = arm(
-//!     "doc.example",
-//!     FaultAction::Error("injected".into()),
-//!     Trigger::Times(2),
-//! );
-//! assert!(hit("doc.example").is_some());
-//! assert!(hit("doc.example").is_some());
-//! assert_eq!(hit("doc.example"), None);
+//! plan.arm("doc.example", FaultAction::Error("injected".into()), Trigger::Times(2));
+//! assert!(plan.hit("doc.example").is_some());
+//! assert!(plan.hit("doc.example").is_some());
+//! assert_eq!(plan.hit("doc.example"), None);
+//! assert_eq!(plan.fired("doc.example"), 2);
 //!
-//! drop(guard); // disarms on drop
-//! assert_eq!(hit("doc.example"), None);
+//! plan.disarm("doc.example");
+//! assert_eq!(plan.hit("doc.example"), None);
 //! ```
 
-use cardir_telemetry::Registry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use std::time::Duration;
 
 /// The catalogue of failpoint sites compiled into the workspace. Arm any
@@ -52,9 +47,6 @@ pub mod sites {
     /// Per work-queue chunk claim in a batch worker. Honours `Delay`
     /// (simulates a slow tenant); other actions are ignored.
     pub const ENGINE_CHUNK_CLAIM: &str = "engine.chunk.claim";
-    /// Per region inserted while building a `RegionCache`. Honours
-    /// `Delay` and `Panic`; errors are ignored (the build is infallible).
-    pub const ENGINE_CACHE_INSERT: &str = "engine.cache.insert";
     /// Creating the temporary file of an atomic XML save. Honours
     /// `IoError`/`Error`, `Delay`, `Panic`.
     pub const XML_WRITE_CREATE: &str = "xml.write.create";
@@ -112,7 +104,7 @@ pub enum FaultAction {
 }
 
 /// When an armed site actually fires. Hit counting is per site and starts
-/// at 1 on the first [`hit`] after arming.
+/// at 1 on the first [`FaultPlan::hit`] after arming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
     /// Fire on every hit.
@@ -169,261 +161,139 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Count of currently armed sites — the fast-path gate. When zero,
-/// [`hit`] returns without touching the registry lock.
-static ARMED: AtomicUsize = AtomicUsize::new(0);
-
-fn registry() -> &'static Mutex<HashMap<String, SiteState>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, SiteState>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock_registry() -> std::sync::MutexGuard<'static, HashMap<String, SiteState>> {
-    // An injected panic can unwind through a `hit` caller while another
-    // thread holds the lock; recover the map rather than cascading.
-    registry().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Disarms its site when dropped, so a panicking (or early-returning)
-/// test cannot leave a fault armed for the next one.
-#[must_use = "the failpoint disarms when this guard drops"]
-#[derive(Debug)]
-pub struct FailGuard {
-    site: String,
-}
-
-impl Drop for FailGuard {
-    fn drop(&mut self) {
-        disarm(&self.site);
-    }
-}
-
-/// Arms `site` with an action and a trigger, replacing any previous
-/// arming of the same site. The returned guard disarms on drop.
-pub fn arm(site: &str, action: FaultAction, trigger: Trigger) -> FailGuard {
-    let rng = match trigger {
-        Trigger::Probability { seed, .. } => seed,
-        _ => 0,
-    };
-    let mut map = lock_registry();
-    map.insert(site.to_string(), SiteState { action, trigger, rng, hits: 0 });
-    ARMED.store(map.len(), Ordering::Release);
-    FailGuard { site: site.to_string() }
-}
-
-/// Disarms `site`; returns whether it was armed.
-pub fn disarm(site: &str) -> bool {
-    let mut map = lock_registry();
-    let removed = map.remove(site).is_some();
-    ARMED.store(map.len(), Ordering::Release);
-    removed
-}
-
-/// Disarms every site (test hygiene between suites).
-pub fn disarm_all() {
-    let mut map = lock_registry();
-    map.clear();
-    ARMED.store(0, Ordering::Release);
-}
-
-/// Names of the currently armed sites, sorted.
-pub fn armed_sites() -> Vec<String> {
-    let map = lock_registry();
-    let mut names: Vec<String> = map.keys().cloned().collect();
-    names.sort();
-    names
-}
-
-/// The failpoint check a site compiles in: `None` (the overwhelmingly
-/// common case — one relaxed atomic load) unless the site is armed *and*
-/// its trigger fires, in which case the action to inject is returned and
-/// the matching event counter is bumped.
-pub fn hit(site: &str) -> Option<FaultAction> {
-    if ARMED.load(Ordering::Acquire) == 0 {
-        return None;
-    }
-    let mut map = lock_registry();
-    let state = map.get_mut(site)?;
-    if !state.should_fire() {
-        return None;
-    }
-    let action = state.action.clone();
-    drop(map);
-    events().record(&action);
-    record_site_fire(site);
-    Some(action)
-}
-
-/// Per-site fired counters: how many times each named site actually
-/// injected a fault since process start. Unlike [`SiteState`] hit counts
-/// (which disarm with their guard), these survive arm/disarm cycles so a
-/// whole fault-injection run stays attributable site by site.
-fn site_fires() -> &'static Mutex<HashMap<String, u64>> {
-    static FIRES: OnceLock<Mutex<HashMap<String, u64>>> = OnceLock::new();
-    FIRES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn record_site_fire(site: &str) {
-    let mut map = site_fires().lock().unwrap_or_else(PoisonError::into_inner);
-    *map.entry(site.to_string()).or_insert(0) += 1;
-}
-
-/// Point-in-time copy of the per-site fired counters, sorted by site
-/// name. Sites that never fired are absent.
-pub fn site_hits() -> Vec<(String, u64)> {
-    let map = site_fires().lock().unwrap_or_else(PoisonError::into_inner);
-    let mut out: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    out.sort();
-    out
-}
-
-/// Process-global fault-event counters: injections by kind, plus
-/// recoveries noted by fault-handling code (the persistence layer calls
-/// [`note_recovery`] when it falls back to a backup).
+/// The armed sites of one plan and what they fired.
 #[derive(Debug, Default)]
-struct Events {
-    injected_panics: AtomicU64,
-    injected_errors: AtomicU64,
-    injected_delays: AtomicU64,
-    injected_io: AtomicU64,
-    injected_torn_writes: AtomicU64,
-    recoveries: AtomicU64,
+struct PlanState {
+    armed: HashMap<String, SiteState>,
+    /// Faults injected per site. Unlike a [`SiteState`]'s hit count,
+    /// these survive disarming and re-arming, so a whole run stays
+    /// attributable site by site.
+    fired: HashMap<String, u64>,
 }
 
-impl Events {
-    fn record(&self, action: &FaultAction) {
-        let counter = match action {
-            FaultAction::Panic(_) => &self.injected_panics,
-            FaultAction::Error(_) => &self.injected_errors,
-            FaultAction::Delay(_) => &self.injected_delays,
-            FaultAction::IoError(_) => &self.injected_io,
-            FaultAction::TornWrite(_) => &self.injected_torn_writes,
+/// A set of armed failpoints, carried by the code under test. Share it
+/// as an `Arc<FaultPlan>`: the test keeps one handle to arm, disarm and
+/// read fire counts — also while a run that holds the other is going —
+/// and every site reached through that run consults this plan alone.
+#[derive(Debug, Default)]
+pub struct FaultPlan {
+    /// Count of armed sites — the fast-path gate. When zero, [`hit`]
+    /// returns without taking the lock. Stored (`Release`) under the lock
+    /// after each arm or disarm, loaded (`Acquire`) by `hit`; the lock,
+    /// not this pairing, publishes the armed sites themselves.
+    ///
+    /// [`hit`]: FaultPlan::hit
+    armed_count: AtomicUsize,
+    state: Mutex<PlanState>,
+}
+
+impl FaultPlan {
+    /// An empty plan: every site passes. Allocates nothing.
+    pub fn new() -> Self {
+        FaultPlan::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PlanState> {
+        // Every update leaves the maps valid, so a lock poisoned by a
+        // panic under it (the zero-denominator debug assertion) is
+        // recovered rather than failing every later site check.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Arms `site` with an action and a trigger, replacing any previous
+    /// arming of the same site (its trigger starts counting afresh).
+    /// Arming a `Panic` installs the process-wide filter that keeps
+    /// injected panics off stderr.
+    pub fn arm(&self, site: &str, action: FaultAction, trigger: Trigger) {
+        if matches!(action, FaultAction::Panic(_)) {
+            install_panic_filter();
+        }
+        let rng = match trigger {
+            Trigger::Probability { seed, .. } => seed,
+            _ => 0,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.lock();
+        state.armed.insert(site.to_string(), SiteState { action, trigger, rng, hits: 0 });
+        self.armed_count.store(state.armed.len(), Ordering::Release);
     }
 
-    fn snapshot(&self) -> EventSnapshot {
-        EventSnapshot {
-            injected_panics: self.injected_panics.load(Ordering::Relaxed),
-            injected_errors: self.injected_errors.load(Ordering::Relaxed),
-            injected_delays: self.injected_delays.load(Ordering::Relaxed),
-            injected_io: self.injected_io.load(Ordering::Relaxed),
-            injected_torn_writes: self.injected_torn_writes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
+    /// Disarms `site`; returns whether it was armed.
+    pub fn disarm(&self, site: &str) -> bool {
+        let mut state = self.lock();
+        let removed = state.armed.remove(site).is_some();
+        self.armed_count.store(state.armed.len(), Ordering::Release);
+        removed
+    }
+
+    /// The failpoint check a site compiles in: `None` (the overwhelmingly
+    /// common case — one atomic load) unless the site is armed *and* its
+    /// trigger fires, in which case the action to inject is returned and
+    /// the site's fire count is bumped.
+    pub fn hit(&self, site: &str) -> Option<FaultAction> {
+        if self.armed_count.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut guard = self.lock();
+        let PlanState { armed, fired } = &mut *guard;
+        let state = armed.get_mut(site)?;
+        if !state.should_fire() {
+            return None;
+        }
+        *fired.entry(site.to_string()).or_insert(0) += 1;
+        Some(state.action.clone())
+    }
+
+    /// How many faults `site` has injected under this plan, across every
+    /// arming of it.
+    pub fn fired(&self, site: &str) -> u64 {
+        self.lock().fired.get(site).copied().unwrap_or(0)
+    }
+
+    /// The check of a step that may be killed, failed, slowed or torn —
+    /// one IO step of a save or journal write, or one pair computation.
+    /// `Ok(None)` proceeds (a `Delay` sleeps first); `Ok(Some(n))` asks
+    /// for a torn write of `n` bytes; `Err(message)` is an injected
+    /// `Error` or `IoError`, which the caller maps into its own error
+    /// type. An injected `Panic` unwinds from here, as a process killed
+    /// mid-step would stop.
+    pub fn step(&self, site: &str) -> Result<Option<usize>, String> {
+        match self.hit(site) {
+            Some(FaultAction::Panic(msg)) => panic!("{INJECTED_PANIC_PREFIX}{site}: {msg}"),
+            Some(FaultAction::Error(msg)) | Some(FaultAction::IoError(msg)) => Err(msg),
+            Some(FaultAction::TornWrite(n)) => Ok(Some(n)),
+            Some(FaultAction::Delay(d)) => {
+                std::thread::sleep(d);
+                Ok(None)
+            }
+            None => Ok(None),
         }
     }
 }
 
-fn events() -> &'static Events {
-    static EVENTS: OnceLock<Events> = OnceLock::new();
-    EVENTS.get_or_init(Events::default)
-}
+/// How every injected panic's message starts; the panic filter drops
+/// exactly these.
+const INJECTED_PANIC_PREFIX: &str = "injected panic at ";
 
-/// Point-in-time copy of the process-wide fault-event counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EventSnapshot {
-    /// Panics injected by armed failpoints.
-    pub injected_panics: u64,
-    /// Errors injected by armed failpoints.
-    pub injected_errors: u64,
-    /// Latency injections.
-    pub injected_delays: u64,
-    /// IO errors injected by armed failpoints.
-    pub injected_io: u64,
-    /// Torn (short) writes injected by armed failpoints.
-    pub injected_torn_writes: u64,
-    /// Successful fallbacks to a backup noted via [`note_recovery`].
-    pub recoveries: u64,
-}
-
-impl EventSnapshot {
-    /// Counter-wise difference `self − earlier` (saturating), for
-    /// attributing events to a window.
-    pub fn since(&self, earlier: &EventSnapshot) -> EventSnapshot {
-        EventSnapshot {
-            injected_panics: self.injected_panics.saturating_sub(earlier.injected_panics),
-            injected_errors: self.injected_errors.saturating_sub(earlier.injected_errors),
-            injected_delays: self.injected_delays.saturating_sub(earlier.injected_delays),
-            injected_io: self.injected_io.saturating_sub(earlier.injected_io),
-            injected_torn_writes: self
-                .injected_torn_writes
-                .saturating_sub(earlier.injected_torn_writes),
-            recoveries: self.recoveries.saturating_sub(earlier.recoveries),
-        }
-    }
-
-    /// Total injections of any kind (recoveries excluded).
-    pub fn injections(&self) -> u64 {
-        self.injected_panics
-            + self.injected_errors
-            + self.injected_delays
-            + self.injected_io
-            + self.injected_torn_writes
-    }
-}
-
-/// Current fault-event counters.
-pub fn snapshot() -> EventSnapshot {
-    events().snapshot()
-}
-
-/// Records that fault-handling code recovered state from a backup (called
-/// by the persistence layer's load path).
-pub fn note_recovery() {
-    events().recoveries.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Folds the fault events that occurred since the previous `export` call
-/// into `registry` as `faults.*` counters (only non-zero deltas create
-/// counters, so fault-free reports stay fault-silent). Telemetry sinks —
-/// `Report`, `JsonLines` — then render them alongside the engine metrics.
-pub fn export(registry: &Registry) {
-    static LAST: OnceLock<Mutex<EventSnapshot>> = OnceLock::new();
-    let last = LAST.get_or_init(|| Mutex::new(EventSnapshot::default()));
-    let mut last = last.lock().unwrap_or_else(PoisonError::into_inner);
-    let now = snapshot();
-    let delta = now.since(&last);
-    *last = now;
-    for (name, value) in [
-        ("faults.injected_panics", delta.injected_panics),
-        ("faults.injected_errors", delta.injected_errors),
-        ("faults.injected_delays", delta.injected_delays),
-        ("faults.injected_io", delta.injected_io),
-        ("faults.injected_torn_writes", delta.injected_torn_writes),
-        ("faults.recoveries", delta.recoveries),
-    ] {
-        if value > 0 {
-            registry.counter(name).add(value);
-        }
-    }
-
-    // Per-site deltas under the same drain discipline, so a run that
-    // armed `journal.append` shows up as `faults.site.journal.append`
-    // right next to the engine's `engine.faults.*` numbers.
-    static LAST_SITES: OnceLock<Mutex<HashMap<String, u64>>> = OnceLock::new();
-    let last_sites = LAST_SITES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut last_sites = last_sites.lock().unwrap_or_else(PoisonError::into_inner);
-    for (site, fired) in site_hits() {
-        let prev = last_sites.insert(site.clone(), fired).unwrap_or(0);
-        let delta = fired.saturating_sub(prev);
-        if delta > 0 {
-            registry.counter(&format!("faults.site.{site}")).add(delta);
-        }
-    }
-}
-
-/// Runs `f` with the default panic-hook output suppressed, restoring the
-/// previous hook afterwards. Fault-injection harnesses deliberately fire
-/// hundreds of caught panics; without this, each one would spray a
-/// `thread panicked` line onto stderr. The hook is process-global, so
-/// callers must serialise with any concurrent test that panics on
-/// purpose.
-pub fn with_silent_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
+/// Installs, once per process, a panic hook that drops injected panics
+/// and forwards every other panic to the hook it replaced. Fault-injection
+/// runs deliberately fire hundreds of caught panics; without the filter
+/// each one would print a `thread panicked` line, while a genuine
+/// failure must still print its message.
+fn install_panic_filter() {
+    static FILTER: Once = Once::new();
+    FILTER.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            if !message.is_some_and(|m| m.starts_with(INJECTED_PANIC_PREFIX)) {
+                previous(info);
+            }
+        }));
+    });
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -440,54 +310,46 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// The registry is process-global; these tests serialise on one lock.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-        disarm_all();
-        guard
-    }
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn unarmed_site_is_a_noop() {
-        let _s = serial();
-        assert_eq!(hit("never.armed"), None);
-        assert!(armed_sites().is_empty());
+        let plan = FaultPlan::new();
+        assert_eq!(plan.hit("never.armed"), None);
+        assert_eq!(plan.step("never.armed"), Ok(None));
+        assert_eq!(plan.fired("never.armed"), 0);
     }
 
     #[test]
     fn times_trigger_fires_then_passes() {
-        let _s = serial();
-        let _g = arm("t.times", FaultAction::Error("e".into()), Trigger::Times(2));
-        assert!(hit("t.times").is_some());
-        assert!(hit("t.times").is_some());
-        assert_eq!(hit("t.times"), None);
-        assert_eq!(hit("t.times"), None);
+        let plan = FaultPlan::new();
+        plan.arm("t.times", FaultAction::Error("e".into()), Trigger::Times(2));
+        assert!(plan.hit("t.times").is_some());
+        assert!(plan.hit("t.times").is_some());
+        assert_eq!(plan.hit("t.times"), None);
+        assert_eq!(plan.hit("t.times"), None);
     }
 
     #[test]
     fn nth_trigger_fires_exactly_once() {
-        let _s = serial();
-        let _g = arm("t.nth", FaultAction::Panic("boom".into()), Trigger::Nth(3));
-        assert_eq!(hit("t.nth"), None);
-        assert_eq!(hit("t.nth"), None);
-        assert_eq!(hit("t.nth"), Some(FaultAction::Panic("boom".into())));
-        assert_eq!(hit("t.nth"), None);
+        let plan = FaultPlan::new();
+        plan.arm("t.nth", FaultAction::Panic("boom".into()), Trigger::Nth(3));
+        assert_eq!(plan.hit("t.nth"), None);
+        assert_eq!(plan.hit("t.nth"), None);
+        assert_eq!(plan.hit("t.nth"), Some(FaultAction::Panic("boom".into())));
+        assert_eq!(plan.hit("t.nth"), None);
     }
 
     #[test]
     fn probability_trigger_is_seed_deterministic() {
-        let _s = serial();
         let pattern = |seed: u64| -> Vec<bool> {
-            let _g = arm(
+            let plan = FaultPlan::new();
+            plan.arm(
                 "t.prob",
                 FaultAction::Delay(Duration::ZERO),
                 Trigger::Probability { num: 1, den: 3, seed },
             );
-            (0..64).map(|_| hit("t.prob").is_some()).collect()
+            (0..64).map(|_| plan.hit("t.prob").is_some()).collect()
         };
         let a = pattern(42);
         let b = pattern(42);
@@ -499,85 +361,70 @@ mod tests {
     }
 
     #[test]
-    fn guard_drop_disarms_and_rearm_replaces() {
-        let _s = serial();
-        let g = arm("t.guard", FaultAction::Error("a".into()), Trigger::Always);
-        assert_eq!(armed_sites(), vec!["t.guard".to_string()]);
-        drop(g);
-        assert!(armed_sites().is_empty());
-        assert_eq!(hit("t.guard"), None);
+    fn disarm_stops_firing_and_rearm_replaces() {
+        let plan = FaultPlan::new();
+        plan.arm("t.arm", FaultAction::Error("a".into()), Trigger::Always);
+        assert!(plan.disarm("t.arm"));
+        assert!(!plan.disarm("t.arm"), "already disarmed");
+        assert_eq!(plan.hit("t.arm"), None);
 
-        let _g1 = arm("t.guard", FaultAction::Error("a".into()), Trigger::Always);
-        let _g2 = arm("t.guard", FaultAction::Error("b".into()), Trigger::Always);
-        assert_eq!(hit("t.guard"), Some(FaultAction::Error("b".into())));
+        plan.arm("t.arm", FaultAction::Error("a".into()), Trigger::Always);
+        plan.arm("t.arm", FaultAction::Error("b".into()), Trigger::Always);
+        assert_eq!(plan.hit("t.arm"), Some(FaultAction::Error("b".into())));
     }
 
     #[test]
-    fn events_count_by_kind_and_export_deltas() {
-        let _s = serial();
-        let before = snapshot();
-        {
-            let _g = arm("t.events", FaultAction::IoError("io".into()), Trigger::Times(3));
-            for _ in 0..5 {
-                let _ = hit("t.events");
-            }
-        }
-        note_recovery();
-        let delta = snapshot().since(&before);
-        assert_eq!(delta.injected_io, 3);
-        assert_eq!(delta.recoveries, 1);
-        assert_eq!(delta.injections(), 3);
-
-        let registry = Registry::new();
-        export(&registry); // drains everything accumulated so far
-        let registry = Registry::new();
-        export(&registry); // nothing new since the drain
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("faults.injected_io"), None, "zero deltas create no counters");
-    }
-
-    #[test]
-    fn site_hits_count_fires_per_site_and_export_deltas() {
-        let _s = serial();
-        let fired_before = |site: &str| {
-            site_hits().iter().find(|(s, _)| s == site).map_or(0, |&(_, n)| n)
-        };
-        let before = fired_before("t.site_hits");
-        {
-            let _g = arm("t.site_hits", FaultAction::Error("e".into()), Trigger::Times(2));
-            for _ in 0..4 {
-                let _ = hit("t.site_hits");
-            }
+    fn fired_counts_per_site_across_rearming() {
+        let plan = FaultPlan::new();
+        plan.arm("t.fired", FaultAction::Error("e".into()), Trigger::Times(2));
+        plan.arm("t.other", FaultAction::Error("e".into()), Trigger::Always);
+        for _ in 0..4 {
+            let _ = plan.hit("t.fired");
         }
         // Re-arming resets the trigger's own hit count but not the
-        // process-wide per-site tally.
-        {
-            let _g = arm("t.site_hits", FaultAction::IoError("io".into()), Trigger::Times(1));
-            let _ = hit("t.site_hits");
-        }
-        assert_eq!(fired_before("t.site_hits"), before + 3);
-
-        let registry = Registry::new();
-        export(&registry); // drains everything accumulated so far
-        let registry = Registry::new();
-        export(&registry); // nothing fired since the drain
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("faults.site.t.site_hits"),
-            None,
-            "zero per-site deltas create no counters"
-        );
+        // plan's per-site tally.
+        plan.arm("t.fired", FaultAction::IoError("io".into()), Trigger::Times(1));
+        let _ = plan.hit("t.fired");
+        plan.disarm("t.fired");
+        let _ = plan.hit("t.fired");
+        assert_eq!(plan.fired("t.fired"), 3);
+        assert_eq!(plan.fired("t.other"), 0, "armed but never hit");
     }
 
     #[test]
-    fn silent_panics_suppresses_and_restores() {
-        let _s = serial();
-        let result = with_silent_panics(|| {
-            std::panic::catch_unwind(|| panic!("quiet")).unwrap_err()
-        });
-        assert_eq!(panic_message(result), "quiet");
-        // A plain String payload round-trips too.
-        let payload = std::panic::catch_unwind(|| std::panic::panic_any("s".to_string()));
-        assert_eq!(panic_message(payload.unwrap_err()), "s");
+    fn plans_do_not_share_sites() {
+        let armed = FaultPlan::new();
+        let other = FaultPlan::new();
+        armed.arm("t.scoped", FaultAction::Error("e".into()), Trigger::Always);
+        assert!(armed.hit("t.scoped").is_some());
+        assert_eq!(other.hit("t.scoped"), None);
+        assert_eq!(other.fired("t.scoped"), 0);
+    }
+
+    #[test]
+    fn step_maps_every_action() {
+        let plan = FaultPlan::new();
+        plan.arm("t.err", FaultAction::Error("e".into()), Trigger::Always);
+        plan.arm("t.io", FaultAction::IoError("io".into()), Trigger::Always);
+        plan.arm("t.torn", FaultAction::TornWrite(7), Trigger::Always);
+        plan.arm("t.delay", FaultAction::Delay(Duration::ZERO), Trigger::Always);
+        plan.arm("t.kill", FaultAction::Panic("killed".into()), Trigger::Always);
+        assert_eq!(plan.step("t.err"), Err("e".to_string()));
+        assert_eq!(plan.step("t.io"), Err("io".to_string()));
+        assert_eq!(plan.step("t.torn"), Ok(Some(7)));
+        assert_eq!(plan.step("t.delay"), Ok(None));
+        let payload = catch_unwind(AssertUnwindSafe(|| plan.step("t.kill"))).unwrap_err();
+        assert_eq!(panic_message(payload), "injected panic at t.kill: killed");
+        assert_eq!(plan.fired("t.kill"), 1);
+    }
+
+    #[test]
+    fn panic_message_reads_both_payload_kinds() {
+        let payload = catch_unwind(|| std::panic::panic_any("s")).unwrap_err();
+        assert_eq!(panic_message(payload), "s");
+        let payload = catch_unwind(|| std::panic::panic_any("s".to_string())).unwrap_err();
+        assert_eq!(panic_message(payload), "s");
+        let payload = catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert_eq!(panic_message(payload), "non-string panic payload");
     }
 }

@@ -21,9 +21,8 @@
 //!   never as wrong relations; a repair after disarming converges to
 //!   the exact fault-free state.
 //!
-//! Failpoints are process-global, so these checks must not run
-//! concurrently with other failpoint users; the fuzz CLI and the smoke
-//! tests serialize them.
+//! The faulted phase arms a fault plan of its own, carried by the store's
+//! options and the edits' policy, so checks can run side by side.
 
 use crate::checks::Failure;
 use cardir_cardirect::{RelationStore, ReplaySource, StoreOptions};
@@ -31,11 +30,12 @@ use cardir_engine::{
     BatchEngine, Edit, EngineMode, EngineSnapshot, IncrementalEngine, PairRelation, RegionCache,
     RunPolicy,
 };
-use cardir_faults::{sites, FaultAction, Trigger};
+use cardir_faults::{sites, FaultAction, FaultPlan, Trigger};
 use cardir_geometry::{BoundingBox, Point, Region};
 use cardir_workloads::{random_map, random_region, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn fail(check: &'static str, detail: String) -> Option<Failure> {
     Some(Failure { check, detail })
@@ -142,6 +142,7 @@ fn store_options(seed: u64) -> StoreOptions {
         threads: 1 + (rng.random_range(0..2u64) as usize),
         // Small threshold so scripts cross the compaction boundary often.
         compact_threshold: 2048,
+        faults: None,
     }
 }
 
@@ -149,7 +150,6 @@ fn store_options(seed: u64) -> StoreOptions {
 /// cycles. Every step must bit-match the full-recompute oracle, and
 /// every reopen must replay to exactly the pre-drop state.
 pub fn check_edit_script(seed: u64) -> Option<Failure> {
-    cardir_faults::disarm_all();
     let path = scratch_path(seed, "clean");
     cleanup(&path);
     let opts = store_options(seed);
@@ -162,7 +162,7 @@ pub fn check_edit_script(seed: u64) -> Option<Failure> {
         .collect();
 
     let result = (|| {
-        let mut store = RelationStore::open(&path, &base, opts);
+        let mut store = RelationStore::open(&path, &base, opts.clone());
         // The previous step's snapshot and the oracle it matched: later
         // edits copy on write, so it must keep materialising to exactly
         // that list.
@@ -198,7 +198,7 @@ pub fn check_edit_script(seed: u64) -> Option<Failure> {
                     }
                 };
                 drop(store);
-                store = RelationStore::open(&path, &base, opts);
+                store = RelationStore::open(&path, &base, opts.clone());
                 match store.replay_report().source {
                     ReplaySource::Journal => {}
                     ref other => {
@@ -237,11 +237,11 @@ pub fn check_edit_script(seed: u64) -> Option<Failure> {
 /// compute path and the journal append path, plus seeded kills
 /// mid-append and mid-compaction with full crash/replay cycles.
 pub fn check_edit_faults(seed: u64) -> Option<Failure> {
-    cardir_faults::disarm_all();
     let path = scratch_path(seed, "faults");
     cleanup(&path);
-    let opts = store_options(seed);
-    let policy = RunPolicy::default();
+    let plan = Arc::new(FaultPlan::new());
+    let opts = StoreOptions { faults: Some(Arc::clone(&plan)), ..store_options(seed) };
+    let policy = RunPolicy::default().with_faults(Arc::clone(&plan));
     let base = base_regions(seed);
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5eed_0002);
     let mut pool: Vec<Region> = random_map(&mut rng, 12, extent())
@@ -250,15 +250,15 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         .collect();
 
     let result = (|| {
-        let mut store = RelationStore::open(&path, &base, opts);
+        let mut store = RelationStore::open(&path, &base, opts.clone());
 
         // --- Probabilistic faults on compute + journal-append paths ---
-        let compute_guard = cardir_faults::arm(
+        plan.arm(
             sites::ENGINE_PAIR_COMPUTE,
             FaultAction::Error("injected".into()),
             Trigger::Probability { num: 1, den: 4, seed: seed ^ 1 },
         );
-        let append_guard = cardir_faults::arm(
+        plan.arm(
             sites::JOURNAL_APPEND,
             if rng.random_bool(0.5) {
                 FaultAction::IoError("injected".into())
@@ -278,10 +278,10 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
             // No oracle here: the compute failpoint is still armed, so a
             // full recompute would fault too. The post-repair differential
             // below asserts the "pending, never wrong" contract once the
-            // registry is disarmed.
+            // plan is disarmed.
         }
-        drop(compute_guard);
-        drop(append_guard);
+        plan.disarm(sites::ENGINE_PAIR_COMPUTE);
+        plan.disarm(sites::JOURNAL_APPEND);
 
         // Repair converges to the exact fault-free state.
         let repaired = store.repair(&policy);
@@ -301,22 +301,20 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
 
         // --- Kill mid-append: process dies, reopen, replay ---
         let pre_kill = store.engine().materialize().expect("no pending after repair");
-        let kill_guard = cardir_faults::arm(
+        plan.arm(
             sites::JOURNAL_APPEND,
             FaultAction::Panic("killed mid-append".into()),
             Trigger::Times(1),
         );
         let edit = draw_edit(&mut rng, store.engine(), &mut pool);
-        let killed = cardir_faults::with_silent_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| store.apply(edit.clone(), &policy)))
-        });
-        drop(kill_guard);
+        let killed = catch_unwind(AssertUnwindSafe(|| store.apply(edit.clone(), &policy)));
+        plan.disarm(sites::JOURNAL_APPEND);
         if killed.is_ok() {
             return fail("edits-kill-append", "injected kill did not fire".to_string());
         }
         // "Process death": the poisoned store is abandoned, not synced.
         drop(store);
-        let mut store = RelationStore::open(&path, &base, opts);
+        let mut store = RelationStore::open(&path, &base, opts.clone());
         match store.replay_report().source {
             ReplaySource::Journal | ReplaySource::TruncatedJournal { .. } => {}
             ref other => {
@@ -351,15 +349,9 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         } else {
             sites::JOURNAL_COMPACT_RENAME
         };
-        let kill_guard = cardir_faults::arm(
-            site,
-            FaultAction::Panic("killed mid-compaction".into()),
-            Trigger::Times(1),
-        );
-        let killed = cardir_faults::with_silent_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| store.compact()))
-        });
-        drop(kill_guard);
+        plan.arm(site, FaultAction::Panic("killed mid-compaction".into()), Trigger::Times(1));
+        let killed = catch_unwind(AssertUnwindSafe(|| store.compact()));
+        plan.disarm(site);
         if killed.is_ok() {
             return fail("edits-kill-compact", format!("injected kill at {site} did not fire"));
         }
@@ -389,7 +381,6 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         }
         None
     })();
-    cardir_faults::disarm_all();
     cleanup(&path);
     result
 }

@@ -5,23 +5,24 @@
 //!   (`succeeded + failed + skipped == total`),
 //! * every *surviving* pair must be bit-identical to the naive per-pair
 //!   ground truth,
-//! * after the faults are disarmed, a clean run must be fully `Complete`
-//!   and bit-identical again (no poisoned state left behind),
+//! * a clean run over the same cache, without a fault plan, must be
+//!   fully `Complete` and bit-identical again (no poisoned state left
+//!   behind),
 //! * a torn or killed configuration write must leave a loadable file on
 //!   disk, recovering from the `.bak` generation when needed.
 //!
-//! Failpoints are process-global, so these checks must not run
-//! concurrently with other failpoint users; the fuzz CLI and the smoke
-//! tests serialize them.
+//! Each check arms a fault plan of its own, so checks can run side by
+//! side.
 
 use crate::checks::{Failure, Naive};
 use cardir_cardirect::xml::{backup_path, load_config, save_xml_atomic, temp_path, LoadSource};
 use cardir_cardirect::Configuration;
 use cardir_core::{CardinalRelation, PercentageMatrix};
 use cardir_engine::{BatchEngine, EngineMode, PairOutcome, PairRelation, RegionCache, RunPolicy};
-use cardir_faults::{sites, FaultAction, Trigger};
+use cardir_faults::{sites, FaultAction, FaultPlan, Trigger};
 use cardir_geometry::Region;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn fail(check: &'static str, detail: String) -> Option<Failure> {
     Some(Failure { check, detail })
@@ -45,7 +46,6 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     if regions.len() < 2 {
         return None;
     }
-    cardir_faults::disarm_all();
     let cache = RegionCache::build(regions);
     let n = regions.len();
     let total = n * (n - 1);
@@ -64,7 +64,8 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     ];
     for (check, action, retries) in scenarios {
         for threads in [1usize, 2, 4] {
-            let guard = cardir_faults::arm(
+            let plan = Arc::new(FaultPlan::new());
+            plan.arm(
                 sites::ENGINE_PAIR_COMPUTE,
                 action.clone(),
                 // Roughly one pair in four, re-rolled per hit from the
@@ -72,10 +73,8 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                 // failure pattern.
                 Trigger::Probability { num: 1, den: 4, seed: seed ^ threads as u64 },
             );
-            let outcome = cardir_faults::with_silent_panics(|| {
-                join(threads, &RunPolicy::default().with_retries(retries))
-            });
-            drop(guard);
+            let outcome =
+                join(threads, &RunPolicy::default().with_retries(retries).with_faults(plan));
 
             if outcome.succeeded + outcome.failed + outcome.skipped != total {
                 return fail(
@@ -130,13 +129,13 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
         }
     }
 
-    // A clean run after disarming must be fully complete and
+    // A clean run over the same cache must be fully complete and
     // bit-identical — injected faults must leave no residue.
     let clean = join(2, &RunPolicy::default());
     if !clean.is_complete() || clean.failed != 0 {
         return fail(
             "faults-engine-residue",
-            format!("clean run after disarm: status {:?}, {} failed", clean.status, clean.failed),
+            format!("clean run after faults: status {:?}, {} failed", clean.status, clean.failed),
         );
     }
     for (pair, want) in clean.pairs.iter().zip(&baseline) {
@@ -171,7 +170,6 @@ pub fn check_persistence_faults(regions: &[Region], seed: u64) -> Option<Failure
     if regions.is_empty() {
         return None;
     }
-    cardir_faults::disarm_all();
     let mut config = Configuration::new("fault fuzz v1", "fuzz.png");
     // A handful of regions is plenty; persistence cost is linear.
     for (i, r) in regions.iter().take(4).enumerate() {
@@ -184,25 +182,21 @@ pub fn check_persistence_faults(regions: &[Region], seed: u64) -> Option<Failure
     cleanup(&path);
 
     let result = (|| {
-        if let Err(e) = save_xml_atomic(&config, &path) {
+        if let Err(e) = save_xml_atomic(&config, &path, None) {
             return fail("faults-persist-save", format!("clean save failed: {e}"));
         }
 
         // Tear the next save mid-stream at a seed-derived byte offset.
         let torn_at = (seed % 200) as usize + 1;
-        let guard = cardir_faults::arm(
-            sites::XML_WRITE_DATA,
-            FaultAction::TornWrite(torn_at),
-            Trigger::Times(1),
-        );
+        let plan = FaultPlan::new();
+        plan.arm(sites::XML_WRITE_DATA, FaultAction::TornWrite(torn_at), Trigger::Times(1));
         let mut v2 = config.clone();
         v2.name = "fault fuzz v2".to_string();
-        let torn = save_xml_atomic(&v2, &path);
-        drop(guard);
+        let torn = save_xml_atomic(&v2, &path, Some(&plan));
         if torn.is_ok() {
             return fail("faults-persist-torn", "torn write reported success".to_string());
         }
-        match load_config(&path) {
+        match load_config(&path, None) {
             Ok(loaded) => {
                 if loaded.config.name != "fault fuzz v1" {
                     return fail(
@@ -221,7 +215,7 @@ pub fn check_persistence_faults(regions: &[Region], seed: u64) -> Option<Failure
 
         // Now a clean v2 save, then corrupt the primary in place — the
         // `.bak` generation (v1) must satisfy the load.
-        if let Err(e) = save_xml_atomic(&v2, &path) {
+        if let Err(e) = save_xml_atomic(&v2, &path, None) {
             return fail("faults-persist-save", format!("v2 save failed: {e}"));
         }
         let text = match std::fs::read_to_string(&path) {
@@ -232,7 +226,7 @@ pub fn check_persistence_faults(regions: &[Region], seed: u64) -> Option<Failure
         if std::fs::write(&path, &text[..cut]).is_err() {
             return fail("faults-persist-recover", "could not corrupt the primary".to_string());
         }
-        match load_config(&path) {
+        match load_config(&path, None) {
             // A short truncation can leave a still-valid document (the
             // tail may be trailing whitespace), in which case the primary
             // (v2) wins; otherwise the `.bak` generation (v1) must.

@@ -29,6 +29,7 @@ pub mod faults;
 pub mod gen;
 pub mod legacy;
 
+use cardir_faults::panic_message;
 use cardir_geometry::to_wkt;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -177,8 +178,8 @@ pub fn run_join(base_seed: u64, iters: u64) -> FuzzReport {
 
 /// Runs the fault-injection checks for one seed.
 ///
-/// Arms process-global failpoints: must not run concurrently with other
-/// failpoint users (the CLI and the smoke tests serialize it).
+/// Every check arms a fault plan of its own, so seeds can run side by
+/// side.
 pub fn run_faults_seed(seed: u64) -> Vec<Divergence> {
     let scenario = gen::generate(seed);
     let family = scenario.family;
@@ -205,16 +206,12 @@ pub fn run_faults_seed(seed: u64) -> Vec<Divergence> {
 
     // Panics are an expected part of these checks (injected ones are
     // caught by the engine); a panic escaping to *here* is itself a
-    // divergence, and either way the registry must be left disarmed.
-    let result = cardir_faults::with_silent_panics(|| {
-        catch_unwind(AssertUnwindSafe(|| faults::check_engine_faults(regions, seed)))
-    });
-    cardir_faults::disarm_all();
+    // divergence.
+    let result = catch_unwind(AssertUnwindSafe(|| faults::check_engine_faults(regions, seed)));
     caught("engine-faults", result);
 
     let result =
         catch_unwind(AssertUnwindSafe(|| faults::check_persistence_faults(regions, seed)));
-    cardir_faults::disarm_all();
     caught("persistence-faults", result);
     out
 }
@@ -234,8 +231,8 @@ pub fn run_faults(base_seed: u64, iters: u64) -> FuzzReport {
 /// fresh full recompute — clean, then under probabilistic faults with
 /// kill-mid-append and kill-mid-compaction crash/replay cycles.
 ///
-/// Arms process-global failpoints: must not run concurrently with other
-/// failpoint users (the CLI and the smoke tests serialize it).
+/// The faulted phase arms a fault plan of its own, so seeds can run side
+/// by side.
 pub fn run_seed_edits(seed: u64) -> Vec<Divergence> {
     let family = "edit-scripts";
     let mut out = Vec::new();
@@ -259,16 +256,11 @@ pub fn run_seed_edits(seed: u64) -> Vec<Divergence> {
     };
 
     let result = catch_unwind(AssertUnwindSafe(|| edits::check_edit_script(seed)));
-    cardir_faults::disarm_all();
     caught("edit-script", result);
 
     // Injected kills are panics the check itself catches; one escaping
-    // to here is a divergence, and the registry is left disarmed either
-    // way.
-    let result = cardir_faults::with_silent_panics(|| {
-        catch_unwind(AssertUnwindSafe(|| edits::check_edit_faults(seed)))
-    });
-    cardir_faults::disarm_all();
+    // to here is a divergence.
+    let result = catch_unwind(AssertUnwindSafe(|| edits::check_edit_faults(seed)));
     caught("edit-faults", result);
     out
 }
@@ -283,34 +275,14 @@ pub fn run_edits(base_seed: u64, iters: u64) -> FuzzReport {
     report
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Failpoints are process-global: the edits block arms them, and any
-    /// engine run beside it would receive the injected faults. Every
-    /// test that runs the engine or arms a failpoint holds this lock.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// The CI smoke contract in miniature: a block of seeded iterations
     /// must produce no divergences and no panics.
     #[test]
     fn seeded_block_is_divergence_free() {
-        let _serial = serial();
         let report = run(1, 60);
         assert_eq!(report.iterations, 60);
         assert!(
@@ -334,7 +306,6 @@ mod tests {
     /// baseline, and the area matrix all said plain `SW`.
     #[test]
     fn seed_57_microscale_needle_center_containment() {
-        let _serial = serial();
         let divergences = run_seed(57);
         assert!(
             divergences.is_empty(),
@@ -353,7 +324,6 @@ mod tests {
     /// on clustered, grid-anchored, extreme-magnitude geometry.
     #[test]
     fn join_block_is_divergence_free() {
-        let _serial = serial();
         let report = run_join(1, 40);
         assert_eq!(report.iterations, 40);
         assert!(
@@ -370,7 +340,6 @@ mod tests {
 
     #[test]
     fn ulp_block_is_divergence_free() {
-        let _serial = serial();
         let report = run_ulp(1, 40);
         assert_eq!(report.iterations, 40);
         assert!(
@@ -410,7 +379,6 @@ mod tests {
     /// be divergence-free.
     #[test]
     fn edits_block_is_divergence_free() {
-        let _serial = serial();
         let report = run_edits(1, 10);
         assert_eq!(report.iterations, 10);
         assert!(

@@ -65,7 +65,12 @@ pub fn trace_boundaries(cells: &[(usize, usize)]) -> Vec<BoundaryLoop> {
     }
 
     let mut loops = Vec::new();
-    while let Some((&start, _)) = outgoing.iter().find(|(_, v)| !v.is_empty()) {
+    // Each walk starts at a vertex with one outgoing edge: at a saddle
+    // there is no incoming direction yet to pick the turn by. One exists
+    // while any edge remains, because the lowest vertex still on an edge
+    // cannot be a saddle (a saddle keeps all four of its edges, one of
+    // them leading lower).
+    while let Some((&start, _)) = outgoing.iter().find(|(_, v)| v.len() == 1) {
         // Follow edges into a closed walk. The walk may revisit saddle
         // vertices (pinch points), so it is split into vertex-simple
         // cycles afterwards.
@@ -273,6 +278,18 @@ mod tests {
             for p in traced.polygons() {
                 assert!(p.is_simple(), "label {label}");
             }
+        }
+    }
+
+    #[test]
+    fn walks_never_start_at_a_saddle() {
+        // The two cells meet only at vertex (1, 1), which has two outgoing
+        // edges. Walks start in hash-map order, which differs from map to
+        // map, so trace the same cells many times.
+        for _ in 0..200 {
+            let loops = trace_boundaries(&[(0, 0), (1, 1)]);
+            assert_eq!(loops.len(), 2);
+            assert!(loops.iter().all(|l| l.vertices.len() == 4 && !l.is_hole));
         }
     }
 

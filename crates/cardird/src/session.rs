@@ -304,7 +304,7 @@ impl SessionRegistry {
             return Ok(session.clone());
         }
         let path = self.data_dir.join(format!("{name}.cdj"));
-        let session = Arc::new(Session::open(name, path, self.opts));
+        let session = Arc::new(Session::open(name, path, self.opts.clone()));
         sessions.insert(name.to_string(), session.clone());
         Ok(session)
     }

@@ -8,6 +8,16 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
+
+# Failpoints live in the fault plan each run carries: no process-global
+# registry, no test-side lock. The suites that arm them run once more
+# with 8 test threads, so shared state that creeps back shows up as a
+# failure under parallelism.
+cargo test -q --offline --test fault_injection --test join_cross_validation \
+    --test incremental_engine -- --test-threads 8
+cargo test -q --offline -p cardir-cardirect --test journal --test persistence -- --test-threads 8
+cargo test -q --offline -p cardir-faults --lib -- --test-threads 8
+
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Warning-free rustdoc: a doc link to a renamed or deleted item, or to a

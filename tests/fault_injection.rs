@@ -7,24 +7,20 @@
 //! `compute_cdr_pct` results. The join's own fault semantics (only the
 //! exact subset is work) are pinned in `join_cross_validation.rs`.
 //!
-//! Failpoints are process-global; every test that arms one (or that
-//! depends on none being armed) holds `SERIAL`. This file is its own
-//! test binary, so no other suite can race it.
+//! Each test arms a fault plan that only its own runs carry, so the
+//! tests run in parallel without seeing each other's faults.
 
-use cardir::cardirect::Configuration;
 use cardir::core::{compute_cdr, compute_cdr_pct};
 use cardir::engine::{
     interacting_pairs, BatchEngine, BatchOutcome, CancelToken, CompletionStatus, EngineMode,
     PairFailure, PairOutcome, PairRelation, RegionCache, RunPolicy,
 };
-use cardir::faults::{self, sites, FaultAction, Trigger};
+use cardir::faults::{self, sites, FaultAction, FaultPlan, Trigger};
 use cardir::geometry::Region;
 use cardir::telemetry::Registry;
 use cardir::workloads::SplitMix64;
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
     Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
@@ -63,6 +59,29 @@ fn run_every_pair(
         .expect("indices are in range")
 }
 
+/// A fresh plan with `site` armed, and a default policy that carries it.
+fn armed(site: &str, action: FaultAction, trigger: Trigger) -> (Arc<FaultPlan>, RunPolicy) {
+    let plan = Arc::new(FaultPlan::new());
+    plan.arm(site, action, trigger);
+    let policy = RunPolicy::default().with_faults(Arc::clone(&plan));
+    (plan, policy)
+}
+
+/// Heavily overlapping boxes: most of the 40·39 ordered pairs interact,
+/// so the join's exact pass has several chunks of 256.
+fn overlapping_regions(seed: u64) -> Vec<Region> {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    (0..40)
+        .map(|_| {
+            let x0 = (rng.next_u64() % 200) as f64 / 10.0;
+            let y0 = (rng.next_u64() % 200) as f64 / 10.0;
+            let w = 5.0 + (rng.next_u64() % 200) as f64 / 10.0;
+            let h = 5.0 + (rng.next_u64() % 200) as f64 / 10.0;
+            rect(x0, y0, x0 + w, y0 + h)
+        })
+        .collect()
+}
+
 /// A quantitative pair must match the naive algorithms bit for bit.
 fn assert_naive(pr: &PairRelation, regions: &[Region], context: &str) {
     let (a, b) = (&regions[pr.primary], &regions[pr.reference]);
@@ -78,8 +97,6 @@ fn assert_naive(pr: &PairRelation, regions: &[Region], context: &str) {
 
 #[test]
 fn default_policy_join_is_bit_identical_to_naive() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(12, 11);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
@@ -107,8 +124,6 @@ fn default_policy_join_is_bit_identical_to_naive() {
 
 #[test]
 fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(10, 23);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
@@ -120,15 +135,12 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
     ];
     for action in &actions {
         for threads in [1usize, 2, 4] {
-            let guard = faults::arm(
+            let (plan, policy) = armed(
                 sites::ENGINE_PAIR_COMPUTE,
                 action.clone(),
                 Trigger::Probability { num: 1, den: 5, seed: 0xFEED ^ threads as u64 },
             );
-            let outcome = faults::with_silent_panics(|| {
-                run_every_pair(&cache, EngineMode::Quantitative, threads, &RunPolicy::default())
-            });
-            drop(guard);
+            let outcome = run_every_pair(&cache, EngineMode::Quantitative, threads, &policy);
 
             assert_eq!(
                 outcome.succeeded + outcome.failed + outcome.skipped,
@@ -137,10 +149,17 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
             );
             assert_eq!(outcome.skipped, 0, "no deadline or cancel was set");
             assert_eq!(outcome.pairs.len(), total);
-            // Latency never fails a pair; panic/error may.
+            // Latency never fails a pair; without retries, each panic or
+            // error the plan fires fails exactly one.
             if matches!(action, FaultAction::Delay(_)) {
                 assert_eq!(outcome.failed, 0, "latency must not fail pairs");
                 assert_eq!(outcome.status, CompletionStatus::Complete);
+            } else {
+                assert_eq!(
+                    plan.fired(sites::ENGINE_PAIR_COMPUTE),
+                    outcome.failed as u64,
+                    "{action:?} threads={threads}: every fired fault is accounted for"
+                );
             }
             // Every surviving pair is bit-identical to the naive result.
             for pr in outcome.relations() {
@@ -154,8 +173,6 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
 /// scope — all other results still come back, exactly once.
 #[test]
 fn one_poisoned_pair_still_yields_all_other_results() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(8, 5);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
@@ -163,15 +180,12 @@ fn one_poisoned_pair_still_yields_all_other_results() {
 
     for threads in [1usize, 4] {
         // Exactly the 11th pair computation panics.
-        let guard = faults::arm(
+        let (_plan, policy) = armed(
             sites::ENGINE_PAIR_COMPUTE,
             FaultAction::Panic("poisoned pair".into()),
             Trigger::Nth(11),
         );
-        let outcome = faults::with_silent_panics(|| {
-            run_every_pair(&cache, EngineMode::Quantitative, threads, &RunPolicy::default())
-        });
-        drop(guard);
+        let outcome = run_every_pair(&cache, EngineMode::Quantitative, threads, &policy);
 
         assert_eq!(outcome.status, CompletionStatus::PartialPanics, "threads={threads}");
         assert_eq!(outcome.failed, 1, "threads={threads}: exactly one PairError");
@@ -194,42 +208,40 @@ fn one_poisoned_pair_still_yields_all_other_results() {
 }
 
 /// `Configuration::compute_all_relations` promises a relation for every
-/// pair, so it re-raises a pair failure — but only after the whole batch
-/// has run (the scope no longer aborts mid-flight).
+/// pair, so it re-raises the first `Failed` outcome of its qualitative
+/// `run_join` + `materialize`. It runs under the default policy, which
+/// carries no fault plan; this pins the outcome it re-raises: the whole
+/// batch still runs (the scope does not abort mid-flight), and the one
+/// poisoned pair comes back as a `Failed` slot whose message is the
+/// facade's panic message.
 #[test]
-fn compute_all_relations_rethrows_an_injected_panic() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
+fn injected_panic_yields_the_failed_outcome_the_facade_rethrows() {
     // Overlapping boxes, so the join has exact work for the failpoint.
-    let mut config = Configuration::new("rethrow", "rethrow.png");
-    for (k, region) in
-        [rect(0.0, 0.0, 4.0, 4.0), rect(2.0, 2.0, 6.0, 6.0), rect(1.0, 3.0, 5.0, 7.0)].into_iter().enumerate()
-    {
-        config.add_region(format!("r{k}"), format!("r{k}"), "red", region).unwrap();
-    }
-    let guard = faults::arm(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Panic("legacy".into()),
-        Trigger::Nth(3),
-    );
-    let result = faults::with_silent_panics(|| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| config.compute_all_relations()))
-    });
-    drop(guard);
-    let message = faults::panic_message(result.expect_err("the failure must re-raise"));
-    assert!(message.contains("failed after"), "{message}");
+    let regions = [rect(0.0, 0.0, 4.0, 4.0), rect(2.0, 2.0, 6.0, 6.0), rect(1.0, 3.0, 5.0, 7.0)];
+    let cache = RegionCache::build(&regions);
+    let (plan, policy) =
+        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Panic("legacy".into()), Trigger::Nth(3));
+    let outcome = BatchEngine::new()
+        .with_mode(EngineMode::Qualitative)
+        .run_join(&cache, &policy)
+        .materialize(&cache);
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
+    assert_eq!(outcome.status, CompletionStatus::PartialPanics);
+    assert_eq!((outcome.succeeded, outcome.failed, outcome.skipped), (5, 1, 0));
+    let failure = outcome.failures().next().expect("one pair failed");
+    assert!(matches!(failure.failure, PairFailure::Panicked(_)));
+    let message = failure.to_string();
+    assert!(message.contains("failed after") && message.contains("legacy"), "{message}");
 }
 
 #[test]
 fn transient_failures_recover_with_retries() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(4, 3);
     let cache = RegionCache::build(&regions);
 
     // The first two attempts anywhere fail; with two retries the first
     // pair consumes them and everything completes.
-    let guard = faults::arm(
+    let (plan, policy) = armed(
         sites::ENGINE_PAIR_COMPUTE,
         FaultAction::Error("transient".into()),
         Trigger::Times(2),
@@ -238,9 +250,9 @@ fn transient_failures_recover_with_retries() {
         &cache,
         EngineMode::Qualitative,
         1,
-        &RunPolicy::default().with_retries(2).with_backoff(Duration::ZERO),
+        &policy.with_retries(2).with_backoff(Duration::ZERO),
     );
-    drop(guard);
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 2);
 
     assert_eq!(outcome.status, CompletionStatus::Complete);
     assert_eq!(outcome.failed, 0);
@@ -250,26 +262,17 @@ fn transient_failures_recover_with_retries() {
 
 #[test]
 fn retry_exhaustion_reports_the_attempt_count() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(3, 9);
     let cache = RegionCache::build(&regions);
 
     // A single-pair run where every attempt fails: true exhaustion.
-    let guard = faults::arm(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Error("permanent".into()),
-        Trigger::Always,
-    );
+    let (plan, policy) =
+        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("permanent".into()), Trigger::Always);
     let outcome = BatchEngine::new()
         .with_threads(1)
-        .run_pairs(
-            &cache,
-            &[(0, 1)],
-            &RunPolicy::default().with_retries(3).with_backoff(Duration::ZERO),
-        )
+        .run_pairs(&cache, &[(0, 1)], &policy.with_retries(3).with_backoff(Duration::ZERO))
         .unwrap();
-    drop(guard);
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 4);
 
     assert_eq!(outcome.failed, 1);
     let failure = outcome.failures().next().unwrap();
@@ -279,8 +282,6 @@ fn retry_exhaustion_reports_the_attempt_count() {
 
 #[test]
 fn zero_deadline_skips_everything() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(8, 13);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
@@ -305,8 +306,6 @@ fn zero_deadline_skips_everything() {
 
 #[test]
 fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     // 30 regions → 870 pairs → 4 chunks of ≤256 on one thread.
     let regions = random_regions(30, 17);
     let cache = RegionCache::build(&regions);
@@ -314,7 +313,7 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
 
     // Each chunk claim stalls 30 ms; the 50 ms deadline lets roughly one
     // or two chunks through, never all four.
-    let guard = faults::arm(
+    let (_plan, policy) = armed(
         sites::ENGINE_CHUNK_CLAIM,
         FaultAction::Delay(Duration::from_millis(30)),
         Trigger::Always,
@@ -323,9 +322,8 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
         &cache,
         EngineMode::Quantitative,
         1,
-        &RunPolicy::default().with_deadline(Duration::from_millis(50)),
+        &policy.with_deadline(Duration::from_millis(50)),
     );
-    drop(guard);
 
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
     assert!(outcome.skipped > 0, "some chunks must miss the deadline");
@@ -353,26 +351,13 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
 /// in the primary-major order `interacting_pairs` reports.
 #[test]
 fn mid_run_deadline_on_the_join_keeps_unclaimed_pairs_in_row_order() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
-    // Heavily overlapping boxes: most of the 40·39 pairs interact, so the
-    // exact pass has several chunks of 256.
-    let mut rng = SplitMix64::seed_from_u64(31);
-    let regions: Vec<Region> = (0..40)
-        .map(|_| {
-            let x0 = (rng.next_u64() % 200) as f64 / 10.0;
-            let y0 = (rng.next_u64() % 200) as f64 / 10.0;
-            let w = 5.0 + (rng.next_u64() % 200) as f64 / 10.0;
-            let h = 5.0 + (rng.next_u64() % 200) as f64 / 10.0;
-            rect(x0, y0, x0 + w, y0 + h)
-        })
-        .collect();
+    let regions = overlapping_regions(31);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
     let (interacting, _) = interacting_pairs(&cache);
     assert!(interacting.len() > 3 * 256, "{} interacting pairs", interacting.len());
 
-    let guard = faults::arm(
+    let (_plan, policy) = armed(
         sites::ENGINE_CHUNK_CLAIM,
         FaultAction::Delay(Duration::from_millis(30)),
         Trigger::Always,
@@ -380,8 +365,7 @@ fn mid_run_deadline_on_the_join_keeps_unclaimed_pairs_in_row_order() {
     let outcome = BatchEngine::new()
         .with_mode(EngineMode::Quantitative)
         .with_threads(1)
-        .run_join(&cache, &RunPolicy::default().with_deadline(Duration::from_millis(50)));
-    drop(guard);
+        .run_join(&cache, &policy.with_deadline(Duration::from_millis(50)));
 
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
     assert!(outcome.skipped > 0, "some chunks must miss the deadline");
@@ -413,38 +397,30 @@ fn mid_run_deadline_on_the_join_keeps_unclaimed_pairs_in_row_order() {
 /// thread it ran on.
 #[test]
 fn panic_without_isolation_unwinds_out_of_both_entry_points() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(30, 29);
     let cache = RegionCache::build(&regions);
-    let policy = RunPolicy::default().with_panic_isolation(false);
     for threads in [1usize, 2] {
         let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
-        let guard = faults::arm(
+        let (plan, policy) = armed(
             sites::ENGINE_PAIR_COMPUTE,
             FaultAction::Panic("unisolated".into()),
             Trigger::Nth(2),
         );
-        let joined = faults::with_silent_panics(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.run_join(&cache, &policy)
-            }))
-        });
-        drop(guard);
+        let policy = policy.with_panic_isolation(false);
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_join(&cache, &policy)
+        }));
         let message = faults::panic_message(joined.expect_err("run_join must unwind"));
         assert!(message.contains("unisolated"), "threads={threads}: {message}");
 
-        let guard = faults::arm(
+        plan.arm(
             sites::ENGINE_PAIR_COMPUTE,
             FaultAction::Panic("unisolated".into()),
             Trigger::Nth(300),
         );
-        let listed = faults::with_silent_panics(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.run_pairs(&cache, &every_pair(regions.len()), &policy)
-            }))
-        });
-        drop(guard);
+        let listed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_pairs(&cache, &every_pair(regions.len()), &policy)
+        }));
         let message = faults::panic_message(listed.expect_err("run_pairs must unwind"));
         assert!(message.contains("unisolated"), "threads={threads}: {message}");
     }
@@ -452,8 +428,6 @@ fn panic_without_isolation_unwinds_out_of_both_entry_points() {
 
 #[test]
 fn pre_cancelled_token_skips_everything() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(6, 19);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
@@ -473,50 +447,67 @@ fn pre_cancelled_token_skips_everything() {
 }
 
 #[test]
-fn cache_build_failpoint_panics_are_isolated_by_caller() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
-    let regions = random_regions(5, 29);
-    let guard = faults::arm(
-        sites::ENGINE_CACHE_INSERT,
-        FaultAction::Panic("corrupt geometry".into()),
-        Trigger::Nth(3),
-    );
-    let result = faults::with_silent_panics(|| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| RegionCache::build(&regions)))
-    });
-    drop(guard);
-    let message = faults::panic_message(result.expect_err("the cache build must panic"));
-    assert!(message.contains("corrupt geometry"), "{message}");
-
-    // Disarmed, the same build succeeds.
-    assert_eq!(RegionCache::build(&regions).len(), 5);
-}
-
-#[test]
 fn fault_events_flow_into_telemetry() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = random_regions(8, 31);
     let cache = RegionCache::build(&regions);
 
-    let guard = faults::arm(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Panic("telemetry".into()),
-        Trigger::Nth(5),
-    );
-    let outcome = faults::with_silent_panics(|| {
-        run_every_pair(&cache, EngineMode::Qualitative, 2, &RunPolicy::default())
-    });
-    drop(guard);
+    let (plan, policy) =
+        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Panic("telemetry".into()), Trigger::Nth(5));
+    let outcome = run_every_pair(&cache, EngineMode::Qualitative, 2, &policy);
     assert_eq!(outcome.failed, 1);
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
 
     let registry = Registry::new();
     outcome.metrics.export(&registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.faults.panics_caught"), Some(1));
     assert_eq!(snap.counter("engine.faults.failed_pairs"), Some(1));
-    // The failpoint registry's own counters export too (delta-based, so
-    // at least this run's injected panic is present).
-    assert!(snap.counter("faults.injected_panics").unwrap_or(0) >= 1);
+}
+
+/// Fault plans are scoped to the runs that carry them: two joins over
+/// the same cache at the same time, one under a plan that fails every
+/// pair computation, the other under the default policy. The unarmed
+/// join never sees a fault, and the plan counts exactly what its own
+/// join injected.
+#[test]
+fn concurrent_joins_see_only_their_own_plan() {
+    let regions = overlapping_regions(37);
+    let cache = RegionCache::build(&regions);
+    let total = regions.len() * (regions.len() - 1);
+    let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(2);
+    let (plan, armed_policy) =
+        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("scoped".into()), Trigger::Always);
+    for round in 0..4 {
+        let start = Barrier::new(2);
+        let (faulted, clean) = std::thread::scope(|s| {
+            let faulted = s.spawn(|| {
+                start.wait();
+                engine.run_join(&cache, &armed_policy)
+            });
+            let clean = s.spawn(|| {
+                start.wait();
+                engine.run_join(&cache, &RunPolicy::default()).materialize(&cache)
+            });
+            (faulted.join().unwrap(), clean.join().unwrap())
+        });
+
+        assert_eq!(clean.status, CompletionStatus::Complete, "round {round}");
+        assert_eq!((clean.failed, clean.skipped), (0, 0), "round {round}");
+        assert!(clean.metrics.faults.is_clean(), "round {round}");
+        assert_eq!(clean.pairs.len(), total);
+        for (got, (i, j)) in clean.pairs.iter().zip(every_pair(regions.len())) {
+            let pr = got.ok().expect("the unarmed join fails no pair");
+            assert_eq!((pr.primary, pr.reference), (i, j));
+            assert_naive(pr, &regions, &format!("round {round}"));
+        }
+
+        let injected = faulted.metrics.faults.injected_failures as u64;
+        assert!(injected > 0, "round {round}: the armed join has exact work");
+        assert_eq!(faulted.failed as u64, injected, "round {round}");
+        assert_eq!(
+            plan.fired(sites::ENGINE_PAIR_COMPUTE),
+            injected * (round + 1),
+            "round {round}: the plan counts its own join's injections only"
+        );
+    }
 }

@@ -2,21 +2,19 @@
 //! modes and thread counts differentially asserted against a fresh full
 //! recompute, plus fault-driven pending/repair flows.
 //!
-//! Failpoints are process-global; every test that arms one (or that
-//! depends on none being armed) holds `SERIAL`. This file is its own
-//! test binary, so no other suite can race it.
+//! Edits and repairs run under a policy that carries the test's own
+//! fault plan, so the tests run in parallel without seeing each other's
+//! faults.
 
 use cardir::engine::{
     BatchEngine, CompletionStatus, Edit, EngineMode, IncrementalEngine, IncrementalError,
     PairRelation, RegionCache, RunPolicy,
 };
-use cardir::faults::{self, sites, FaultAction, Trigger};
+use cardir::faults::{sites, FaultAction, FaultPlan, Trigger};
 use cardir::geometry::{BoundingBox, Point, Region};
 use cardir::telemetry::Registry;
 use cardir::workloads::{random_map, SplitMix64};
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn extent() -> BoundingBox {
     BoundingBox::new(Point::new(0.0, 0.0), Point::new(400.0, 300.0))
@@ -41,6 +39,13 @@ fn full_recompute(engine: &IncrementalEngine) -> Vec<PairRelation> {
     outcome.pairs.iter().map(|p| p.ok().expect("clean oracle run").clone()).collect()
 }
 
+/// A fresh, unarmed plan and a default policy that carries it.
+fn planned() -> (Arc<FaultPlan>, RunPolicy) {
+    let plan = Arc::new(FaultPlan::new());
+    let policy = RunPolicy::default().with_faults(Arc::clone(&plan));
+    (plan, policy)
+}
+
 fn assert_matches_full(engine: &IncrementalEngine, context: &str) {
     let materialized = engine.materialize().expect("no pending pairs");
     let oracle = full_recompute(engine);
@@ -54,8 +59,7 @@ fn assert_matches_full(engine: &IncrementalEngine, context: &str) {
 /// after every step, across both modes and several thread counts.
 #[test]
 fn edit_scripts_match_full_recompute_across_modes_and_threads() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
+    let policy = RunPolicy::default();
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         for threads in [1usize, 2, 4] {
             let mut engine =
@@ -75,7 +79,7 @@ fn edit_scripts_match_full_recompute_across_modes_and_threads() {
                         Edit::Remove(victim)
                     }
                 };
-                let delta = engine.apply(edit).expect("edit applies");
+                let delta = engine.apply_with(edit, &policy).expect("edit applies");
                 assert_eq!(delta.status, CompletionStatus::Complete);
                 assert_matches_full(
                     &engine,
@@ -90,8 +94,6 @@ fn edit_scripts_match_full_recompute_across_modes_and_threads() {
 /// and a repair after disarming converges to the exact state.
 #[test]
 fn faulted_edits_park_pending_then_repair_converges() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let mut engine = IncrementalEngine::bootstrap(
         EngineMode::Quantitative,
         2,
@@ -99,7 +101,8 @@ fn faulted_edits_park_pending_then_repair_converges() {
         &RunPolicy::default(),
     );
 
-    let guard = faults::arm(
+    let (plan, policy) = planned();
+    plan.arm(
         sites::ENGINE_PAIR_COMPUTE,
         FaultAction::Error("injected".into()),
         Trigger::Probability { num: 1, den: 2, seed: 611 },
@@ -108,11 +111,13 @@ fn faulted_edits_park_pending_then_repair_converges() {
     for replacement in map(613, 6) {
         let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
         let victim = live[(replacement.mbb().min.x as u64 % live.len() as u64) as usize];
-        let delta = engine.apply(Edit::Replace(victim, replacement)).expect("edit applies");
+        let delta =
+            engine.apply_with(Edit::Replace(victim, replacement), &policy).expect("edit applies");
         pending_seen += delta.pending_added.len();
     }
-    drop(guard);
+    plan.disarm(sites::ENGINE_PAIR_COMPUTE);
     assert!(pending_seen > 0, "the 1-in-2 fault never fired across 6 edits");
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), pending_seen as u64);
 
     if engine.pending_count() > 0 {
         // Reads exclude pending pairs rather than serving stale values.
@@ -124,7 +129,7 @@ fn faulted_edits_park_pending_then_repair_converges() {
         ));
     }
 
-    let repaired = engine.repair();
+    let repaired = engine.repair_with(&policy);
     assert_eq!(repaired.still_pending, 0, "disarmed repair must clear the backlog");
     assert_eq!(repaired.status, CompletionStatus::Complete);
     assert_matches_full(&engine, "after repair");
@@ -134,8 +139,6 @@ fn faulted_edits_park_pending_then_repair_converges() {
 /// clean repair finishes the job.
 #[test]
 fn repair_under_fire_keeps_failures_pending() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let mut engine = IncrementalEngine::bootstrap(
         EngineMode::Qualitative,
         1,
@@ -148,24 +151,22 @@ fn repair_under_fire_keeps_failures_pending() {
     );
 
     // Fault every compute: the replace parks all its pairs.
-    let guard = faults::arm(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Error("injected".into()),
-        Trigger::Always,
-    );
-    let delta = engine.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0))).expect("applies");
+    let (plan, policy) = planned();
+    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("injected".into()), Trigger::Always);
+    let delta =
+        engine.apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("applies");
     assert!(delta.installed.is_empty());
     assert!(!delta.pending_added.is_empty());
 
     // Repair under the same fault: everything stays pending.
-    let repaired = engine.repair();
+    let repaired = engine.repair_with(&policy);
     assert_eq!(repaired.installed.len(), 0);
     assert_eq!(repaired.still_pending, engine.pending_count());
     assert!(repaired.still_pending > 0);
-    drop(guard);
+    plan.disarm(sites::ENGINE_PAIR_COMPUTE);
 
     // Clean repair converges.
-    let repaired = engine.repair();
+    let repaired = engine.repair_with(&policy);
     assert_eq!(repaired.still_pending, 0);
     assert_matches_full(&engine, "after second repair");
 }
@@ -175,25 +176,20 @@ fn repair_under_fire_keeps_failures_pending() {
 /// against stale geometry.
 #[test]
 fn invalidation_supersedes_pending_pairs_of_the_edited_slot() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let mut engine = IncrementalEngine::bootstrap(
         EngineMode::Qualitative,
         1,
         vec![rect(0.0, 0.0, 10.0, 10.0), rect(5.0, 5.0, 15.0, 15.0)],
         &RunPolicy::default(),
     );
-    let guard = faults::arm(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Error("injected".into()),
-        Trigger::Always,
-    );
-    engine.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0))).expect("applies");
+    let (plan, policy) = planned();
+    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("injected".into()), Trigger::Always);
+    engine.apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("applies");
     assert!(engine.pending_count() > 0);
-    drop(guard);
+    plan.disarm(sites::ENGINE_PAIR_COMPUTE);
 
     // Removing the slot drops its pending pairs with it.
-    engine.apply(Edit::Remove(1)).expect("applies");
+    engine.apply_with(Edit::Remove(1), &policy).expect("applies");
     assert_eq!(engine.pending_count(), 0);
     assert_matches_full(&engine, "after remove of faulted slot");
 }
@@ -203,61 +199,55 @@ fn invalidation_supersedes_pending_pairs_of_the_edited_slot() {
 /// not an unwind through `apply`.
 #[test]
 fn injected_panic_is_isolated_as_a_pending_pair() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let mut engine = IncrementalEngine::bootstrap(
         EngineMode::Quantitative,
         1,
         vec![rect(0.0, 0.0, 10.0, 10.0), rect(5.0, 5.0, 15.0, 15.0)],
         &RunPolicy::default(),
     );
-    let guard = faults::arm(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Panic("injected".into()),
-        Trigger::Times(1),
-    );
-    let delta = faults::with_silent_panics(|| {
-        engine.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)))
-    })
-    .expect("apply absorbs the panic");
-    drop(guard);
+    let (plan, policy) = planned();
+    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Panic("injected".into()), Trigger::Times(1));
+    let delta = engine
+        .apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
+        .expect("apply absorbs the panic");
     assert_eq!(delta.pending_added.len(), 1, "the panicked pair parks as pending");
-    let repaired = engine.repair();
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
+    let repaired = engine.repair_with(&policy);
     assert_eq!(repaired.still_pending, 0);
     assert_matches_full(&engine, "after panic repair");
 }
 
-/// The engine's export and the fault registry's per-site counters land
-/// in one registry snapshot.
+/// A faulted edit script shows in the engine's exported counters, and
+/// the plan counts the one fault its site fired.
 #[test]
-fn incremental_and_fault_site_counters_share_a_registry() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
+fn incremental_counters_export_and_the_plan_counts_its_site_fires() {
     let mut engine = IncrementalEngine::bootstrap(
         EngineMode::Qualitative,
         1,
         map(631, 6),
         &RunPolicy::default(),
     );
-    let guard = faults::arm(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Error("injected".into()),
-        Trigger::Times(1),
-    );
+    let (plan, policy) = planned();
+    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("injected".into()), Trigger::Times(1));
+    let mut pending_seen = 0;
     for replacement in map(633, 3) {
         let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
-        engine.apply(Edit::Replace(live[0], replacement)).expect("applies");
+        let delta =
+            engine.apply_with(Edit::Replace(live[0], replacement), &policy).expect("applies");
+        pending_seen += delta.pending_added.len();
     }
-    drop(guard);
-    engine.repair();
+    let repaired = engine.repair_with(&policy);
 
     let registry = Registry::new();
     engine.export(&registry);
-    faults::export(&registry);
     let snap = registry.snapshot();
     assert!(snap.counter("incremental.edits_applied").unwrap_or(0) >= 3);
     assert!(snap.counter("incremental.pairs_invalidated").unwrap_or(0) > 0);
-    // The injected fault fired at least once somewhere in the script;
-    // its per-site counter reports under the same registry.
-    assert!(snap.counter("faults.site.engine.pair.compute").unwrap_or(0) >= 1);
+    assert_eq!(snap.counter("incremental.pending_pairs"), Some(0));
+    // The site fired exactly once in the script; the pair it failed
+    // parked as pending, unless a later edit superseded it, and the
+    // repair cleared whatever was left.
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
+    assert_eq!(pending_seen, 1);
+    assert_eq!(repaired.still_pending, 0);
 }

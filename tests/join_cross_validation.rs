@@ -10,22 +10,19 @@
 //! governs the exact subset only — mask-emitted pairs are proven by the
 //! boxes, cost `O(1)`, and are never work items.
 //!
-//! Every test that runs the engine holds `SERIAL`: failpoints are
-//! process-global, so a test that arms `engine.pair.compute` would
-//! otherwise inject its panic into whichever join runs beside it. This
-//! file is its own test binary, so no other suite can race it.
+//! A test that arms `engine.pair.compute` does so on a fault plan its
+//! own join carries, so the joins of the other tests run beside it
+//! untouched.
 
 use cardir::core::{compute_cdr, compute_cdr_pct, CardinalRelation, Tile};
 use cardir::engine::{
     decided_tile, interacting_pairs, BatchEngine, CancelToken, CompletionStatus, EngineMode,
     PairOutcome, RegionCache, RunPolicy,
 };
-use cardir::faults::{self, sites, FaultAction, Trigger};
+use cardir::faults::{sites, FaultAction, FaultPlan, Trigger};
 use cardir::geometry::{BoundingBox, Point, Region};
 use cardir::workloads::{random_map, SplitMix64};
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
     Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
@@ -124,8 +121,6 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
 /// the full join differential.
 #[test]
 fn adversarial_families_cross_validate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let mut seen = std::collections::BTreeMap::new();
     let mut seed = 0u64;
     while seen.len() < 7 {
@@ -144,8 +139,6 @@ fn adversarial_families_cross_validate() {
 /// differential on a block of seeds.
 #[test]
 fn join_cluster_scenarios_cross_validate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     for seed in 0..8u64 {
         let scenario = cardir_fuzz::gen::generate_join(seed);
         assert_join_cross_validates(&scenario.regions, &format!("join-clusters seed {seed}"));
@@ -156,8 +149,6 @@ fn join_cluster_scenarios_cross_validate() {
 /// miniature) pass the full differential.
 #[test]
 fn random_maps_cross_validate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let mut rng = SplitMix64::seed_from_u64(71);
     for n in [6usize, 25] {
         let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(500.0, 400.0));
@@ -175,8 +166,6 @@ fn random_maps_cross_validate() {
 /// pair, then cross-validated end to end.
 #[test]
 fn boundary_contact_pairs_stay_exact() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = vec![
         rect(0.0, 0.0, 4.0, 4.0),       // 0: the reference square
         rect(4.0, 0.0, 8.0, 4.0),       // 1: shares the full east edge
@@ -225,8 +214,6 @@ fn boundary_contact_pairs_stay_exact() {
 /// pairs `Ok`, exact pairs `Skipped`.
 #[test]
 fn pre_cancelled_join_still_emits_mask_pairs() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = mixed_map();
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
@@ -273,8 +260,6 @@ fn pre_cancelled_join_still_emits_mask_pairs() {
 /// `DeadlineExceeded` status: the deadline governs exact work only.
 #[test]
 fn zero_deadline_join_skips_only_exact_pairs() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = mixed_map();
     let cache = RegionCache::build(&regions);
 
@@ -293,8 +278,6 @@ fn zero_deadline_join_skips_only_exact_pairs() {
 /// the unpoisoned baseline, and the accounting closes.
 #[test]
 fn poisoned_exact_pair_is_isolated_and_survivors_match() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     let regions = mixed_map();
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
@@ -302,14 +285,14 @@ fn poisoned_exact_pair_is_isolated_and_survivors_match() {
     let baseline = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
     assert_eq!(baseline.status, CompletionStatus::Complete);
 
-    let guard = faults::arm(
+    let plan = Arc::new(FaultPlan::new());
+    plan.arm(
         sites::ENGINE_PAIR_COMPUTE,
         FaultAction::Panic("poisoned join pair".into()),
         Trigger::Nth(3),
     );
-    let joined =
-        faults::with_silent_panics(|| engine.run_join(&cache, &RunPolicy::default()));
-    drop(guard);
+    let joined = engine.run_join(&cache, &RunPolicy::default().with_faults(Arc::clone(&plan)));
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
 
     assert_eq!(joined.status, CompletionStatus::PartialPanics);
     assert_eq!(joined.failed, 1, "exactly one exact pair is poisoned");
@@ -341,8 +324,6 @@ fn poisoned_exact_pair_is_isolated_and_survivors_match() {
 /// fully scattered map (empty interacting set) still completes cleanly.
 #[test]
 fn mask_emission_never_hits_the_compute_failpoint() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::disarm_all();
     // Strictly diagonal boxes: every ordered pair is box-decided.
     let regions: Vec<Region> = (0..6)
         .map(|i| {
@@ -355,14 +336,16 @@ fn mask_emission_never_hits_the_compute_failpoint() {
     let (interacting, _) = interacting_pairs(&cache);
     assert!(interacting.is_empty(), "the map must be fully mask-emittable");
 
-    let fault_guard = faults::arm(
+    let plan = Arc::new(FaultPlan::new());
+    plan.arm(
         sites::ENGINE_PAIR_COMPUTE,
         FaultAction::Panic("mask emission must not reach this site".into()),
         Trigger::Always,
     );
-    let joined = BatchEngine::new().with_threads(2).run_join(&cache, &RunPolicy::default());
+    let policy = RunPolicy::default().with_faults(Arc::clone(&plan));
+    let joined = BatchEngine::new().with_threads(2).run_join(&cache, &policy);
     let out = joined.materialize(&cache);
-    drop(fault_guard);
+    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 0);
 
     assert_eq!(out.status, CompletionStatus::Complete);
     assert_eq!(out.succeeded, total);
