@@ -33,9 +33,9 @@
 //! every cell is measured warm.
 
 use cardir_bench::SEED;
-use cardir_engine::{BatchEngine, EngineMetrics, EngineMode, RegionCache, RunPolicy};
-use cardir_geometry::{BoundingBox, Point, Region};
-use cardir_telemetry::{ChromeTrace, Json, JsonLines, Registry, Tracer};
+use cardir_engine::{BatchEngine, EngineMode, RegionCache, RunPolicy};
+use cardir_geometry::{flatten, robust, BoundingBox, Point, Region};
+use cardir_telemetry::{ChromeTrace, Json, JsonLines, Tracer};
 use cardir_workloads::{random_map, SplitMix64};
 use std::hint::black_box;
 use std::time::Instant;
@@ -145,7 +145,6 @@ fn main() {
         sink
     });
 
-    let mut last_metrics = EngineMetrics::default();
     for &mode in &modes {
         println!("\n== {mode:?} ==");
         // Untimed warm-up: touch the whole output allocation and any
@@ -181,7 +180,7 @@ fn main() {
                 let label = format!("{} t={threads}", format!("{mode:?}").to_lowercase());
                 chrome.add_process(&label, &tracer);
             }
-            let stats = result.metrics.stats;
+            let stats = &result.stats;
             let pairs_per_sec = stats.pairs as f64 / elapsed.as_secs_f64();
             let speedup = match baseline {
                 None => {
@@ -198,7 +197,15 @@ fn main() {
                 100.0 * stats.mask_emitted as f64 / stats.pairs.max(1) as f64,
             );
             if let Some(sink) = &mut sink {
-                let m = &result.metrics;
+                // Worker utilisation: mean pairs per worker over the
+                // busiest worker's pairs, 0 when nothing ran.
+                let per_thread = &stats.per_thread_pairs;
+                let max = per_thread.iter().copied().max().unwrap_or(0);
+                let worker_balance = if max == 0 {
+                    0.0
+                } else {
+                    per_thread.iter().sum::<usize>() as f64 / per_thread.len() as f64 / max as f64
+                };
                 sink.emit(
                     "engine_cell",
                     Json::obj([
@@ -215,13 +222,13 @@ fn main() {
                         ("candidates", Json::from(stats.candidates)),
                         (
                             "discover_ns",
-                            Json::from(m.discover.as_nanos().min(u64::MAX as u128) as u64),
+                            Json::from(stats.discover.as_nanos().min(u64::MAX as u128) as u64),
                         ),
                         (
                             "exact_pass_ns",
-                            Json::from(m.exact_pass.as_nanos().min(u64::MAX as u128) as u64),
+                            Json::from(stats.exact_pass.as_nanos().min(u64::MAX as u128) as u64),
                         ),
-                        ("worker_balance", Json::from(m.worker_balance())),
+                        ("worker_balance", Json::from(worker_balance)),
                         // The raw distribution worker_balance summarises:
                         // mean/max collides across thread counts when the
                         // chunk-granular peaks align (it did in the
@@ -230,31 +237,23 @@ fn main() {
                         (
                             "thread_pairs",
                             Json::Arr(
-                                m.per_thread_pairs.iter().map(|&p| Json::from(p)).collect(),
+                                per_thread.iter().map(|&p| Json::from(p)).collect(),
                             ),
                         ),
                     ]),
                 )
                 .expect("write JSON line");
             }
-            last_metrics = result.metrics.clone();
         }
     }
 
-    // Robust-predicate filter effectiveness over the whole bench run,
-    // read back through the same registry export path production uses
-    // (EngineMetrics::export → geometry.* counters).
-    let registry = Registry::new();
-    last_metrics.export(&registry);
-    let snap = registry.snapshot();
-    let orient_calls = snap.counter("geometry.orient2d_calls").unwrap_or(0);
-    let exact_fallback = snap.counter("geometry.exact_fallback").unwrap_or(0);
-    let edge_flattens = snap.counter("geometry.edge_flattens").unwrap_or(0);
-    let filter_hit_rate = if orient_calls == 0 {
-        1.0
-    } else {
-        1.0 - exact_fallback as f64 / orient_calls as f64
-    };
+    // Robust-predicate filter effectiveness and edge flattens over the
+    // whole bench run: both counters are process-wide and count from
+    // process start.
+    let predicates = robust::stats();
+    let (orient_calls, exact_fallback) = (predicates.orient_calls, predicates.exact_fallbacks);
+    let edge_flattens = flatten::events();
+    let filter_hit_rate = predicates.filter_hit_rate();
     println!(
         "\ngeometry: {orient_calls} orient2d calls, {exact_fallback} exact fallbacks (filter hit-rate {:.4}%), {edge_flattens} edge flattens",
         100.0 * filter_hit_rate,

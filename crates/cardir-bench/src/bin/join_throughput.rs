@@ -119,10 +119,10 @@ fn main() {
             chrome.add_process(&format!("join N={n}"), &tracer);
         }
         assert!(outcome.status == cardir_engine::CompletionStatus::Complete);
-        let join = outcome.metrics.stats;
+        let join = &outcome.stats;
         // The part of the join's wall time outside its two timed phases.
         let unattributed =
-            elapsed.saturating_sub(outcome.metrics.discover + outcome.metrics.exact_pass);
+            elapsed.saturating_sub(join.discover + join.exact_pass);
         let relations_per_sec = total as f64 / elapsed.as_secs_f64();
         println!(
             "join: {total} relations in {elapsed:.2?} ({relations_per_sec:.0} relations/sec)"
@@ -168,10 +168,10 @@ fn main() {
                 ("pairs_materialized", Json::from(outcome.interacting.len())),
                 ("elapsed_ns", Json::from(ns(elapsed))),
                 ("relations_per_sec", Json::from(relations_per_sec)),
-                ("discover_ns", Json::from(ns(outcome.metrics.discover))),
-                ("exact_pass_ns", Json::from(ns(outcome.metrics.exact_pass))),
+                ("discover_ns", Json::from(ns(join.discover))),
+                ("exact_pass_ns", Json::from(ns(join.exact_pass))),
                 ("unattributed_ns", Json::from(ns(unattributed))),
-                ("threads", Json::from(join.threads)),
+                ("threads", Json::from(join.per_thread_pairs.len())),
                 ("fused_pairs", Json::from(join.fused_pairs)),
             ];
             if let Some((elapsed_all, speedup)) = baseline {

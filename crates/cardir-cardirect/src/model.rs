@@ -261,7 +261,7 @@ impl Configuration {
             });
             self.relation_map.insert((pr.primary, pr.reference), pr.relation);
         }
-        outcome.metrics.stats
+        outcome.stats
     }
 
     /// The stored relations (empty until [`Self::compute_all_relations`]

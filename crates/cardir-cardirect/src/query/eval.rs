@@ -38,34 +38,6 @@ pub struct Binding {
     pub values: Vec<String>,
 }
 
-/// Check counts for one direction conjunct, in query order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct ConjunctStats {
-    /// Times the conjunct became decidable and was checked.
-    pub checked: usize,
-    /// Checks that passed (`checked − passed` bindings died here).
-    pub passed: usize,
-}
-
-/// What evaluating one query cost: how many candidate bindings were
-/// generated, how many the R-tree pruned before any relation check, and
-/// how each direction conjunct filtered the rest.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct EvalStats {
-    /// Candidate bindings actually tried (post-pruning), across all
-    /// variables of the backtracking join.
-    pub candidates_considered: usize,
-    /// Candidates skipped by the R-tree hull mask without any relation
-    /// computation — the filter step's savings.
-    pub index_pruned: usize,
-    /// Tried bindings rejected by a direction check.
-    pub relation_rejected: usize,
-    /// Answer tuples produced.
-    pub answers: usize,
-    /// Per-direction-conjunct check counts, in query condition order.
-    pub conjuncts: Vec<ConjunctStats>,
-}
-
 /// An R-tree over a configuration's region bounding boxes, used to prune
 /// direction-condition candidates (the GIS filter step).
 pub struct RegionIndex {
@@ -148,7 +120,7 @@ fn axis_hull(r: CardinalRelation, lo: f64, hi: f64, x_axis: bool) -> (f64, f64) 
 /// otherwise. Answers come out in region-declaration order, head variable
 /// by head variable.
 pub fn evaluate(query: &Query, config: &Configuration) -> Result<Vec<Binding>, EvalError> {
-    evaluate_impl(query, config, None).map(|(b, _)| b)
+    evaluate_impl(query, config, None)
 }
 
 /// [`evaluate`], with R-tree pruning of direction-condition candidates.
@@ -157,27 +129,6 @@ pub fn evaluate_indexed(
     config: &Configuration,
     index: &RegionIndex,
 ) -> Result<Vec<Binding>, EvalError> {
-    evaluate_impl(query, config, Some(index)).map(|(b, _)| b)
-}
-
-/// [`evaluate`], also reporting [`EvalStats`] for the run. The answers
-/// are identical to [`evaluate`]'s — the counters only observe.
-#[cfg(test)]
-pub(crate) fn evaluate_with_stats(
-    query: &Query,
-    config: &Configuration,
-) -> Result<(Vec<Binding>, EvalStats), EvalError> {
-    evaluate_impl(query, config, None)
-}
-
-/// [`evaluate_indexed`], also reporting [`EvalStats`] — in particular
-/// `index_pruned`, the candidates the R-tree removed.
-#[cfg(test)]
-pub(crate) fn evaluate_indexed_with_stats(
-    query: &Query,
-    config: &Configuration,
-    index: &RegionIndex,
-) -> Result<(Vec<Binding>, EvalStats), EvalError> {
     evaluate_impl(query, config, Some(index))
 }
 
@@ -185,7 +136,7 @@ fn evaluate_impl(
     query: &Query,
     config: &Configuration,
     index: Option<&RegionIndex>,
-) -> Result<(Vec<Binding>, EvalStats), EvalError> {
+) -> Result<Vec<Binding>, EvalError> {
     let n_vars = query.variables.len();
     let var_index: HashMap<&str, usize> =
         query.variables.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
@@ -245,18 +196,7 @@ fn evaluate_impl(
 
     let mut results = Vec::new();
     let mut binding: Vec<Option<usize>> = vec![None; n_vars];
-    let mut stats = EvalStats { conjuncts: vec![ConjunctStats::default(); directions.len()], ..EvalStats::default() };
-    search(
-        config,
-        index,
-        &candidates,
-        &directions,
-        &mut binding,
-        0,
-        &mut results,
-        &mut stats,
-    );
-    stats.answers = results.len();
+    search(config, index, &candidates, &directions, &mut binding, 0, &mut results);
 
     let bindings = results
         .into_iter()
@@ -264,10 +204,9 @@ fn evaluate_impl(
             values: tuple.into_iter().map(|i| config.regions()[i].id.clone()).collect(),
         })
         .collect();
-    Ok((bindings, stats))
+    Ok(bindings)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn search(
     config: &Configuration,
     index: Option<&RegionIndex>,
@@ -276,7 +215,6 @@ fn search(
     binding: &mut Vec<Option<usize>>,
     var: usize,
     results: &mut Vec<Vec<usize>>,
-    stats: &mut EvalStats,
 ) {
     if var == binding.len() {
         results.push(binding.iter().map(|b| b.expect("all bound")).collect());
@@ -306,35 +244,29 @@ fn search(
     for &cand in &candidates[var] {
         if let Some(mask) = &narrowed {
             if !mask[cand] {
-                stats.index_pruned += 1;
                 continue;
             }
         }
-        stats.candidates_considered += 1;
         binding[var] = Some(cand);
         let mut ok = true;
-        for (d, &(p, rel, r)) in directions.iter().enumerate() {
+        for &(p, rel, r) in directions {
             if let (Some(pi), Some(ri)) = (binding[p], binding[r]) {
                 if p != var && r != var {
                     continue; // checked when its later end was bound
                 }
-                stats.conjuncts[d].checked += 1;
                 let p_id = &config.regions()[pi].id;
                 let r_id = &config.regions()[ri].id;
                 let computed = config
                     .relation_between(p_id, r_id)
                     .expect("ids come from the configuration");
-                if rel.contains(computed) {
-                    stats.conjuncts[d].passed += 1;
-                } else {
+                if !rel.contains(computed) {
                     ok = false;
-                    stats.relation_rejected += 1;
                     break;
                 }
             }
         }
         if ok {
-            search(config, index, candidates, directions, binding, var + 1, results, stats);
+            search(config, index, candidates, directions, binding, var + 1, results);
         }
         binding[var] = None;
     }
@@ -441,48 +373,20 @@ mod tests {
         );
     }
 
+    /// The R-tree hull mask prunes: of the strip's three regions, only
+    /// those whose box meets the hull west of `mid` come back as
+    /// candidates, and pruning never changes an answer.
     #[test]
-    fn eval_stats_count_the_join() {
-        let c = strip();
-        let q = parse_query("{(x, y) | x W y}").unwrap();
-        let (answers, stats) = evaluate_with_stats(&q, &c).unwrap();
-        assert_eq!(answers, evaluate(&q, &c).unwrap(), "stats only observe");
-        assert_eq!(stats.answers, 3);
-        // 3 bindings of x (nothing decidable yet) + 3·3 bindings of y.
-        assert_eq!(stats.candidates_considered, 12);
-        assert_eq!(stats.index_pruned, 0, "no index in use");
-        assert_eq!(stats.conjuncts.len(), 1);
-        assert_eq!(stats.conjuncts[0].checked, 9);
-        assert_eq!(stats.conjuncts[0].passed, 3);
-        assert_eq!(stats.relation_rejected, 6);
-    }
-
-    #[test]
-    fn indexed_stats_show_pruning_without_changing_answers() {
+    fn region_index_prunes_the_w_hull() {
         let c = strip();
         let index = RegionIndex::build(&c);
-        // The primary binds after the reference, so the R-tree hull mask
-        // can prune y candidates once x is bound.
+        let w = DisjunctiveRelation::singleton("W".parse().unwrap());
+        let hits = index.candidates(&w, c.regions()[1].region.mbb());
+        assert!(hits.len() < c.len(), "the W hull must prune someone: {hits:?}");
+        assert!(hits.contains(&0) && !hits.contains(&2), "{hits:?}");
+        // The primary binds after the reference, so the mask applies.
         let q = parse_query("{(x, y) | y W x}").unwrap();
-        let (plain_answers, plain) = evaluate_with_stats(&q, &c).unwrap();
-        let (indexed_answers, indexed) = evaluate_indexed_with_stats(&q, &c, &index).unwrap();
-        assert_eq!(plain_answers, indexed_answers);
-        assert_eq!(indexed.answers, plain.answers);
-        assert!(indexed.index_pruned > 0, "the W hull must prune someone");
-        // Pruning removes candidates before any relation check, so the
-        // checked count drops by at least as much as nothing; considered
-        // plus pruned must re-add to the unindexed candidate stream.
-        assert_eq!(
-            indexed.candidates_considered + indexed.index_pruned,
-            plain.candidates_considered
-        );
-        assert!(indexed.conjuncts[0].checked < plain.conjuncts[0].checked);
-        assert_eq!(indexed.conjuncts[0].passed, plain.conjuncts[0].passed);
-        // A single conjunct partitions its checks into passes and kills.
-        assert_eq!(
-            indexed.conjuncts[0].checked,
-            indexed.conjuncts[0].passed + indexed.relation_rejected
-        );
+        assert_eq!(evaluate_indexed(&q, &c, &index).unwrap(), evaluate(&q, &c).unwrap());
     }
 
     #[test]

@@ -32,16 +32,15 @@
 //! a run without a plan pays one `None` branch per site.
 
 use crate::cache::RegionCache;
-use crate::metrics::EngineMetrics;
 use crate::policy::{
-    BatchOutcome, CompletionStatus, FaultTally, PairError, PairFailure, PairOutcome, RunPolicy,
+    BatchOutcome, CompletionStatus, PairError, PairFailure, PairOutcome, RunPolicy,
 };
 use cardir_core::{
     areas_from_soa, cdr_areas_from_soa, cdr_from_soa, CardinalRelation, PercentageMatrix, Tile,
 };
 use cardir_faults::{sites, FaultAction, FaultPlan};
 use cardir_telemetry::trace::phases;
-use cardir_telemetry::Tracer;
+use cardir_telemetry::{Registry, Tracer, COUNT_BOUNDS, DURATION_BOUNDS_NS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -77,17 +76,20 @@ pub struct PairRelation {
     pub via_prefilter: bool,
 }
 
-/// The counter record of one batch run. Collecting it costs a handful
-/// of adds per chunk, so there is no off switch; stage timings live in
-/// [`EngineMetrics`], which carries this record.
+/// The one stats record of a batch run: its partition and kernel
+/// counters, its fault counters, where its wall time went, and how the
+/// workers shared the pair load. Collecting it costs a handful of adds
+/// per chunk, so there is no off switch; [`BatchStats::export`] folds it
+/// into a `cardir-telemetry` registry.
 ///
 /// The pair space is partitioned, never double-counted:
 /// `mask_emitted + exact_pairs == pairs` holds on every outcome — the
 /// compact [`JoinOutcome`](crate::JoinOutcome) and its materialized
 /// [`BatchOutcome`] report the same three numbers. How the exact pairs
-/// ended (succeeded, failed, skipped) is the outcome's accounting, not
-/// the partition's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// ended (succeeded, failed, skipped) is the outcome's accounting, which
+/// the fault counters repeat: `failed_pairs` and `skipped_pairs` equal
+/// the outcome's `failed` and `skipped`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Ordered pairs covered by the run: `N·(N−1)` for a join, the list
     /// length for [`BatchEngine::run_pairs`].
@@ -115,8 +117,97 @@ pub struct BatchStats {
     /// Kernel computations behind [`BatchStats::edges_scanned`]: every
     /// one runs over the cache's struct-of-arrays store.
     pub fused_pairs: usize,
-    /// Worker threads used for the exact pass.
-    pub threads: usize,
+    /// Panics caught by per-pair isolation (retried attempts included).
+    pub panics_caught: usize,
+    /// Failures surfaced by armed failpoints (retried attempts included).
+    pub injected_failures: usize,
+    /// Retry attempts performed.
+    pub retries: usize,
+    /// Pairs that failed permanently.
+    pub failed_pairs: usize,
+    /// Pairs skipped by deadline or cancellation.
+    pub skipped_pairs: usize,
+    /// Workers that stopped because the deadline had passed.
+    pub deadline_hits: usize,
+    /// Workers that stopped because cancellation was requested.
+    pub cancel_hits: usize,
+    /// Wall time of [`RegionCache::build`] for the cache this run used.
+    pub cache_build: Duration,
+    /// Wall time of the join's sweep discovery; zero for an explicit
+    /// pair list.
+    pub discover: Duration,
+    /// Wall time of the threaded exact pass, from allocating the output
+    /// slots through chunk dispatch to the last worker's exit.
+    pub exact_pass: Duration,
+    /// Pairs processed by each worker of the exact pass, indexed by
+    /// worker slot — the load-balance signal. Its length is the number
+    /// of workers the exact pass ran.
+    pub per_thread_pairs: Vec<usize>,
+}
+
+impl BatchStats {
+    /// Adds `other`'s kernel and fault counters into this record: how a
+    /// run folds in its workers' records, and a materialisation its
+    /// emission work. The partition counters, the timings and
+    /// `per_thread_pairs` describe the run as a whole; its driver sets
+    /// them once, so they do not merge.
+    pub(crate) fn merge(&mut self, other: &BatchStats) {
+        self.edges_scanned += other.edges_scanned;
+        self.fused_pairs += other.fused_pairs;
+        self.panics_caught += other.panics_caught;
+        self.injected_failures += other.injected_failures;
+        self.retries += other.retries;
+        self.failed_pairs += other.failed_pairs;
+        self.skipped_pairs += other.skipped_pairs;
+        self.deadline_hits += other.deadline_hits;
+        self.cancel_hits += other.cancel_hits;
+    }
+
+    /// Folds this run into `registry`: counters `engine.{runs,pairs,
+    /// edges_scanned,fused_pairs}` and the partition counters
+    /// `join.{mask_emitted,exact_pairs,candidates}`, duration histograms
+    /// `engine.{cache_build,discover,exact_pass}_ns` (one sample per
+    /// run), the per-worker pair histogram `engine.thread_pairs`, and
+    /// each nonzero fault counter as `engine.faults.*`.
+    pub fn export(&self, registry: &Registry) {
+        registry.counter("engine.runs").inc();
+        for (name, value) in [
+            ("engine.pairs", self.pairs),
+            ("engine.edges_scanned", self.edges_scanned),
+            ("engine.fused_pairs", self.fused_pairs),
+            ("join.mask_emitted", self.mask_emitted),
+            ("join.exact_pairs", self.exact_pairs),
+            ("join.candidates", self.candidates),
+        ] {
+            registry.counter(name).add(value as u64);
+        }
+        for (name, duration) in [
+            ("engine.cache_build_ns", self.cache_build),
+            ("engine.discover_ns", self.discover),
+            ("engine.exact_pass_ns", self.exact_pass),
+        ] {
+            registry
+                .histogram(name, &DURATION_BOUNDS_NS)
+                .record(duration.as_nanos().min(u64::MAX as u128) as u64);
+        }
+        let thread_pairs = registry.histogram("engine.thread_pairs", &COUNT_BOUNDS);
+        for &pairs in &self.per_thread_pairs {
+            thread_pairs.record(pairs as u64);
+        }
+        for (name, value) in [
+            ("engine.faults.panics_caught", self.panics_caught),
+            ("engine.faults.injected_failures", self.injected_failures),
+            ("engine.faults.retries", self.retries),
+            ("engine.faults.failed_pairs", self.failed_pairs),
+            ("engine.faults.skipped_pairs", self.skipped_pairs),
+            ("engine.faults.deadline_hits", self.deadline_hits),
+            ("engine.faults.cancel_hits", self.cancel_hits),
+        ] {
+            if value > 0 {
+                registry.counter(name).add(value as u64);
+            }
+        }
+    }
 }
 
 /// The batch pairwise-relation engine.
@@ -280,7 +371,7 @@ impl BatchEngine {
         let mut pairs: Vec<PairOutcome> = work
             .map(|(primary, reference)| PairOutcome::Skipped { primary, reference })
             .collect();
-        let (tallies, per_thread_pairs): (Vec<Tally>, Vec<usize>) = {
+        let (worker_stats, per_thread_pairs): (Vec<BatchStats>, Vec<usize>) = {
             // The queue lock is held only to take the next chunk, never
             // while a pair runs, so no panic can poison it.
             let queue = Mutex::new(pairs.chunks_mut(CHUNK).enumerate());
@@ -295,7 +386,9 @@ impl BatchEngine {
                             // Worker tids are 1-based; MAIN_TID is the
                             // coordinator. The buffer merges on drop, once.
                             let mut trace = tracer.thread(slot as u32 + 1);
-                            let mut tally = Tally::default();
+                            // Counters only: `per_thread_pairs` stays
+                            // empty, so the record allocates nothing.
+                            let mut stats = BatchStats::default();
                             let mut worker_pairs = 0usize;
                             loop {
                                 // A queue_wait span covers everything
@@ -336,12 +429,12 @@ impl BatchEngine {
                                 let compute_start = trace.begin();
                                 for out in chunk.iter_mut() {
                                     let (i, j) = out.indices();
-                                    *out = run_pair(cache, i, j, mode, policy, &mut tally);
+                                    *out = run_pair(cache, i, j, mode, policy, &mut stats);
                                 }
                                 worker_pairs += chunk.len();
                                 trace.end(compute_start, phases::CHUNK_COMPUTE, Some(c as u64));
                             }
-                            (tally, worker_pairs)
+                            (stats, worker_pairs)
                         })
                     })
                     .collect();
@@ -353,19 +446,26 @@ impl BatchEngine {
         };
         let exact_pass = exact_start.elapsed();
 
-        let mut totals = Tally::default();
-        for tally in &tallies {
-            totals.merge(tally);
-        }
         let skipped = total - per_thread_pairs.iter().sum::<usize>();
-        let failed = totals.faults.failed_pairs;
+        let mut stats = BatchStats {
+            pairs: total,
+            exact_pairs: total,
+            skipped_pairs: skipped,
+            deadline_hits: deadline_hits.load(Ordering::Relaxed),
+            cancel_hits: cancel_hits.load(Ordering::Relaxed),
+            cache_build: cache.build_time(),
+            exact_pass,
+            per_thread_pairs,
+            ..BatchStats::default()
+        };
+        for worker in &worker_stats {
+            stats.merge(worker);
+        }
+        let failed = stats.failed_pairs;
         let succeeded = total - failed - skipped;
-        totals.faults.skipped_pairs = skipped;
-        totals.faults.deadline_hits = deadline_hits.load(Ordering::Relaxed);
-        totals.faults.cancel_hits = cancel_hits.load(Ordering::Relaxed);
 
         let status = if skipped > 0 {
-            if totals.faults.cancel_hits > 0 {
+            if stats.cancel_hits > 0 {
                 CompletionStatus::Cancelled
             } else {
                 CompletionStatus::DeadlineExceeded
@@ -376,22 +476,7 @@ impl BatchEngine {
             CompletionStatus::Complete
         };
 
-        let metrics = EngineMetrics {
-            stats: BatchStats {
-                pairs: total,
-                exact_pairs: total,
-                edges_scanned: totals.edges_scanned,
-                fused_pairs: totals.fused,
-                threads: workers,
-                ..BatchStats::default()
-            },
-            cache_build: cache.build_time(),
-            discover: Duration::ZERO,
-            exact_pass,
-            per_thread_pairs,
-            faults: totals.faults,
-        };
-        BatchOutcome { pairs, status, succeeded, failed, skipped, metrics }
+        BatchOutcome { pairs, status, succeeded, failed, skipped, stats }
     }
 }
 
@@ -403,38 +488,38 @@ fn run_pair(
     j: usize,
     mode: EngineMode,
     policy: &RunPolicy,
-    tally: &mut Tally,
+    stats: &mut BatchStats,
 ) -> PairOutcome {
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         let faults = policy.faults.as_deref();
         let result = if policy.panic_isolation {
-            match catch_unwind(AssertUnwindSafe(|| attempt_pair(cache, i, j, mode, faults, tally)))
+            match catch_unwind(AssertUnwindSafe(|| attempt_pair(cache, i, j, mode, faults, stats)))
             {
                 Ok(r) => r,
                 Err(payload) => {
-                    tally.faults.panics_caught += 1;
+                    stats.panics_caught += 1;
                     Err(PairFailure::Panicked(cardir_faults::panic_message(payload)))
                 }
             }
         } else {
-            attempt_pair(cache, i, j, mode, faults, tally)
+            attempt_pair(cache, i, j, mode, faults, stats)
         };
         match result {
             Ok(pr) => return PairOutcome::Ok(pr),
             Err(failure) => {
                 if matches!(failure, PairFailure::Injected(_)) {
-                    tally.faults.injected_failures += 1;
+                    stats.injected_failures += 1;
                 }
                 if attempt <= policy.retries {
-                    tally.faults.retries += 1;
+                    stats.retries += 1;
                     let delay = policy.backoff_delay(attempt);
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
                     }
                 } else {
-                    tally.faults.failed_pairs += 1;
+                    stats.failed_pairs += 1;
                     return PairOutcome::Failed(PairError {
                         primary: i,
                         reference: j,
@@ -456,7 +541,7 @@ fn attempt_pair(
     j: usize,
     mode: EngineMode,
     faults: Option<&FaultPlan>,
-    tally: &mut Tally,
+    stats: &mut BatchStats,
 ) -> Result<PairRelation, PairFailure> {
     if let Some(plan) = faults {
         match plan.step(sites::ENGINE_PAIR_COMPUTE) {
@@ -467,40 +552,21 @@ fn attempt_pair(
             Err(msg) => return Err(PairFailure::Injected(msg)),
         }
     }
-    Ok(compute_pair(cache, i, j, mode, tally))
-}
-
-/// Per-worker counter block, returned by each worker thread.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Tally {
-    /// Primary edges scanned by kernel computations.
-    pub(crate) edges_scanned: usize,
-    /// Kernel computations (all over the fused SoA kernels).
-    pub(crate) fused: usize,
-    /// Fault events observed while computing.
-    pub(crate) faults: FaultTally,
-}
-
-impl Tally {
-    pub(crate) fn merge(&mut self, other: &Tally) {
-        self.edges_scanned += other.edges_scanned;
-        self.fused += other.fused;
-        self.faults.merge(&other.faults);
-    }
+    Ok(compute_pair(cache, i, j, mode, stats))
 }
 
 /// Computes one ordered pair on the exact path with the fused SoA
-/// kernels, tallying the edge scan into `tally`.
+/// kernels, counting the edge scan into `stats`.
 fn compute_pair(
     cache: &RegionCache<'_>,
     i: usize,
     j: usize,
     mode: EngineMode,
-    tally: &mut Tally,
+    stats: &mut BatchStats,
 ) -> PairRelation {
     let mbb = cache.mbb(j);
-    tally.edges_scanned += cache.edge_count(i);
-    tally.fused += 1;
+    stats.edges_scanned += cache.edge_count(i);
+    stats.fused_pairs += 1;
     let soa = cache.soa(i);
     let (relation, percentages) = match mode {
         EngineMode::Qualitative => (cdr_from_soa(&soa, mbb), None),
@@ -524,7 +590,7 @@ pub(crate) fn emit_decided(
     j: usize,
     tile: Tile,
     mode: EngineMode,
-    tally: &mut Tally,
+    stats: &mut BatchStats,
 ) -> PairRelation {
     let relation = CardinalRelation::single(tile);
     match mode {
@@ -550,8 +616,8 @@ pub(crate) fn emit_decided(
                 // can leave last-ulp residue in B. Take the exact path
                 // for the matrix to stay bit-identical; the relation
                 // is still the boxes'.
-                tally.edges_scanned += cache.edge_count(i);
-                tally.fused += 1;
+                stats.edges_scanned += cache.edge_count(i);
+                stats.fused_pairs += 1;
                 let m = areas_from_soa(&cache.soa(i), cache.mbb(j)).percentages();
                 PairRelation {
                     primary: i,
@@ -659,7 +725,7 @@ mod tests {
         let cache = RegionCache::build(&regions);
         let result =
             BatchEngine::new().with_threads(2).run_join(&cache, &RunPolicy::default()).materialize(&cache);
-        let stats = result.metrics.stats;
+        let stats = &result.stats;
         assert_eq!((stats.pairs, stats.mask_emitted, stats.exact_pairs), (30, 30, 0));
         assert_eq!((stats.edges_scanned, stats.fused_pairs), (0, 0), "no kernel work");
         for p in result.relations() {
@@ -683,7 +749,7 @@ mod tests {
         assert_eq!(pairs[1].relation.to_string(), "S:SW:SE", "wider primary spans 3 tiles");
         assert_eq!(pairs[2].relation.to_string(), "B", "self pair");
         assert_eq!(pairs[3], pairs[0]);
-        let stats = result.metrics.stats;
+        let stats = &result.stats;
         assert_eq!((stats.pairs, stats.mask_emitted, stats.exact_pairs), (4, 0, 4));
     }
 
@@ -769,11 +835,10 @@ mod tests {
         }
     }
 
-    /// Pins the worker_balance investigation's no-reuse half: the
-    /// per-thread pair counts are rebuilt from fresh atomics on every
-    /// run — one slot per worker, summing to the full pair total — so
-    /// identical summaries across thread counts can only be summary
-    /// collisions (see `EngineMetrics::worker_balance`).
+    /// The per-thread pair counts are rebuilt on every run — one slot
+    /// per worker, summing to the full pair total — so identical
+    /// load-balance summaries across thread counts can only be summary
+    /// collisions, never a stale record.
     #[test]
     fn per_thread_pairs_is_fresh_per_run_and_sums_to_total() {
         // 47 regions → 2162 ordered pairs → 9 chunks, enough for 8 workers.
@@ -785,19 +850,81 @@ mod tests {
             let engine = BatchEngine::new().with_threads(threads);
             let result = engine.run_pairs(&cache, &pairs, &policy).unwrap();
             assert_eq!(
-                result.metrics.per_thread_pairs.len(),
+                result.stats.per_thread_pairs.len(),
                 threads,
                 "one slot per worker at {threads} threads"
             );
             assert_eq!(
-                result.metrics.per_thread_pairs.iter().sum::<usize>(),
+                result.stats.per_thread_pairs.iter().sum::<usize>(),
                 pairs.len(),
                 "claimed pairs account for the whole batch"
             );
             // A second run on the same engine starts from zeroed slots.
             let again = engine.run_pairs(&cache, &pairs, &policy).unwrap();
-            assert_eq!(again.metrics.per_thread_pairs.iter().sum::<usize>(), pairs.len());
+            assert_eq!(again.stats.per_thread_pairs.iter().sum::<usize>(), pairs.len());
         }
+    }
+
+    #[test]
+    fn merge_adds_kernel_and_fault_counters_only() {
+        let worker = BatchStats {
+            pairs: 9,
+            edges_scanned: 7,
+            fused_pairs: 2,
+            panics_caught: 1,
+            retries: 2,
+            exact_pass: Duration::from_micros(1),
+            per_thread_pairs: vec![5],
+            ..BatchStats::default()
+        };
+        let mut run = BatchStats::default();
+        run.merge(&worker);
+        run.merge(&worker);
+        let expect = BatchStats {
+            edges_scanned: 14,
+            fused_pairs: 4,
+            panics_caught: 2,
+            retries: 4,
+            ..BatchStats::default()
+        };
+        assert_eq!(run, expect, "the partition, timings and per-worker loads are the driver's");
+    }
+
+    #[test]
+    fn export_writes_engine_join_and_nonzero_fault_series() {
+        let stats = BatchStats {
+            pairs: 10,
+            mask_emitted: 6,
+            exact_pairs: 4,
+            candidates: 12,
+            edges_scanned: 64,
+            fused_pairs: 4,
+            retries: 3,
+            cache_build: Duration::from_micros(5),
+            discover: Duration::from_micros(3),
+            exact_pass: Duration::from_micros(40),
+            per_thread_pairs: vec![3, 1],
+            ..BatchStats::default()
+        };
+        let registry = Registry::new();
+        stats.export(&registry);
+        stats.export(&registry); // runs accumulate
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("engine.runs"), Some(2));
+        assert_eq!(snap.counter("engine.pairs"), Some(20));
+        assert_eq!(snap.counter("engine.edges_scanned"), Some(128));
+        assert_eq!(snap.counter("engine.fused_pairs"), Some(8));
+        assert_eq!(snap.counter("join.mask_emitted"), Some(12));
+        assert_eq!(snap.counter("join.exact_pairs"), Some(8));
+        assert_eq!(snap.counter("join.candidates"), Some(24));
+        assert_eq!(snap.histogram("engine.cache_build_ns").unwrap().count, 2);
+        assert_eq!(snap.histogram("engine.exact_pass_ns").unwrap().count, 2);
+        assert_eq!(snap.histogram("engine.discover_ns").unwrap().count, 2);
+        assert_eq!(snap.histogram("engine.thread_pairs").unwrap().count, 4);
+        // Fault series exist only for counters that moved.
+        assert_eq!(snap.counter("engine.faults.retries"), Some(6));
+        assert_eq!(snap.counter("engine.faults.panics_caught"), None);
+        assert_eq!(snap.counter("engine.faults.skipped_pairs"), None);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   count, not `O(N²)`.
 //! * **pending** entries — interacting pairs whose computation failed
 //!   under an armed fault or was skipped by deadline/cancel. They are
-//!   excluded from reads until [`IncrementalEngine::repair`] recomputes
+//!   excluded from reads until [`IncrementalEngine::repair_with`] recomputes
 //!   them, so a faulted edit degrades to "these pairs are unknown",
 //!   never to a wrong relation.
 //! * everything else is **box-decided** and derived on demand from the
@@ -68,7 +68,7 @@
 //! The stored bits are therefore identical to what a full batch run
 //! computes, which the `edits` fuzz family asserts pair by pair.
 
-use crate::batch::{emit_decided, BatchEngine, EngineMode, PairRelation, Tally};
+use crate::batch::{emit_decided, BatchEngine, BatchStats, EngineMode, PairRelation};
 use crate::cache::RegionCache;
 use crate::policy::{BatchOutcome, CompletionStatus, RunPolicy};
 use crate::prefilter::decided_tile;
@@ -180,7 +180,7 @@ pub struct InstalledPair {
     pub percentages: Option<PercentageMatrix>,
 }
 
-/// What one [`IncrementalEngine::apply`] changed — the delta a journal
+/// What one [`IncrementalEngine::apply_with`] changed — the delta a journal
 /// appends, sufficient to replay the edit without recomputation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApplyDelta {
@@ -203,7 +203,7 @@ pub struct ApplyDelta {
     pub status: CompletionStatus,
 }
 
-/// What one [`IncrementalEngine::repair`] changed.
+/// What one [`IncrementalEngine::repair_with`] changed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairDelta {
     /// Pairs recomputed successfully and moved from pending to exact.
@@ -396,7 +396,7 @@ impl EngineSnapshot {
             .filter_map(|(id, slot)| slot.as_deref().map(|s| (id as u32, s)))
             .collect();
         let cache = RegionCache::build(live.iter().map(|(_, s)| &*s.region));
-        let mut tally = Tally::default();
+        let mut stats = BatchStats::default();
         let n = live.len();
         let mut out = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)));
         // Row position of each reference of the current primary.
@@ -421,7 +421,7 @@ impl EngineSnapshot {
                     continue;
                 }
                 match decided_tile(cache.mbb(i), cache.mbb(j)) {
-                    Some(tile) => out.push(emit_decided(&cache, i, j, tile, self.mode, &mut tally)),
+                    Some(tile) => out.push(emit_decided(&cache, i, j, tile, self.mode, &mut stats)),
                     None => {
                         return Err(IncrementalError::InconsistentState { primary: a, reference: b })
                     }
@@ -583,15 +583,10 @@ impl IncrementalEngine {
         self.state.slot(slot).map(|s| s.mbb)
     }
 
-    /// Applies an edit under the default policy.
-    pub fn apply(&mut self, edit: Edit) -> Result<ApplyDelta, EditError> {
-        self.apply_with(edit, &RunPolicy::default())
-    }
-
     /// Applies an edit: invalidates the pairs involving the edited slot,
     /// discovers which of them interact under the new geometry, and
     /// recomputes exactly those under `policy`. Pairs that fail or are
-    /// skipped park in the pending set (see [`repair`](Self::repair)).
+    /// skipped park in the pending set (see [`repair_with`](Self::repair_with)).
     pub fn apply_with(&mut self, edit: Edit, policy: &RunPolicy) -> Result<ApplyDelta, EditError> {
         let (id, kind, region) = self.admit(edit)?;
         let old = self.swap_geometry(id, kind, region.clone());
@@ -654,11 +649,6 @@ impl IncrementalEngine {
             self.put(p.primary, p.reference, StoredPair::of(p))?;
         }
         Ok(())
-    }
-
-    /// Recomputes every pending pair under the default policy.
-    pub fn repair(&mut self) -> RepairDelta {
-        self.repair_with(&RunPolicy::default())
     }
 
     /// Recomputes every pending pair under `policy`; pairs that fail
@@ -1048,12 +1038,12 @@ mod tests {
                 let delta = match step % 3 {
                     0 => {
                         let victim = live[rng.random_range(0..live.len() as u64) as usize];
-                        engine.apply(Edit::Replace(victim, replacement))
+                        engine.apply_with(Edit::Replace(victim, replacement), &RunPolicy::default())
                     }
-                    1 => engine.apply(Edit::Insert(replacement)),
+                    1 => engine.apply_with(Edit::Insert(replacement), &RunPolicy::default()),
                     _ => {
                         let victim = live[rng.random_range(0..live.len() as u64) as usize];
-                        engine.apply(Edit::Remove(victim))
+                        engine.apply_with(Edit::Remove(victim), &RunPolicy::default())
                     }
                 }
                 .expect("edit applies");
@@ -1073,7 +1063,7 @@ mod tests {
             &RunPolicy::default(),
         );
         let n = engine.live_count();
-        let delta = engine.apply(Edit::Replace(5, rect(1.0, 1.0, 9.0, 9.0))).expect("applies");
+        let delta = engine.apply_with(Edit::Replace(5, rect(1.0, 1.0, 9.0, 9.0)), &RunPolicy::default()).expect("applies");
         assert_eq!(delta.invalidated, 2 * (n - 1));
         // Every recomputed pair involves the edited slot.
         for entry in &delta.installed {
@@ -1091,12 +1081,12 @@ mod tests {
             &RunPolicy::default(),
         );
         assert!(engine.relation(0, 1).is_some());
-        let delta = engine.apply(Edit::Remove(1)).expect("applies");
+        let delta = engine.apply_with(Edit::Remove(1), &RunPolicy::default()).expect("applies");
         assert_eq!(delta.kind, EditKind::Remove);
         assert_eq!(engine.live_count(), 2);
         assert!(engine.relation(0, 1).is_none());
         assert!(engine.relation(1, 0).is_none());
-        assert_eq!(engine.apply(Edit::Remove(1)).unwrap_err(), EditError::UnknownRegion(1));
+        assert_eq!(engine.apply_with(Edit::Remove(1), &RunPolicy::default()).unwrap_err(), EditError::UnknownRegion(1));
         assert_matches_full(&engine);
     }
 
@@ -1108,8 +1098,8 @@ mod tests {
             vec![rect(0.0, 0.0, 4.0, 4.0)],
             &RunPolicy::default(),
         );
-        engine.apply(Edit::Remove(0)).expect("applies");
-        let delta = engine.apply(Edit::Insert(rect(1.0, 1.0, 2.0, 2.0))).expect("applies");
+        engine.apply_with(Edit::Remove(0), &RunPolicy::default()).expect("applies");
+        let delta = engine.apply_with(Edit::Insert(rect(1.0, 1.0, 2.0, 2.0)), &RunPolicy::default()).expect("applies");
         assert_eq!(delta.id, 1, "removed slot 0 must not be recycled");
         assert_eq!(engine.slot_count(), 2);
     }
@@ -1142,7 +1132,7 @@ mod tests {
         for replacement in map(37, 40) {
             let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
             let victim = live[rng.random_range(0..live.len() as u64) as usize];
-            engine.apply(Edit::Replace(victim, replacement)).expect("applies");
+            engine.apply_with(Edit::Replace(victim, replacement), &RunPolicy::default()).expect("applies");
         }
         assert!(engine.stats().rtree_rebuilds > 0, "tombstones must trigger a rebuild");
         assert_matches_full(&engine);
@@ -1171,7 +1161,7 @@ mod tests {
             Edit::Remove(0),
         ];
         for edit in edits {
-            let delta = engine.apply(edit).expect("applies");
+            let delta = engine.apply_with(edit, &RunPolicy::default()).expect("applies");
             twin.replay_apply(
                 delta.kind,
                 delta.id,
@@ -1253,12 +1243,12 @@ mod tests {
                 held.push((observe(&snap), snap));
                 let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
                 match step {
-                    0 => drop(engine.apply(Edit::Replace(live[0], next())).expect("applies")),
-                    1 => drop(engine.apply(Edit::Insert(next())).expect("applies")),
-                    2 => drop(engine.apply(Edit::Remove(live[3])).expect("applies")),
+                    0 => drop(engine.apply_with(Edit::Replace(live[0], next()), &RunPolicy::default()).expect("applies")),
+                    1 => drop(engine.apply_with(Edit::Insert(next()), &RunPolicy::default()).expect("applies")),
+                    2 => drop(engine.apply_with(Edit::Remove(live[3]), &RunPolicy::default()).expect("applies")),
                     3 => {
                         let mut twin = twin(&engine);
-                        let d = twin.apply(Edit::Replace(live[1], next())).expect("applies");
+                        let d = twin.apply_with(Edit::Replace(live[1], next()), &RunPolicy::default()).expect("applies");
                         engine
                             .replay_apply(d.kind, d.id, d.region, d.installed, d.pending_added)
                             .expect("replays");
@@ -1278,7 +1268,7 @@ mod tests {
                         assert!(snap.relation(a, b).is_none());
                         let pending = IncrementalError::PendingPairs(snap.pending_count());
                         assert_eq!(snap.materialize(), Err(pending));
-                        let repair = engine.repair();
+                        let repair = engine.repair_with(&RunPolicy::default());
                         assert_eq!(repair.status, CompletionStatus::Complete);
                         assert_eq!(engine.pending_count(), 0);
                     }
@@ -1311,7 +1301,7 @@ mod tests {
         let mut touched: BTreeSet<u32> = partners(&engine).into_iter().collect();
         let before = engine.snapshot();
         let moved = before.region(id).expect("live").translated(35.0, -20.0);
-        engine.apply(Edit::Replace(id, moved)).expect("applies");
+        engine.apply_with(Edit::Replace(id, moved), &RunPolicy::default()).expect("applies");
         touched.extend(partners(&engine));
         touched.insert(id);
         let after = engine.snapshot();
@@ -1335,7 +1325,7 @@ mod tests {
             map(51, 8),
             &RunPolicy::default(),
         );
-        engine.apply(Edit::Remove(2)).expect("applies");
+        engine.apply_with(Edit::Remove(2), &RunPolicy::default()).expect("applies");
         let registry = Registry::new();
         engine.export(&registry);
         let snap = registry.snapshot();

@@ -49,9 +49,8 @@
 //! runs under `catch_unwind` during materialisation when the policy
 //! isolates).
 
-use crate::batch::{emit_decided, BatchEngine, BatchStats, EngineMode, PairRelation, Tally};
+use crate::batch::{emit_decided, BatchEngine, BatchStats, EngineMode, PairRelation};
 use crate::cache::RegionCache;
-use crate::metrics::EngineMetrics;
 use crate::policy::{
     BatchOutcome, CompletionStatus, PairError, PairFailure, PairOutcome, RunPolicy,
 };
@@ -224,10 +223,10 @@ pub struct JoinOutcome {
     pub failed: usize,
     /// Exact pairs skipped by deadline/cancel.
     pub skipped: usize,
-    /// Counters over the whole pair space (`metrics.stats.pairs ==
-    /// N·(N−1)`), stage timings (`metrics.discover` is the sweep), and
-    /// the fault tally.
-    pub metrics: EngineMetrics,
+    /// Counters over the whole pair space (`stats.pairs == N·(N−1)`),
+    /// stage timings (`stats.discover` is the sweep), and the fault
+    /// counters.
+    pub stats: BatchStats,
     mode: EngineMode,
     panic_isolation: bool,
     tracer: Tracer,
@@ -237,7 +236,7 @@ impl JoinOutcome {
     /// Total ordered pairs of the configuration
     /// (`succeeded + failed + skipped`).
     pub fn total(&self) -> usize {
-        self.metrics.stats.pairs
+        self.stats.pairs
     }
 
     /// Expands to the full [`BatchOutcome`]: every ordered pair in
@@ -254,15 +253,15 @@ impl JoinOutcome {
             succeeded,
             failed,
             skipped,
-            mut metrics,
+            mut stats,
             mode,
             panic_isolation,
             tracer,
         } = self;
         let mut trace = tracer.thread(MAIN_TID);
         let trace_start = trace.begin();
-        let mut pairs = Vec::with_capacity(metrics.stats.pairs);
-        let mut tally = Tally::default();
+        let mut pairs = Vec::with_capacity(stats.pairs);
+        let mut emitted = BatchStats::default();
         let mut exact = interacting.into_iter().peekable();
         for i in 0..n {
             for j in 0..n {
@@ -274,7 +273,7 @@ impl JoinOutcome {
                 if exact.peek().is_some_and(|p| p.indices() == (i, j)) {
                     pairs.push(exact.next().expect("peeked"));
                 } else {
-                    pairs.push(emit_pair(cache, i, j, mode, panic_isolation, &mut tally));
+                    pairs.push(emit_pair(cache, i, j, mode, panic_isolation, &mut emitted));
                 }
             }
         }
@@ -284,7 +283,7 @@ impl JoinOutcome {
 
         // Emission can itself fail (an isolated panic in the quantitative
         // N-tile fallback): move those pairs from succeeded to failed.
-        let emit_failed = tally.faults.failed_pairs;
+        let emit_failed = emitted.failed_pairs;
         let succeeded = succeeded - emit_failed;
         let failed = failed + emit_failed;
         let status = if emit_failed > 0 && status == CompletionStatus::Complete {
@@ -292,10 +291,8 @@ impl JoinOutcome {
         } else {
             status
         };
-        metrics.stats.edges_scanned += tally.edges_scanned;
-        metrics.stats.fused_pairs += tally.fused;
-        metrics.faults.merge(&tally.faults);
-        BatchOutcome { pairs, status, succeeded, failed, skipped, metrics }
+        stats.merge(&emitted);
+        BatchOutcome { pairs, status, succeeded, failed, skipped, stats }
     }
 }
 
@@ -307,16 +304,16 @@ fn emit_pair(
     j: usize,
     mode: EngineMode,
     isolate: bool,
-    tally: &mut Tally,
+    stats: &mut BatchStats,
 ) -> PairOutcome {
     if !isolate {
-        return PairOutcome::Ok(emit_checked(cache, i, j, mode, tally));
+        return PairOutcome::Ok(emit_checked(cache, i, j, mode, stats));
     }
-    match catch_unwind(AssertUnwindSafe(|| emit_checked(cache, i, j, mode, tally))) {
+    match catch_unwind(AssertUnwindSafe(|| emit_checked(cache, i, j, mode, stats))) {
         Ok(pr) => PairOutcome::Ok(pr),
         Err(payload) => {
-            tally.faults.panics_caught += 1;
-            tally.faults.failed_pairs += 1;
+            stats.panics_caught += 1;
+            stats.failed_pairs += 1;
             PairOutcome::Failed(PairError {
                 primary: i,
                 reference: j,
@@ -334,11 +331,11 @@ fn emit_checked(
     i: usize,
     j: usize,
     mode: EngineMode,
-    tally: &mut Tally,
+    stats: &mut BatchStats,
 ) -> PairRelation {
     let tile = decided_tile(cache.mbb(i), cache.mbb(j))
         .expect("the sweep routed every interacting pair to the exact set");
-    emit_decided(cache, i, j, tile, mode, tally)
+    emit_decided(cache, i, j, tile, mode, stats)
 }
 
 impl BatchEngine {
@@ -358,9 +355,7 @@ impl BatchEngine {
         let total = n * n.saturating_sub(1);
         let sub = self.run(cache, rows.pairs(), policy);
         let mask_emitted = total - rows.len();
-        let mut metrics = sub.metrics;
-        metrics.stats = BatchStats { pairs: total, mask_emitted, candidates, ..metrics.stats };
-        metrics.discover = discover;
+        let stats = BatchStats { pairs: total, mask_emitted, candidates, discover, ..sub.stats };
         JoinOutcome {
             regions: n,
             interacting: sub.pairs,
@@ -368,7 +363,7 @@ impl BatchEngine {
             succeeded: mask_emitted + sub.succeeded,
             failed: sub.failed,
             skipped: sub.skipped,
-            metrics,
+            stats,
             mode: self.mode(),
             panic_isolation: policy.panic_isolation,
             tracer: self.tracer().clone(),
@@ -568,7 +563,7 @@ mod tests {
             // tile-N fallbacks, each scanning its primary's edges once.
             let kernel: Vec<&PairRelation> =
                 joined.relations().filter(|p| !p.via_prefilter).collect();
-            let stats = joined.metrics.stats;
+            let stats = &joined.stats;
             assert_eq!(stats.fused_pairs, kernel.len());
             assert_eq!(
                 stats.edges_scanned,
@@ -597,7 +592,7 @@ mod tests {
                 let (i, j) = p.indices();
                 assert_eq!(decided_tile(cache.mbb(i), cache.mbb(j)), None, "pair ({i}, {j})");
             }
-            let compact = outcome.metrics.stats;
+            let compact = outcome.stats.clone();
             assert_eq!(compact.mask_emitted + compact.exact_pairs, compact.pairs);
             assert_eq!(compact.exact_pairs, interacting.len());
             assert_eq!(outcome.interacting.len(), interacting.len());
@@ -606,7 +601,7 @@ mod tests {
                 compact.mask_emitted > compact.exact_pairs,
                 "a scattered map is mostly mask-emitted: {compact:?}"
             );
-            let full = outcome.materialize(&cache).metrics.stats;
+            let full = outcome.materialize(&cache).stats;
             assert_eq!(
                 (full.pairs, full.mask_emitted, full.exact_pairs, full.candidates),
                 (compact.pairs, compact.mask_emitted, compact.exact_pairs, compact.candidates),
@@ -621,7 +616,7 @@ mod tests {
         let cache = RegionCache::build(std::iter::empty());
         let outcome = BatchEngine::new().run_join(&cache, &RunPolicy::default());
         assert_eq!(outcome.total(), 0);
-        assert_eq!(outcome.metrics.stats.mask_emitted + outcome.metrics.stats.exact_pairs, 0);
+        assert_eq!(outcome.stats.mask_emitted + outcome.stats.exact_pairs, 0);
         let materialized = outcome.materialize(&cache);
         assert!(materialized.pairs.is_empty());
         assert_eq!(materialized.status, CompletionStatus::Complete);

@@ -27,9 +27,10 @@
 //! `std::thread::scope`, the work queue a `Mutex` over the output's
 //! chunks, held only while a worker claims the next one.
 //!
-//! Every run also reports its own cost: the always-on counter record
-//! [`BatchStats`] inside the stage-timing layer [`EngineMetrics`], which
-//! exports into a `cardir-telemetry` registry for rendering.
+//! Every run also reports its own cost in one always-on record,
+//! [`BatchStats`]: partition, kernel and fault counters, stage timings
+//! and per-worker load, which exports into a `cardir-telemetry` registry
+//! for rendering.
 //!
 //! Runs are fault tolerant: a [`RunPolicy`] adds per-pair panic
 //! isolation, bounded deterministic retries, and cooperative
@@ -42,7 +43,6 @@ pub mod batch;
 pub mod cache;
 pub mod incremental;
 pub mod join;
-pub mod metrics;
 pub mod policy;
 pub mod prefilter;
 
@@ -53,9 +53,7 @@ pub use incremental::{
     IncrementalStats, InstalledPair, RepairDelta,
 };
 pub use join::{interacting_pairs, JoinOutcome};
-pub use metrics::EngineMetrics;
 pub use policy::{
-    BatchOutcome, CancelToken, CompletionStatus, FaultTally, PairError, PairFailure, PairOutcome,
-    RunPolicy,
+    BatchOutcome, CancelToken, CompletionStatus, PairError, PairFailure, PairOutcome, RunPolicy,
 };
 pub use prefilter::decided_tile;

@@ -12,8 +12,7 @@
 //! bit-identical to the naive per-pair loop; the policy only changes what
 //! happens when something goes wrong.
 
-use crate::batch::PairRelation;
-use crate::metrics::EngineMetrics;
+use crate::batch::{BatchStats, PairRelation};
 use cardir_faults::FaultPlan;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -245,45 +244,8 @@ impl fmt::Display for CompletionStatus {
     }
 }
 
-/// Fault-handling counters of one run, embedded in [`EngineMetrics`] and
-/// exported as `engine.faults.*` telemetry counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultTally {
-    /// Panics caught by per-pair isolation (retried attempts included).
-    pub panics_caught: usize,
-    /// Failures surfaced by armed failpoints (retried attempts included).
-    pub injected_failures: usize,
-    /// Retry attempts performed.
-    pub retries: usize,
-    /// Pairs that failed permanently.
-    pub failed_pairs: usize,
-    /// Pairs skipped by deadline or cancellation.
-    pub skipped_pairs: usize,
-    /// Workers that stopped because the deadline had passed.
-    pub deadline_hits: usize,
-    /// Workers that stopped because cancellation was requested.
-    pub cancel_hits: usize,
-}
-
-impl FaultTally {
-    /// `true` when nothing fault-related happened (the common case).
-    pub fn is_clean(&self) -> bool {
-        *self == FaultTally::default()
-    }
-
-    pub(crate) fn merge(&mut self, other: &FaultTally) {
-        self.panics_caught += other.panics_caught;
-        self.injected_failures += other.injected_failures;
-        self.retries += other.retries;
-        self.failed_pairs += other.failed_pairs;
-        self.skipped_pairs += other.skipped_pairs;
-        self.deadline_hits += other.deadline_hits;
-        self.cancel_hits += other.cancel_hits;
-    }
-}
-
 /// Result of a policy-driven batch run: one outcome per requested pair,
-/// in request order, plus completion accounting and the usual metrics.
+/// in request order, plus completion accounting and the run's stats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome {
     /// One entry per requested pair, in request order.
@@ -296,9 +258,9 @@ pub struct BatchOutcome {
     pub failed: usize,
     /// Pairs never attempted (deadline/cancel).
     pub skipped: usize,
-    /// The run's counters ([`EngineMetrics::stats`]), stage timings,
-    /// per-worker load, and fault tally.
-    pub metrics: EngineMetrics,
+    /// The run's counters, stage timings, per-worker load and fault
+    /// counters.
+    pub stats: BatchStats,
 }
 
 impl BatchOutcome {
@@ -388,17 +350,5 @@ mod tests {
             attempts: 1,
         });
         assert_eq!(failed.indices(), (4, 5));
-    }
-
-    #[test]
-    fn fault_tally_merge_and_clean() {
-        let mut a = FaultTally::default();
-        assert!(a.is_clean());
-        let b = FaultTally { panics_caught: 1, retries: 2, ..FaultTally::default() };
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.panics_caught, 2);
-        assert_eq!(a.retries, 4);
-        assert!(!a.is_clean());
     }
 }

@@ -271,7 +271,7 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
                 .with_mode(mode)
                 .with_threads(threads)
                 .run_join(&cache, &RunPolicy::default());
-            let stats = joined.metrics.stats;
+            let stats = joined.stats.clone();
             if stats.pairs != total
                 || stats.mask_emitted + stats.exact_pairs != total
                 || stats.exact_pairs != interacting.len()
@@ -290,7 +290,7 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
                 );
             }
             let out = joined.materialize(&cache);
-            let after = out.metrics.stats;
+            let after = &out.stats;
             if (after.pairs, after.mask_emitted, after.exact_pairs, after.candidates)
                 != (stats.pairs, stats.mask_emitted, stats.exact_pairs, stats.candidates)
             {

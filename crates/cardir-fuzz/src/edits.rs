@@ -428,7 +428,7 @@ mod tests {
                     );
                 }
             }
-            engine.apply(edit).expect("edit applies");
+            engine.apply_with(edit, &RunPolicy::default()).expect("edit applies");
         }
         out
     }

@@ -21,10 +21,9 @@
 //!    exact for all finite `f64` input, no tolerance anywhere.
 //!
 //! The fallback count is observable: [`stats`] exposes cumulative
-//! process-wide counters which `cardir-engine` exports into the
-//! telemetry registry as `geometry.orient2d_calls` /
-//! `geometry.exact_fallback`, so the filter hit-rate can be tracked in
-//! production.
+//! process-wide counters, so the filter hit-rate can be tracked in
+//! production; the benches read them directly (`engine_throughput`'s
+//! `geometry` record).
 //!
 //! Everything downstream that needs a *sign* — segment intersection,
 //! point-on-segment, point-in-polygon parity — is built on these

@@ -118,10 +118,10 @@ cargo run --offline -p cardir-fuzz -- --family ulp --iters 250 --seed 1
 cargo run --offline -p cardir-fuzz -- --family join --iters 200 --seed 1
 
 # Fault-injection smoke: seeded failpoint arming during differential runs
-# (accounting closure, bit-identical survivors, torn-write recovery),
-# plus the engine fault sweep suite.
+# (accounting closure, bit-identical survivors, torn-write recovery). The
+# engine fault sweep suite already ran twice above, once in the workspace
+# tests and once with 8 test threads.
 cargo run --offline -p cardir-fuzz -- --faults --iters 120 --seed 1
-cargo test -q --offline --test fault_injection
 
 # Edit-script adversarial smoke: 150 seeds of incremental edit scripts
 # (replaces, inserts, removes) on a journaled store, each step

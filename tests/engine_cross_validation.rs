@@ -40,7 +40,7 @@ fn assert_engine_matches_naive(regions: &[Region], family: &str) {
                 let label = format!("{family}, {mode:?}, {threads} threads, {path}");
                 assert_matches(result, &naive, &label);
             }
-            let stats = joined.metrics.stats;
+            let stats = &joined.stats;
             assert_eq!(stats.pairs, naive.len(), "{family}");
             assert_eq!(stats.mask_emitted + stats.exact_pairs, stats.pairs, "{family}");
             let decided = every
@@ -48,7 +48,7 @@ fn assert_engine_matches_naive(regions: &[Region], family: &str) {
                 .filter(|&&(i, j)| decided_tile(cache.mbb(i), cache.mbb(j)).is_some())
                 .count();
             assert_eq!(stats.mask_emitted, decided, "{family}: the boxes decide these pairs");
-            let stats = exact.metrics.stats;
+            let stats = &exact.stats;
             assert_eq!((stats.mask_emitted, stats.exact_pairs), (0, naive.len()), "{family}");
         }
     }

@@ -1,6 +1,6 @@
 //! Fault-injection sweep over the resilient batch pipeline: failpoint
 //! sites × actions (panic | error | latency) × thread counts, plus the
-//! policy features (retries, deadlines, cancellation) and the metrics
+//! policy features (retries, deadlines, cancellation) and the stats
 //! plumbing. The runs hand the engine every ordered pair as an explicit
 //! list, so every pair is a work item the failpoints can reach;
 //! survivors are checked against the naive `compute_cdr` /
@@ -12,8 +12,8 @@
 
 use cardir::core::{compute_cdr, compute_cdr_pct};
 use cardir::engine::{
-    interacting_pairs, BatchEngine, BatchOutcome, CancelToken, CompletionStatus, EngineMode,
-    PairFailure, PairOutcome, PairRelation, RegionCache, RunPolicy,
+    interacting_pairs, BatchEngine, BatchOutcome, BatchStats, CancelToken, CompletionStatus,
+    EngineMode, PairFailure, PairOutcome, PairRelation, RegionCache, RunPolicy,
 };
 use cardir::faults::{self, sites, FaultAction, FaultPlan, Trigger};
 use cardir::geometry::Region;
@@ -82,6 +82,20 @@ fn overlapping_regions(seed: u64) -> Vec<Region> {
         .collect()
 }
 
+/// The seven fault counters of a run's stats record: all zero when
+/// nothing fault-related happened.
+fn fault_counters(stats: &BatchStats) -> [usize; 7] {
+    [
+        stats.panics_caught,
+        stats.injected_failures,
+        stats.retries,
+        stats.failed_pairs,
+        stats.skipped_pairs,
+        stats.deadline_hits,
+        stats.cancel_hits,
+    ]
+}
+
 /// A quantitative pair must match the naive algorithms bit for bit.
 fn assert_naive(pr: &PairRelation, regions: &[Region], context: &str) {
     let (a, b) = (&regions[pr.primary], &regions[pr.reference]);
@@ -112,7 +126,7 @@ fn default_policy_join_is_bit_identical_to_naive() {
         assert_eq!(outcome.succeeded, total);
         assert_eq!(outcome.failed, 0);
         assert_eq!(outcome.skipped, 0);
-        assert!(outcome.metrics.faults.is_clean());
+        assert_eq!(fault_counters(&outcome.stats), [0; 7], "threads={threads}");
         let relations: Vec<_> = outcome.relations().collect();
         assert_eq!(relations.len(), total);
         for (got, (i, j)) in relations.iter().zip(every_pair(regions.len())) {
@@ -190,7 +204,7 @@ fn one_poisoned_pair_still_yields_all_other_results() {
         assert_eq!(outcome.status, CompletionStatus::PartialPanics, "threads={threads}");
         assert_eq!(outcome.failed, 1, "threads={threads}: exactly one PairError");
         assert_eq!(outcome.succeeded, total - 1);
-        assert_eq!(outcome.metrics.faults.panics_caught, 1);
+        assert_eq!(outcome.stats.panics_caught, 1);
         let failures: Vec<_> = outcome.failures().collect();
         assert_eq!(failures.len(), 1);
         assert!(matches!(failures[0].failure, PairFailure::Panicked(_)));
@@ -256,8 +270,8 @@ fn transient_failures_recover_with_retries() {
 
     assert_eq!(outcome.status, CompletionStatus::Complete);
     assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.metrics.faults.retries, 2);
-    assert_eq!(outcome.metrics.faults.injected_failures, 2);
+    assert_eq!(outcome.stats.retries, 2);
+    assert_eq!(outcome.stats.injected_failures, 2);
 }
 
 #[test]
@@ -296,7 +310,7 @@ fn zero_deadline_skips_everything() {
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
     assert_eq!(outcome.skipped, total);
     assert_eq!(outcome.succeeded, 0);
-    assert!(outcome.metrics.faults.deadline_hits > 0);
+    assert!(outcome.stats.deadline_hits > 0);
     // Every slot still names its pair.
     assert_eq!(outcome.pairs.len(), total);
     for pair in &outcome.pairs {
@@ -443,7 +457,7 @@ fn pre_cancelled_token_skips_everything() {
 
     assert_eq!(outcome.status, CompletionStatus::Cancelled);
     assert_eq!(outcome.skipped, total);
-    assert!(outcome.metrics.faults.cancel_hits > 0);
+    assert!(outcome.stats.cancel_hits > 0);
 }
 
 #[test]
@@ -458,10 +472,72 @@ fn fault_events_flow_into_telemetry() {
     assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
 
     let registry = Registry::new();
-    outcome.metrics.export(&registry);
+    outcome.stats.export(&registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.faults.panics_caught"), Some(1));
     assert_eq!(snap.counter("engine.faults.failed_pairs"), Some(1));
+}
+
+/// The run's one stats record closes its own accounting whatever stopped
+/// or failed the run: claimed plus skipped work items are the exact
+/// pairs, the fault counters repeat the outcome's failed and skipped
+/// counts, and the partition covers the pair space — on the compact join
+/// outcome and again on its materialization.
+#[test]
+fn the_stats_record_closes_its_own_accounting() {
+    let regions = overlapping_regions(41);
+    let cache = RegionCache::build(&regions);
+    let closes = |stats: &BatchStats, failed: usize, skipped: usize, context: &str| {
+        let claimed: usize = stats.per_thread_pairs.iter().sum();
+        assert_eq!(claimed + skipped, stats.exact_pairs, "{context}: claimed + skipped");
+        assert_eq!(stats.failed_pairs, failed, "{context}: failed");
+        assert_eq!(stats.skipped_pairs, skipped, "{context}: skipped");
+        assert_eq!(stats.mask_emitted + stats.exact_pairs, stats.pairs, "{context}: partition");
+    };
+    for threads in [1usize, 2] {
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let (_, stalled) = armed(
+            sites::ENGINE_CHUNK_CLAIM,
+            FaultAction::Delay(Duration::from_millis(30)),
+            Trigger::Always,
+        );
+        let fifth = || {
+            let action = FaultAction::Panic("fifth attempt".into());
+            armed(sites::ENGINE_PAIR_COMPUTE, action, Trigger::Nth(5)).1
+        };
+        let cases = [
+            ("cancel", RunPolicy::default().with_cancel(cancelled)),
+            ("deadline", stalled.with_deadline(Duration::from_millis(50))),
+            ("nth(5) retried", fifth().with_retries(2).with_backoff(Duration::ZERO)),
+            ("nth(5)", fifth()),
+        ];
+        for (label, policy) in cases {
+            let context = format!("{label} threads={threads}");
+            let joined = BatchEngine::new()
+                .with_mode(EngineMode::Quantitative)
+                .with_threads(threads)
+                .run_join(&cache, &policy);
+            closes(&joined.stats, joined.failed, joined.skipped, &context);
+            let outcome = joined.materialize(&cache);
+            let stats = &outcome.stats;
+            closes(stats, outcome.failed, outcome.skipped, &context);
+            assert_eq!(outcome.failures().count(), outcome.failed, "{context}");
+            assert_eq!(outcome.succeeded + outcome.failed + outcome.skipped, stats.pairs, "{context}");
+            match label {
+                "cancel" => assert_eq!(outcome.skipped, stats.exact_pairs, "{context}"),
+                "nth(5) retried" => {
+                    let counts = (outcome.failed, stats.panics_caught, stats.retries);
+                    assert_eq!(counts, (0, 1, 1), "{context}: failed, panics, retries");
+                }
+                "nth(5)" => {
+                    let counts = (outcome.failed, stats.panics_caught, stats.retries);
+                    assert_eq!(counts, (1, 1, 0), "{context}: failed, panics, retries");
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 /// Fault plans are scoped to the runs that carry them: two joins over
@@ -493,7 +569,7 @@ fn concurrent_joins_see_only_their_own_plan() {
 
         assert_eq!(clean.status, CompletionStatus::Complete, "round {round}");
         assert_eq!((clean.failed, clean.skipped), (0, 0), "round {round}");
-        assert!(clean.metrics.faults.is_clean(), "round {round}");
+        assert_eq!(fault_counters(&clean.stats), [0; 7], "round {round}");
         assert_eq!(clean.pairs.len(), total);
         for (got, (i, j)) in clean.pairs.iter().zip(every_pair(regions.len())) {
             let pr = got.ok().expect("the unarmed join fails no pair");
@@ -501,7 +577,7 @@ fn concurrent_joins_see_only_their_own_plan() {
             assert_naive(pr, &regions, &format!("round {round}"));
         }
 
-        let injected = faulted.metrics.faults.injected_failures as u64;
+        let injected = faulted.stats.injected_failures as u64;
         assert!(injected > 0, "round {round}: the armed join has exact work");
         assert_eq!(faulted.failed as u64, injected, "round {round}");
         assert_eq!(

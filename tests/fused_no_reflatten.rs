@@ -38,7 +38,7 @@ fn engine_runs_never_reflatten_region_geometry() {
             let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
 
             let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
-            assert!(exact.metrics.stats.fused_pairs > 0);
+            assert!(exact.stats.fused_pairs > 0);
 
             let joined = engine.run_join(&cache, &RunPolicy::default());
             let out = joined.materialize(&cache);

@@ -100,9 +100,9 @@ fn assert_fused_pipeline_cross_validates(regions: &[Region], family: &str) {
             // including the quantitative N-tile fallback — and nothing
             // else does.
             let kernel = out.relations().filter(|p| !p.via_prefilter).count();
-            assert_eq!(out.metrics.stats.fused_pairs, kernel, "{label}: accounting");
+            assert_eq!(out.stats.fused_pairs, kernel, "{label}: accounting");
         }
-        assert_eq!(exact.metrics.stats.fused_pairs, every.len(), "{family}: all exact");
+        assert_eq!(exact.stats.fused_pairs, every.len(), "{family}: all exact");
     }
 }
 

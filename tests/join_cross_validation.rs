@@ -72,7 +72,7 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
             let joined = engine.run_join(&cache, &RunPolicy::default());
 
             // Partition accounting closes before any materialization.
-            let stats = joined.metrics.stats;
+            let stats = joined.stats.clone();
             assert_eq!(joined.total(), total, "{sub}");
             assert_eq!(stats.mask_emitted + stats.exact_pairs, total, "{sub}");
             assert_eq!(
@@ -86,7 +86,7 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
             let out = joined.materialize(&cache);
             assert_eq!(out.status, CompletionStatus::Complete, "{sub}");
             assert_eq!((out.succeeded, out.failed, out.skipped), (total, 0, 0), "{sub}");
-            let after = out.metrics.stats;
+            let after = &out.stats;
             assert_eq!(
                 (after.pairs, after.mask_emitted, after.exact_pairs, after.candidates),
                 (stats.pairs, stats.mask_emitted, stats.exact_pairs, stats.candidates),
@@ -225,9 +225,9 @@ fn pre_cancelled_join_still_emits_mask_pairs() {
         .run_join(&cache, &RunPolicy::default().with_cancel(token));
 
     assert_eq!(joined.status, CompletionStatus::Cancelled);
-    assert!(joined.metrics.stats.mask_emitted > 0 && joined.metrics.stats.exact_pairs > 0, "{:?}", joined.metrics.stats);
-    assert_eq!(joined.succeeded, joined.metrics.stats.mask_emitted, "emission ignores the token");
-    assert_eq!(joined.skipped, joined.metrics.stats.exact_pairs, "the whole exact subset is skipped");
+    assert!(joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0, "{:?}", joined.stats);
+    assert_eq!(joined.succeeded, joined.stats.mask_emitted, "emission ignores the token");
+    assert_eq!(joined.skipped, joined.stats.exact_pairs, "the whole exact subset is skipped");
     assert_eq!(joined.failed, 0);
 
     let (interacting, _) = interacting_pairs(&cache);
@@ -268,9 +268,9 @@ fn zero_deadline_join_skips_only_exact_pairs() {
         .run_join(&cache, &RunPolicy::default().with_deadline(std::time::Duration::ZERO));
 
     assert_eq!(joined.status, CompletionStatus::DeadlineExceeded);
-    assert_eq!(joined.succeeded, joined.metrics.stats.mask_emitted);
-    assert_eq!(joined.skipped, joined.metrics.stats.exact_pairs);
-    assert!(joined.metrics.stats.mask_emitted > 0 && joined.metrics.stats.exact_pairs > 0, "{:?}", joined.metrics.stats);
+    assert_eq!(joined.succeeded, joined.stats.mask_emitted);
+    assert_eq!(joined.skipped, joined.stats.exact_pairs);
+    assert!(joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0, "{:?}", joined.stats);
 }
 
 /// Panic isolation parity: a poisoned exact pair fails alone — every

@@ -94,17 +94,15 @@ fn engine_stats_are_internally_consistent() {
         .with_tracer(tracer.clone())
         .run_join(&cache, &RunPolicy::default())
         .materialize(&cache);
-    let stats = result.metrics.stats;
+    let stats = &result.stats;
     assert_eq!(stats.pairs, regions.len() * (regions.len() - 1));
     assert_eq!(stats.mask_emitted + stats.exact_pairs, stats.pairs);
     assert!(stats.edges_scanned > 0, "some pairs must take the exact path");
     // Each region's own box touches all four of its grid coordinates, so
     // the sweeps see at least four contacts per region.
     assert!(stats.candidates >= 4 * regions.len());
-    let m = &result.metrics;
-    assert_eq!(m.per_thread_pairs.iter().sum::<usize>(), stats.exact_pairs);
-    let balance = m.worker_balance();
-    assert!(balance > 0.0 && balance <= 1.0, "balance {balance}");
+    assert_eq!(stats.per_thread_pairs.iter().sum::<usize>(), stats.exact_pairs);
+    assert!(stats.per_thread_pairs.iter().any(|&p| p > 0), "some worker ran the exact pass");
     // Per-chunk timings are the tracer's compute spans: one per chunk
     // of exact work items.
     let chunks = tracer.drain().iter().filter(|e| e.name == phases::CHUNK_COMPUTE).count();
@@ -126,9 +124,9 @@ fn engine_metrics_export_feeds_the_registry() {
     let cache = RegionCache::build(&regions);
     let result = BatchEngine::new().with_threads(2).run_join(&cache, &RunPolicy::default());
     let registry = cardir_telemetry::Registry::new();
-    result.metrics.export(&registry);
+    result.stats.export(&registry);
     let snap = registry.snapshot();
-    let stats = result.metrics.stats;
+    let stats = &result.stats;
     assert_eq!(snap.counter("engine.pairs"), Some(stats.pairs as u64));
     assert_eq!(snap.counter("join.mask_emitted"), Some(stats.mask_emitted as u64));
     assert_eq!(snap.counter("join.exact_pairs"), Some(stats.exact_pairs as u64));
