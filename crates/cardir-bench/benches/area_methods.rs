@@ -19,7 +19,10 @@ fn main() {
             black_box(black_box(&poly).area());
         });
         bench_case(&format!("e_l_line/{n}"), n as u64, || {
-            black_box(polygon_area_via_line(Line::Horizontal(-20.0), black_box(&poly)));
+            black_box(polygon_area_via_line(
+                Line::Horizontal(-20.0),
+                black_box(&poly),
+            ));
         });
     }
 }

@@ -24,8 +24,8 @@ fn build_config(n: usize, precompute: bool) -> Configuration {
 }
 
 fn main() {
-    let query = parse_query("{(x, y) | color(x) = red, color(y) = blue, x NW y}")
-        .expect("static query");
+    let query =
+        parse_query("{(x, y) | color(x) = red, color(y) = blue, x NW y}").expect("static query");
     println!("== query_eval/red_nw_blue ==");
     for n in [64usize, 256, 1024] {
         // On-the-fly relations: the filter step pays off here.
@@ -35,7 +35,11 @@ fn main() {
             let _ = black_box(evaluate(black_box(&query), black_box(&config)));
         });
         bench_case(&format!("rtree/{n}"), 0, || {
-            let _ = black_box(evaluate_indexed(black_box(&query), black_box(&config), black_box(&index)));
+            let _ = black_box(evaluate_indexed(
+                black_box(&query),
+                black_box(&config),
+                black_box(&index),
+            ));
         });
         // Precomputed relations: lookups dominate.
         let stored = build_config(n, true);

@@ -21,9 +21,12 @@ fn main() {
         for v in ["a", "b", "c"] {
             net.add_variable(v).expect("fresh");
         }
-        net.add_constraint("a", "SW".parse().expect("static"), "b").expect("vars");
-        net.add_constraint("b", "SW".parse().expect("static"), "c").expect("vars");
-        net.add_constraint("a", "SW".parse().expect("static"), "c").expect("vars");
+        net.add_constraint("a", "SW".parse().expect("static"), "b")
+            .expect("vars");
+        net.add_constraint("b", "SW".parse().expect("static"), "c")
+            .expect("vars");
+        net.add_constraint("a", "SW".parse().expect("static"), "c")
+            .expect("vars");
         black_box(net.solve());
     });
 

@@ -16,19 +16,27 @@ fn main() {
     println!("== segmentation/components ==");
     for side in [32usize, 128, 512] {
         let raster = make_raster(side);
-        bench_case(&format!("components/{side}x{side}"), (side * side) as u64, || {
-            black_box(black_box(&raster).components(Connectivity::Four));
-        });
+        bench_case(
+            &format!("components/{side}x{side}"),
+            (side * side) as u64,
+            || {
+                black_box(black_box(&raster).components(Connectivity::Four));
+            },
+        );
     }
 
     println!("== segmentation/extract_all_labels ==");
     for side in [32usize, 128, 512] {
         let raster = make_raster(side);
         let labels = raster.labels();
-        bench_case(&format!("extract/{side}x{side}"), (side * side) as u64, || {
-            for &label in &labels {
-                black_box(black_box(&raster).extract_region(label));
-            }
-        });
+        bench_case(
+            &format!("extract/{side}x{side}"),
+            (side * side) as u64,
+            || {
+                for &label in &labels {
+                    black_box(black_box(&raster).extract_region(label));
+                }
+            },
+        );
     }
 }

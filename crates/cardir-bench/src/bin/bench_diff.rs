@@ -62,8 +62,7 @@ fn main() {
                 let spec = value_of("--key");
                 match spec.split_once('=') {
                     Some((ty, fields)) if !ty.is_empty() && !fields.is_empty() => {
-                        let fields: Vec<String> =
-                            fields.split(',').map(str::to_string).collect();
+                        let fields: Vec<String> = fields.split(',').map(str::to_string).collect();
                         // Later --key flags override the defaults.
                         cfg.keys.retain(|(t, _)| t != ty);
                         cfg.keys.push((ty.to_string(), fields));

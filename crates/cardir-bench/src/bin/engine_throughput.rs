@@ -108,11 +108,18 @@ fn main() {
 
     let mut rng = SplitMix64::seed_from_u64(SEED);
     let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(4000.0, 3000.0));
-    let regions: Vec<Region> = random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect();
+    let regions: Vec<Region> = random_map(&mut rng, n, extent)
+        .into_iter()
+        .map(|m| m.region)
+        .collect();
 
     // The cache build is its own traced process: it happens once per
     // map, not per cell.
-    let build_tracer = if chrome.is_some() { Tracer::enabled() } else { Tracer::disabled() };
+    let build_tracer = if chrome.is_some() {
+        Tracer::enabled()
+    } else {
+        Tracer::disabled()
+    };
     let build_start = Instant::now();
     let cache = RegionCache::build_traced(&regions, &build_tracer);
     let build = build_start.elapsed();
@@ -137,7 +144,10 @@ fn main() {
             Json::obj([
                 ("regions", Json::from(cache.len())),
                 ("edges", Json::from(cache.total_edges())),
-                ("cache_build_ns", Json::from(build.as_nanos().min(u64::MAX as u128) as u64)),
+                (
+                    "cache_build_ns",
+                    Json::from(build.as_nanos().min(u64::MAX as u128) as u64),
+                ),
                 ("seed", Json::from(SEED)),
             ]),
         )
@@ -163,7 +173,11 @@ fn main() {
             for _ in 0..repeat {
                 // A fresh tracer per run keeps each process's timeline
                 // anchored at its own start.
-                let tracer = if chrome.is_some() { Tracer::enabled() } else { Tracer::disabled() };
+                let tracer = if chrome.is_some() {
+                    Tracer::enabled()
+                } else {
+                    Tracer::disabled()
+                };
                 let engine = BatchEngine::new()
                     .with_mode(mode)
                     .with_threads(threads)
@@ -209,10 +223,16 @@ fn main() {
                 sink.emit(
                     "engine_cell",
                     Json::obj([
-                        ("mode", Json::from(format!("{mode:?}").to_lowercase().as_str())),
+                        (
+                            "mode",
+                            Json::from(format!("{mode:?}").to_lowercase().as_str()),
+                        ),
                         ("threads", Json::from(threads)),
                         ("pairs", Json::from(stats.pairs)),
-                        ("elapsed_ns", Json::from(elapsed.as_nanos().min(u64::MAX as u128) as u64)),
+                        (
+                            "elapsed_ns",
+                            Json::from(elapsed.as_nanos().min(u64::MAX as u128) as u64),
+                        ),
                         ("pairs_per_sec", Json::from(pairs_per_sec)),
                         ("speedup_vs_1", Json::from(speedup)),
                         ("mask_emitted", Json::from(stats.mask_emitted)),
@@ -236,9 +256,7 @@ fn main() {
                         // the per-worker array itself.
                         (
                             "thread_pairs",
-                            Json::Arr(
-                                per_thread.iter().map(|&p| Json::from(p)).collect(),
-                            ),
+                            Json::Arr(per_thread.iter().map(|&p| Json::from(p)).collect()),
                         ),
                     ]),
                 )
@@ -285,6 +303,9 @@ fn main() {
             std::process::exit(1);
         }));
         chrome.write_to(&mut file).expect("write trace");
-        println!("wrote {path} ({} traced processes; open in Perfetto or run trace_report)", chrome.processes.len());
+        println!(
+            "wrote {path} ({} traced processes; open in Perfetto or run trace_report)",
+            chrome.processes.len()
+        );
     }
 }

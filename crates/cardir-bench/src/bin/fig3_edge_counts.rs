@@ -10,7 +10,12 @@ use cardir_workloads::paper;
 fn main() {
     let b = paper::reference_b();
     let cases = [
-        ("Fig. 3b quadrangle", paper::fig3b_quadrangle(), 8usize, 16usize),
+        (
+            "Fig. 3b quadrangle",
+            paper::fig3b_quadrangle(),
+            8usize,
+            16usize,
+        ),
         ("Fig. 3c triangle", paper::fig3c_triangle(), 11, 35),
         ("Example 3 quadrangle", paper::example3_quadrangle(), 9, 19),
     ];
@@ -21,7 +26,15 @@ fn main() {
         "| {:<22} | {:>6} | {:>12} | {:>12} | {:>14} | {:<22} |",
         "shape", "input", "divided", "clipped", "clipped polys", "relation"
     );
-    println!("|{}|{}|{}|{}|{}|{}|", "-".repeat(24), "-".repeat(8), "-".repeat(14), "-".repeat(14), "-".repeat(16), "-".repeat(24));
+    println!(
+        "|{}|{}|{}|{}|{}|{}|",
+        "-".repeat(24),
+        "-".repeat(8),
+        "-".repeat(14),
+        "-".repeat(14),
+        "-".repeat(16),
+        "-".repeat(24)
+    );
     for (name, region, paper_ours, paper_clip) in cases {
         let mut counts = CountingHook::new();
         let relation = compute_cdr_with_mbb(&region, b.mbb(), &mut counts);
@@ -37,7 +50,10 @@ fn main() {
             clipped.stats.output_polygons,
             relation.to_string(),
         );
-        assert_eq!(counts.sub_edges, paper_ours, "{name}: divided-edge count drifted");
+        assert_eq!(
+            counts.sub_edges, paper_ours,
+            "{name}: divided-edge count drifted"
+        );
     }
     println!("\n(parenthesised numbers are the paper's; exact coordinates of the figures");
     println!(" are reconstructions, so clipped counts may differ by a vertex or two)");

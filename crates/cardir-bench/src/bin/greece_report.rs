@@ -38,9 +38,17 @@ fn main() {
         }
     }
 
-    println!("\nFig. 12 (left):  Peloponnesos {} Attica", config.relation_between("peloponnesos", "attica").unwrap());
+    println!(
+        "\nFig. 12 (left):  Peloponnesos {} Attica",
+        config.relation_between("peloponnesos", "attica").unwrap()
+    );
     println!("Fig. 12 (right): Attica w.r.t. Peloponnesos, with percentages:");
-    println!("{:.1}", config.percentages_between("attica", "peloponnesos").unwrap());
+    println!(
+        "{:.1}",
+        config
+            .percentages_between("attica", "peloponnesos")
+            .unwrap()
+    );
 
     let q = parse_query("{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}")
         .expect("the paper's query");

@@ -39,7 +39,10 @@ fn main() {
             max = (k, r);
         }
     }
-    println!("\nrealizable pairs: {realizable} of {} candidates", 511 * 511);
+    println!(
+        "\nrealizable pairs: {realizable} of {} candidates",
+        511 * 511
+    );
     println!("smallest inverse: {} ({} relations)", min.1, min.0);
     println!("largest inverse:  {} ({} relations)", max.1, max.0);
 

@@ -55,13 +55,10 @@ fn main() {
                 std::process::exit(2);
             }));
         } else if arg == "--compare-max" {
-            compare_max = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--compare-max requires a count");
-                    std::process::exit(2);
-                });
+            compare_max = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("--compare-max requires a count");
+                std::process::exit(2);
+            });
         } else if let Ok(v) = arg.parse() {
             sizes.push(v);
         } else {
@@ -87,15 +84,15 @@ fn main() {
     for &n in &sizes {
         let mut rng = SplitMix64::seed_from_u64(SEED);
         let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(4000.0, 3000.0));
-        let regions: Vec<Region> =
-            random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect();
+        let regions: Vec<Region> = random_map(&mut rng, n, extent)
+            .into_iter()
+            .map(|m| m.region)
+            .collect();
         let build_start = Instant::now();
         let cache = RegionCache::build(&regions);
         let build = build_start.elapsed();
         let total = n * (n - 1);
-        println!(
-            "\n== N = {n} ({total} ordered pairs; cache build {build:.2?}) =="
-        );
+        println!("\n== N = {n} ({total} ordered pairs; cache build {build:.2?}) ==");
         if let Some(sink) = &mut sink {
             sink.emit(
                 "map",
@@ -109,9 +106,14 @@ fn main() {
             .expect("write JSON line");
         }
 
-        let tracer = if chrome.is_some() { Tracer::enabled() } else { Tracer::disabled() };
-        let engine =
-            BatchEngine::new().with_mode(EngineMode::Qualitative).with_tracer(tracer.clone());
+        let tracer = if chrome.is_some() {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        };
+        let engine = BatchEngine::new()
+            .with_mode(EngineMode::Qualitative)
+            .with_tracer(tracer.clone());
         let start = Instant::now();
         let outcome = black_box(engine.run_join(&cache, &RunPolicy::default()));
         let elapsed = start.elapsed();
@@ -121,12 +123,9 @@ fn main() {
         assert!(outcome.status == cardir_engine::CompletionStatus::Complete);
         let join = &outcome.stats;
         // The part of the join's wall time outside its two timed phases.
-        let unattributed =
-            elapsed.saturating_sub(join.discover + join.exact_pass);
+        let unattributed = elapsed.saturating_sub(join.discover + join.exact_pass);
         let relations_per_sec = total as f64 / elapsed.as_secs_f64();
-        println!(
-            "join: {total} relations in {elapsed:.2?} ({relations_per_sec:.0} relations/sec)"
-        );
+        println!("join: {total} relations in {elapsed:.2?} ({relations_per_sec:.0} relations/sec)");
         println!(
             "      candidates {}, mask-emitted {} ({:.2}%), exact {} (pairs materialized: {})",
             join.candidates,
@@ -178,7 +177,8 @@ fn main() {
                 fields.push(("allpairs_elapsed_ns", Json::from(ns(elapsed_all))));
                 fields.push(("speedup_vs_allpairs", Json::from(speedup)));
             }
-            sink.emit("join", Json::obj(fields)).expect("write JSON line");
+            sink.emit("join", Json::obj(fields))
+                .expect("write JSON line");
         }
     }
 

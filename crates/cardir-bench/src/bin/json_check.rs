@@ -60,7 +60,10 @@ fn main() {
             std::process::exit(1);
         }
         let Some(ty) = value.get("type").and_then(Json::as_str) else {
-            eprintln!("json_check: {path}:{}: record has no string \"type\" field", lineno + 1);
+            eprintln!(
+                "json_check: {path}:{}: record has no string \"type\" field",
+                lineno + 1
+            );
             std::process::exit(1);
         };
         for (i, (req_ty, req_field)) in requires.iter().enumerate() {

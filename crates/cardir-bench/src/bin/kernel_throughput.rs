@@ -98,7 +98,10 @@ fn main() {
                 black_box(cdr_areas_from_soa(black_box(&soa), black_box(mbb)));
             };
             let iters = calibrate_iters(Duration::from_millis(20), &mut f);
-            let best = (0..REPEAT).map(|_| time_mean(iters, &mut f)).min().expect("REPEAT >= 1");
+            let best = (0..REPEAT)
+                .map(|_| time_mean(iters, &mut f))
+                .min()
+                .expect("REPEAT >= 1");
             let ns_per_edge = best.as_nanos() as f64 / edges as f64;
             cells.push(format!("{ns_per_edge:.2} ({orient_calls})"));
             if let Some(sink) = &mut sink {

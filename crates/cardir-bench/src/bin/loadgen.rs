@@ -73,14 +73,16 @@ fn main() {
 
     // Target: an external server, or an in-process one on an ephemeral
     // port (the reproducible default the committed numbers come from).
-    let data_dir =
-        std::env::temp_dir().join(format!("cardird-loadgen-{}", std::process::id()));
+    let data_dir = std::env::temp_dir().join(format!("cardird-loadgen-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data_dir);
     let (target, handle): (SocketAddr, Option<cardird::ServerHandle>) = match &addr {
-        Some(addr) => (addr.parse().unwrap_or_else(|e| {
-            eprintln!("loadgen: bad --addr {addr}: {e}");
-            std::process::exit(2);
-        }), None),
+        Some(addr) => (
+            addr.parse().unwrap_or_else(|e| {
+                eprintln!("loadgen: bad --addr {addr}: {e}");
+                std::process::exit(2);
+            }),
+            None,
+        ),
         None => {
             let handle = serve(ServerConfig {
                 workers: connections + 1,
@@ -100,7 +102,9 @@ fn main() {
     let mut rng = SplitMix64::seed_from_u64(SEED);
     let map = random_map(&mut rng, regions, extent);
     let mut seed_client = Client::connect(target).expect("connect");
-    let resp = seed_client.post("/sessions", "{\"name\":\"bench\"}").expect("create session");
+    let resp = seed_client
+        .post("/sessions", "{\"name\":\"bench\"}")
+        .expect("create session");
     assert_eq!(resp.status, 200, "create session: {}", resp.body);
     for m in &map {
         let body = format!(
@@ -108,7 +112,9 @@ fn main() {
             m.color,
             region_to_json(&m.region),
         );
-        let resp = seed_client.post("/sessions/bench/apply", &body).expect("seed apply");
+        let resp = seed_client
+            .post("/sessions/bench/apply", &body)
+            .expect("seed apply");
         assert_eq!(resp.status, 200, "seed apply: {}", resp.body);
     }
 
@@ -136,11 +142,16 @@ fn main() {
                     if r >= p {
                         r += 1;
                     }
-                    client.get(&format!("/sessions/bench/relation?primary={p}&reference={r}"))
+                    client.get(&format!(
+                        "/sessions/bench/relation?primary={p}&reference={r}"
+                    ))
                 } else if roll < 8 {
                     client.get("/sessions/bench/relations")
                 } else if roll < 9 {
-                    client.post("/sessions/bench/query", "{\"query\":\"{(x, y) | x N:NE y}\"}")
+                    client.post(
+                        "/sessions/bench/query",
+                        "{\"query\":\"{(x, y) | x N:NE y}\"}",
+                    )
                 } else {
                     client.get("/sessions/bench")
                 };

@@ -33,7 +33,14 @@ fn main() {
         "| {:>5} | {:>7} | {:>10} | {:>8} | {:>13} |",
         "vars", "trials", "consistent", "unknown", "inconsistent"
     );
-    println!("|{}|{}|{}|{}|{}|", "-".repeat(7), "-".repeat(9), "-".repeat(12), "-".repeat(10), "-".repeat(15));
+    println!(
+        "|{}|{}|{}|{}|{}|",
+        "-".repeat(7),
+        "-".repeat(9),
+        "-".repeat(12),
+        "-".repeat(10),
+        "-".repeat(15)
+    );
     for k in [2usize, 3, 4, 5, 6] {
         let trials = 200;
         let mut consistent = 0;

@@ -93,11 +93,20 @@ fn main() {
                 "scaling_point",
                 Json::obj([
                     ("edges", Json::from(edges)),
-                    ("cdr_ns", Json::from(t_cdr.as_nanos().min(u64::MAX as u128) as u64)),
+                    (
+                        "cdr_ns",
+                        Json::from(t_cdr.as_nanos().min(u64::MAX as u128) as u64),
+                    ),
                     ("cdr_ns_per_edge", Json::from(per_edge(t_cdr))),
-                    ("pct_ns", Json::from(t_pct.as_nanos().min(u64::MAX as u128) as u64)),
+                    (
+                        "pct_ns",
+                        Json::from(t_pct.as_nanos().min(u64::MAX as u128) as u64),
+                    ),
                     ("pct_ns_per_edge", Json::from(per_edge(t_pct))),
-                    ("clipping_ns", Json::from(t_clip.as_nanos().min(u64::MAX as u128) as u64)),
+                    (
+                        "clipping_ns",
+                        Json::from(t_clip.as_nanos().min(u64::MAX as u128) as u64),
+                    ),
                     ("clipping_ns_per_edge", Json::from(per_edge(t_clip))),
                 ]),
             )

@@ -42,7 +42,12 @@ impl fmt::Display for DiffError {
         match self {
             DiffError::BadThreshold(t) => write!(f, "threshold must be > 1, got {t}"),
             DiffError::Parse(msg) => write!(f, "{msg}"),
-            DiffError::NonFiniteRatio { metric, key, baseline, new } => write!(
+            DiffError::NonFiniteRatio {
+                metric,
+                key,
+                baseline,
+                new,
+            } => write!(
                 f,
                 "non-finite ratio: {metric} [{key}] baseline {baseline} vs new {new} \
                  does not admit a finite improvement ratio; refusing to gate"
@@ -79,7 +84,9 @@ impl MetricSpec {
                 field: field.to_string(),
                 lower_is_better: lower,
             }),
-            _ => Err(format!("metric spec must be TYPE.FIELD[:lower], got {spec:?}")),
+            _ => Err(format!(
+                "metric spec must be TYPE.FIELD[:lower], got {spec:?}"
+            )),
         }
     }
 }
@@ -114,7 +121,10 @@ impl Default for DiffConfig {
             }],
             filters: Vec::new(),
             keys: vec![
-                ("engine_cell".to_string(), vec!["mode".to_string(), "threads".to_string()]),
+                (
+                    "engine_cell".to_string(),
+                    vec!["mode".to_string(), "threads".to_string()],
+                ),
                 ("join".to_string(), vec!["regions".to_string()]),
             ],
         }
@@ -214,9 +224,7 @@ fn parse_lines(text: &str, what: &str) -> Result<Vec<Json>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            parse_json(line).map_err(|e| format!("{what} line {}: {e}", i + 1))
-        })
+        .map(|(i, line)| parse_json(line).map_err(|e| format!("{what} line {}: {e}", i + 1)))
         .collect()
 }
 
@@ -226,7 +234,12 @@ fn record_key(record: &Json, fields: &[String]) -> String {
     }
     fields
         .iter()
-        .map(|f| format!("{f}={}", field_str(record, f).unwrap_or_else(|| "?".to_string())))
+        .map(|f| {
+            format!(
+                "{f}={}",
+                field_str(record, f).unwrap_or_else(|| "?".to_string())
+            )
+        })
         .collect::<Vec<_>>()
         .join(" ")
 }
@@ -258,7 +271,9 @@ pub fn run_diff(baseline: &str, new: &str, cfg: &DiffConfig) -> Result<DiffRepor
                 .collect()
         };
         let passes_filters = |r: &Json| {
-            cfg.filters.iter().all(|(f, want)| field_str(r, f).as_deref() == Some(want))
+            cfg.filters
+                .iter()
+                .all(|(f, want)| field_str(r, f).as_deref() == Some(want))
         };
         let news = of_type(&new_records);
         for base in of_type(&base_records).iter().filter(|r| passes_filters(r)) {
@@ -267,7 +282,9 @@ pub fn run_diff(baseline: &str, new: &str, cfg: &DiffConfig) -> Result<DiffRepor
             };
             let key = record_key(base, key_fields);
             let counterpart = news.iter().find(|r| record_key(r, key_fields) == key);
-            let new_value = counterpart.and_then(|r| r.get(&metric.field)).and_then(Json::as_f64);
+            let new_value = counterpart
+                .and_then(|r| r.get(&metric.field))
+                .and_then(Json::as_f64);
             let metric_name = format!("{}.{}", metric.record_type, metric.field);
             let non_finite = |new_value: f64| DiffError::NonFiniteRatio {
                 metric: format!("{}.{}", metric.record_type, metric.field),
@@ -329,7 +346,10 @@ pub fn run_diff(baseline: &str, new: &str, cfg: &DiffConfig) -> Result<DiffRepor
     // anyway — partial_cmp's Equal fallback would leave any future NaN
     // wherever it happened to sit instead of surfacing it first.
     rows.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
-    Ok(DiffReport { rows, threshold: cfg.threshold })
+    Ok(DiffReport {
+        rows,
+        threshold: cfg.threshold,
+    })
 }
 
 #[cfg(test)]
@@ -364,7 +384,10 @@ mod tests {
         let new = cells(100_000.0, 1_900_000.0, 5_000_000.0); // 10x drop on q t=1
         let report = run_diff(BASE, &new, &DiffConfig::default()).unwrap();
         assert!(!report.passed());
-        assert_eq!(report.rows[0].key, "mode=qualitative threads=1", "worst first");
+        assert_eq!(
+            report.rows[0].key, "mode=qualitative threads=1",
+            "worst first"
+        );
         assert!(!report.rows[0].ok);
         assert!((report.rows[0].ratio - 0.1).abs() < 1e-12);
         assert!(report.rows[1].ok && report.rows[2].ok);
@@ -378,7 +401,11 @@ mod tests {
                    {\"type\":\"engine_cell\",\"mode\":\"qualitative\",\"threads\":2,\"pairs_per_sec\":2000000.0}\n";
         let report = run_diff(BASE, new, &DiffConfig::default()).unwrap();
         assert!(!report.passed());
-        let missing = report.rows.iter().find(|r| r.new.is_none()).expect("a missing row");
+        let missing = report
+            .rows
+            .iter()
+            .find(|r| r.new.is_none())
+            .expect("a missing row");
         assert_eq!(missing.key, "mode=quantitative threads=1");
         assert!(report.render().contains("MISSING"));
     }
@@ -405,8 +432,14 @@ mod tests {
             metrics: vec![MetricSpec::parse("join.elapsed_ns:lower").unwrap()],
             ..DiffConfig::default()
         };
-        assert!(!run_diff(base, slower, &cfg).unwrap().passed(), "10x slower fails");
-        assert!(run_diff(base, faster, &cfg).unwrap().passed(), "10x faster passes");
+        assert!(
+            !run_diff(base, slower, &cfg).unwrap().passed(),
+            "10x slower fails"
+        );
+        assert!(
+            run_diff(base, faster, &cfg).unwrap().passed(),
+            "10x faster passes"
+        );
     }
 
     #[test]
@@ -419,7 +452,11 @@ mod tests {
                 lower_is_better: false,
             }
         );
-        assert!(MetricSpec::parse("join.elapsed_ns:lower").unwrap().lower_is_better);
+        assert!(
+            MetricSpec::parse("join.elapsed_ns:lower")
+                .unwrap()
+                .lower_is_better
+        );
         assert!(MetricSpec::parse("nodot").is_err());
         assert!(MetricSpec::parse(".field").is_err());
     }
@@ -434,7 +471,10 @@ mod tests {
     #[test]
     fn garbage_input_is_an_error() {
         assert!(run_diff("not json", "", &DiffConfig::default()).is_err());
-        let cfg = DiffConfig { threshold: 0.5, ..DiffConfig::default() };
+        let cfg = DiffConfig {
+            threshold: 0.5,
+            ..DiffConfig::default()
+        };
         assert!(run_diff("", "", &cfg).is_err(), "threshold must exceed 1");
     }
 
@@ -447,7 +487,12 @@ mod tests {
             "{\"type\":\"engine_cell\",\"mode\":\"qualitative\",\"threads\":1,\"pairs_per_sec\":1e999}\n";
         let err = run_diff(BASE, inf_new, &DiffConfig::default()).unwrap_err();
         match err {
-            DiffError::NonFiniteRatio { ref metric, ref key, baseline, new } => {
+            DiffError::NonFiniteRatio {
+                ref metric,
+                ref key,
+                baseline,
+                new,
+            } => {
                 assert_eq!(metric, "engine_cell.pairs_per_sec");
                 assert_eq!(key, "mode=qualitative threads=1");
                 assert_eq!(baseline, 1_000_000.0);

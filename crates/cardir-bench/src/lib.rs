@@ -20,7 +20,13 @@ pub const SEED: u64 = 2004;
 pub fn scaling_pair(edges: usize, seed: u64) -> (Region, Region) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let reference = Region::single(star_polygon(&mut rng, Point::ORIGIN, 4.0, 8.0, 16));
-    let primary = Region::single(star_polygon(&mut rng, Point::new(3.0, -2.0), 3.0, 9.0, edges));
+    let primary = Region::single(star_polygon(
+        &mut rng,
+        Point::new(3.0, -2.0),
+        3.0,
+        9.0,
+        edges,
+    ));
     (primary, reference)
 }
 

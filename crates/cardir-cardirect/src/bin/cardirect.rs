@@ -58,7 +58,11 @@ fn run(args: &[String]) -> Result<String, String> {
                         config.relations().len(),
                         config.len(),
                         report.bytes,
-                        if report.backup_created { ", previous kept as .bak" } else { "" }
+                        if report.backup_created {
+                            ", previous kept as .bak"
+                        } else {
+                            ""
+                        }
                     ))
                 }
                 None => Ok(to_xml(&config)),
@@ -126,7 +130,10 @@ fn render_show(config: &Configuration) -> String {
         ));
     }
     for rel in config.relations() {
-        out.push_str(&format!("  {} {} {}\n", rel.primary, rel.relation, rel.reference));
+        out.push_str(&format!(
+            "  {} {} {}\n",
+            rel.primary, rel.relation, rel.reference
+        ));
     }
     out
 }

@@ -29,7 +29,9 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::DuplicateId(id) => write!(f, "duplicate region id {id:?}"),
             ConfigError::UnknownId(id) => write!(f, "unknown region id {id:?}"),
-            ConfigError::InvalidId(id) => write!(f, "invalid region id {id:?} (must be an XML name)"),
+            ConfigError::InvalidId(id) => {
+                write!(f, "invalid region id {id:?} (must be an XML name)")
+            }
         }
     }
 }
@@ -94,7 +96,11 @@ fn valid_id(id: &str) -> bool {
 impl Configuration {
     /// Creates an empty configuration over an image file.
     pub fn new(name: impl Into<String>, file: impl Into<String>) -> Self {
-        Configuration { name: name.into(), file: file.into(), ..Configuration::default() }
+        Configuration {
+            name: name.into(),
+            file: file.into(),
+            ..Configuration::default()
+        }
     }
 
     /// Adds an annotated region. Ids must be unique XML names.
@@ -147,7 +153,10 @@ impl Configuration {
 
     /// Looks up a region id by display name (first match).
     pub fn id_by_name(&self, name: &str) -> Option<&str> {
-        self.regions.iter().find(|r| r.name == name).map(|r| r.id.as_str())
+        self.regions
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.id.as_str())
     }
 
     /// The thematic attribute `f(region)` used by the query language:
@@ -177,7 +186,10 @@ impl Configuration {
         if !valid_id(&attr) {
             return Err(ConfigError::InvalidId(attr));
         }
-        let &i = self.index.get(id).ok_or_else(|| ConfigError::UnknownId(id.to_string()))?;
+        let &i = self
+            .index
+            .get(id)
+            .ok_or_else(|| ConfigError::UnknownId(id.to_string()))?;
         self.regions[i].attributes.insert(attr, value.into());
         Ok(())
     }
@@ -185,7 +197,10 @@ impl Configuration {
     /// Removes a region and every stored relation that mentions it.
     /// The paper's tool supports editing the annotated regions.
     pub fn remove_region(&mut self, id: &str) -> Result<AnnotatedRegion, ConfigError> {
-        let i = *self.index.get(id).ok_or_else(|| ConfigError::UnknownId(id.to_string()))?;
+        let i = *self
+            .index
+            .get(id)
+            .ok_or_else(|| ConfigError::UnknownId(id.to_string()))?;
         let removed = self.regions.remove(i);
         self.index.remove(id);
         for slot in self.index.values_mut() {
@@ -193,7 +208,8 @@ impl Configuration {
                 *slot -= 1;
             }
         }
-        self.relations.retain(|r| r.primary != removed.id && r.reference != removed.id);
+        self.relations
+            .retain(|r| r.primary != removed.id && r.reference != removed.id);
         self.rebuild_relation_map();
         Ok(removed)
     }
@@ -202,9 +218,13 @@ impl Configuration {
     /// relations that mention it (recompute with
     /// [`Configuration::compute_all_relations`] or on demand).
     pub fn update_geometry(&mut self, id: &str, region: Region) -> Result<(), ConfigError> {
-        let &i = self.index.get(id).ok_or_else(|| ConfigError::UnknownId(id.to_string()))?;
+        let &i = self
+            .index
+            .get(id)
+            .ok_or_else(|| ConfigError::UnknownId(id.to_string()))?;
         self.regions[i].region = region;
-        self.relations.retain(|r| r.primary != id && r.reference != id);
+        self.relations
+            .retain(|r| r.primary != id && r.reference != id);
         self.rebuild_relation_map();
         Ok(())
     }
@@ -213,7 +233,12 @@ impl Configuration {
         self.relation_map = self
             .relations
             .iter()
-            .map(|r| ((self.index[&r.primary], self.index[&r.reference]), r.relation))
+            .map(|r| {
+                (
+                    (self.index[&r.primary], self.index[&r.reference]),
+                    r.relation,
+                )
+            })
             .collect();
     }
 
@@ -259,7 +284,8 @@ impl Configuration {
                 primary: self.regions[pr.primary].id.clone(),
                 reference: self.regions[pr.reference].id.clone(),
             });
-            self.relation_map.insert((pr.primary, pr.reference), pr.relation);
+            self.relation_map
+                .insert((pr.primary, pr.reference), pr.relation);
         }
         outcome.stats
     }
@@ -279,7 +305,10 @@ impl Configuration {
                     return Err(ConfigError::UnknownId(id.clone()));
                 }
             }
-            map.insert((self.index[&rel.primary], self.index[&rel.reference]), rel.relation);
+            map.insert(
+                (self.index[&rel.primary], self.index[&rel.reference]),
+                rel.relation,
+            );
         }
         self.relations = relations;
         self.relation_map = map;
@@ -288,8 +317,15 @@ impl Configuration {
 
     /// The relation between two regions: the stored one when available
     /// (constant-time lookup), otherwise computed on the fly.
-    pub fn relation_between(&self, primary: &str, reference: &str) -> Result<CardinalRelation, ConfigError> {
-        let pi = *self.index.get(primary).ok_or_else(|| ConfigError::UnknownId(primary.to_string()))?;
+    pub fn relation_between(
+        &self,
+        primary: &str,
+        reference: &str,
+    ) -> Result<CardinalRelation, ConfigError> {
+        let pi = *self
+            .index
+            .get(primary)
+            .ok_or_else(|| ConfigError::UnknownId(primary.to_string()))?;
         let qi = *self
             .index
             .get(reference)
@@ -297,7 +333,10 @@ impl Configuration {
         if let Some(&stored) = self.relation_map.get(&(pi, qi)) {
             return Ok(stored);
         }
-        Ok(compute_cdr(&self.regions[pi].region, &self.regions[qi].region))
+        Ok(compute_cdr(
+            &self.regions[pi].region,
+            &self.regions[qi].region,
+        ))
     }
 
     /// The cardinal direction relation *with percentages* between two
@@ -307,7 +346,9 @@ impl Configuration {
         primary: &str,
         reference: &str,
     ) -> Result<PercentageMatrix, ConfigError> {
-        let p = self.region(primary).ok_or_else(|| ConfigError::UnknownId(primary.to_string()))?;
+        let p = self
+            .region(primary)
+            .ok_or_else(|| ConfigError::UnknownId(primary.to_string()))?;
         let q = self
             .region(reference)
             .ok_or_else(|| ConfigError::UnknownId(reference.to_string()))?;
@@ -318,14 +359,19 @@ impl Configuration {
     /// protocol ([`save_xml_atomic`](crate::xml::save_xml_atomic)):
     /// write-temp / fsync / `.bak` generation / rename. A crash at any
     /// point leaves a loadable file on disk.
-    pub fn save_to(&self, path: &std::path::Path) -> Result<crate::xml::SaveReport, crate::xml::PersistError> {
+    pub fn save_to(
+        &self,
+        path: &std::path::Path,
+    ) -> Result<crate::xml::SaveReport, crate::xml::PersistError> {
         crate::xml::save_xml_atomic(self, path, None)
     }
 
     /// Loads a configuration from `path`, recovering from the `.bak`
     /// generation when the primary is missing or torn
     /// ([`load_config`](crate::xml::load_config)).
-    pub fn load_from(path: &std::path::Path) -> Result<crate::xml::Loaded, crate::xml::PersistError> {
+    pub fn load_from(
+        path: &std::path::Path,
+    ) -> Result<crate::xml::Loaded, crate::xml::PersistError> {
         crate::xml::load_config(path, None)
     }
 }
@@ -340,8 +386,10 @@ mod tests {
 
     fn sample() -> Configuration {
         let mut c = Configuration::new("test", "map.png");
-        c.add_region("b", "Base", "red", rect(0.0, 0.0, 4.0, 4.0)).unwrap();
-        c.add_region("s", "Souther", "blue", rect(1.0, -3.0, 3.0, -1.0)).unwrap();
+        c.add_region("b", "Base", "red", rect(0.0, 0.0, 4.0, 4.0))
+            .unwrap();
+        c.add_region("s", "Souther", "blue", rect(1.0, -3.0, 3.0, -1.0))
+            .unwrap();
         c
     }
 
@@ -349,16 +397,20 @@ mod tests {
     fn id_validation() {
         let mut c = Configuration::new("t", "f");
         assert_eq!(
-            c.add_region("1bad", "x", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap_err(),
+            c.add_region("1bad", "x", "red", rect(0.0, 0.0, 1.0, 1.0))
+                .unwrap_err(),
             ConfigError::InvalidId("1bad".into())
         );
         assert_eq!(
-            c.add_region("has space", "x", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap_err(),
+            c.add_region("has space", "x", "red", rect(0.0, 0.0, 1.0, 1.0))
+                .unwrap_err(),
             ConfigError::InvalidId("has space".into())
         );
-        c.add_region("ok-id_1.x", "x", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap();
+        c.add_region("ok-id_1.x", "x", "red", rect(0.0, 0.0, 1.0, 1.0))
+            .unwrap();
         assert_eq!(
-            c.add_region("ok-id_1.x", "y", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap_err(),
+            c.add_region("ok-id_1.x", "y", "red", rect(0.0, 0.0, 1.0, 1.0))
+                .unwrap_err(),
             ConfigError::DuplicateId("ok-id_1.x".into())
         );
     }
@@ -414,6 +466,9 @@ mod tests {
             primary: "s".into(),
             reference: "ghost".into(),
         }];
-        assert!(matches!(c.set_relations(bad), Err(ConfigError::UnknownId(_))));
+        assert!(matches!(
+            c.set_relations(bad),
+            Err(ConfigError::UnknownId(_))
+        ));
     }
 }

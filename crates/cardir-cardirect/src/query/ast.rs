@@ -69,10 +69,18 @@ impl fmt::Display for Condition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Condition::Identity { variable, region } => write!(f, "{variable} = {region}"),
-            Condition::Attribute { attribute, variable, value } => {
+            Condition::Attribute {
+                attribute,
+                variable,
+                value,
+            } => {
                 write!(f, "{attribute}({variable}) = {value}")
             }
-            Condition::Direction { primary, relation, reference } => {
+            Condition::Direction {
+                primary,
+                relation,
+                reference,
+            } => {
                 if relation.len() == 1 {
                     let only = relation.iter().next().expect("len 1");
                     write!(f, "{primary} {only} {reference}")
@@ -104,10 +112,16 @@ mod tests {
                     relation: DisjunctiveRelation::singleton("S:SW".parse().unwrap()),
                     reference: "b".into(),
                 },
-                Condition::Identity { variable: "b".into(), region: "Attica".into() },
+                Condition::Identity {
+                    variable: "b".into(),
+                    region: "Attica".into(),
+                },
             ],
         };
-        assert_eq!(q.to_string(), "{(a, b) | color(a) = red, a S:SW b, b = Attica}");
+        assert_eq!(
+            q.to_string(),
+            "{(a, b) | color(a) = red, a S:SW b, b = Attica}"
+        );
     }
 
     #[test]

@@ -138,8 +138,12 @@ fn evaluate_impl(
     index: Option<&RegionIndex>,
 ) -> Result<Vec<Binding>, EvalError> {
     let n_vars = query.variables.len();
-    let var_index: HashMap<&str, usize> =
-        query.variables.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
+    let var_index: HashMap<&str, usize> = query
+        .variables
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (v.as_str(), i))
+        .collect();
 
     // Unary pre-filtering.
     let mut candidates: Vec<Vec<usize>> = vec![(0..config.len()).collect(); n_vars];
@@ -159,7 +163,11 @@ fn evaluate_impl(
                 let v = var_index[variable.as_str()];
                 candidates[v].retain(|&i| i == target);
             }
-            Condition::Attribute { attribute, variable, value } => {
+            Condition::Attribute {
+                attribute,
+                variable,
+                value,
+            } => {
                 let known = matches!(attribute.as_str(), "color" | "name" | "id")
                     || config
                         .regions()
@@ -185,7 +193,11 @@ fn evaluate_impl(
         .conditions
         .iter()
         .filter_map(|c| match c {
-            Condition::Direction { primary, relation, reference } => Some((
+            Condition::Direction {
+                primary,
+                relation,
+                reference,
+            } => Some((
                 var_index[primary.as_str()],
                 relation,
                 var_index[reference.as_str()],
@@ -196,12 +208,23 @@ fn evaluate_impl(
 
     let mut results = Vec::new();
     let mut binding: Vec<Option<usize>> = vec![None; n_vars];
-    search(config, index, &candidates, &directions, &mut binding, 0, &mut results);
+    search(
+        config,
+        index,
+        &candidates,
+        &directions,
+        &mut binding,
+        0,
+        &mut results,
+    );
 
     let bindings = results
         .into_iter()
         .map(|tuple| Binding {
-            values: tuple.into_iter().map(|i| config.regions()[i].id.clone()).collect(),
+            values: tuple
+                .into_iter()
+                .map(|i| config.regions()[i].id.clone())
+                .collect(),
         })
         .collect();
     Ok(bindings)
@@ -266,7 +289,15 @@ fn search(
             }
         }
         if ok {
-            search(config, index, candidates, directions, binding, var + 1, results);
+            search(
+                config,
+                index,
+                candidates,
+                directions,
+                binding,
+                var + 1,
+                results,
+            );
         }
         binding[var] = None;
     }
@@ -286,9 +317,12 @@ mod tests {
     /// right (red).
     fn strip() -> Configuration {
         let mut c = Configuration::new("strip", "map.png");
-        c.add_region("left", "Left", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap();
-        c.add_region("mid", "Middle", "blue", rect(2.0, 0.0, 3.0, 1.0)).unwrap();
-        c.add_region("right", "Right", "red", rect(4.0, 0.0, 5.0, 1.0)).unwrap();
+        c.add_region("left", "Left", "red", rect(0.0, 0.0, 1.0, 1.0))
+            .unwrap();
+        c.add_region("mid", "Middle", "blue", rect(2.0, 0.0, 3.0, 1.0))
+            .unwrap();
+        c.add_region("right", "Right", "red", rect(4.0, 0.0, 5.0, 1.0))
+            .unwrap();
         c.compute_all_relations();
         c
     }
@@ -304,7 +338,10 @@ mod tests {
     fn attribute_filtering() {
         let c = strip();
         let q = parse_query("{(x) | color(x) = red}").unwrap();
-        assert_eq!(ids(&evaluate(&q, &c).unwrap()), vec![vec!["left"], vec!["right"]]);
+        assert_eq!(
+            ids(&evaluate(&q, &c).unwrap()),
+            vec![vec!["left"], vec!["right"]]
+        );
     }
 
     #[test]
@@ -325,7 +362,11 @@ mod tests {
         let answers = evaluate(&q, &c).unwrap();
         assert_eq!(
             ids(&answers),
-            vec![vec!["left", "mid"], vec!["left", "right"], vec!["mid", "right"]]
+            vec![
+                vec!["left", "mid"],
+                vec!["left", "right"],
+                vec!["mid", "right"]
+            ]
         );
     }
 
@@ -334,7 +375,10 @@ mod tests {
         let c = strip();
         let q = parse_query("{(x, y) | y = mid, x {W, E} y}").unwrap();
         let answers = evaluate(&q, &c).unwrap();
-        assert_eq!(ids(&answers), vec![vec!["left", "mid"], vec!["right", "mid"]]);
+        assert_eq!(
+            ids(&answers),
+            vec![vec!["left", "mid"], vec!["right", "mid"]]
+        );
     }
 
     #[test]
@@ -348,7 +392,10 @@ mod tests {
     fn unknown_attribute_errors() {
         let c = strip();
         let q = parse_query("{(x) | flavor(x) = sweet}").unwrap();
-        assert!(matches!(evaluate(&q, &c), Err(EvalError::UnknownAttribute(_))));
+        assert!(matches!(
+            evaluate(&q, &c),
+            Err(EvalError::UnknownAttribute(_))
+        ));
     }
 
     #[test]
@@ -382,11 +429,17 @@ mod tests {
         let index = RegionIndex::build(&c);
         let w = DisjunctiveRelation::singleton("W".parse().unwrap());
         let hits = index.candidates(&w, c.regions()[1].region.mbb());
-        assert!(hits.len() < c.len(), "the W hull must prune someone: {hits:?}");
+        assert!(
+            hits.len() < c.len(),
+            "the W hull must prune someone: {hits:?}"
+        );
         assert!(hits.contains(&0) && !hits.contains(&2), "{hits:?}");
         // The primary binds after the reference, so the mask applies.
         let q = parse_query("{(x, y) | y W x}").unwrap();
-        assert_eq!(evaluate_indexed(&q, &c, &index).unwrap(), evaluate(&q, &c).unwrap());
+        assert_eq!(
+            evaluate_indexed(&q, &c, &index).unwrap(),
+            evaluate(&q, &c).unwrap()
+        );
     }
 
     #[test]

@@ -45,7 +45,11 @@ impl From<LexError> for QueryParseError {
 /// `{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}`.
 pub fn parse_query(input: &str) -> Result<Query, QueryParseError> {
     let tokens = tokenize_spanned(input)?;
-    let mut p = P { tokens: &tokens, pos: 0, input };
+    let mut p = P {
+        tokens: &tokens,
+        pos: 0,
+        input,
+    };
     let q = p.query()?;
     if p.pos != tokens.len() {
         return Err(QueryParseError::Syntax(format!(
@@ -90,10 +94,12 @@ impl<'a> P<'a> {
         let here = self.describe_position();
         match self.next() {
             Some(found) if found == t => Ok(()),
-            Some(found) => {
-                Err(QueryParseError::Syntax(format!("expected {t}, found {found} {here}")))
-            }
-            None => Err(QueryParseError::Syntax(format!("expected {t}, found end of input"))),
+            Some(found) => Err(QueryParseError::Syntax(format!(
+                "expected {t}, found {found} {here}"
+            ))),
+            None => Err(QueryParseError::Syntax(format!(
+                "expected {t}, found end of input"
+            ))),
         }
     }
 
@@ -104,9 +110,9 @@ impl<'a> P<'a> {
             Some(found) => Err(QueryParseError::Syntax(format!(
                 "expected an identifier, found {found} {here}"
             ))),
-            None => {
-                Err(QueryParseError::Syntax("expected an identifier, found end of input".into()))
-            }
+            None => Err(QueryParseError::Syntax(
+                "expected an identifier, found end of input".into(),
+            )),
         }
     }
 
@@ -143,7 +149,10 @@ impl<'a> P<'a> {
             conditions.push(self.condition(&variables)?);
         }
         self.expect(&Token::RBrace)?;
-        Ok(Query { variables, conditions })
+        Ok(Query {
+            variables,
+            conditions,
+        })
     }
 
     fn condition(&mut self, variables: &[String]) -> Result<Condition, QueryParseError> {
@@ -157,14 +166,21 @@ impl<'a> P<'a> {
                 self.expect(&Token::RParen)?;
                 self.expect(&Token::Eq)?;
                 let value = self.ident_or_string()?;
-                Ok(Condition::Attribute { attribute: first, variable, value })
+                Ok(Condition::Attribute {
+                    attribute: first,
+                    variable,
+                    value,
+                })
             }
             // x = RegionName
             Some(Token::Eq) => {
                 self.check_var(&first, variables)?;
                 self.next();
                 let region = self.ident_or_string()?;
-                Ok(Condition::Identity { variable: first, region })
+                Ok(Condition::Identity {
+                    variable: first,
+                    region,
+                })
             }
             // x {R1, R2} y
             Some(Token::LBrace) => {
@@ -178,7 +194,11 @@ impl<'a> P<'a> {
                 self.expect(&Token::RBrace)?;
                 let reference = self.ident()?;
                 self.check_var(&reference, variables)?;
-                Ok(Condition::Direction { primary: first, relation, reference })
+                Ok(Condition::Direction {
+                    primary: first,
+                    relation,
+                    reference,
+                })
             }
             // x R y
             Some(Token::Ident(_)) => {
@@ -186,7 +206,11 @@ impl<'a> P<'a> {
                 let relation = DisjunctiveRelation::singleton(self.relation()?);
                 let reference = self.ident()?;
                 self.check_var(&reference, variables)?;
-                Ok(Condition::Direction { primary: first, relation, reference })
+                Ok(Condition::Direction {
+                    primary: first,
+                    relation,
+                    reference,
+                })
             }
             found => {
                 let here = self.describe_position();
@@ -229,14 +253,16 @@ mod tests {
 
     #[test]
     fn parses_the_paper_query_verbatim() {
-        let q = parse_query(
-            "{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}",
-        )
-        .unwrap();
+        let q = parse_query("{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}")
+            .unwrap();
         assert_eq!(q.variables, vec!["a", "b"]);
         assert_eq!(q.conditions.len(), 3);
         match &q.conditions[2] {
-            Condition::Direction { primary, relation, reference } => {
+            Condition::Direction {
+                primary,
+                relation,
+                reference,
+            } => {
                 assert_eq!(primary, "a");
                 assert_eq!(reference, "b");
                 assert_eq!(relation.len(), 1);
@@ -252,7 +278,9 @@ mod tests {
     #[test]
     fn parses_identity_and_disjunction() {
         let q = parse_query(r#"{(x, y) | x = Attica, y {N, W, B:S} x}"#).unwrap();
-        assert!(matches!(&q.conditions[0], Condition::Identity { region, .. } if region == "Attica"));
+        assert!(
+            matches!(&q.conditions[0], Condition::Identity { region, .. } if region == "Attica")
+        );
         match &q.conditions[1] {
             Condition::Direction { relation, .. } => assert_eq!(relation.len(), 3),
             other => panic!("{other:?}"),
@@ -262,7 +290,9 @@ mod tests {
     #[test]
     fn parses_quoted_values() {
         let q = parse_query(r#"{(x) | name(x) = "South Italy"}"#).unwrap();
-        assert!(matches!(&q.conditions[0], Condition::Attribute { value, .. } if value == "South Italy"));
+        assert!(
+            matches!(&q.conditions[0], Condition::Attribute { value, .. } if value == "South Italy")
+        );
     }
 
     #[test]
@@ -286,10 +316,10 @@ mod tests {
         // render (byte offset + excerpt) without panicking on a non-char
         // boundary.
         let cases = [
-            r#"{(x) | x = Αττική = }"#,          // stray '=' after multibyte ident
+            r#"{(x) | x = Αττική = }"#, // stray '=' after multibyte ident
             r#"{(Αττική, Αττική) | Αττική N Αττική}"#, // duplicate multibyte variable
             r#"{(x) | x = "Αττική"} Πελοπόννησος"#, // multibyte trailing input
-            r#"{(x) | Αττική"#,                  // EOF mid-condition
+            r#"{(x) | Αττική"#,         // EOF mid-condition
             "{(Αττική) | name(Αττική) = \"北海道\" extra",
         ];
         for q in cases {
@@ -302,7 +332,10 @@ mod tests {
         match parse_query(input).unwrap_err() {
             QueryParseError::Syntax(msg) => {
                 assert!(msg.contains("trailing input"), "{msg}");
-                assert!(msg.contains(&format!("at byte {}", input.find('Α').unwrap())), "{msg}");
+                assert!(
+                    msg.contains(&format!("at byte {}", input.find('Α').unwrap())),
+                    "{msg}"
+                );
                 assert!(msg.contains("Αττική"), "{msg}");
             }
             other => panic!("expected a syntax error, got {other:?}"),
@@ -311,13 +344,22 @@ mod tests {
 
     #[test]
     fn rejects_bad_syntax() {
-        assert!(matches!(parse_query("{(x) | }"), Err(QueryParseError::Syntax(_))));
-        assert!(matches!(parse_query("(x) | x = a}"), Err(QueryParseError::Syntax(_))));
+        assert!(matches!(
+            parse_query("{(x) | }"),
+            Err(QueryParseError::Syntax(_))
+        ));
+        assert!(matches!(
+            parse_query("(x) | x = a}"),
+            Err(QueryParseError::Syntax(_))
+        ));
         assert!(matches!(
             parse_query("{(x) | x = a} trailing"),
             Err(QueryParseError::Syntax(_))
         ));
-        assert!(matches!(parse_query("{(x, x) | x = a}"), Err(QueryParseError::DuplicateVariable(_))));
+        assert!(matches!(
+            parse_query("{(x, x) | x = a}"),
+            Err(QueryParseError::DuplicateVariable(_))
+        ));
     }
 
     #[test]

@@ -55,7 +55,11 @@ pub struct LexError {
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unexpected character {:?} at byte {}", self.character, self.position)
+        write!(
+            f,
+            "unexpected character {:?} at byte {}",
+            self.character, self.position
+        )
     }
 }
 
@@ -63,7 +67,10 @@ impl std::error::Error for LexError {}
 
 /// Tokenizes a query string.
 pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
-    Ok(tokenize_spanned(input)?.into_iter().map(|(t, _)| t).collect())
+    Ok(tokenize_spanned(input)?
+        .into_iter()
+        .map(|(t, _)| t)
+        .collect())
 }
 
 /// Tokenizes a query string, pairing each token with the byte offset of
@@ -118,7 +125,12 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>, LexError> {
                     match chars.next() {
                         Some((_, '"')) => break,
                         Some((_, ch)) => s.push(ch),
-                        None => return Err(LexError { character: '"', position: pos }),
+                        None => {
+                            return Err(LexError {
+                                character: '"',
+                                position: pos,
+                            })
+                        }
                     }
                 }
                 out.push((Token::Str(s), pos));
@@ -135,7 +147,12 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>, LexError> {
                 }
                 out.push((Token::Ident(s), pos));
             }
-            other => return Err(LexError { character: other, position: pos }),
+            other => {
+                return Err(LexError {
+                    character: other,
+                    position: pos,
+                })
+            }
         }
     }
     Ok(out)
@@ -177,7 +194,11 @@ mod tests {
         let tokens = tokenize(r#"x = "South Italy""#).unwrap();
         assert_eq!(
             tokens,
-            vec![Token::Ident("x".into()), Token::Eq, Token::Str("South Italy".into())]
+            vec![
+                Token::Ident("x".into()),
+                Token::Eq,
+                Token::Str("South Italy".into())
+            ]
         );
     }
 

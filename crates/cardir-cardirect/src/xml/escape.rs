@@ -70,7 +70,10 @@ pub fn unescape(s: &str) -> Cow<'_, str> {
             "quot" => out.push('"'),
             "apos" => out.push('\''),
             _ if entity.starts_with("#x") || entity.starts_with("#X") => {
-                match u32::from_str_radix(&entity[2..], 16).ok().and_then(char::from_u32) {
+                match u32::from_str_radix(&entity[2..], 16)
+                    .ok()
+                    .and_then(char::from_u32)
+                {
                     Some(c) => out.push(c),
                     None => out.push_str(&rest[..=end]),
                 }
@@ -102,7 +105,10 @@ mod tests {
     #[test]
     fn escape_special_characters() {
         assert_eq!(escape_text("a < b & c > d"), "a &lt; b &amp; c &gt; d");
-        assert_eq!(escape_attribute(r#"say "hi" & 'bye'"#), "say &quot;hi&quot; &amp; &apos;bye&apos;");
+        assert_eq!(
+            escape_attribute(r#"say "hi" & 'bye'"#),
+            "say &quot;hi&quot; &amp; &apos;bye&apos;"
+        );
         // Text mode leaves quotes alone.
         assert_eq!(escape_text(r#""q""#), r#""q""#);
     }
@@ -120,7 +126,10 @@ mod tests {
         // conforming XML parsers; they must be emitted as references.
         assert_eq!(escape_attribute("a\nb\tc\rd"), "a&#10;b&#9;c&#13;d");
         let escaped = escape_attribute("line1\nline2");
-        assert!(!escaped.contains('\n'), "no raw newline may survive: {escaped:?}");
+        assert!(
+            !escaped.contains('\n'),
+            "no raw newline may survive: {escaped:?}"
+        );
         // Text content keeps literal whitespace (no normalization there).
         assert_eq!(escape_text("a\nb"), "a\nb");
     }
@@ -130,8 +139,10 @@ mod tests {
     /// escaped attribute form never contains a raw control character.
     #[test]
     fn attribute_escape_round_trips_all_control_characters() {
-        let controls =
-            (0u32..0x20).chain(std::iter::once(0x7f)).chain(0x80..0xa0).map(|v| char::from_u32(v).unwrap());
+        let controls = (0u32..0x20)
+            .chain(std::iter::once(0x7f))
+            .chain(0x80..0xa0)
+            .map(|v| char::from_u32(v).unwrap());
         for c in controls {
             for s in [
                 format!("{c}"),

@@ -41,7 +41,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "XML parse error at byte {}: {}", self.position, self.message)
+        write!(
+            f,
+            "XML parse error at byte {}: {}",
+            self.position, self.message
+        )
     }
 }
 
@@ -56,11 +60,17 @@ pub struct Parser<'a> {
 impl<'a> Parser<'a> {
     /// Creates a parser over a document.
     pub fn new(input: &'a str) -> Self {
-        Parser { input: input.as_bytes(), pos: 0 }
+        Parser {
+            input: input.as_bytes(),
+            pos: 0,
+        }
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { message: message.into(), position: self.pos })
+        Err(ParseError {
+            message: message.into(),
+            position: self.pos,
+        })
     }
 
     fn peek(&self) -> Option<u8> {
@@ -158,7 +168,11 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b'>') => {
                     self.pos += 1;
-                    return Ok(Event::Start { name, attributes, self_closing: false });
+                    return Ok(Event::Start {
+                        name,
+                        attributes,
+                        self_closing: false,
+                    });
                 }
                 Some(b'/') => {
                     self.pos += 1;
@@ -166,7 +180,11 @@ impl<'a> Parser<'a> {
                         return self.err("expected '>' after '/'");
                     }
                     self.pos += 1;
-                    return Ok(Event::Start { name, attributes, self_closing: true });
+                    return Ok(Event::Start {
+                        name,
+                        attributes,
+                        self_closing: true,
+                    });
                 }
                 Some(_) => {
                     let attr = self.read_name()?;
@@ -216,7 +234,10 @@ mod tests {
     fn start(name: &str, attrs: &[(&str, &str)], self_closing: bool) -> Event {
         Event::Start {
             name: name.into(),
-            attributes: attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            attributes: attrs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
             self_closing,
         }
     }
@@ -234,7 +255,9 @@ mod tests {
             vec![
                 start("Image", &[("name", "map"), ("file", "greece.png")], false),
                 start("Region", &[("id", "attica"), ("color", "blue")], true),
-                Event::End { name: "Image".into() },
+                Event::End {
+                    name: "Image".into()
+                },
             ]
         );
     }
@@ -243,7 +266,10 @@ mod tests {
     fn both_quote_styles_and_entities() {
         let doc = r#"<a x='1 &amp; 2' y="&lt;tag&gt;"/>"#;
         let events = parse_events(doc).unwrap();
-        assert_eq!(events, vec![start("a", &[("x", "1 & 2"), ("y", "<tag>")], true)]);
+        assert_eq!(
+            events,
+            vec![start("a", &[("x", "1 & 2"), ("y", "<tag>")], true)]
+        );
     }
 
     #[test]
@@ -274,9 +300,18 @@ mod tests {
         let err = parse_events("<a x=oops/>").unwrap_err();
         assert!(err.message.contains("quoted"), "{err}");
         assert!(err.position > 0);
-        assert!(parse_events("<a").unwrap_err().message.contains("unterminated"));
-        assert!(parse_events("<!-- no end").unwrap_err().message.contains("unterminated"));
-        assert!(parse_events("</a oops>").unwrap_err().message.contains("malformed"));
+        assert!(parse_events("<a")
+            .unwrap_err()
+            .message
+            .contains("unterminated"));
+        assert!(parse_events("<!-- no end")
+            .unwrap_err()
+            .message
+            .contains("unterminated"));
+        assert!(parse_events("</a oops>")
+            .unwrap_err()
+            .message
+            .contains("malformed"));
     }
 
     #[test]

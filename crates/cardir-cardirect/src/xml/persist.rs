@@ -68,7 +68,10 @@ impl fmt::Display for PersistError {
             }
             PersistError::Xml(e) => write!(f, "invalid configuration XML: {e}"),
             PersistError::RecoveryFailed { primary, backup } => {
-                write!(f, "primary failed ({primary}); backup recovery failed ({backup})")
+                write!(
+                    f,
+                    "primary failed ({primary}); backup recovery failed ({backup})"
+                )
             }
         }
     }
@@ -117,7 +120,10 @@ pub struct Loaded {
 /// The backup generation's path: the primary's file name with `.bak`
 /// appended (`map.xml` → `map.xml.bak`).
 pub fn backup_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(".bak");
     path.with_file_name(name)
 }
@@ -126,7 +132,10 @@ pub fn backup_path(path: &Path) -> PathBuf {
 /// `map.xml.tmp`). Exposed so tests can assert no temp debris is left
 /// behind.
 pub fn temp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)
 }
@@ -141,15 +150,21 @@ fn step_fault(
     op: &'static str,
     path: &Path,
 ) -> Result<Option<usize>, PersistError> {
-    faults.map_or(Ok(None), |plan| plan.step(site)).map_err(|message| PersistError::Io {
-        op,
-        path: path.to_path_buf(),
-        message,
-    })
+    faults
+        .map_or(Ok(None), |plan| plan.step(site))
+        .map_err(|message| PersistError::Io {
+            op,
+            path: path.to_path_buf(),
+            message,
+        })
 }
 
 fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> PersistError {
-    PersistError::Io { op, path: path.to_path_buf(), message: e.to_string() }
+    PersistError::Io {
+        op,
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    }
 }
 
 /// Serialises `config` and saves it to `path` with the atomic
@@ -207,7 +222,11 @@ pub fn save_xml_atomic(
         }
     }
 
-    Ok(SaveReport { bytes: xml.len(), backup_created: had_primary, replaced: had_primary })
+    Ok(SaveReport {
+        bytes: xml.len(),
+        backup_created: had_primary,
+        replaced: had_primary,
+    })
 }
 
 /// The temp-file half of the protocol: create, write (honouring an
@@ -224,7 +243,8 @@ fn write_temp(xml: &str, tmp: &Path, faults: Option<&FaultPlan>) -> Result<(), P
         // payload is really in the file, like a crashed writer leaves it.
         Some(n) => {
             let n = n.min(bytes.len());
-            file.write_all(&bytes[..n]).map_err(|e| io_err("write", tmp, &e))?;
+            file.write_all(&bytes[..n])
+                .map_err(|e| io_err("write", tmp, &e))?;
             let _ = file.sync_all();
             return Err(PersistError::Io {
                 op: "write",
@@ -232,7 +252,9 @@ fn write_temp(xml: &str, tmp: &Path, faults: Option<&FaultPlan>) -> Result<(), P
                 message: format!("torn write: {n} of {} bytes persisted", bytes.len()),
             });
         }
-        None => file.write_all(bytes).map_err(|e| io_err("write", tmp, &e))?,
+        None => file
+            .write_all(bytes)
+            .map_err(|e| io_err("write", tmp, &e))?,
     }
 
     step_fault(faults, sites::XML_WRITE_FLUSH, "flush", tmp)?;
@@ -250,19 +272,27 @@ fn write_temp(xml: &str, tmp: &Path, faults: Option<&FaultPlan>) -> Result<(), P
 /// it reports [`LoadSource::Backup`]. `faults` arms `xml.read.primary`.
 pub fn load_config(path: &Path, faults: Option<&FaultPlan>) -> Result<Loaded, PersistError> {
     let primary_err = match read_parse(path, faults) {
-        Ok(config) => return Ok(Loaded { config, source: LoadSource::Primary }),
+        Ok(config) => {
+            return Ok(Loaded {
+                config,
+                source: LoadSource::Primary,
+            })
+        }
         Err(e) => e,
     };
     let bak = backup_path(path);
     if !bak.exists() {
         return Err(primary_err);
     }
-    read_parse(&bak, None).map(|config| Loaded { config, source: LoadSource::Backup }).map_err(
-        |backup_err| PersistError::RecoveryFailed {
+    read_parse(&bak, None)
+        .map(|config| Loaded {
+            config,
+            source: LoadSource::Backup,
+        })
+        .map_err(|backup_err| PersistError::RecoveryFailed {
             primary: Box::new(primary_err),
             backup: Box::new(backup_err),
-        },
-    )
+        })
 }
 
 /// Reads and parses one candidate file under the `xml.read.primary`

@@ -72,7 +72,11 @@ pub fn to_xml(config: &Configuration) -> String {
         }
         out.push_str(">\n");
         for (i, polygon) in region.region.polygons().iter().enumerate() {
-            out.push_str(&format!("    <Polygon id=\"{}-{}\">\n", escape_attribute(&region.id), i));
+            out.push_str(&format!(
+                "    <Polygon id=\"{}-{}\">\n",
+                escape_attribute(&region.id),
+                i
+            ));
             for v in polygon.vertices() {
                 out.push_str(&format!("      <Edge x=\"{}\" y=\"{}\"/>\n", v.x, v.y));
             }
@@ -93,7 +97,10 @@ pub fn to_xml(config: &Configuration) -> String {
 }
 
 fn attr<'a>(attributes: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    attributes.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    attributes
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
 }
 
 fn required<'a>(
@@ -101,12 +108,18 @@ fn required<'a>(
     element: &str,
     name: &str,
 ) -> Result<&'a str, XmlError> {
-    attr(attributes, name)
-        .ok_or_else(|| XmlError::Structure(format!("<{element}> is missing required attribute {name:?}")))
+    attr(attributes, name).ok_or_else(|| {
+        XmlError::Structure(format!(
+            "<{element}> is missing required attribute {name:?}"
+        ))
+    })
 }
 
 fn parse_coord(s: &str) -> Result<f64, XmlError> {
-    let v: f64 = s.trim().parse().map_err(|_| XmlError::BadNumber(s.to_string()))?;
+    let v: f64 = s
+        .trim()
+        .parse()
+        .map_err(|_| XmlError::BadNumber(s.to_string()))?;
     if !v.is_finite() {
         return Err(XmlError::BadNumber(s.to_string()));
     }
@@ -124,16 +137,26 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
 
     // Root element.
     let (name, file) = match parser.next_event()? {
-        Some(Event::Start { name, attributes, self_closing }) if name == "Image" => {
+        Some(Event::Start {
+            name,
+            attributes,
+            self_closing,
+        }) if name == "Image" => {
             if self_closing {
-                return Err(XmlError::Structure("<Image> must contain at least one <Region>".into()));
+                return Err(XmlError::Structure(
+                    "<Image> must contain at least one <Region>".into(),
+                ));
             }
             (
                 attr(&attributes, "name").unwrap_or_default().to_string(),
                 attr(&attributes, "file").unwrap_or_default().to_string(),
             )
         }
-        other => return Err(XmlError::Structure(format!("expected <Image> root, found {other:?}"))),
+        other => {
+            return Err(XmlError::Structure(format!(
+                "expected <Image> root, found {other:?}"
+            )))
+        }
     };
     let mut config = Configuration::new(name, file);
     let mut relations: Vec<StoredRelation> = Vec::new();
@@ -141,7 +164,11 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
 
     loop {
         match parser.next_event()? {
-            Some(Event::Start { name, attributes, self_closing }) if name == "Region" => {
+            Some(Event::Start {
+                name,
+                attributes,
+                self_closing,
+            }) if name == "Region" => {
                 if seen_relation {
                     return Err(XmlError::Structure(
                         "<Region> elements must precede <Relation> elements".into(),
@@ -153,7 +180,8 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
                 let custom: Vec<(String, String)> = attributes
                     .iter()
                     .filter_map(|(k, v)| {
-                        k.strip_prefix("data-").map(|name| (name.to_string(), v.clone()))
+                        k.strip_prefix("data-")
+                            .map(|name| (name.to_string(), v.clone()))
                     })
                     .collect();
                 let polygons = if self_closing {
@@ -166,14 +194,18 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
                         "region {id:?} has no polygons (regions are non-empty point sets)"
                     )));
                 }
-                let region = Region::new(polygons)
-                    .map_err(|e| XmlError::BadPolygon(e.to_string()))?;
+                let region =
+                    Region::new(polygons).map_err(|e| XmlError::BadPolygon(e.to_string()))?;
                 config.add_region(id.clone(), display, color, region)?;
                 for (key, value) in custom {
                     config.set_attribute(&id, key, value)?;
                 }
             }
-            Some(Event::Start { name, attributes, self_closing }) if name == "Relation" => {
+            Some(Event::Start {
+                name,
+                attributes,
+                self_closing,
+            }) if name == "Relation" => {
                 seen_relation = true;
                 let type_str = required(&attributes, "Relation", "type")?;
                 let relation = type_str
@@ -198,7 +230,9 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
         }
     }
     if config.is_empty() {
-        return Err(XmlError::Structure("<Image> must contain at least one <Region>".into()));
+        return Err(XmlError::Structure(
+            "<Image> must contain at least one <Region>".into(),
+        ));
     }
     config.set_relations(relations)?;
     Ok(config)
@@ -208,7 +242,9 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
     let mut polygons = Vec::new();
     loop {
         match parser.next_event()? {
-            Some(Event::Start { name, self_closing, .. }) if name == "Polygon" => {
+            Some(Event::Start {
+                name, self_closing, ..
+            }) if name == "Polygon" => {
                 if self_closing {
                     return Err(XmlError::Structure(
                         "<Polygon> needs at least three <Edge> children".into(),
@@ -217,7 +253,11 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
                 let mut vertices: Vec<Point> = Vec::new();
                 loop {
                     match parser.next_event()? {
-                        Some(Event::Start { name, attributes, self_closing }) if name == "Edge" => {
+                        Some(Event::Start {
+                            name,
+                            attributes,
+                            self_closing,
+                        }) if name == "Edge" => {
                             let x = parse_coord(required(&attributes, "Edge", "x")?)?;
                             let y = parse_coord(required(&attributes, "Edge", "y")?)?;
                             vertices.push(Point::new(x, y));
@@ -239,7 +279,8 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
                         "<Polygon> needs at least three <Edge> children".into(),
                     ));
                 }
-                polygons.push(Polygon::new(vertices).map_err(|e| XmlError::BadPolygon(e.to_string()))?);
+                polygons
+                    .push(Polygon::new(vertices).map_err(|e| XmlError::BadPolygon(e.to_string()))?);
             }
             Some(Event::End { name }) if name == "Region" => return Ok(polygons),
             Some(Event::Text(_)) => {}
@@ -255,7 +296,9 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
 fn expect_end(parser: &mut Parser<'_>, element: &str) -> Result<(), XmlError> {
     match parser.next_event()? {
         Some(Event::End { name }) if name == element => Ok(()),
-        other => Err(XmlError::Structure(format!("expected </{element}>, found {other:?}"))),
+        other => Err(XmlError::Structure(format!(
+            "expected </{element}>, found {other:?}"
+        ))),
     }
 }
 
@@ -269,8 +312,10 @@ mod tests {
 
     fn sample() -> Configuration {
         let mut c = Configuration::new("war map", "greece & islands.png");
-        c.add_region("b", "Base <1>", "red", rect(0.0, 0.0, 4.0, 4.0)).unwrap();
-        c.add_region("s", "South's", "blue", rect(1.25, -3.5, 3.0, -1.0)).unwrap();
+        c.add_region("b", "Base <1>", "red", rect(0.0, 0.0, 4.0, 4.0))
+            .unwrap();
+        c.add_region("s", "South's", "blue", rect(1.25, -3.5, 3.0, -1.0))
+            .unwrap();
         c.compute_all_relations();
         c
     }
@@ -296,7 +341,15 @@ mod tests {
     fn output_follows_the_dtd_vocabulary() {
         let xml = to_xml(&sample());
         assert!(xml.starts_with("<?xml version=\"1.0\" encoding=\"UTF-8\"?>"));
-        for token in ["<Image ", "<Region ", "<Polygon ", "<Edge ", "<Relation ", "primary=", "reference="] {
+        for token in [
+            "<Image ",
+            "<Region ",
+            "<Polygon ",
+            "<Edge ",
+            "<Relation ",
+            "primary=",
+            "reference=",
+        ] {
             assert!(xml.contains(token), "missing {token} in:\n{xml}");
         }
         // Attribute values are escaped.
@@ -308,7 +361,10 @@ mod tests {
     #[test]
     fn import_validates_structure() {
         assert!(matches!(from_xml("<Wrong/>"), Err(XmlError::Structure(_))));
-        assert!(matches!(from_xml("<Image name='x' file='y'></Image>"), Err(XmlError::Structure(_))));
+        assert!(matches!(
+            from_xml("<Image name='x' file='y'></Image>"),
+            Err(XmlError::Structure(_))
+        ));
         // Region after Relation violates (Region+, Relation*).
         let bad_order = r#"<Image><Region id="a"><Polygon id="p"><Edge x="0" y="0"/><Edge x="1" y="0"/><Edge x="0" y="1"/></Polygon></Region><Relation type="S" primary="a" reference="a"/><Region id="b"><Polygon id="q"><Edge x="0" y="0"/><Edge x="1" y="0"/><Edge x="0" y="1"/></Polygon></Region></Image>"#;
         assert!(matches!(from_xml(bad_order), Err(XmlError::Structure(_))));
@@ -324,7 +380,10 @@ mod tests {
         let bad_rel = r#"<Image><Region id="a"><Polygon id="p"><Edge x="0" y="0"/><Edge x="1" y="0"/><Edge x="0" y="1"/></Polygon></Region><Relation type="XYZ" primary="a" reference="a"/></Image>"#;
         assert!(matches!(from_xml(bad_rel), Err(XmlError::BadRelation(_))));
         let dangling = r#"<Image><Region id="a"><Polygon id="p"><Edge x="0" y="0"/><Edge x="1" y="0"/><Edge x="0" y="1"/></Polygon></Region><Relation type="S" primary="a" reference="ghost"/></Image>"#;
-        assert!(matches!(from_xml(dangling), Err(XmlError::Config(ConfigError::UnknownId(_)))));
+        assert!(matches!(
+            from_xml(dangling),
+            Err(XmlError::Config(ConfigError::UnknownId(_)))
+        ));
         let degenerate = r#"<Image><Region id="a"><Polygon id="p"><Edge x="0" y="0"/><Edge x="1" y="1"/><Edge x="2" y="2"/></Polygon></Region></Image>"#;
         assert!(matches!(from_xml(degenerate), Err(XmlError::BadPolygon(_))));
     }

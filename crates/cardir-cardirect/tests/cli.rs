@@ -9,9 +9,15 @@ fn sample_xml() -> String {
     let rect = |x0: f64, y0: f64, x1: f64, y1: f64| {
         Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
     };
-    config.add_region("left", "Left", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap();
-    config.add_region("mid", "Middle", "blue", rect(2.0, 0.0, 3.0, 1.0)).unwrap();
-    config.add_region("right", "Right", "red", rect(4.0, 0.0, 5.0, 1.0)).unwrap();
+    config
+        .add_region("left", "Left", "red", rect(0.0, 0.0, 1.0, 1.0))
+        .unwrap();
+    config
+        .add_region("mid", "Middle", "blue", rect(2.0, 0.0, 3.0, 1.0))
+        .unwrap();
+    config
+        .add_region("right", "Right", "red", rect(4.0, 0.0, 5.0, 1.0))
+        .unwrap();
     to_xml(&config)
 }
 
@@ -48,8 +54,17 @@ fn compute_writes_relations() {
     let dir = tempdir("compute");
     let path = write_sample(&dir);
     let out_path = dir.join("out.xml");
-    let out = bin().arg("compute").arg(&path).arg(&out_path).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .arg("compute")
+        .arg(&path)
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = std::fs::read_to_string(&out_path).unwrap();
     assert!(text.contains("<Relation"), "{text}");
     // 3 regions → 6 ordered pairs.
@@ -77,7 +92,11 @@ fn query_returns_bindings() {
         .arg("{(x, y) | color(x) = red, color(y) = blue, x W y}")
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("left\tmid"), "{text}");
     assert!(text.contains("1 answer(s)"), "{text}");
@@ -87,7 +106,13 @@ fn query_returns_bindings() {
 fn pct_prints_matrix() {
     let dir = tempdir("pct");
     let path = write_sample(&dir);
-    let out = bin().arg("pct").arg(&path).arg("left").arg("mid").output().unwrap();
+    let out = bin()
+        .arg("pct")
+        .arg(&path)
+        .arg("left")
+        .arg("mid")
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("left W mid"), "{text}");
@@ -96,13 +121,22 @@ fn pct_prints_matrix() {
 
 #[test]
 fn errors_are_reported() {
-    let out = bin().arg("show").arg("/nonexistent/nope.xml").output().unwrap();
+    let out = bin()
+        .arg("show")
+        .arg("/nonexistent/nope.xml")
+        .output()
+        .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 
     let dir = tempdir("badquery");
     let path = write_sample(&dir);
-    let out = bin().arg("query").arg(&path).arg("{(x | broken").output().unwrap();
+    let out = bin()
+        .arg("query")
+        .arg(&path)
+        .arg("{(x | broken")
+        .output()
+        .unwrap();
     assert!(!out.status.success());
 
     let out = bin().arg("frobnicate").output().unwrap();

@@ -13,9 +13,12 @@ fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
 
 fn sample() -> Configuration {
     let mut c = Configuration::new("edit-me", "map.png");
-    c.add_region("a", "Alpha", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap();
-    c.add_region("b", "Beta", "blue", rect(3.0, 0.0, 4.0, 1.0)).unwrap();
-    c.add_region("c", "Gamma", "red", rect(6.0, 0.0, 7.0, 1.0)).unwrap();
+    c.add_region("a", "Alpha", "red", rect(0.0, 0.0, 1.0, 1.0))
+        .unwrap();
+    c.add_region("b", "Beta", "blue", rect(3.0, 0.0, 4.0, 1.0))
+        .unwrap();
+    c.add_region("c", "Gamma", "red", rect(6.0, 0.0, 7.0, 1.0))
+        .unwrap();
     c.compute_all_relations();
     c
 }
@@ -31,7 +34,10 @@ fn remove_region_drops_its_relations() {
     assert!(c.region("b").is_none());
     // Index stays consistent: lookups and relations still work.
     assert_eq!(c.relation_between("a", "c").unwrap().to_string(), "W");
-    assert!(matches!(c.remove_region("b"), Err(ConfigError::UnknownId(_))));
+    assert!(matches!(
+        c.remove_region("b"),
+        Err(ConfigError::UnknownId(_))
+    ));
 }
 
 #[test]
@@ -44,8 +50,17 @@ fn update_geometry_invalidates_stale_relations() {
     // computation sees the new geometry.
     assert_eq!(c.relation_between("a", "b").unwrap().to_string(), "E");
     // Relations between untouched regions survived.
-    assert_eq!(c.relations().iter().filter(|r| r.primary == "b" || r.reference == "b").count(), 2);
-    assert!(matches!(c.update_geometry("zz", rect(0.0, 0.0, 1.0, 1.0)), Err(ConfigError::UnknownId(_))));
+    assert_eq!(
+        c.relations()
+            .iter()
+            .filter(|r| r.primary == "b" || r.reference == "b")
+            .count(),
+        2
+    );
+    assert!(matches!(
+        c.update_geometry("zz", rect(0.0, 0.0, 1.0, 1.0)),
+        Err(ConfigError::UnknownId(_))
+    ));
 }
 
 #[test]
@@ -59,8 +74,14 @@ fn custom_attributes_set_get_validate() {
     // Built-ins still win.
     assert_eq!(c.attribute("a", "color"), Some("red"));
     // Attribute names must be XML-name-shaped.
-    assert!(matches!(c.set_attribute("a", "has space", "x"), Err(ConfigError::InvalidId(_))));
-    assert!(matches!(c.set_attribute("zz", "k", "v"), Err(ConfigError::UnknownId(_))));
+    assert!(matches!(
+        c.set_attribute("a", "has space", "x"),
+        Err(ConfigError::InvalidId(_))
+    ));
+    assert!(matches!(
+        c.set_attribute("zz", "k", "v"),
+        Err(ConfigError::UnknownId(_))
+    ));
     // Overwriting works.
     c.set_attribute("a", "population", "13000").unwrap();
     assert_eq!(c.attribute("a", "population"), Some("13000"));
@@ -84,7 +105,8 @@ fn custom_attributes_queryable() {
 fn custom_attributes_survive_xml() {
     let mut c = sample();
     c.set_attribute("a", "terrain", "coastal & rocky").unwrap();
-    c.set_attribute("b", "garrison", "300 \"hoplites\"").unwrap();
+    c.set_attribute("b", "garrison", "300 \"hoplites\"")
+        .unwrap();
     let xml = to_xml(&c);
     assert!(xml.contains("data-terrain="), "{xml}");
     let back = from_xml(&xml).unwrap();
@@ -103,8 +125,12 @@ fn edit_then_recompute_matches_fresh_configuration() {
     c.compute_all_relations();
 
     let mut fresh = Configuration::new("edit-me", "map.png");
-    fresh.add_region("a", "Alpha", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap();
-    fresh.add_region("c", "Gamma", "red", rect(-3.0, 0.0, -2.0, 1.0)).unwrap();
+    fresh
+        .add_region("a", "Alpha", "red", rect(0.0, 0.0, 1.0, 1.0))
+        .unwrap();
+    fresh
+        .add_region("c", "Gamma", "red", rect(-3.0, 0.0, -2.0, 1.0))
+        .unwrap();
     fresh.compute_all_relations();
 
     for r in fresh.relations() {

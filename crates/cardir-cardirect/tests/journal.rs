@@ -30,7 +30,10 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn cleanup(path: &Path) {
     let _ = std::fs::remove_file(path);
-    let mut tmp = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut tmp = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     tmp.push(".tmp");
     let _ = std::fs::remove_file(path.with_file_name(tmp));
 }
@@ -43,7 +46,10 @@ fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
 /// Default store options carrying a fresh, unarmed fault plan.
 fn planned() -> (Arc<FaultPlan>, StoreOptions) {
     let plan = Arc::new(FaultPlan::new());
-    let opts = StoreOptions { faults: Some(Arc::clone(&plan)), ..StoreOptions::default() };
+    let opts = StoreOptions {
+        faults: Some(Arc::clone(&plan)),
+        ..StoreOptions::default()
+    };
     (plan, opts)
 }
 
@@ -75,8 +81,14 @@ fn full_recompute(engine: &IncrementalEngine) -> Vec<PairRelation> {
     let regions: Vec<&Region> = engine.live_regions().map(|(_, r)| r).collect();
     let cache = RegionCache::build(regions);
     let batch = BatchEngine::new().with_mode(engine.mode()).with_threads(1);
-    let outcome = batch.run_join(&cache, &RunPolicy::default()).materialize(&cache);
-    outcome.pairs.iter().map(|p| p.ok().expect("clean run").clone()).collect()
+    let outcome = batch
+        .run_join(&cache, &RunPolicy::default())
+        .materialize(&cache);
+    outcome
+        .pairs
+        .iter()
+        .map(|p| p.ok().expect("clean run").clone())
+        .collect()
 }
 
 fn assert_matches_full(engine: &IncrementalEngine, context: &str) {
@@ -84,9 +96,17 @@ fn assert_matches_full(engine: &IncrementalEngine, context: &str) {
         panic!("{context}: replayed state cannot materialize: {e}");
     });
     let oracle = full_recompute(engine);
-    assert_eq!(materialized.len(), oracle.len(), "{context}: pair count diverged");
+    assert_eq!(
+        materialized.len(),
+        oracle.len(),
+        "{context}: pair count diverged"
+    );
     for (a, b) in materialized.iter().zip(&oracle) {
-        assert_eq!(a, b, "{context}: pair ({}, {}) diverged", a.primary, a.reference);
+        assert_eq!(
+            a, b,
+            "{context}: pair ({}, {}) diverged",
+            a.primary, a.reference
+        );
     }
 }
 
@@ -99,8 +119,11 @@ fn assert_matches_full(engine: &IncrementalEngine, context: &str) {
 fn truncation_at_every_byte_offset_never_panics_never_serves_garbage() {
     let source = scratch("sweep-src");
     cleanup(&source);
-    let opts =
-        StoreOptions { mode: EngineMode::Qualitative, threads: 1, ..StoreOptions::default() };
+    let opts = StoreOptions {
+        mode: EngineMode::Qualitative,
+        threads: 1,
+        ..StoreOptions::default()
+    };
     let policy = RunPolicy::default();
 
     let mut store = RelationStore::open(&source, &base(), opts.clone());
@@ -116,9 +139,10 @@ fn truncation_at_every_byte_offset_never_panics_never_serves_garbage() {
         cleanup(&target);
         std::fs::write(&target, &bytes[..cut]).unwrap();
         let context = format!("cut at byte {cut} of {}", bytes.len());
-        let store =
-            catch_unwind(AssertUnwindSafe(|| RelationStore::open(&target, &base(), opts.clone())))
-                .unwrap_or_else(|_| panic!("{context}: open panicked"));
+        let store = catch_unwind(AssertUnwindSafe(|| {
+            RelationStore::open(&target, &base(), opts.clone())
+        }))
+        .unwrap_or_else(|_| panic!("{context}: open panicked"));
         // Whatever the outcome, the reported state must be internally
         // consistent and bit-match a fresh recompute of its geometry.
         assert_matches_full(store.engine(), &context);
@@ -147,7 +171,9 @@ fn kill_mid_append_loses_only_the_inflight_record() {
     let policy = RunPolicy::default();
 
     let mut store = RelationStore::open(&path, &base(), opts.clone());
-    store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
+    store
+        .apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
+        .expect("edit applies");
     let live_before = store.engine().live_count();
 
     plan.arm(
@@ -164,7 +190,11 @@ fn kill_mid_append_loses_only_the_inflight_record() {
 
     let reopened = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(reopened.replay_report().source, ReplaySource::Journal);
-    assert_eq!(reopened.engine().live_count(), live_before, "the doomed insert is gone");
+    assert_eq!(
+        reopened.engine().live_count(),
+        live_before,
+        "the doomed insert is gone"
+    );
     assert_matches_full(reopened.engine(), "after kill mid-append");
     cleanup(&path);
 }
@@ -181,15 +211,23 @@ fn torn_append_recovers_by_compaction_without_losing_the_edit() {
     let policy = RunPolicy::default();
 
     let mut store = RelationStore::open(&path, &base(), opts.clone());
-    plan.arm(sites::JOURNAL_APPEND, FaultAction::TornWrite(7), Trigger::Times(1));
+    plan.arm(
+        sites::JOURNAL_APPEND,
+        FaultAction::TornWrite(7),
+        Trigger::Times(1),
+    );
     // The edit itself succeeds — in-memory state is authoritative.
-    store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
+    store
+        .apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
+        .expect("edit applies");
     assert_eq!(plan.fired(sites::JOURNAL_APPEND), 1);
     assert_eq!(store.stats().append_failures, 1);
     assert!(!store.journal_healthy());
 
     // The next write re-establishes durability via compaction.
-    store.apply(Edit::Insert(rect(7.0, 7.0, 8.0, 8.0)), &policy).expect("edit applies");
+    store
+        .apply(Edit::Insert(rect(7.0, 7.0, 8.0, 8.0)), &policy)
+        .expect("edit applies");
     assert!(store.journal_healthy());
     let live = store.engine().live_count();
     drop(store);
@@ -219,13 +257,19 @@ fn sync_after_append_failure_compacts_the_full_state() {
     store.apply(Edit::Remove(3), &policy).expect("edit applies");
     plan.disarm(sites::JOURNAL_APPEND);
     assert!(!store.journal_healthy());
-    store.sync().expect("compaction succeeds once the fault is disarmed");
+    store
+        .sync()
+        .expect("compaction succeeds once the fault is disarmed");
     assert!(store.journal_healthy());
     drop(store);
 
     let reopened = RelationStore::open(&path, &base(), opts.clone());
     assert_eq!(reopened.replay_report().source, ReplaySource::Journal);
-    assert_eq!(reopened.engine().live_count(), base().len() - 1, "the remove survived");
+    assert_eq!(
+        reopened.engine().live_count(),
+        base().len() - 1,
+        "the remove survived"
+    );
     assert_matches_full(reopened.engine(), "after sync recovery");
     cleanup(&path);
 }
@@ -244,8 +288,14 @@ fn kill_mid_compaction_keeps_the_old_journal_authoritative() {
         let mut store = RelationStore::open(&path, &base(), opts.clone());
         // The edit's append lands durably; the kill hits the explicit
         // compaction that follows it.
-        store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
-        plan.arm(site, FaultAction::Panic(format!("killed at {site}")), Trigger::Times(1));
+        store
+            .apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
+            .expect("edit applies");
+        plan.arm(
+            site,
+            FaultAction::Panic(format!("killed at {site}")),
+            Trigger::Times(1),
+        );
         let result = catch_unwind(AssertUnwindSafe(|| store.compact()));
         plan.disarm(site);
         assert!(result.is_err(), "{site}: the injected kill escaped");
@@ -279,7 +329,9 @@ fn failed_compaction_degrades_gracefully_and_retries() {
     let policy = RunPolicy::default();
 
     let mut store = RelationStore::open(&path, &base(), opts.clone());
-    store.apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("edit applies");
+    store
+        .apply(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
+        .expect("edit applies");
     plan.arm(
         sites::JOURNAL_COMPACT_WRITE,
         FaultAction::IoError("injected EIO".into()),
@@ -291,7 +343,9 @@ fn failed_compaction_degrades_gracefully_and_retries() {
     assert_eq!(store.stats().compaction_failures, 1);
 
     // Edits keep flowing; a later compaction catches up cleanly.
-    store.apply(Edit::Insert(rect(7.0, 7.0, 8.0, 8.0)), &policy).expect("edit applies");
+    store
+        .apply(Edit::Insert(rect(7.0, 7.0, 8.0, 8.0)), &policy)
+        .expect("edit applies");
     store.compact().expect("retry compaction lands");
     assert!(store.stats().compactions >= 2, "retry compaction must land");
     let live = store.engine().live_count();
@@ -312,10 +366,16 @@ fn injected_replay_failure_degrades_to_rebuild() {
     let (plan, opts) = planned();
 
     let mut store = RelationStore::open(&path, &base(), opts.clone());
-    store.apply(Edit::Remove(3), &RunPolicy::default()).expect("edit applies");
+    store
+        .apply(Edit::Remove(3), &RunPolicy::default())
+        .expect("edit applies");
     drop(store);
 
-    plan.arm(sites::JOURNAL_REPLAY, FaultAction::IoError("injected EIO".into()), Trigger::Times(1));
+    plan.arm(
+        sites::JOURNAL_REPLAY,
+        FaultAction::IoError("injected EIO".into()),
+        Trigger::Times(1),
+    );
     let reopened = RelationStore::open(&path, &base(), opts.clone());
     plan.disarm(sites::JOURNAL_REPLAY);
     assert_eq!(
@@ -323,7 +383,11 @@ fn injected_replay_failure_degrades_to_rebuild() {
         ReplaySource::Rebuilt(RebuildReason::Corrupt),
         "injected replay failure must be reported, not hidden"
     );
-    assert_eq!(reopened.engine().live_count(), base().len(), "rebuild recomputes the base");
+    assert_eq!(
+        reopened.engine().live_count(),
+        base().len(),
+        "rebuild recomputes the base"
+    );
     assert_matches_full(reopened.engine(), "after replay-failure rebuild");
 
     // With the fault gone, the rebuild's fresh journal replays normally.
@@ -340,7 +404,10 @@ fn crash_reopen_cycles_converge_to_the_script_end_state() {
     let path = scratch("cycles");
     cleanup(&path);
     let (plan, opts) = planned();
-    let opts = StoreOptions { compact_threshold: 1024, ..opts };
+    let opts = StoreOptions {
+        compact_threshold: 1024,
+        ..opts
+    };
     let policy = RunPolicy::default();
 
     {
@@ -365,7 +432,9 @@ fn crash_reopen_cycles_converge_to_the_script_end_state() {
             store = RelationStore::open(&path, &base(), opts.clone());
             assert_matches_full(store.engine(), &format!("step {step} post-kill reopen"));
         }
-        store.apply(edit, &policy).unwrap_or_else(|e| panic!("step {step}: {e}"));
+        store
+            .apply(edit, &policy)
+            .unwrap_or_else(|e| panic!("step {step}: {e}"));
         drop(store);
     }
 

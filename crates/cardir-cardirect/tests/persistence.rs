@@ -29,8 +29,12 @@ fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
 
 fn sample(name: &str) -> Configuration {
     let mut config = Configuration::new(name, "map.png");
-    config.add_region("a", "A", "red", rect(0.0, 0.0, 1.0, 1.0)).unwrap();
-    config.add_region("b", "B", "blue", rect(3.0, 0.0, 4.0, 1.0)).unwrap();
+    config
+        .add_region("a", "A", "red", rect(0.0, 0.0, 1.0, 1.0))
+        .unwrap();
+    config
+        .add_region("b", "B", "blue", rect(3.0, 0.0, 4.0, 1.0))
+        .unwrap();
     config.compute_all_relations();
     config
 }
@@ -78,7 +82,11 @@ fn torn_write_leaves_primary_loadable() {
 
     // The next save tears mid-stream: only 40 bytes reach the temp file.
     let plan = FaultPlan::new();
-    plan.arm(sites::XML_WRITE_DATA, FaultAction::TornWrite(40), Trigger::Times(1));
+    plan.arm(
+        sites::XML_WRITE_DATA,
+        FaultAction::TornWrite(40),
+        Trigger::Times(1),
+    );
     let err = save_xml_atomic(&sample("v2"), &path, Some(&plan)).unwrap_err();
     assert!(err.to_string().contains("torn write"), "{err}");
 
@@ -104,7 +112,9 @@ fn mid_write_kill_leaves_configuration_loadable() {
         Trigger::Times(1),
     );
     let config = sample("v2");
-    let result = catch_unwind(AssertUnwindSafe(|| save_xml_atomic(&config, &path, Some(&plan))));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        save_xml_atomic(&config, &path, Some(&plan))
+    }));
     assert!(result.is_err(), "the injected panic escaped the save");
 
     // The primary never saw a single byte of the doomed save.
@@ -126,7 +136,11 @@ fn corrupt_primary_recovers_from_backup() {
     std::fs::write(&path, &text[..text.len() / 2]).unwrap();
 
     let loaded = load_config(&path, None).unwrap();
-    assert_eq!(loaded.source, LoadSource::Backup, "the load reports its recovery");
+    assert_eq!(
+        loaded.source,
+        LoadSource::Backup,
+        "the load reports its recovery"
+    );
     assert_eq!(loaded.config.name, "v1", "the previous generation survives");
 }
 
@@ -175,11 +189,20 @@ fn corrupt_primary_and_backup_surface_both_errors() {
         msg.contains("primary failed (") && msg.contains("backup recovery failed ("),
         "message must name both causes: {msg}"
     );
-    assert!(msg.contains("invalid configuration XML"), "primary parse cause lost: {msg}");
+    assert!(
+        msg.contains("invalid configuration XML"),
+        "primary parse cause lost: {msg}"
+    );
     match err {
         cardir_cardirect::PersistError::RecoveryFailed { primary, backup } => {
-            assert!(primary.to_string().contains("invalid configuration XML"), "{primary}");
-            assert!(backup.to_string().contains("invalid configuration XML"), "{backup}");
+            assert!(
+                primary.to_string().contains("invalid configuration XML"),
+                "{primary}"
+            );
+            assert!(
+                backup.to_string().contains("invalid configuration XML"),
+                "{backup}"
+            );
         }
         other => panic!("expected RecoveryFailed, got {other:?}"),
     }
@@ -199,10 +222,17 @@ fn injected_failures_at_every_write_step_leave_old_generation_intact() {
         sites::XML_WRITE_RENAME,
     ] {
         let plan = FaultPlan::new();
-        plan.arm(site, FaultAction::IoError(format!("injected at {site}")), Trigger::Times(1));
+        plan.arm(
+            site,
+            FaultAction::IoError(format!("injected at {site}")),
+            Trigger::Times(1),
+        );
         let err = save_xml_atomic(&sample("v2"), &path, Some(&plan)).unwrap_err();
         assert!(err.to_string().contains("injected"), "{site}: {err}");
-        assert!(!temp_path(&path).exists(), "{site}: temp debris left behind");
+        assert!(
+            !temp_path(&path).exists(),
+            "{site}: temp debris left behind"
+        );
         let loaded = load_config(&path, None).unwrap();
         assert_eq!(loaded.config.name, "v1", "{site}: old generation lost");
     }
@@ -217,7 +247,11 @@ fn write_latency_injection_does_not_change_the_outcome() {
     let dir = tempdir("latency");
     let path = dir.join("config.xml");
     let plan = FaultPlan::new();
-    plan.arm(sites::XML_WRITE_FLUSH, FaultAction::Delay(Duration::from_millis(5)), Trigger::Always);
+    plan.arm(
+        sites::XML_WRITE_FLUSH,
+        FaultAction::Delay(Duration::from_millis(5)),
+        Trigger::Always,
+    );
     save_xml_atomic(&sample("v1"), &path, Some(&plan)).unwrap();
     assert_eq!(plan.fired(sites::XML_WRITE_FLUSH), 1);
     assert_eq!(load_config(&path, None).unwrap().config.name, "v1");

@@ -82,7 +82,11 @@ pub fn clipping_cdr(a: &Region, b: &Region) -> ClippingOutcome {
             .unwrap_or(crate::tile::Tile::B);
         CardinalRelation::from_bits(best.bit()).unwrap_or(CardinalRelation::OMNI)
     });
-    ClippingOutcome { relation, areas, stats }
+    ClippingOutcome {
+        relation,
+        areas,
+        stats,
+    }
 }
 
 #[cfg(test)]

@@ -132,7 +132,10 @@ mod tests {
         let b = b();
         assert_eq!(compute_cdr(&rect(0.0, 0.0, 4.0, 4.0), &b).to_string(), "B");
         assert_eq!(compute_cdr(&rect(0.0, -4.0, 4.0, 0.0), &b).to_string(), "S");
-        assert_eq!(compute_cdr(&rect(-4.0, 4.0, 0.0, 8.0), &b).to_string(), "NW");
+        assert_eq!(
+            compute_cdr(&rect(-4.0, 4.0, 0.0, 8.0), &b).to_string(),
+            "NW"
+        );
         assert_eq!(compute_cdr(&rect(4.0, 0.0, 8.0, 4.0), &b).to_string(), "E");
     }
 
@@ -140,11 +143,20 @@ mod tests {
     fn multi_tile_straddling() {
         let b = b();
         // Straddles the east line: E and B.
-        assert_eq!(compute_cdr(&rect(3.0, 1.0, 5.0, 3.0), &b).to_string(), "B:E");
+        assert_eq!(
+            compute_cdr(&rect(3.0, 1.0, 5.0, 3.0), &b).to_string(),
+            "B:E"
+        );
         // Straddles the NE corner: B, N, NE, E.
-        assert_eq!(compute_cdr(&rect(3.0, 3.0, 5.0, 5.0), &b).to_string(), "B:N:NE:E");
+        assert_eq!(
+            compute_cdr(&rect(3.0, 3.0, 5.0, 5.0), &b).to_string(),
+            "B:N:NE:E"
+        );
         // A wide band across the middle: W, B, E.
-        assert_eq!(compute_cdr(&rect(-2.0, 1.0, 6.0, 3.0), &b).to_string(), "B:W:E");
+        assert_eq!(
+            compute_cdr(&rect(-2.0, 1.0, 6.0, 3.0), &b).to_string(),
+            "B:W:E"
+        );
     }
 
     #[test]
@@ -155,7 +167,10 @@ mod tests {
         let b = b();
         let cover = rect(-2.0, -2.0, 6.0, 6.0); // covers all of mbb(b)
         let r = compute_cdr(&cover, &b);
-        assert!(r.contains(Tile::B), "covering region must include B, got {r}");
+        assert!(
+            r.contains(Tile::B),
+            "covering region must include B, got {r}"
+        );
         assert_eq!(r.to_string(), "B:S:SW:W:NW:N:NE:E:SE");
     }
 

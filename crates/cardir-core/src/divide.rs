@@ -187,7 +187,7 @@ mod tests {
         let e = seg(-1.0, -2.0, 5.0, 10.0);
         let parts = divide(e);
         assert_eq!(parts.len(), 4); // crosses x=0, y=0 ... let's just check bounds
-        // (This segment crosses x=0 at y=0: a corner merge.)
+                                    // (This segment crosses x=0 at y=0: a corner merge.)
         for p in &parts {
             for line in mbb().lines() {
                 assert!(p.not_crossed_by(line));

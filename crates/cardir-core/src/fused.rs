@@ -189,9 +189,8 @@ impl SoaStore {
                 self.y1.push(b.y);
             }
             let rel_end = self.x0.len() - base;
-            self.polygon_ends.push(
-                u32::try_from(rel_end).expect("region exceeds u32::MAX edges"),
-            );
+            self.polygon_ends
+                .push(u32::try_from(rel_end).expect("region exceeds u32::MAX edges"));
             self.polygon_boxes.push(polygon.bounding_box());
         }
         self.edge_start.push(self.x0.len());
@@ -364,7 +363,11 @@ fn fused_scan<H: MetricsHook, const RELATION: bool, const AREAS: bool>(
     // Within ±MAX/2 no endpoint sum can overflow out of its band.
     let shortcut = [m1, m2, l1, l2].iter().all(|c| c.abs() <= f64::MAX / 2.0);
 
-    let mut sweep = Sweep { bits: 0, acc: [0.0; 9], acc_bn: 0.0 };
+    let mut sweep = Sweep {
+        bits: 0,
+        acc: [0.0; 9],
+        acc_bn: 0.0,
+    };
     let mut start = 0usize;
     for (&rel_end, &extent) in soa.polygon_ends.iter().zip(soa.polygon_boxes) {
         let end = rel_end as usize;
@@ -508,8 +511,7 @@ mod tests {
             .unwrap(),
             Region::new([
                 Polygon::from_coords([(1.0, 5.0), (3.0, 5.0), (3.0, 7.0), (1.0, 7.0)]).unwrap(),
-                Polygon::from_coords([(5.0, -3.0), (7.0, -3.0), (7.0, -1.0), (5.0, -1.0)])
-                    .unwrap(),
+                Polygon::from_coords([(5.0, -3.0), (7.0, -3.0), (7.0, -1.0), (5.0, -1.0)]).unwrap(),
             ])
             .unwrap(),
             Region::from_coords([(-2.0, 2.0), (-3.0, 5.0), (-1.0, 6.0), (5.0, 4.0)]).unwrap(),
@@ -545,16 +547,33 @@ mod tests {
     /// Asserts that every SoA kernel agrees with the `&Region` entry
     /// points on `a` against the box `mbb`: relation, raw areas and hook
     /// event streams. Returns the relation hook of the `&Region` path.
-    fn assert_kernels_match(a: &Region, soa: &EdgeSoa<'_>, mbb: BoundingBox, context: &str) -> CountingHook {
+    fn assert_kernels_match(
+        a: &Region,
+        soa: &EdgeSoa<'_>,
+        mbb: BoundingBox,
+        context: &str,
+    ) -> CountingHook {
         let mut want = CountingHook::new();
         let rel = compute_cdr_with_mbb(a, mbb, &mut want);
-        assert_eq!(rel, compute_cdr_with_mbb(a, mbb, &mut NoopHook), "{context}: hooked relation");
+        assert_eq!(
+            rel,
+            compute_cdr_with_mbb(a, mbb, &mut NoopHook),
+            "{context}: hooked relation"
+        );
         let mut want_areas_hook = CountingHook::new();
         let areas = tile_areas_with_mbb(a, mbb, &mut want_areas_hook);
-        assert_eq!(areas, tile_areas_with_mbb(a, mbb, &mut NoopHook), "{context}: hooked areas");
+        assert_eq!(
+            areas,
+            tile_areas_with_mbb(a, mbb, &mut NoopHook),
+            "{context}: hooked areas"
+        );
 
         let mut got = CountingHook::new();
-        assert_eq!(cdr_from_soa_hooked(soa, mbb, &mut got), rel, "{context}: relation");
+        assert_eq!(
+            cdr_from_soa_hooked(soa, mbb, &mut got),
+            rel,
+            "{context}: relation"
+        );
         assert_eq!(got, want, "{context}: relation hook stream");
         let mut got = CountingHook::new();
         let (fused_rel, fused_areas) = cdr_areas_from_soa_hooked(soa, mbb, &mut got);
@@ -562,7 +581,11 @@ mod tests {
         assert_eq!(fused_areas, areas, "{context}: fused areas");
         assert_eq!(got, want, "{context}: fused hook stream");
         let mut got = CountingHook::new();
-        assert_eq!(areas_from_soa_hooked(soa, mbb, &mut got), areas, "{context}: areas");
+        assert_eq!(
+            areas_from_soa_hooked(soa, mbb, &mut got),
+            areas,
+            "{context}: areas"
+        );
         assert_eq!(got, want_areas_hook, "{context}: areas hook stream");
         want
     }
@@ -595,14 +618,24 @@ mod tests {
                     for (lo, hi) in [(y0 - 1.0, y1 + 1.0), (y0, y1)] {
                         for b in [rect(c, lo, c + 2.0, hi), rect(c - 2.0, lo, c, hi)] {
                             lines_on_extent += usize::from(c == x0 || c == x1);
-                            assert_kernels_match(a, &soa, b.mbb(), &format!("region {i}, x line {c}"));
+                            assert_kernels_match(
+                                a,
+                                &soa,
+                                b.mbb(),
+                                &format!("region {i}, x line {c}"),
+                            );
                         }
                     }
                 }
                 for c in ulp_around(y0).into_iter().chain(ulp_around(y1)) {
                     for (lo, hi) in [(x0 - 1.0, x1 + 1.0), (x0, x1)] {
                         for b in [rect(lo, c, hi, c + 2.0), rect(lo, c - 2.0, hi, c)] {
-                            assert_kernels_match(a, &soa, b.mbb(), &format!("region {i}, y line {c}"));
+                            assert_kernels_match(
+                                a,
+                                &soa,
+                                b.mbb(),
+                                &format!("region {i}, y line {c}"),
+                            );
                         }
                     }
                 }
@@ -616,7 +649,10 @@ mod tests {
                                 let b = rect(cx - 1.0, cy - 1.0, cx + 1.0, cy + 1.0);
                                 let centre = b.mbb().center();
                                 let on_boundary = extent.contains(centre)
-                                    && (centre.x == x0 || centre.x == x1 || centre.y == y0 || centre.y == y1);
+                                    && (centre.x == x0
+                                        || centre.x == x1
+                                        || centre.y == y0
+                                        || centre.y == y1);
                                 centres_on_box += usize::from(on_boundary);
                                 centres_off_box += usize::from(
                                     !extent.contains(centre)
@@ -625,7 +661,12 @@ mod tests {
                                             || centre.y == y0.next_down()
                                             || centre.y == y1.next_up()),
                                 );
-                                assert_kernels_match(a, &soa, b.mbb(), &format!("region {i}, centre {centre}"));
+                                assert_kernels_match(
+                                    a,
+                                    &soa,
+                                    b.mbb(),
+                                    &format!("region {i}, centre {centre}"),
+                                );
                             }
                         }
                     }
@@ -643,7 +684,11 @@ mod tests {
         let mut store = SoaStore::new();
         store.push_region(frame);
         assert!(frame.mbb().contains(centre));
-        assert!(store.view(0).polygon_boxes.iter().all(|p| !p.contains(centre)));
+        assert!(store
+            .view(0)
+            .polygon_boxes
+            .iter()
+            .all(|p| !p.contains(centre)));
         let hook = assert_kernels_match(frame, &store.view(0), b.mbb(), "frame");
         assert_eq!(hook.b_center_hits, 0);
         assert!(!compute_cdr_with_mbb(frame, b.mbb(), &mut NoopHook).contains(Tile::B));
@@ -684,7 +729,12 @@ mod tests {
     /// path must be taken.
     fn cell_shortcut_agrees_at_its_boundaries(scale: f64) {
         let (lo, mid, hi) = (0.0, 2.0 * scale, 4.0 * scale);
-        let boxes = [(lo, hi, lo, hi), (mid, mid, lo, hi), (lo, hi, mid, mid), (mid, mid, mid, mid)];
+        let boxes = [
+            (lo, hi, lo, hi),
+            (mid, mid, lo, hi),
+            (lo, hi, mid, mid),
+            (mid, mid, mid, mid),
+        ];
         for (m1, m2, l1, l2) in boxes {
             let mbb = BoundingBox::new(Point::new(m1, l1), Point::new(m2, l2));
             let (xs, ys) = (around_lines(m1, m2, scale), around_lines(l1, l2, scale));
@@ -701,7 +751,9 @@ mod tests {
                             for coords in shapes {
                                 // Slivers one ulp wide near 0 round to zero
                                 // area, which a region rejects.
-                                let Ok(a) = Region::from_coords(coords) else { continue };
+                                let Ok(a) = Region::from_coords(coords) else {
+                                    continue;
+                                };
                                 let mut store = SoaStore::new();
                                 store.push_region(&a);
                                 let soa = store.view(0);
@@ -720,7 +772,10 @@ mod tests {
                     }
                 }
             }
-            assert!(inside_one_cell > 0 && endpoint_on_line > 0 && divided > 0, "box {mbb:?}");
+            assert!(
+                inside_one_cell > 0 && endpoint_on_line > 0 && divided > 0,
+                "box {mbb:?}"
+            );
         }
     }
 
@@ -743,10 +798,17 @@ mod tests {
             assert_eq!(cdr_from_soa_hooked(&soa, mbb, &mut got), rel, "box {mbb:?}");
             assert_eq!(got, want, "box {mbb:?}: relation hook stream");
             let mut got = CountingHook::new();
-            assert_eq!(cdr_areas_from_soa_hooked(&soa, mbb, &mut got).0, rel, "box {mbb:?}");
+            assert_eq!(
+                cdr_areas_from_soa_hooked(&soa, mbb, &mut got).0,
+                rel,
+                "box {mbb:?}"
+            );
             assert_eq!(got, want, "box {mbb:?}: fused hook stream");
             if max_x == f64::MAX {
-                assert!(rel.contains(Tile::E), "the overflowed midpoint classifies east");
+                assert!(
+                    rel.contains(Tile::E),
+                    "the overflowed midpoint classifies east"
+                );
             }
         }
     }
@@ -767,7 +829,11 @@ mod tests {
             let (rel, areas) = cdr_areas_from_soa(&soa, mbb);
             assert_eq!(rel, want_rel, "region {i}");
             assert_eq!(areas, want_areas, "region {i} (fused areas)");
-            assert_eq!(areas_from_soa(&soa, mbb), want_areas, "region {i} (areas only)");
+            assert_eq!(
+                areas_from_soa(&soa, mbb),
+                want_areas,
+                "region {i} (areas only)"
+            );
         }
     }
 

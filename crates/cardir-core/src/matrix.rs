@@ -28,9 +28,7 @@ impl DirectionMatrix {
     /// The relation whose tiles are the `■` cells; `None` if all cells are
     /// empty (not a valid relation).
     pub fn relation(&self) -> Option<CardinalRelation> {
-        CardinalRelation::from_tiles(
-            ALL_TILES.into_iter().filter(|t| self.get(*t)),
-        )
+        CardinalRelation::from_tiles(ALL_TILES.into_iter().filter(|t| self.get(*t)))
     }
 
     /// Cell lookup by tile.
@@ -190,7 +188,9 @@ impl PercentageMatrix {
 
     /// Compares two matrices cell-wise within `eps` percentage points.
     pub fn approx_eq(&self, other: &PercentageMatrix, eps: f64) -> bool {
-        ALL_TILES.into_iter().all(|t| (self.get(t) - other.get(t)).abs() <= eps)
+        ALL_TILES
+            .into_iter()
+            .all(|t| (self.get(t) - other.get(t)).abs() <= eps)
     }
 }
 
@@ -214,8 +214,9 @@ impl fmt::Display for PercentageMatrix {
         let mut quanta = [[0i64; 3]; 3];
         let mut remainders = [[0f64; 3]; 3];
         let mut floor_sum = 0i64;
-        for (qrow, (rrow, row)) in
-            quanta.iter_mut().zip(remainders.iter_mut().zip(&self.cells))
+        for (qrow, (rrow, row)) in quanta
+            .iter_mut()
+            .zip(remainders.iter_mut().zip(&self.cells))
         {
             for (q, (r, cell)) in qrow.iter_mut().zip(rrow.iter_mut().zip(row)) {
                 let scaled = cell * scale;
@@ -299,7 +300,14 @@ mod tests {
         // south row.
         let s: CardinalRelation = "S".parse().unwrap();
         let m = DirectionMatrix::from_relation(s);
-        assert_eq!(m.rows(), &[[false, false, false], [false, false, false], [false, true, false]]);
+        assert_eq!(
+            m.rows(),
+            &[
+                [false, false, false],
+                [false, false, false],
+                [false, true, false]
+            ]
+        );
         assert_eq!(m.to_string(), "□□□\n□□□\n□■□");
 
         // NE:E — ■ at north-east and east.
@@ -352,7 +360,10 @@ mod tests {
         *a.get_mut(Tile::N) = 1.0;
         *a.get_mut(Tile::B) = 2.0;
         let p = a.percentages();
-        assert_eq!(format!("{p:.1}"), "0.0% 33.3% 0.0%\n0.0% 66.7% 0.0%\n0.0% 0.0% 0.0%");
+        assert_eq!(
+            format!("{p:.1}"),
+            "0.0% 33.3% 0.0%\n0.0% 66.7% 0.0%\n0.0% 0.0% 0.0%"
+        );
     }
 
     /// Regression: a 3-way 1/3 split used to print `33% 33% 33%` (sums to
@@ -368,7 +379,10 @@ mod tests {
         // All three remainders tie at .333…; row-major order gives the
         // extra percent to N (row 0).
         assert_eq!(p.to_string(), "0% 34% 0%\n0% 33% 0%\n0% 33% 0%");
-        assert_eq!(format!("{p:.2}"), "0.00% 33.34% 0.00%\n0.00% 33.33% 0.00%\n0.00% 33.33% 0.00%");
+        assert_eq!(
+            format!("{p:.2}"),
+            "0.00% 33.34% 0.00%\n0.00% 33.33% 0.00%\n0.00% 33.33% 0.00%"
+        );
         // The printed cells sum to exactly 100 at any precision.
         for rendered in [p.to_string(), format!("{p:.1}"), format!("{p:.3}")] {
             let sum: f64 = rendered
@@ -385,7 +399,10 @@ mod tests {
         // into it: the target is the rounded total, which is 0.
         let p = TileAreas::default().percentages();
         assert_eq!(p.to_string(), "0% 0% 0%\n0% 0% 0%\n0% 0% 0%");
-        assert_eq!(format!("{p:.1}"), "0.0% 0.0% 0.0%\n0.0% 0.0% 0.0%\n0.0% 0.0% 0.0%");
+        assert_eq!(
+            format!("{p:.1}"),
+            "0.0% 0.0% 0.0%\n0.0% 0.0% 0.0%\n0.0% 0.0% 0.0%"
+        );
     }
 
     #[test]
@@ -393,7 +410,15 @@ mod tests {
         // 100/7 = 14.2857…: floors lose 6 quanta at precision 0, which
         // must flow back to the six largest remainders.
         let mut a = TileAreas::default();
-        for t in [Tile::B, Tile::N, Tile::S, Tile::E, Tile::W, Tile::NE, Tile::SW] {
+        for t in [
+            Tile::B,
+            Tile::N,
+            Tile::S,
+            Tile::E,
+            Tile::W,
+            Tile::NE,
+            Tile::SW,
+        ] {
             *a.get_mut(t) = 1.0;
         }
         let p = a.percentages();
@@ -434,7 +459,11 @@ mod tests {
         let rebuilt = PercentageMatrix::from_rows(*original.rows());
         assert_eq!(original, rebuilt);
         for t in ALL_TILES {
-            assert_eq!(original.get(t).to_bits(), rebuilt.get(t).to_bits(), "tile {t:?}");
+            assert_eq!(
+                original.get(t).to_bits(),
+                rebuilt.get(t).to_bits(),
+                "tile {t:?}"
+            );
         }
     }
 

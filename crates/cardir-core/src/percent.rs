@@ -243,7 +243,8 @@ mod tests {
         // Paper-style composite: an island in NW plus a frame around part
         // of B — checks multiple polygons accumulate independently.
         let b = b();
-        let island = Polygon::from_coords([(-3.0, 5.0), (-1.0, 5.0), (-1.0, 7.0), (-3.0, 7.0)]).unwrap();
+        let island =
+            Polygon::from_coords([(-3.0, 5.0), (-1.0, 5.0), (-1.0, 7.0), (-3.0, 7.0)]).unwrap();
         let block = Polygon::from_coords([(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]).unwrap();
         let a = Region::new([island, block]).unwrap();
         let m = compute_cdr_pct(&a, &b);

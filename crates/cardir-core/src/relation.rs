@@ -158,8 +158,8 @@ impl FromStr for CardinalRelation {
         let mut bits = 0u16;
         for part in s.split(':') {
             let part = part.trim();
-            let tile =
-                Tile::parse(part).ok_or_else(|| RelationParseError::UnknownTile(part.to_string()))?;
+            let tile = Tile::parse(part)
+                .ok_or_else(|| RelationParseError::UnknownTile(part.to_string()))?;
             if bits & tile.bit() != 0 {
                 return Err(RelationParseError::DuplicateTile(tile));
             }
@@ -185,7 +185,10 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert_eq!("".parse::<CardinalRelation>().unwrap_err(), RelationParseError::Empty);
+        assert_eq!(
+            "".parse::<CardinalRelation>().unwrap_err(),
+            RelationParseError::Empty
+        );
         assert_eq!(
             "B:X".parse::<CardinalRelation>().unwrap_err(),
             RelationParseError::UnknownTile("X".into())
@@ -231,7 +234,10 @@ mod tests {
         assert_eq!(CardinalRelation::OMNI.tile_count(), 9);
         assert!(CardinalRelation::from_bits(0).is_none());
         assert!(CardinalRelation::from_bits(512).is_none());
-        assert_eq!(CardinalRelation::from_bits(511), Some(CardinalRelation::OMNI));
+        assert_eq!(
+            CardinalRelation::from_bits(511),
+            Some(CardinalRelation::OMNI)
+        );
     }
 
     #[test]

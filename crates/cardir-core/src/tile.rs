@@ -249,7 +249,7 @@ mod tests {
         assert_eq!(Tile::SW.half_planes(mbb).len(), 2); // corner tiles
         assert_eq!(Tile::S.half_planes(mbb).len(), 3); // edge tiles
         assert_eq!(Tile::B.half_planes(mbb).len(), 4); // the box itself
-        // Membership sanity: the centre of the box is only in B's planes.
+                                                       // Membership sanity: the centre of the box is only in B's planes.
         let c = Point::new(2.0, 2.0);
         for t in ALL_TILES {
             let inside = t.half_planes(mbb).iter().all(|hp| hp.contains(c));

@@ -278,8 +278,14 @@ const CHUNK: usize = 256;
 impl BatchEngine {
     /// An engine using every available core, in qualitative mode.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        BatchEngine { threads, mode: EngineMode::Qualitative, tracer: Tracer::disabled() }
+        let threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        BatchEngine {
+            threads,
+            mode: EngineMode::Qualitative,
+            tracer: Tracer::disabled(),
+        }
     }
 
     /// Sets the number of worker threads (clamped to at least 1). The
@@ -412,7 +418,8 @@ impl BatchEngine {
                                         break;
                                     }
                                 }
-                                let claimed = queue.lock().expect("queue lock is never poisoned").next();
+                                let claimed =
+                                    queue.lock().expect("queue lock is never poisoned").next();
                                 let Some((c, chunk)) = claimed else {
                                     trace.end(wait_start, phases::QUEUE_WAIT, None);
                                     break;
@@ -440,7 +447,10 @@ impl BatchEngine {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+                    .map(|h| {
+                        h.join()
+                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    })
                     .collect()
             })
         };
@@ -476,7 +486,14 @@ impl BatchEngine {
             CompletionStatus::Complete
         };
 
-        BatchOutcome { pairs, status, succeeded, failed, skipped, stats }
+        BatchOutcome {
+            pairs,
+            status,
+            succeeded,
+            failed,
+            skipped,
+            stats,
+        }
     }
 }
 
@@ -495,8 +512,9 @@ fn run_pair(
         attempt += 1;
         let faults = policy.faults.as_deref();
         let result = if policy.panic_isolation {
-            match catch_unwind(AssertUnwindSafe(|| attempt_pair(cache, i, j, mode, faults, stats)))
-            {
+            match catch_unwind(AssertUnwindSafe(|| {
+                attempt_pair(cache, i, j, mode, faults, stats)
+            })) {
                 Ok(r) => r,
                 Err(payload) => {
                     stats.panics_caught += 1;
@@ -577,7 +595,13 @@ fn compute_pair(
             (relation, Some(areas.percentages()))
         }
     };
-    PairRelation { primary: i, reference: j, relation, percentages, via_prefilter: false }
+    PairRelation {
+        primary: i,
+        reference: j,
+        relation,
+        percentages,
+        via_prefilter: false,
+    }
 }
 
 /// Emits the relation for a pair the boxes alone decide: the primary's
@@ -594,9 +618,13 @@ pub(crate) fn emit_decided(
 ) -> PairRelation {
     let relation = CardinalRelation::single(tile);
     match mode {
-        EngineMode::Qualitative => {
-            PairRelation { primary: i, reference: j, relation, percentages: None, via_prefilter: true }
-        }
+        EngineMode::Qualitative => PairRelation {
+            primary: i,
+            reference: j,
+            relation,
+            percentages: None,
+            via_prefilter: true,
+        },
         EngineMode::Quantitative => {
             if tile != Tile::N {
                 // A primary strictly inside one tile puts 100 % there.
@@ -643,12 +671,20 @@ mod tests {
         Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
     }
 
-    fn naive_all(regions: &[Region], quantitative: bool) -> Vec<(usize, usize, CardinalRelation, Option<PercentageMatrix>)> {
+    fn naive_all(
+        regions: &[Region],
+        quantitative: bool,
+    ) -> Vec<(usize, usize, CardinalRelation, Option<PercentageMatrix>)> {
         let mut out = Vec::new();
         for (i, a) in regions.iter().enumerate() {
             for (j, b) in regions.iter().enumerate() {
                 if i != j {
-                    out.push((i, j, compute_cdr(a, b), quantitative.then(|| compute_cdr_pct(a, b))));
+                    out.push((
+                        i,
+                        j,
+                        compute_cdr(a, b),
+                        quantitative.then(|| compute_cdr_pct(a, b)),
+                    ));
                 }
             }
         }
@@ -657,11 +693,17 @@ mod tests {
 
     /// Every ordered pair `(i, j)`, `i ≠ j`, in primary-major order.
     fn all_pairs(n: usize) -> Vec<(usize, usize)> {
-        (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j))).collect()
+        (0..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect()
     }
 
     fn relations(outcome: &BatchOutcome) -> Vec<PairRelation> {
-        outcome.pairs.iter().map(|p| p.ok().expect("clean run").clone()).collect()
+        outcome
+            .pairs
+            .iter()
+            .map(|p| p.ok().expect("clean run").clone())
+            .collect()
     }
 
     fn random_regions(seed: u64, n: usize) -> Vec<Region> {
@@ -670,16 +712,24 @@ mod tests {
             cardir_geometry::Point::new(0.0, 0.0),
             cardir_geometry::Point::new(500.0, 400.0),
         );
-        cardir_workloads::random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect()
+        cardir_workloads::random_map(&mut rng, n, extent)
+            .into_iter()
+            .map(|m| m.region)
+            .collect()
     }
 
     #[test]
     fn materialized_order_is_primary_major() {
-        let regions =
-            vec![rect(0.0, 0.0, 1.0, 1.0), rect(3.0, 0.0, 4.0, 1.0), rect(0.0, 3.0, 1.0, 4.0)];
+        let regions = vec![
+            rect(0.0, 0.0, 1.0, 1.0),
+            rect(3.0, 0.0, 4.0, 1.0),
+            rect(0.0, 3.0, 1.0, 4.0),
+        ];
         let cache = RegionCache::build(&regions);
-        let result =
-            BatchEngine::new().with_threads(1).run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let result = BatchEngine::new()
+            .with_threads(1)
+            .run_join(&cache, &RunPolicy::default())
+            .materialize(&cache);
         let order: Vec<(usize, usize)> = result.pairs.iter().map(PairOutcome::indices).collect();
         assert_eq!(order, vec![(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
     }
@@ -689,15 +739,23 @@ mod tests {
         let regions = random_regions(7, 25);
         let cache = RegionCache::build(&regions);
         for quantitative in [false, true] {
-            let mode =
-                if quantitative { EngineMode::Quantitative } else { EngineMode::Qualitative };
+            let mode = if quantitative {
+                EngineMode::Quantitative
+            } else {
+                EngineMode::Qualitative
+            };
             let naive = naive_all(&regions, quantitative);
             for threads in [1, 2, 4] {
                 let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
-                let joined =
-                    relations(&engine.run_join(&cache, &RunPolicy::default()).materialize(&cache));
+                let joined = relations(
+                    &engine
+                        .run_join(&cache, &RunPolicy::default())
+                        .materialize(&cache),
+                );
                 let listed = relations(
-                    &engine.run_pairs(&cache, &all_pairs(regions.len()), &RunPolicy::default()).unwrap(),
+                    &engine
+                        .run_pairs(&cache, &all_pairs(regions.len()), &RunPolicy::default())
+                        .unwrap(),
                 );
                 assert_eq!(joined.len(), naive.len());
                 assert_eq!(listed.len(), naive.len());
@@ -705,7 +763,10 @@ mod tests {
                     for pr in [got, exact] {
                         assert_eq!((pr.primary, pr.reference), (*i, *j));
                         assert_eq!(pr.relation, *rel, "pair ({i}, {j})");
-                        assert_eq!(pr.percentages, *pct, "pair ({i}, {j}): bit-identical matrices");
+                        assert_eq!(
+                            pr.percentages, *pct,
+                            "pair ({i}, {j}): bit-identical matrices"
+                        );
                     }
                     assert!(!exact.via_prefilter, "an explicit list is all exact work");
                 }
@@ -723,11 +784,20 @@ mod tests {
             })
             .collect();
         let cache = RegionCache::build(&regions);
-        let result =
-            BatchEngine::new().with_threads(2).run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let result = BatchEngine::new()
+            .with_threads(2)
+            .run_join(&cache, &RunPolicy::default())
+            .materialize(&cache);
         let stats = &result.stats;
-        assert_eq!((stats.pairs, stats.mask_emitted, stats.exact_pairs), (30, 30, 0));
-        assert_eq!((stats.edges_scanned, stats.fused_pairs), (0, 0), "no kernel work");
+        assert_eq!(
+            (stats.pairs, stats.mask_emitted, stats.exact_pairs),
+            (30, 30, 0)
+        );
+        assert_eq!(
+            (stats.edges_scanned, stats.fused_pairs),
+            (0, 0),
+            "no kernel work"
+        );
         for p in result.relations() {
             assert!(p.via_prefilter);
             let expect = if p.primary < p.reference { "SW" } else { "NE" };
@@ -740,27 +810,44 @@ mod tests {
         let regions = vec![rect(0.0, 0.0, 4.0, 4.0), rect(1.0, 6.0, 3.0, 8.0)];
         let cache = RegionCache::build(&regions);
         let wanted = [(1usize, 0usize), (0, 1), (0, 0), (1, 0)];
-        let result =
-            BatchEngine::new().with_threads(4).run_pairs(&cache, &wanted, &RunPolicy::default()).unwrap();
+        let result = BatchEngine::new()
+            .with_threads(4)
+            .run_pairs(&cache, &wanted, &RunPolicy::default())
+            .unwrap();
         let pairs = relations(&result);
         let order: Vec<(usize, usize)> = pairs.iter().map(|p| (p.primary, p.reference)).collect();
         assert_eq!(order, wanted);
         assert_eq!(pairs[0].relation.to_string(), "N");
-        assert_eq!(pairs[1].relation.to_string(), "S:SW:SE", "wider primary spans 3 tiles");
+        assert_eq!(
+            pairs[1].relation.to_string(),
+            "S:SW:SE",
+            "wider primary spans 3 tiles"
+        );
         assert_eq!(pairs[2].relation.to_string(), "B", "self pair");
         assert_eq!(pairs[3], pairs[0]);
         let stats = &result.stats;
-        assert_eq!((stats.pairs, stats.mask_emitted, stats.exact_pairs), (4, 0, 4));
+        assert_eq!(
+            (stats.pairs, stats.mask_emitted, stats.exact_pairs),
+            (4, 0, 4)
+        );
     }
 
     #[test]
     fn empty_and_single_region_maps() {
         let policy = RunPolicy::default();
         let cache = RegionCache::build(std::iter::empty());
-        assert!(BatchEngine::new().run_join(&cache, &policy).materialize(&cache).pairs.is_empty());
+        assert!(BatchEngine::new()
+            .run_join(&cache, &policy)
+            .materialize(&cache)
+            .pairs
+            .is_empty());
         let one = vec![rect(0.0, 0.0, 1.0, 1.0)];
         let cache = RegionCache::build(&one);
-        assert!(BatchEngine::new().run_join(&cache, &policy).materialize(&cache).pairs.is_empty());
+        assert!(BatchEngine::new()
+            .run_join(&cache, &policy)
+            .materialize(&cache)
+            .pairs
+            .is_empty());
         let listed = BatchEngine::new().run_pairs(&cache, &[], &policy).unwrap();
         assert!(listed.pairs.is_empty());
         assert_eq!(listed.status, CompletionStatus::Complete);
@@ -771,10 +858,20 @@ mod tests {
         let regions = vec![rect(0.0, 0.0, 1.0, 1.0)];
         let cache = RegionCache::build(&regions);
         let policy = RunPolicy::default();
-        let err = BatchEngine::new().run_pairs(&cache, &[(0, 0), (0, 1)], &policy).unwrap_err();
-        assert_eq!(err, EngineError::PairOutOfBounds { pair: (0, 1), len: 1 });
+        let err = BatchEngine::new()
+            .run_pairs(&cache, &[(0, 0), (0, 1)], &policy)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::PairOutOfBounds {
+                pair: (0, 1),
+                len: 1
+            }
+        );
         assert!(err.to_string().contains("out of bounds"));
-        let ok = BatchEngine::new().run_pairs(&cache, &[(0, 0)], &policy).unwrap();
+        let ok = BatchEngine::new()
+            .run_pairs(&cache, &[(0, 0)], &policy)
+            .unwrap();
         assert_eq!(ok.pairs.len(), 1);
     }
 
@@ -784,7 +881,10 @@ mod tests {
         let cache = RegionCache::build(&regions);
         let pairs = all_pairs(regions.len());
         let policy = RunPolicy::default();
-        let plain = BatchEngine::new().with_threads(2).run_pairs(&cache, &pairs, &policy).unwrap();
+        let plain = BatchEngine::new()
+            .with_threads(2)
+            .run_pairs(&cache, &pairs, &policy)
+            .unwrap();
         let tracer = Tracer::enabled();
         let traced = BatchEngine::new()
             .with_threads(2)
@@ -801,7 +901,10 @@ mod tests {
             .iter()
             .filter(|e| e.name == phases::CHUNK_COMPUTE)
             .map(|e| {
-                assert!((1..=2).contains(&e.tid), "compute on worker tids only: {e:?}");
+                assert!(
+                    (1..=2).contains(&e.tid),
+                    "compute on worker tids only: {e:?}"
+                );
                 e.chunk.expect("compute spans carry their chunk id")
             })
             .collect();
@@ -820,7 +923,10 @@ mod tests {
         let cache = RegionCache::build(&regions);
         let tracer = Tracer::enabled();
         let policy = RunPolicy::default();
-        let plain = BatchEngine::new().with_threads(2).run_join(&cache, &policy).materialize(&cache);
+        let plain = BatchEngine::new()
+            .with_threads(2)
+            .run_join(&cache, &policy)
+            .materialize(&cache);
         let traced = BatchEngine::new()
             .with_threads(2)
             .with_tracer(tracer.clone())
@@ -861,7 +967,10 @@ mod tests {
             );
             // A second run on the same engine starts from zeroed slots.
             let again = engine.run_pairs(&cache, &pairs, &policy).unwrap();
-            assert_eq!(again.stats.per_thread_pairs.iter().sum::<usize>(), pairs.len());
+            assert_eq!(
+                again.stats.per_thread_pairs.iter().sum::<usize>(),
+                pairs.len()
+            );
         }
     }
 
@@ -887,7 +996,10 @@ mod tests {
             retries: 4,
             ..BatchStats::default()
         };
-        assert_eq!(run, expect, "the partition, timings and per-worker loads are the driver's");
+        assert_eq!(
+            run, expect,
+            "the partition, timings and per-worker loads are the driver's"
+        );
     }
 
     #[test]
@@ -933,15 +1045,15 @@ mod tests {
         // reference; N exercises the kernel fallback for percentages.
         let b = rect(0.0, 0.0, 4.0, 4.0);
         let primaries = [
-            rect(1.7, 1.2, 2.5, 2.8),    // B
-            rect(1.0, -3.0, 3.0, -1.0),  // S
-            rect(-3.0, -3.0, -1.0, -1.0),// SW
-            rect(-3.0, 1.0, -1.0, 3.0),  // W
-            rect(-3.0, 5.0, -1.0, 7.0),  // NW
-            rect(1.3, 5.0, 2.9, 7.0),    // N
-            rect(5.0, 5.0, 7.0, 7.0),    // NE
-            rect(5.0, 1.0, 7.0, 3.0),    // E
-            rect(5.0, -3.0, 7.0, -1.0),  // SE
+            rect(1.7, 1.2, 2.5, 2.8),     // B
+            rect(1.0, -3.0, 3.0, -1.0),   // S
+            rect(-3.0, -3.0, -1.0, -1.0), // SW
+            rect(-3.0, 1.0, -1.0, 3.0),   // W
+            rect(-3.0, 5.0, -1.0, 7.0),   // NW
+            rect(1.3, 5.0, 2.9, 7.0),     // N
+            rect(5.0, 5.0, 7.0, 7.0),     // NE
+            rect(5.0, 1.0, 7.0, 3.0),     // E
+            rect(5.0, -3.0, 7.0, -1.0),   // SE
         ];
         let mut regions = vec![b];
         regions.extend(primaries);

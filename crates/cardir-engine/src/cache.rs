@@ -46,7 +46,13 @@ impl<'a> RegionCache<'a> {
             soa.push_region(r);
         }
         let build_time = start.elapsed();
-        RegionCache { regions, mbbs, edge_counts, soa, build_time }
+        RegionCache {
+            regions,
+            mbbs,
+            edge_counts,
+            soa,
+            build_time,
+        }
     }
 
     /// [`RegionCache::build`] with a `cache_build` span recorded into

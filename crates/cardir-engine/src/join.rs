@@ -106,14 +106,21 @@ impl PairRows {
 /// sort; `O(N + C)` memory. No sort runs over the whole contact list.
 pub(crate) fn interacting_rows(cache: &RegionCache<'_>) -> (PairRows, usize) {
     let n = cache.len();
-    assert!(u32::try_from(n).is_ok(), "the join stores region indices as u32");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "the join stores region indices as u32"
+    );
     let mut candidates = 0usize;
     // Contacts in sweep order, and per-primary counts at `offsets[i + 1]`.
     let mut contacts: Vec<(u32, u32)> = Vec::new();
     let mut offsets = vec![0usize; n + 1];
     let mut axis = |coord: &dyn Fn(usize) -> (f64, f64)| {
-        let intervals: Vec<Interval> =
-            (0..n).map(|i| { let (lo, hi) = coord(i); Interval::new(lo, hi) }).collect();
+        let intervals: Vec<Interval> = (0..n)
+            .map(|i| {
+                let (lo, hi) = coord(i);
+                Interval::new(lo, hi)
+            })
+            .collect();
         let mut points = Vec::with_capacity(2 * n);
         for iv in &intervals {
             points.push(iv.lo);
@@ -128,8 +135,14 @@ pub(crate) fn interacting_rows(cache: &RegionCache<'_>) -> (PairRows, usize) {
             }
         });
     };
-    axis(&|i| { let b = cache.mbb(i); (b.min.x, b.max.x) });
-    axis(&|i| { let b = cache.mbb(i); (b.min.y, b.max.y) });
+    axis(&|i| {
+        let b = cache.mbb(i);
+        (b.min.x, b.max.x)
+    });
+    axis(&|i| {
+        let b = cache.mbb(i);
+        (b.min.y, b.max.y)
+    });
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
@@ -277,7 +290,10 @@ impl JoinOutcome {
                 }
             }
         }
-        debug_assert!(exact.peek().is_none(), "every interacting pair was consumed");
+        debug_assert!(
+            exact.peek().is_none(),
+            "every interacting pair was consumed"
+        );
         trace.end(trace_start, phases::MATERIALIZE, None);
         drop(trace);
 
@@ -292,7 +308,14 @@ impl JoinOutcome {
             status
         };
         stats.merge(&emitted);
-        BatchOutcome { pairs, status, succeeded, failed, skipped, stats }
+        BatchOutcome {
+            pairs,
+            status,
+            succeeded,
+            failed,
+            skipped,
+            stats,
+        }
     }
 }
 
@@ -355,7 +378,13 @@ impl BatchEngine {
         let total = n * n.saturating_sub(1);
         let sub = self.run(cache, rows.pairs(), policy);
         let mask_emitted = total - rows.len();
-        let stats = BatchStats { pairs: total, mask_emitted, candidates, discover, ..sub.stats };
+        let stats = BatchStats {
+            pairs: total,
+            mask_emitted,
+            candidates,
+            discover,
+            ..sub.stats
+        };
         JoinOutcome {
             regions: n,
             interacting: sub.pairs,
@@ -418,10 +447,21 @@ mod tests {
     fn assert_join_matches_oracle(regions: &[Region]) {
         let cache = RegionCache::build(regions);
         let (got, candidates) = interacting_pairs(&cache);
-        assert_eq!(got, oracle(&cache), "interacting set must match the quadratic oracle");
+        assert_eq!(
+            got,
+            oracle(&cache),
+            "interacting set must match the quadratic oracle"
+        );
         // Exactly once: strictly increasing packed order proves no dups.
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");
-        assert_eq!(candidates, contact_oracle(&cache), "one candidate per grid-line contact");
+        assert!(
+            got.windows(2).all(|w| w[0] < w[1]),
+            "sorted, duplicate-free"
+        );
+        assert_eq!(
+            candidates,
+            contact_oracle(&cache),
+            "one candidate per grid-line contact"
+        );
         assert_rows_well_formed(&cache, &got, candidates);
     }
 
@@ -432,10 +472,16 @@ mod tests {
         let (rows, row_candidates) = interacting_rows(cache);
         assert_eq!(row_candidates, candidates);
         assert_eq!(rows.offsets.len(), cache.len() + 1);
-        assert_eq!((rows.offsets[0], rows.offsets[cache.len()]), (0, rows.len()));
+        assert_eq!(
+            (rows.offsets[0], rows.offsets[cache.len()]),
+            (0, rows.len())
+        );
         for (i, w) in rows.offsets.windows(2).enumerate() {
             let row = &rows.refs[w[0]..w[1]];
-            assert!(row.windows(2).all(|r| r[0] < r[1]), "row {i} ascends: {row:?}");
+            assert!(
+                row.windows(2).all(|r| r[0] < r[1]),
+                "row {i} ascends: {row:?}"
+            );
             assert!(!row.contains(&(i as u32)), "row {i} holds no self-pair");
         }
         let flat: Vec<(u32, u32)> = rows.pairs().map(|(i, j)| (i as u32, j as u32)).collect();
@@ -471,9 +517,9 @@ mod tests {
         // touches, one box containing everything.
         let regions = vec![
             rect(0.0, 0.0, 4.0, 4.0),
-            rect(4.0, 4.0, 6.0, 6.0),   // corner contact with 0
-            rect(0.0, 4.0, 4.0, 8.0),   // edge contact with 0
-            rect(1.0, 1.0, 3.0, 1.001), // sliver inside 0
+            rect(4.0, 4.0, 6.0, 6.0),       // corner contact with 0
+            rect(0.0, 4.0, 4.0, 8.0),       // edge contact with 0
+            rect(1.0, 1.0, 3.0, 1.001),     // sliver inside 0
             rect(-10.0, -10.0, 20.0, 20.0), // contains everything
             rect(30.0, 30.0, 31.0, 31.0),   // far away, decided vs most
         ];
@@ -485,15 +531,30 @@ mod tests {
         let cache = RegionCache::build(std::iter::empty());
         assert_eq!(interacting_pairs(&cache), (Vec::new(), 0));
         let rows = interacting_rows(&cache).0;
-        assert_eq!(rows, PairRows { offsets: vec![0], refs: Vec::new() });
+        assert_eq!(
+            rows,
+            PairRows {
+                offsets: vec![0],
+                refs: Vec::new()
+            }
+        );
         assert_eq!(rows.pairs().len(), 0);
         let one = vec![rect(0.0, 0.0, 1.0, 1.0)];
         let cache = RegionCache::build(&one);
         let (pairs, candidates) = interacting_pairs(&cache);
         assert!(pairs.is_empty(), "a single region has no ordered pairs");
-        assert_eq!(candidates, 4, "the region still contacts its own four grid coordinates");
+        assert_eq!(
+            candidates, 4,
+            "the region still contacts its own four grid coordinates"
+        );
         let rows = interacting_rows(&cache).0;
-        assert_eq!(rows, PairRows { offsets: vec![0, 0], refs: Vec::new() });
+        assert_eq!(
+            rows,
+            PairRows {
+                offsets: vec![0, 0],
+                refs: Vec::new()
+            }
+        );
     }
 
     /// A box containing another reports the pair through all four of the
@@ -508,10 +569,20 @@ mod tests {
             rect(20.0, 20.0, 21.0, 21.0),
         ];
         let cache = RegionCache::build(&regions);
-        assert_eq!(contact_oracle(&cache), 3 * 4 + 4, "self-contacts plus four for (1, 0)");
+        assert_eq!(
+            contact_oracle(&cache),
+            3 * 4 + 4,
+            "self-contacts plus four for (1, 0)"
+        );
         let (rows, candidates) = interacting_rows(&cache);
         assert_eq!(candidates, 16);
-        assert_eq!(rows, PairRows { offsets: vec![0, 0, 1, 1], refs: vec![0] });
+        assert_eq!(
+            rows,
+            PairRows {
+                offsets: vec![0, 0, 1, 1],
+                refs: vec![0]
+            }
+        );
         assert_eq!(interacting_pairs(&cache).0, vec![(1, 0)]);
         assert_join_matches_oracle(&regions);
     }
@@ -530,27 +601,37 @@ mod tests {
         }));
         let cache = RegionCache::build(&regions);
         let rows = interacting_rows(&cache).0;
-        assert_eq!(&rows.refs[rows.offsets[0]..rows.offsets[1]], &[1, (n - 1) as u32]);
+        assert_eq!(
+            &rows.refs[rows.offsets[0]..rows.offsets[1]],
+            &[1, (n - 1) as u32]
+        );
         assert_join_matches_oracle(&regions);
     }
 
     fn map_regions(seed: u64, n: usize) -> Vec<Region> {
         let mut rng = SplitMix64::seed_from_u64(seed);
-        let extent =
-            BoundingBox::new(Point::new(0.0, 0.0), Point::new(400.0, 300.0));
-        cardir_workloads::random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect()
+        let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(400.0, 300.0));
+        cardir_workloads::random_map(&mut rng, n, extent)
+            .into_iter()
+            .map(|m| m.region)
+            .collect()
     }
 
     #[test]
     fn materialized_join_matches_the_exact_path_on_every_pair() {
         let regions = map_regions(11, 30);
         let cache = RegionCache::build(&regions);
-        let every: Vec<(usize, usize)> =
-            (0..30).flat_map(|i| (0..30).filter(move |&j| j != i).map(move |j| (i, j))).collect();
+        let every: Vec<(usize, usize)> = (0..30)
+            .flat_map(|i| (0..30).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
         for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
             let engine = BatchEngine::new().with_mode(mode).with_threads(2);
-            let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
-            let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+            let exact = engine
+                .run_pairs(&cache, &every, &RunPolicy::default())
+                .unwrap();
+            let joined = engine
+                .run_join(&cache, &RunPolicy::default())
+                .materialize(&cache);
             assert_eq!(joined.status, CompletionStatus::Complete);
             assert_eq!(joined.pairs.len(), exact.pairs.len());
             for (got, want) in joined.pairs.iter().zip(&exact.pairs) {
@@ -567,7 +648,10 @@ mod tests {
             assert_eq!(stats.fused_pairs, kernel.len());
             assert_eq!(
                 stats.edges_scanned,
-                kernel.iter().map(|p| cache.edge_count(p.primary)).sum::<usize>()
+                kernel
+                    .iter()
+                    .map(|p| cache.edge_count(p.primary))
+                    .sum::<usize>()
             );
         }
     }
@@ -582,15 +666,21 @@ mod tests {
         let total = 40 * 39;
         let (interacting, candidates) = interacting_pairs(&cache);
         for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
-            let outcome =
-                BatchEngine::new().with_mode(mode).with_threads(2).run_join(&cache, &RunPolicy::default());
+            let outcome = BatchEngine::new()
+                .with_mode(mode)
+                .with_threads(2)
+                .run_join(&cache, &RunPolicy::default());
             assert_eq!(outcome.total(), total);
             assert_eq!(outcome.succeeded + outcome.failed + outcome.skipped, total);
             assert_eq!(outcome.status, CompletionStatus::Complete);
             // Every interacting outcome really is an undecided pair.
             for p in &outcome.interacting {
                 let (i, j) = p.indices();
-                assert_eq!(decided_tile(cache.mbb(i), cache.mbb(j)), None, "pair ({i}, {j})");
+                assert_eq!(
+                    decided_tile(cache.mbb(i), cache.mbb(j)),
+                    None,
+                    "pair ({i}, {j})"
+                );
             }
             let compact = outcome.stats.clone();
             assert_eq!(compact.mask_emitted + compact.exact_pairs, compact.pairs);
@@ -603,8 +693,18 @@ mod tests {
             );
             let full = outcome.materialize(&cache).stats;
             assert_eq!(
-                (full.pairs, full.mask_emitted, full.exact_pairs, full.candidates),
-                (compact.pairs, compact.mask_emitted, compact.exact_pairs, compact.candidates),
+                (
+                    full.pairs,
+                    full.mask_emitted,
+                    full.exact_pairs,
+                    full.candidates
+                ),
+                (
+                    compact.pairs,
+                    compact.mask_emitted,
+                    compact.exact_pairs,
+                    compact.candidates
+                ),
                 "{mode:?}: materializing must not move the partition"
             );
             assert!(full.edges_scanned >= compact.edges_scanned);

@@ -335,12 +335,18 @@ mod tests {
             PairFailure::Injected("x".into()).to_string(),
             "injected fault: x"
         );
-        assert_eq!(CompletionStatus::DeadlineExceeded.to_string(), "deadline exceeded");
+        assert_eq!(
+            CompletionStatus::DeadlineExceeded.to_string(),
+            "deadline exceeded"
+        );
     }
 
     #[test]
     fn pair_outcome_accessors() {
-        let skipped = PairOutcome::Skipped { primary: 1, reference: 2 };
+        let skipped = PairOutcome::Skipped {
+            primary: 1,
+            reference: 2,
+        };
         assert_eq!(skipped.indices(), (1, 2));
         assert!(skipped.ok().is_none());
         let failed = PairOutcome::Failed(PairError {

@@ -45,8 +45,18 @@ fn strict_band(a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64) -> Option<Band> {
 /// relation `t`, because no point of `a` lies on or beyond a grid line of
 /// `mbb(b)` bounding `t`.
 pub fn decided_tile(primary: BoundingBox, reference: BoundingBox) -> Option<Tile> {
-    let x = strict_band(primary.min.x, primary.max.x, reference.min.x, reference.max.x)?;
-    let y = strict_band(primary.min.y, primary.max.y, reference.min.y, reference.max.y)?;
+    let x = strict_band(
+        primary.min.x,
+        primary.max.x,
+        reference.min.x,
+        reference.max.x,
+    )?;
+    let y = strict_band(
+        primary.min.y,
+        primary.max.y,
+        reference.min.y,
+        reference.max.y,
+    )?;
     Some(Tile::from_bands(x, y))
 }
 

@@ -46,12 +46,18 @@ impl DistanceScheme {
     /// A scheme scaled to a reference length (e.g. the reference region's
     /// diameter): `Close` within 0.5×, `Medium` within 2×.
     pub fn scaled_to(reference_length: f64) -> Self {
-        DistanceScheme { close: 0.5 * reference_length, medium: 2.0 * reference_length }
+        DistanceScheme {
+            close: 0.5 * reference_length,
+            medium: 2.0 * reference_length,
+        }
     }
 
     /// Classifies a separation.
     pub fn classify(&self, separation: f64) -> DistanceRelation {
-        debug_assert!(self.close <= self.medium, "scheme thresholds must be ordered");
+        debug_assert!(
+            self.close <= self.medium,
+            "scheme thresholds must be ordered"
+        );
         if separation <= 0.0 {
             DistanceRelation::Equal
         } else if separation <= self.close {
@@ -124,7 +130,6 @@ fn point_segment_distance(p: Point, s: Segment) -> f64 {
     p.distance(s.a.lerp(s.b, t))
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,7 +145,7 @@ mod tests {
         assert_eq!(min_distance(&a, &rect(1.0, 1.0, 2.0, 2.0)), 0.0); // corner touch
         assert_eq!(min_distance(&a, &rect(0.5, 0.5, 2.0, 2.0)), 0.0); // overlap
         assert_eq!(min_distance(&a, &rect(-1.0, -1.0, 2.0, 2.0)), 0.0); // contained
-        // Diagonal gap: distance between corners (1,1) and (2,2).
+                                                                        // Diagonal gap: distance between corners (1,1) and (2,2).
         let d = min_distance(&a, &rect(2.0, 2.0, 3.0, 3.0));
         assert!((d - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
@@ -154,7 +159,10 @@ mod tests {
 
     #[test]
     fn scheme_classification() {
-        let scheme = DistanceScheme { close: 1.0, medium: 5.0 };
+        let scheme = DistanceScheme {
+            close: 1.0,
+            medium: 5.0,
+        };
         assert_eq!(scheme.classify(0.0), DistanceRelation::Equal);
         assert_eq!(scheme.classify(0.5), DistanceRelation::Close);
         assert_eq!(scheme.classify(1.0), DistanceRelation::Close);
@@ -166,9 +174,18 @@ mod tests {
     fn scaled_scheme() {
         let scheme = DistanceScheme::scaled_to(10.0);
         let a = rect(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(distance_relation(&a, &rect(2.0, 0.0, 3.0, 1.0), &scheme), DistanceRelation::Close);
-        assert_eq!(distance_relation(&a, &rect(11.0, 0.0, 12.0, 1.0), &scheme), DistanceRelation::Medium);
-        assert_eq!(distance_relation(&a, &rect(50.0, 0.0, 51.0, 1.0), &scheme), DistanceRelation::Far);
+        assert_eq!(
+            distance_relation(&a, &rect(2.0, 0.0, 3.0, 1.0), &scheme),
+            DistanceRelation::Close
+        );
+        assert_eq!(
+            distance_relation(&a, &rect(11.0, 0.0, 12.0, 1.0), &scheme),
+            DistanceRelation::Medium
+        );
+        assert_eq!(
+            distance_relation(&a, &rect(50.0, 0.0, 51.0, 1.0), &scheme),
+            DistanceRelation::Far
+        );
         assert_eq!(distance_relation(&a, &a, &scheme), DistanceRelation::Equal);
     }
 

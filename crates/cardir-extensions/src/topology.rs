@@ -29,7 +29,9 @@
 
 use cardir_geometry::point::orient;
 use cardir_geometry::robust::{orient2d_sign, Sign};
-use cardir_geometry::{segments_cross_properly, segments_intersect, Point, Polygon, Region, Segment};
+use cardir_geometry::{
+    segments_cross_properly, segments_intersect, Point, Polygon, Region, Segment,
+};
 use std::fmt;
 
 /// The topological relation between two regions.
@@ -248,13 +250,25 @@ mod tests {
     #[test]
     fn basic_relations() {
         let a = rect(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(topological_relation(&a, &rect(5.0, 5.0, 6.0, 6.0)), Disjoint);
+        assert_eq!(
+            topological_relation(&a, &rect(5.0, 5.0, 6.0, 6.0)),
+            Disjoint
+        );
         assert_eq!(topological_relation(&a, &rect(2.0, 0.0, 4.0, 2.0)), Meets); // edge share
         assert_eq!(topological_relation(&a, &rect(2.0, 2.0, 4.0, 4.0)), Meets); // corner touch
-        assert_eq!(topological_relation(&a, &rect(1.0, 1.0, 3.0, 3.0)), Overlaps);
+        assert_eq!(
+            topological_relation(&a, &rect(1.0, 1.0, 3.0, 3.0)),
+            Overlaps
+        );
         assert_eq!(topological_relation(&a, &rect(0.0, 0.0, 2.0, 2.0)), Equals);
-        assert_eq!(topological_relation(&a, &rect(-1.0, -1.0, 3.0, 3.0)), Inside);
-        assert_eq!(topological_relation(&a, &rect(0.5, 0.5, 1.5, 1.5)), Contains);
+        assert_eq!(
+            topological_relation(&a, &rect(-1.0, -1.0, 3.0, 3.0)),
+            Inside
+        );
+        assert_eq!(
+            topological_relation(&a, &rect(0.5, 0.5, 1.5, 1.5)),
+            Contains
+        );
     }
 
     #[test]
@@ -329,7 +343,8 @@ mod tests {
         // A diamond whose west vertex lies exactly on b's east wall and
         // pokes through: proper crossing through a vertex.
         let b = rect(0.0, 0.0, 2.0, 2.0);
-        let diamond = Region::from_coords([(1.0, 1.0), (3.0, 0.0), (5.0, 1.0), (3.0, 2.0)]).unwrap();
+        let diamond =
+            Region::from_coords([(1.0, 1.0), (3.0, 0.0), (5.0, 1.0), (3.0, 2.0)]).unwrap();
         // The diamond's west vertex (1,1) is inside b; its edges cross
         // b's east wall transversally anyway — still Overlaps.
         assert_eq!(topological_relation(&diamond, &b), Overlaps);

@@ -213,7 +213,15 @@ impl FaultPlan {
             _ => 0,
         };
         let mut state = self.lock();
-        state.armed.insert(site.to_string(), SiteState { action, trigger, rng, hits: 0 });
+        state.armed.insert(
+            site.to_string(),
+            SiteState {
+                action,
+                trigger,
+                rng,
+                hits: 0,
+            },
+        );
         self.armed_count.store(state.armed.len(), Ordering::Release);
     }
 
@@ -347,7 +355,11 @@ mod tests {
             plan.arm(
                 "t.prob",
                 FaultAction::Delay(Duration::ZERO),
-                Trigger::Probability { num: 1, den: 3, seed },
+                Trigger::Probability {
+                    num: 1,
+                    den: 3,
+                    seed,
+                },
             );
             (0..64).map(|_| plan.hit("t.prob").is_some()).collect()
         };
@@ -357,7 +369,10 @@ mod tests {
         assert_eq!(a, b, "same seed must replay the same firing pattern");
         assert_ne!(a, c, "different seeds should diverge");
         let fired = a.iter().filter(|&&f| f).count();
-        assert!(fired > 0 && fired < 64, "1/3 probability fired {fired}/64 times");
+        assert!(
+            fired > 0 && fired < 64,
+            "1/3 probability fired {fired}/64 times"
+        );
     }
 
     #[test]
@@ -383,7 +398,11 @@ mod tests {
         }
         // Re-arming resets the trigger's own hit count but not the
         // plan's per-site tally.
-        plan.arm("t.fired", FaultAction::IoError("io".into()), Trigger::Times(1));
+        plan.arm(
+            "t.fired",
+            FaultAction::IoError("io".into()),
+            Trigger::Times(1),
+        );
         let _ = plan.hit("t.fired");
         plan.disarm("t.fired");
         let _ = plan.hit("t.fired");
@@ -407,8 +426,16 @@ mod tests {
         plan.arm("t.err", FaultAction::Error("e".into()), Trigger::Always);
         plan.arm("t.io", FaultAction::IoError("io".into()), Trigger::Always);
         plan.arm("t.torn", FaultAction::TornWrite(7), Trigger::Always);
-        plan.arm("t.delay", FaultAction::Delay(Duration::ZERO), Trigger::Always);
-        plan.arm("t.kill", FaultAction::Panic("killed".into()), Trigger::Always);
+        plan.arm(
+            "t.delay",
+            FaultAction::Delay(Duration::ZERO),
+            Trigger::Always,
+        );
+        plan.arm(
+            "t.kill",
+            FaultAction::Panic("killed".into()),
+            Trigger::Always,
+        );
         assert_eq!(plan.step("t.err"), Err("e".to_string()));
         assert_eq!(plan.step("t.io"), Err("io".to_string()));
         assert_eq!(plan.step("t.torn"), Ok(Some(7)));

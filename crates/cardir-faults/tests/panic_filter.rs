@@ -18,17 +18,33 @@ fn injected_panics_are_swallowed_and_others_reach_the_previous_hook() {
     }));
 
     let plan = FaultPlan::new();
-    plan.arm(sites::JOURNAL_APPEND, FaultAction::Panic("killed".into()), Trigger::Always);
+    plan.arm(
+        sites::JOURNAL_APPEND,
+        FaultAction::Panic("killed".into()),
+        Trigger::Always,
+    );
     let injected = catch_unwind(AssertUnwindSafe(|| plan.step(sites::JOURNAL_APPEND)));
     assert!(injected.is_err(), "the armed step must panic");
-    assert_eq!(REACHED.load(Ordering::SeqCst), 0, "an injected panic reached the hook");
+    assert_eq!(
+        REACHED.load(Ordering::SeqCst),
+        0,
+        "an injected panic reached the hook"
+    );
 
     let plain = catch_unwind(|| panic!("a genuine failure"));
     assert!(plain.is_err());
-    assert_eq!(REACHED.load(Ordering::SeqCst), 1, "a plain panic must reach the hook");
+    assert_eq!(
+        REACHED.load(Ordering::SeqCst),
+        1,
+        "a plain panic must reach the hook"
+    );
 
     // Arming a second panic does not stack a second filter.
-    plan.arm(sites::JOURNAL_REPLAY, FaultAction::Panic("again".into()), Trigger::Always);
+    plan.arm(
+        sites::JOURNAL_REPLAY,
+        FaultAction::Panic("again".into()),
+        Trigger::Always,
+    );
     let plain = catch_unwind(|| panic!("another genuine failure"));
     assert!(plain.is_err());
     assert_eq!(REACHED.load(Ordering::SeqCst), 2);

@@ -75,7 +75,11 @@ fn unarmed_checks_are_allocation_free() {
     assert_eq!(allocs, 0, "the no-plan path allocated");
 
     // Disarming the last armed site restores the allocation-free path.
-    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("e".into()), Trigger::Always);
+    plan.arm(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Error("e".into()),
+        Trigger::Always,
+    );
     assert!(plan.hit(sites::ENGINE_PAIR_COMPUTE).is_some());
     plan.disarm(sites::ENGINE_PAIR_COMPUTE);
     let (allocs, _) = allocations_during(|| {

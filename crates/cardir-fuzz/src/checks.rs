@@ -44,7 +44,10 @@ pub fn check_pair(a: &Region, b: &Region) -> Option<Failure> {
     if fast != clipped.relation {
         return fail(
             "cdr-vs-clipping",
-            format!("compute_cdr = {fast}, clipping baseline = {}", clipped.relation),
+            format!(
+                "compute_cdr = {fast}, clipping baseline = {}",
+                clipped.relation
+            ),
         );
     }
 
@@ -63,7 +66,11 @@ pub fn check_pair(a: &Region, b: &Region) -> Option<Failure> {
     if (areas.total() - a.area()).abs() > tol {
         return fail(
             "areas-vs-total",
-            format!("tile areas sum to {}, region area is {}, tol = {tol}", areas.total(), a.area()),
+            format!(
+                "tile areas sum to {}, region area is {}, tol = {tol}",
+                areas.total(),
+                a.area()
+            ),
         );
     }
 
@@ -111,13 +118,20 @@ impl Naive {
         if outcome.pairs.len() != self.pairs.len() {
             return fail(
                 check,
-                format!("{label}: {} pairs, naive has {}", outcome.pairs.len(), self.pairs.len()),
+                format!(
+                    "{label}: {} pairs, naive has {}",
+                    outcome.pairs.len(),
+                    self.pairs.len()
+                ),
             );
         }
         let quantitative = mode == EngineMode::Quantitative;
         for (got, (i, j, rel, pct)) in outcome.pairs.iter().zip(&self.pairs) {
             let Some(pr) = got.ok() else {
-                return fail(check, format!("{label} pair ({i}, {j}): not computed: {got:?}"));
+                return fail(
+                    check,
+                    format!("{label} pair ({i}, {j}): not computed: {got:?}"),
+                );
             };
             let want_pct = quantitative.then_some(pct);
             if (pr.primary, pr.reference) != (*i, *j)
@@ -164,7 +178,9 @@ pub fn check_engine(regions: &[Region]) -> Option<Failure> {
     let mode = EngineMode::Quantitative;
     for threads in [1usize, 2, 4] {
         let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
-        let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let joined = engine
+            .run_join(&cache, &RunPolicy::default())
+            .materialize(&cache);
         let label = format!("threads={threads} join");
         if let Some(f) = naive.compare("engine-vs-naive", &label, &joined, mode, Some(&cache)) {
             return Some(f);
@@ -291,9 +307,17 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
             }
             let out = joined.materialize(&cache);
             let after = &out.stats;
-            if (after.pairs, after.mask_emitted, after.exact_pairs, after.candidates)
-                != (stats.pairs, stats.mask_emitted, stats.exact_pairs, stats.candidates)
-            {
+            if (
+                after.pairs,
+                after.mask_emitted,
+                after.exact_pairs,
+                after.candidates,
+            ) != (
+                stats.pairs,
+                stats.mask_emitted,
+                stats.exact_pairs,
+                stats.candidates,
+            ) {
                 return fail(
                     "join-accounting",
                     format!("{label}: materializing moved the partition: {stats:?} -> {after:?}"),
@@ -318,7 +342,12 @@ const HOSTILE_ATTRIBUTE: &str = "line1\nline2\ttab\rret \"quoted\" <tag> & 'apos
 pub fn check_config(regions: &[Region]) -> Option<Failure> {
     let mut config = Configuration::new("fuzz κόσμος", "fuzz.png");
     for (i, r) in regions.iter().enumerate() {
-        if let Err(e) = config.add_region(format!("r{i}"), format!("Περιοχή 北海道 {i}"), "blue", r.clone()) {
+        if let Err(e) = config.add_region(
+            format!("r{i}"),
+            format!("Περιοχή 北海道 {i}"),
+            "blue",
+            r.clone(),
+        ) {
             return fail("config-build", format!("add_region r{i}: {e}"));
         }
     }
@@ -358,7 +387,10 @@ pub fn check_config(regions: &[Region]) -> Option<Failure> {
     }
     let xml2 = to_xml(&back);
     if xml2 != xml {
-        return fail("xml-round-trip", "serialisation is not a fixpoint".to_string());
+        return fail(
+            "xml-round-trip",
+            "serialisation is not a fixpoint".to_string(),
+        );
     }
 
     if regions.len() >= 2 {
@@ -373,7 +405,10 @@ pub fn check_config(regions: &[Region]) -> Option<Failure> {
             Ok(_) => {
                 return fail(
                     "query-round-trip",
-                    format!("display form {:?} parses to a different query", query.to_string()),
+                    format!(
+                        "display form {:?} parses to a different query",
+                        query.to_string()
+                    ),
                 )
             }
             Err(e) => {
@@ -476,7 +511,10 @@ pub fn check_ulp_predicates(seed: u64) -> (UlpAudit, Option<Failure>) {
             let stepped = gen::ulp_step(coord, k);
             let delta_sign = if k > 0 { 1.0 } else { -1.0 };
             let (q, expected) = if step_x {
-                (Point::new(stepped, p.y), Sign::of(-(b.y - a.y) * delta_sign))
+                (
+                    Point::new(stepped, p.y),
+                    Sign::of(-(b.y - a.y) * delta_sign),
+                )
             } else {
                 (Point::new(p.x, stepped), Sign::of((b.x - a.x) * delta_sign))
             };
@@ -557,8 +595,16 @@ pub fn check_ulp_predicates(seed: u64) -> (UlpAudit, Option<Failure>) {
         // ray-casting can round the two crossings incident to a shared
         // vertex to different sides of the query and flip parity twice.
         let zig = Polygon::from_coords(
-            [(0.0, 0.0), (8.0, 0.0), (8.0, 2.0), (6.0, 4.0), (4.0, 2.0), (2.0, 4.0), (0.0, 2.0)]
-                .map(|(x, y)| (x * s, y * s)),
+            [
+                (0.0, 0.0),
+                (8.0, 0.0),
+                (8.0, 2.0),
+                (6.0, 4.0),
+                (4.0, 2.0),
+                (2.0, 4.0),
+                (0.0, 2.0),
+            ]
+            .map(|(x, y)| (x * s, y * s)),
         )
         .expect("zig-zag lattice polygon");
         for (q, truth) in [
@@ -574,7 +620,9 @@ pub fn check_ulp_predicates(seed: u64) -> (UlpAudit, Option<Failure>) {
                     audit,
                     fail(
                         "ulp-exact-parity",
-                        format!("round {round}: contains({q}) != {truth} on the zig-zag at scale {s:e}"),
+                        format!(
+                            "round {round}: contains({q}) != {truth} on the zig-zag at scale {s:e}"
+                        ),
                     ),
                 );
             }

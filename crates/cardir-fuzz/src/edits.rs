@@ -50,7 +50,10 @@ fn scratch_path(seed: u64, tag: &str) -> PathBuf {
 
 fn cleanup(path: &Path) {
     let _ = std::fs::remove_file(path);
-    let mut tmp = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut tmp = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     tmp.push(".tmp");
     let _ = std::fs::remove_file(path.with_file_name(tmp));
 }
@@ -64,7 +67,10 @@ fn extent() -> BoundingBox {
 fn base_regions(seed: u64) -> Vec<Region> {
     let mut rng = SplitMix64::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let n = 3 + (rng.random_range(0..4u64) as usize);
-    random_map(&mut rng, n, extent()).into_iter().map(|m| m.region).collect()
+    random_map(&mut rng, n, extent())
+        .into_iter()
+        .map(|m| m.region)
+        .collect()
 }
 
 /// The next seed-derived edit against the current live slot set.
@@ -75,14 +81,13 @@ fn draw_edit(rng: &mut SplitMix64, engine: &IncrementalEngine, pool: &mut Vec<Re
     // pinned seed scripts survive layout changes there (see the
     // seed-script pin test below).
     let fresh = |pool: &mut Vec<Region>, rng: &mut SplitMix64| {
-        pool.pop().unwrap_or_else(|| random_region(rng, extent()).region)
+        pool.pop()
+            .unwrap_or_else(|| random_region(rng, extent()).region)
     };
     // Keep at least two regions alive so every script keeps exercising
     // real pair work; bias towards replaces, the incremental sweet spot.
     match rng.random_range(0..6u64) {
-        0 if live.len() > 2 => {
-            Edit::Remove(live[rng.random_range(0..live.len() as u64) as usize])
-        }
+        0 if live.len() > 2 => Edit::Remove(live[rng.random_range(0..live.len() as u64) as usize]),
         1 => Edit::Insert(fresh(pool, rng)),
         _ => {
             let victim = live[rng.random_range(0..live.len() as u64) as usize];
@@ -97,19 +102,26 @@ fn full_recompute(engine: &IncrementalEngine) -> Result<Vec<PairRelation>, Strin
     let regions: Vec<&Region> = engine.live_regions().map(|(_, r)| r).collect();
     let cache = RegionCache::build(regions);
     let batch = BatchEngine::new().with_mode(engine.mode()).with_threads(1);
-    let outcome = batch.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+    let outcome = batch
+        .run_join(&cache, &RunPolicy::default())
+        .materialize(&cache);
     outcome
         .pairs
         .iter()
-        .map(|p| p.ok().cloned().ok_or_else(|| "oracle run failed a pair".to_string()))
+        .map(|p| {
+            p.ok()
+                .cloned()
+                .ok_or_else(|| "oracle run failed a pair".to_string())
+        })
         .collect()
 }
 
 /// Bit-compares the engine's materialized state against the oracle;
 /// returns the oracle's pairs when they agree.
 fn check_vs_full(engine: &IncrementalEngine, context: &str) -> Result<Vec<PairRelation>, String> {
-    let materialized =
-        engine.materialize().map_err(|e| format!("{context}: materialize failed: {e}"))?;
+    let materialized = engine
+        .materialize()
+        .map_err(|e| format!("{context}: materialize failed: {e}"))?;
     let oracle = full_recompute(engine).map_err(|e| format!("{context}: {e}"))?;
     if materialized.len() != oracle.len() {
         return Err(format!(
@@ -123,8 +135,12 @@ fn check_vs_full(engine: &IncrementalEngine, context: &str) -> Result<Vec<PairRe
             return Err(format!(
                 "{context}: pair ({}, {}) diverged:\n  incremental: {} via_prefilter={}\n  \
                  full:        {} via_prefilter={}",
-                got.primary, got.reference, got.relation, got.via_prefilter,
-                want.relation, want.via_prefilter
+                got.primary,
+                got.reference,
+                got.relation,
+                got.via_prefilter,
+                want.relation,
+                want.via_prefilter
             ));
         }
     }
@@ -171,7 +187,10 @@ pub fn check_edit_script(seed: u64) -> Option<Failure> {
         for step in 0..steps {
             let edit = draw_edit(&mut rng, store.engine(), &mut pool);
             if let Err(e) = store.apply(edit.clone(), &policy) {
-                return fail("edits-apply", format!("step {step}: edit {edit:?} rejected: {e}"));
+                return fail(
+                    "edits-apply",
+                    format!("step {step}: edit {edit:?} rejected: {e}"),
+                );
             }
             if let Some((snapshot, oracle)) = held.take() {
                 if snapshot.materialize().as_ref() != Ok(&oracle) {
@@ -240,7 +259,10 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
     let path = scratch_path(seed, "faults");
     cleanup(&path);
     let plan = Arc::new(FaultPlan::new());
-    let opts = StoreOptions { faults: Some(Arc::clone(&plan)), ..store_options(seed) };
+    let opts = StoreOptions {
+        faults: Some(Arc::clone(&plan)),
+        ..store_options(seed)
+    };
     let policy = RunPolicy::default().with_faults(Arc::clone(&plan));
     let base = base_regions(seed);
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5eed_0002);
@@ -256,7 +278,11 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         plan.arm(
             sites::ENGINE_PAIR_COMPUTE,
             FaultAction::Error("injected".into()),
-            Trigger::Probability { num: 1, den: 4, seed: seed ^ 1 },
+            Trigger::Probability {
+                num: 1,
+                den: 4,
+                seed: seed ^ 1,
+            },
         );
         plan.arm(
             sites::JOURNAL_APPEND,
@@ -265,7 +291,11 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
             } else {
                 FaultAction::TornWrite(5 + (seed % 40) as usize)
             },
-            Trigger::Probability { num: 1, den: 3, seed: seed ^ 2 },
+            Trigger::Probability {
+                num: 1,
+                den: 3,
+                seed: seed ^ 2,
+            },
         );
         for step in 0..4u64 {
             let edit = draw_edit(&mut rng, store.engine(), &mut pool);
@@ -288,7 +318,10 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         if repaired.still_pending != 0 {
             return fail(
                 "edits-repair",
-                format!("{} pairs still pending after disarmed repair", repaired.still_pending),
+                format!(
+                    "{} pairs still pending after disarmed repair",
+                    repaired.still_pending
+                ),
             );
         }
         if let Err(diff) = check_vs_full(store.engine(), "after repair") {
@@ -300,7 +333,10 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         }
 
         // --- Kill mid-append: process dies, reopen, replay ---
-        let pre_kill = store.engine().materialize().expect("no pending after repair");
+        let pre_kill = store
+            .engine()
+            .materialize()
+            .expect("no pending after repair");
         plan.arm(
             sites::JOURNAL_APPEND,
             FaultAction::Panic("killed mid-append".into()),
@@ -310,7 +346,10 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         let killed = catch_unwind(AssertUnwindSafe(|| store.apply(edit.clone(), &policy)));
         plan.disarm(sites::JOURNAL_APPEND);
         if killed.is_ok() {
-            return fail("edits-kill-append", "injected kill did not fire".to_string());
+            return fail(
+                "edits-kill-append",
+                "injected kill did not fire".to_string(),
+            );
         }
         // "Process death": the poisoned store is abandoned, not synced.
         drop(store);
@@ -349,11 +388,18 @@ pub fn check_edit_faults(seed: u64) -> Option<Failure> {
         } else {
             sites::JOURNAL_COMPACT_RENAME
         };
-        plan.arm(site, FaultAction::Panic("killed mid-compaction".into()), Trigger::Times(1));
+        plan.arm(
+            site,
+            FaultAction::Panic("killed mid-compaction".into()),
+            Trigger::Times(1),
+        );
         let killed = catch_unwind(AssertUnwindSafe(|| store.compact()));
         plan.disarm(site);
         if killed.is_ok() {
-            return fail("edits-kill-compact", format!("injected kill at {site} did not fire"));
+            return fail(
+                "edits-kill-compact",
+                format!("injected kill at {site} did not fire"),
+            );
         }
         drop(store);
         let store = RelationStore::open(&path, &base, opts);
@@ -396,12 +442,8 @@ mod tests {
     fn script_fingerprint(seed: u64, steps: usize) -> String {
         use std::fmt::Write as _;
         let base = base_regions(seed);
-        let mut engine = IncrementalEngine::bootstrap(
-            EngineMode::Qualitative,
-            1,
-            base,
-            &RunPolicy::default(),
-        );
+        let mut engine =
+            IncrementalEngine::bootstrap(EngineMode::Qualitative, 1, base, &RunPolicy::default());
         let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5eed_0001);
         let mut pool = Vec::new();
         let mut out = String::new();
@@ -428,7 +470,9 @@ mod tests {
                     );
                 }
             }
-            engine.apply_with(edit, &RunPolicy::default()).expect("edit applies");
+            engine
+                .apply_with(edit, &RunPolicy::default())
+                .expect("edit applies");
         }
         out
     }

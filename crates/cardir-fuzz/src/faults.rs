@@ -59,8 +59,16 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     };
 
     let scenarios: [(&str, FaultAction, u32); 2] = [
-        ("faults-engine-panic", FaultAction::Panic("injected".into()), 0),
-        ("faults-engine-error", FaultAction::Error("injected".into()), 1),
+        (
+            "faults-engine-panic",
+            FaultAction::Panic("injected".into()),
+            0,
+        ),
+        (
+            "faults-engine-error",
+            FaultAction::Error("injected".into()),
+            1,
+        ),
     ];
     for (check, action, retries) in scenarios {
         for threads in [1usize, 2, 4] {
@@ -71,10 +79,16 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                 // Roughly one pair in four, re-rolled per hit from the
                 // run seed, so every iteration exercises a different
                 // failure pattern.
-                Trigger::Probability { num: 1, den: 4, seed: seed ^ threads as u64 },
+                Trigger::Probability {
+                    num: 1,
+                    den: 4,
+                    seed: seed ^ threads as u64,
+                },
             );
-            let outcome =
-                join(threads, &RunPolicy::default().with_retries(retries).with_faults(plan));
+            let outcome = join(
+                threads,
+                &RunPolicy::default().with_retries(retries).with_faults(plan),
+            );
 
             if outcome.succeeded + outcome.failed + outcome.skipped != total {
                 return fail(
@@ -88,13 +102,19 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
             if outcome.skipped != 0 {
                 return fail(
                     check,
-                    format!("threads={threads}: {} pairs skipped with no deadline/cancel", outcome.skipped),
+                    format!(
+                        "threads={threads}: {} pairs skipped with no deadline/cancel",
+                        outcome.skipped
+                    ),
                 );
             }
             if outcome.pairs.len() != total {
                 return fail(
                     check,
-                    format!("threads={threads}: {} outcome slots for {total} pairs", outcome.pairs.len()),
+                    format!(
+                        "threads={threads}: {} outcome slots for {total} pairs",
+                        outcome.pairs.len()
+                    ),
                 );
             }
             for (k, (pair, want)) in outcome.pairs.iter().zip(&baseline).enumerate() {
@@ -135,7 +155,10 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     if !clean.is_complete() || clean.failed != 0 {
         return fail(
             "faults-engine-residue",
-            format!("clean run after faults: status {:?}, {} failed", clean.status, clean.failed),
+            format!(
+                "clean run after faults: status {:?}, {} failed",
+                clean.status, clean.failed
+            ),
         );
     }
     for (pair, want) in clean.pairs.iter().zip(&baseline) {
@@ -154,7 +177,10 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
 
 /// Scratch file for one persistence check, unique per process and seed.
 fn scratch_path(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("cardir-fuzz-faults-{}-{seed}.xml", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "cardir-fuzz-faults-{}-{seed}.xml",
+        std::process::id()
+    ))
 }
 
 fn cleanup(path: &PathBuf) {
@@ -189,19 +215,29 @@ pub fn check_persistence_faults(regions: &[Region], seed: u64) -> Option<Failure
         // Tear the next save mid-stream at a seed-derived byte offset.
         let torn_at = (seed % 200) as usize + 1;
         let plan = FaultPlan::new();
-        plan.arm(sites::XML_WRITE_DATA, FaultAction::TornWrite(torn_at), Trigger::Times(1));
+        plan.arm(
+            sites::XML_WRITE_DATA,
+            FaultAction::TornWrite(torn_at),
+            Trigger::Times(1),
+        );
         let mut v2 = config.clone();
         v2.name = "fault fuzz v2".to_string();
         let torn = save_xml_atomic(&v2, &path, Some(&plan));
         if torn.is_ok() {
-            return fail("faults-persist-torn", "torn write reported success".to_string());
+            return fail(
+                "faults-persist-torn",
+                "torn write reported success".to_string(),
+            );
         }
         match load_config(&path, None) {
             Ok(loaded) => {
                 if loaded.config.name != "fault fuzz v1" {
                     return fail(
                         "faults-persist-torn",
-                        format!("after torn save, loaded generation {:?}", loaded.config.name),
+                        format!(
+                            "after torn save, loaded generation {:?}",
+                            loaded.config.name
+                        ),
                     );
                 }
             }
@@ -224,7 +260,10 @@ pub fn check_persistence_faults(regions: &[Region], seed: u64) -> Option<Failure
         };
         let cut = (seed % text.len().max(1) as u64) as usize;
         if std::fs::write(&path, &text[..cut]).is_err() {
-            return fail("faults-persist-recover", "could not corrupt the primary".to_string());
+            return fail(
+                "faults-persist-recover",
+                "could not corrupt the primary".to_string(),
+            );
         }
         match load_config(&path, None) {
             // A short truncation can leave a still-valid document (the

@@ -110,10 +110,18 @@ fn multi_rect_region(rng: &mut SplitMix64, count: usize, xs: &[f64], ys: &[f64])
 /// reference's grid lines. Exercises the corner-merge and snapping logic
 /// of edge division where a vertex sits *on* a crossing.
 fn subdivided_rect(b: [f64; 4], xcuts: &[f64], ycuts: &[f64]) -> Polygon {
-    let mut xs: Vec<f64> = xcuts.iter().copied().filter(|&x| x > b[0] && x < b[2]).collect();
+    let mut xs: Vec<f64> = xcuts
+        .iter()
+        .copied()
+        .filter(|&x| x > b[0] && x < b[2])
+        .collect();
     xs.sort_by(f64::total_cmp);
     xs.dedup();
-    let mut ys: Vec<f64> = ycuts.iter().copied().filter(|&y| y > b[1] && y < b[3]).collect();
+    let mut ys: Vec<f64> = ycuts
+        .iter()
+        .copied()
+        .filter(|&y| y > b[1] && y < b[3])
+        .collect();
     ys.sort_by(f64::total_cmp);
     ys.dedup();
 
@@ -278,7 +286,10 @@ pub fn generate_ulp(seed: u64) -> Scenario {
         1 => regions = regions.iter().map(|r| scaled(r, 2f64.powi(-40))).collect(),
         _ => {}
     }
-    Scenario { family: "ulp-adversarial", regions }
+    Scenario {
+        family: "ulp-adversarial",
+        regions,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -334,7 +345,10 @@ pub fn generate_join(seed: u64) -> Scenario {
         1 => regions = regions.iter().map(|r| scaled(r, 2f64.powi(-40))).collect(),
         _ => {}
     }
-    Scenario { family: "join-clusters", regions }
+    Scenario {
+        family: "join-clusters",
+        regions,
+    }
 }
 
 /// Deterministically generates the scenario for `seed`.
@@ -359,8 +373,9 @@ pub fn generate(seed: u64) -> Scenario {
             // Rectangles anchored to the reference grid: shared lines,
             // touching corners, exact tile fills, straddles.
             let primaries = rng.random_range(1usize..=3);
-            let mut rs: Vec<Region> =
-                (0..primaries).map(|_| rect_region(anchored_box(rng, &xs, &ys))).collect();
+            let mut rs: Vec<Region> = (0..primaries)
+                .map(|_| rect_region(anchored_box(rng, &xs, &ys)))
+                .collect();
             rs.push(rect_region(reference));
             ("anchored-rects", rs)
         }
@@ -399,7 +414,12 @@ pub fn generate(seed: u64) -> Scenario {
             // A square reference plus a triangle whose hypotenuse passes
             // exactly through two opposite grid corners.
             let side = rng.random_range(1i64..=60) as f64;
-            let sq = [reference[0], reference[1], reference[0] + side, reference[1] + side];
+            let sq = [
+                reference[0],
+                reference[1],
+                reference[0] + side,
+                reference[1] + side,
+            ];
             let s = rng.random_range(1i64..=20) as f64 / 2.0;
             let tri = Region::from_coords([
                 (sq[0] - s, sq[1] - s),
@@ -489,7 +509,11 @@ mod tests {
         for seed in 0..200u64 {
             let s = generate_join(seed);
             assert_eq!(s.family, "join-clusters");
-            assert_eq!(s.regions, generate_join(seed).regions, "seed {seed}: non-deterministic");
+            assert_eq!(
+                s.regions,
+                generate_join(seed).regions,
+                "seed {seed}: non-deterministic"
+            );
             assert!(s.regions.len() >= 5, "seed {seed}");
             for r in &s.regions {
                 assert!(r.area() > 0.0, "seed {seed}");
@@ -515,9 +539,18 @@ mod tests {
             with_decided += any_decided as u32;
             with_undecided += any_undecided as u32;
         }
-        assert!(with_decided >= 195, "only {with_decided} / 200 seeds had mask-emitted pairs");
-        assert!(with_undecided >= 195, "only {with_undecided} / 200 seeds had exact pairs");
-        assert!(scaled_seeds > 20, "only {scaled_seeds} / 200 seeds ran at 2^±40");
+        assert!(
+            with_decided >= 195,
+            "only {with_decided} / 200 seeds had mask-emitted pairs"
+        );
+        assert!(
+            with_undecided >= 195,
+            "only {with_undecided} / 200 seeds had exact pairs"
+        );
+        assert!(
+            scaled_seeds > 20,
+            "only {scaled_seeds} / 200 seeds ran at 2^±40"
+        );
     }
 
     #[test]
@@ -542,7 +575,10 @@ mod tests {
                             (v.y, reference.min.y),
                             (v.y, reference.max.y),
                         ] {
-                            if c != line && (c - line).abs() <= 4.0 * (line.abs() * f64::EPSILON) && line != 0.0 {
+                            if c != line
+                                && (c - line).abs() <= 4.0 * (line.abs() * f64::EPSILON)
+                                && line != 0.0
+                            {
                                 nudged = true;
                             }
                         }
@@ -555,6 +591,9 @@ mod tests {
         }
         // The whole point of the family: most seeds carry real 1–4 ulp
         // contact geometry.
-        assert!(nudged_seeds > 100, "only {nudged_seeds} / 200 seeds had ulp nudges");
+        assert!(
+            nudged_seeds > 100,
+            "only {nudged_seeds} / 200 seeds had ulp nudges"
+        );
     }
 }

@@ -50,11 +50,19 @@ pub struct Divergence {
 
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "divergence [{}] in family {:?} at seed {}", self.check, self.family, self.seed)?;
+        writeln!(
+            f,
+            "divergence [{}] in family {:?} at seed {}",
+            self.check, self.family, self.seed
+        )?;
         for line in self.detail.lines() {
             writeln!(f, "  {line}")?;
         }
-        write!(f, "  replay: cargo run -p cardir-fuzz -- --seed {}", self.seed)
+        write!(
+            f,
+            "  replay: cargo run -p cardir-fuzz -- --seed {}",
+            self.seed
+        )
     }
 }
 
@@ -92,8 +100,8 @@ fn run_scenario(seed: u64, scenario: gen::Scenario) -> Vec<Divergence> {
     let regions = &scenario.regions;
     let mut out = Vec::new();
 
-    let mut caught = |name: &'static str, result: std::thread::Result<Option<checks::Failure>>| {
-        match result {
+    let mut caught =
+        |name: &'static str, result: std::thread::Result<Option<checks::Failure>>| match result {
             Ok(None) => {}
             Ok(Some(failure)) => out.push(Divergence {
                 seed,
@@ -107,8 +115,7 @@ fn run_scenario(seed: u64, scenario: gen::Scenario) -> Vec<Divergence> {
                 check: format!("panic-{name}"),
                 detail: panic_message(payload),
             }),
-        }
-    };
+        };
 
     for i in 0..regions.len() {
         for j in 0..regions.len() {
@@ -134,9 +141,18 @@ fn run_scenario(seed: u64, scenario: gen::Scenario) -> Vec<Divergence> {
         }
     }
 
-    caught("engine", catch_unwind(AssertUnwindSafe(|| checks::check_engine(regions))));
-    caught("join", catch_unwind(AssertUnwindSafe(|| checks::check_join(regions))));
-    caught("config", catch_unwind(AssertUnwindSafe(|| checks::check_config(regions))));
+    caught(
+        "engine",
+        catch_unwind(AssertUnwindSafe(|| checks::check_engine(regions))),
+    );
+    caught(
+        "join",
+        catch_unwind(AssertUnwindSafe(|| checks::check_join(regions))),
+    );
+    caught(
+        "config",
+        catch_unwind(AssertUnwindSafe(|| checks::check_config(regions))),
+    );
     if family == "ulp-adversarial" {
         caught(
             "ulp-predicates",
@@ -149,9 +165,14 @@ fn run_scenario(seed: u64, scenario: gen::Scenario) -> Vec<Divergence> {
 /// Runs `iters` iterations starting at `base_seed`; iteration `k` uses
 /// seed `base_seed + k`, so any failure replays alone with `--seed`.
 pub fn run(base_seed: u64, iters: u64) -> FuzzReport {
-    let mut report = FuzzReport { iterations: iters, ..FuzzReport::default() };
+    let mut report = FuzzReport {
+        iterations: iters,
+        ..FuzzReport::default()
+    };
     for k in 0..iters {
-        report.divergences.extend(run_seed(base_seed.wrapping_add(k)));
+        report
+            .divergences
+            .extend(run_seed(base_seed.wrapping_add(k)));
     }
     report
 }
@@ -159,9 +180,14 @@ pub fn run(base_seed: u64, iters: u64) -> FuzzReport {
 /// The forced-ulp counterpart of [`run`]: every iteration generates an
 /// ulp-adversarial scenario (CI runs this for ≥ 200 seeds).
 pub fn run_ulp(base_seed: u64, iters: u64) -> FuzzReport {
-    let mut report = FuzzReport { iterations: iters, ..FuzzReport::default() };
+    let mut report = FuzzReport {
+        iterations: iters,
+        ..FuzzReport::default()
+    };
     for k in 0..iters {
-        report.divergences.extend(run_seed_ulp(base_seed.wrapping_add(k)));
+        report
+            .divergences
+            .extend(run_seed_ulp(base_seed.wrapping_add(k)));
     }
     report
 }
@@ -169,9 +195,14 @@ pub fn run_ulp(base_seed: u64, iters: u64) -> FuzzReport {
 /// The forced-join counterpart of [`run`]: every iteration generates a
 /// join-clusters scenario (CI runs this for ≥ 200 seeds).
 pub fn run_join(base_seed: u64, iters: u64) -> FuzzReport {
-    let mut report = FuzzReport { iterations: iters, ..FuzzReport::default() };
+    let mut report = FuzzReport {
+        iterations: iters,
+        ..FuzzReport::default()
+    };
     for k in 0..iters {
-        report.divergences.extend(run_seed_join(base_seed.wrapping_add(k)));
+        report
+            .divergences
+            .extend(run_seed_join(base_seed.wrapping_add(k)));
     }
     report
 }
@@ -186,8 +217,8 @@ pub fn run_faults_seed(seed: u64) -> Vec<Divergence> {
     let regions = &scenario.regions;
     let mut out = Vec::new();
 
-    let mut caught = |name: &'static str, result: std::thread::Result<Option<checks::Failure>>| {
-        match result {
+    let mut caught =
+        |name: &'static str, result: std::thread::Result<Option<checks::Failure>>| match result {
             Ok(None) => {}
             Ok(Some(failure)) => out.push(Divergence {
                 seed,
@@ -201,17 +232,19 @@ pub fn run_faults_seed(seed: u64) -> Vec<Divergence> {
                 check: format!("panic-{name}"),
                 detail: panic_message(payload),
             }),
-        }
-    };
+        };
 
     // Panics are an expected part of these checks (injected ones are
     // caught by the engine); a panic escaping to *here* is itself a
     // divergence.
-    let result = catch_unwind(AssertUnwindSafe(|| faults::check_engine_faults(regions, seed)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        faults::check_engine_faults(regions, seed)
+    }));
     caught("engine-faults", result);
 
-    let result =
-        catch_unwind(AssertUnwindSafe(|| faults::check_persistence_faults(regions, seed)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        faults::check_persistence_faults(regions, seed)
+    }));
     caught("persistence-faults", result);
     out
 }
@@ -219,9 +252,14 @@ pub fn run_faults_seed(seed: u64) -> Vec<Divergence> {
 /// The `--faults` counterpart of [`run`]: `iters` seeded fault-injection
 /// iterations starting at `base_seed`.
 pub fn run_faults(base_seed: u64, iters: u64) -> FuzzReport {
-    let mut report = FuzzReport { iterations: iters, ..FuzzReport::default() };
+    let mut report = FuzzReport {
+        iterations: iters,
+        ..FuzzReport::default()
+    };
     for k in 0..iters {
-        report.divergences.extend(run_faults_seed(base_seed.wrapping_add(k)));
+        report
+            .divergences
+            .extend(run_faults_seed(base_seed.wrapping_add(k)));
     }
     report
 }
@@ -237,8 +275,8 @@ pub fn run_seed_edits(seed: u64) -> Vec<Divergence> {
     let family = "edit-scripts";
     let mut out = Vec::new();
 
-    let mut caught = |name: &'static str, result: std::thread::Result<Option<checks::Failure>>| {
-        match result {
+    let mut caught =
+        |name: &'static str, result: std::thread::Result<Option<checks::Failure>>| match result {
             Ok(None) => {}
             Ok(Some(failure)) => out.push(Divergence {
                 seed,
@@ -252,8 +290,7 @@ pub fn run_seed_edits(seed: u64) -> Vec<Divergence> {
                 check: format!("panic-{name}"),
                 detail: panic_message(payload),
             }),
-        }
-    };
+        };
 
     let result = catch_unwind(AssertUnwindSafe(|| edits::check_edit_script(seed)));
     caught("edit-script", result);
@@ -268,9 +305,14 @@ pub fn run_seed_edits(seed: u64) -> Vec<Divergence> {
 /// The `--family edits` counterpart of [`run`]: `iters` seeded
 /// edit-script iterations starting at `base_seed`.
 pub fn run_edits(base_seed: u64, iters: u64) -> FuzzReport {
-    let mut report = FuzzReport { iterations: iters, ..FuzzReport::default() };
+    let mut report = FuzzReport {
+        iterations: iters,
+        ..FuzzReport::default()
+    };
     for k in 0..iters {
-        report.divergences.extend(run_seed_edits(base_seed.wrapping_add(k)));
+        report
+            .divergences
+            .extend(run_seed_edits(base_seed.wrapping_add(k)));
     }
     report
 }
@@ -310,7 +352,11 @@ mod tests {
         assert!(
             divergences.is_empty(),
             "seed 57 regressed:\n{}",
-            divergences.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
+            divergences
+                .iter()
+                .map(|d| d.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
         );
     }
 
@@ -365,7 +411,10 @@ mod tests {
     fn pinned_seeds_exact_right_where_legacy_epsilon_diverges() {
         for seed in [1u64, 7, 42] {
             let (audit, failure) = checks::check_ulp_predicates(seed);
-            assert!(failure.is_none(), "seed {seed}: exact path wrong: {failure:?}");
+            assert!(
+                failure.is_none(),
+                "seed {seed}: exact path wrong: {failure:?}"
+            );
             assert!(audit.cases >= 50, "seed {seed}: only {} cases", audit.cases);
             assert!(
                 audit.legacy_mismatches > 0,

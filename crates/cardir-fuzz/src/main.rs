@@ -46,9 +46,7 @@ fn main() -> ExitCode {
     let mut family: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let value = |args: &mut dyn Iterator<Item = String>| {
-            args.next().unwrap_or_else(|| usage())
-        };
+        let value = |args: &mut dyn Iterator<Item = String>| args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--seed" => seed = value(&mut args).parse().unwrap_or_else(|_| usage()),
             "--iters" => iters = value(&mut args).parse().unwrap_or_else(|_| usage()),

@@ -70,7 +70,10 @@ pub fn area_between(line: Line, ab: Segment) -> f64 {
 /// paper states it for non-crossing lines, which is also the only situation
 /// `Compute-CDR%` needs.
 pub fn polygon_area_via_line(line: Line, p: &Polygon) -> f64 {
-    p.edges().map(|e| signed_area_to_line(line, e)).sum::<f64>().abs()
+    p.edges()
+        .map(|e| signed_area_to_line(line, e))
+        .sum::<f64>()
+        .abs()
 }
 
 /// The projections `L_A`/`L_B` (or `M_A`/`M_B`) of Definition 4: the feet

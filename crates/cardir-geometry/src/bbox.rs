@@ -34,10 +34,16 @@ impl fmt::Display for BoundingBoxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BoundingBoxError::NonFinite { min, max } => {
-                write!(f, "bounding box corners {min}, {max} contain a non-finite coordinate")
+                write!(
+                    f,
+                    "bounding box corners {min}, {max} contain a non-finite coordinate"
+                )
             }
             BoundingBoxError::Inverted { min, max } => {
-                write!(f, "bounding box corners {min}, {max} are inverted (min > max)")
+                write!(
+                    f,
+                    "bounding box corners {min}, {max} are inverted (min > max)"
+                )
             }
         }
     }
@@ -81,7 +87,10 @@ impl BoundingBox {
     pub fn from_points<I: IntoIterator<Item = Point>>(points: I) -> Option<Self> {
         let mut it = points.into_iter();
         let first = it.next()?;
-        let mut bb = BoundingBox { min: first, max: first };
+        let mut bb = BoundingBox {
+            min: first,
+            max: first,
+        };
         for p in it {
             bb.expand_point(p);
         }
@@ -196,7 +205,12 @@ impl BoundingBox {
     /// west (`x=m1`), east (`x=m2`), south (`y=l1`), north (`y=l2`).
     #[inline]
     pub fn lines(self) -> [Line; 4] {
-        [self.west_line(), self.east_line(), self.south_line(), self.north_line()]
+        [
+            self.west_line(),
+            self.east_line(),
+            self.south_line(),
+            self.north_line(),
+        ]
     }
 
     /// The four corners in clockwise order starting from the north-west.
@@ -212,7 +226,11 @@ impl BoundingBox {
 
 impl fmt::Display for BoundingBox {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {}] × [{}, {}]", self.min.x, self.max.x, self.min.y, self.max.y)
+        write!(
+            f,
+            "[{}, {}] × [{}, {}]",
+            self.min.x, self.max.x, self.min.y, self.max.y
+        )
     }
 }
 
@@ -256,7 +274,10 @@ mod tests {
 
     #[test]
     fn from_corners_normalises() {
-        assert_eq!(BoundingBox::from_corners(pt(3.0, 1.0), pt(0.0, 4.0)), bb(0.0, 1.0, 3.0, 4.0));
+        assert_eq!(
+            BoundingBox::from_corners(pt(3.0, 1.0), pt(0.0, 4.0)),
+            bb(0.0, 1.0, 3.0, 4.0)
+        );
     }
 
     #[test]

@@ -32,22 +32,34 @@ pub struct HalfPlane {
 impl HalfPlane {
     /// `x ≤ m`: everything west of (and on) the vertical line.
     pub fn west_of(m: f64) -> Self {
-        HalfPlane { line: Line::Vertical(m), keep_positive: false }
+        HalfPlane {
+            line: Line::Vertical(m),
+            keep_positive: false,
+        }
     }
 
     /// `x ≥ m`: everything east of (and on) the vertical line.
     pub fn east_of(m: f64) -> Self {
-        HalfPlane { line: Line::Vertical(m), keep_positive: true }
+        HalfPlane {
+            line: Line::Vertical(m),
+            keep_positive: true,
+        }
     }
 
     /// `y ≤ l`: everything south of (and on) the horizontal line.
     pub fn south_of(l: f64) -> Self {
-        HalfPlane { line: Line::Horizontal(l), keep_positive: false }
+        HalfPlane {
+            line: Line::Horizontal(l),
+            keep_positive: false,
+        }
     }
 
     /// `y ≥ l`: everything north of (and on) the horizontal line.
     pub fn north_of(l: f64) -> Self {
-        HalfPlane { line: Line::Horizontal(l), keep_positive: true }
+        HalfPlane {
+            line: Line::Horizontal(l),
+            keep_positive: true,
+        }
     }
 
     /// Returns `true` when `p` lies in the closed half-plane.

@@ -37,6 +37,9 @@ mod tests {
         let before = super::events();
         let n = p.edges().count();
         assert_eq!(n, 4);
-        assert!(super::events() > before, "Polygon::edges must record a flatten event");
+        assert!(
+            super::events() > before,
+            "Polygon::edges must record a flatten event"
+        );
     }
 }

@@ -72,7 +72,10 @@ impl Point {
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     #[inline]
     pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
+        Point::new(
+            self.x + (other.x - self.x) * t,
+            self.y + (other.y - self.y) * t,
+        )
     }
 }
 

@@ -21,7 +21,9 @@ impl fmt::Display for PolygonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PolygonError::TooFewVertices => write!(f, "polygon needs at least 3 distinct vertices"),
-            PolygonError::NonFiniteCoordinate => write!(f, "polygon vertex has a NaN or infinite coordinate"),
+            PolygonError::NonFiniteCoordinate => {
+                write!(f, "polygon vertex has a NaN or infinite coordinate")
+            }
             PolygonError::ZeroArea => write!(f, "polygon has zero area (collinear vertices)"),
         }
     }
@@ -265,13 +267,21 @@ impl Polygon {
     /// Returns the polygon translated by `(dx, dy)`.
     pub fn translated(&self, dx: f64, dy: f64) -> Polygon {
         Polygon {
-            vertices: self.vertices.iter().map(|p| Point::new(p.x + dx, p.y + dy)).collect(),
+            vertices: self
+                .vertices
+                .iter()
+                .map(|p| Point::new(p.x + dx, p.y + dy))
+                .collect(),
         }
     }
 
     /// Returns the polygon scaled by `factor` about `origin`.
     pub fn scaled(&self, factor: f64, origin: Point) -> Result<Polygon, PolygonError> {
-        Polygon::new(self.vertices.iter().map(|p| origin + (*p - origin) * factor))
+        Polygon::new(
+            self.vertices
+                .iter()
+                .map(|p| origin + (*p - origin) * factor),
+        )
     }
 }
 
@@ -321,8 +331,15 @@ mod tests {
 
     #[test]
     fn construction_drops_duplicates_and_closing_vertex() {
-        let p = Polygon::from_coords([(0.0, 0.0), (0.0, 1.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
-            .unwrap();
+        let p = Polygon::from_coords([
+            (0.0, 0.0),
+            (0.0, 1.0),
+            (0.0, 1.0),
+            (1.0, 1.0),
+            (1.0, 0.0),
+            (0.0, 0.0),
+        ])
+        .unwrap();
         assert_eq!(p.len(), 4);
     }
 
@@ -460,7 +477,11 @@ mod tests {
     fn centroid_of_far_translated_square_is_finite() {
         let t = 2f64.powi(40);
         let p = unit_square().translated(t, t);
-        assert_eq!(p.signed_area(), 0.0, "premise: shoelace cancels at this offset");
+        assert_eq!(
+            p.signed_area(),
+            0.0,
+            "premise: shoelace cancels at this offset"
+        );
         let c = p.centroid();
         assert!(c.is_finite(), "centroid must not be NaN, got {c}");
         assert!((c.x - (t + 0.5)).abs() <= 1.0, "{c}");
@@ -468,7 +489,12 @@ mod tests {
         // Sanity: ordinary polygons keep the area-weighted formula. An
         // L-shape's centroid differs from its vertex average.
         let l = Polygon::from_coords([
-            (0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 4.0), (0.0, 4.0),
+            (0.0, 0.0),
+            (4.0, 0.0),
+            (4.0, 1.0),
+            (1.0, 1.0),
+            (1.0, 4.0),
+            (0.0, 4.0),
         ])
         .unwrap();
         let c = l.centroid();

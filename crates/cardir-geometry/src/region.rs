@@ -63,7 +63,9 @@ impl Region {
     /// A region consisting of a single polygon (class `REG` when the
     /// polygon is simple).
     pub fn single(polygon: Polygon) -> Self {
-        Region { polygons: vec![polygon] }
+        Region {
+            polygons: vec![polygon],
+        }
     }
 
     /// Builds a single-polygon region straight from coordinates.
@@ -188,7 +190,10 @@ mod tests {
 
     #[test]
     fn construction() {
-        assert_eq!(Region::new(std::iter::empty()).unwrap_err(), RegionError::Empty);
+        assert_eq!(
+            Region::new(std::iter::empty()).unwrap_err(),
+            RegionError::Empty
+        );
         let r = Region::new([square(0.0, 0.0, 1.0), square(2.0, 0.0, 1.0)]).unwrap();
         assert_eq!(r.polygon_count(), 2);
         assert_eq!(r.edge_count(), 8);
@@ -197,7 +202,10 @@ mod tests {
     #[test]
     fn from_rings_propagates_polygon_errors() {
         let err = Region::from_rings([vec![(0.0, 0.0), (1.0, 1.0)]]).unwrap_err();
-        assert!(matches!(err, RegionError::Polygon(PolygonError::TooFewVertices)));
+        assert!(matches!(
+            err,
+            RegionError::Polygon(PolygonError::TooFewVertices)
+        ));
     }
 
     #[test]

@@ -121,7 +121,10 @@ struct Expansion {
 }
 
 impl Expansion {
-    const ZERO: Expansion = Expansion { comp: [0.0; 12], len: 0 };
+    const ZERO: Expansion = Expansion {
+        comp: [0.0; 12],
+        len: 0,
+    };
 
     /// Adds a single `f64` to the expansion (Shewchuk's
     /// `grow_expansion` with zero elimination).
@@ -435,12 +438,16 @@ mod tests {
         assert!(!on_segment(a, b, pt(6.0, 3.0))); // collinear, beyond b
         assert!(!on_segment(a, b, pt(-2.0, -1.0))); // collinear, before a
         assert!(!on_segment(a, b, pt(2.0, ulps(1.0, 1)))); // one ulp off
-        // Degenerate segment.
+                                                           // Degenerate segment.
         assert!(on_segment(a, a, a));
         assert!(!on_segment(a, a, b));
         // Vertical and horizontal segments.
         assert!(on_segment(pt(1.0, 0.0), pt(1.0, 5.0), pt(1.0, 3.0)));
-        assert!(!on_segment(pt(1.0, 0.0), pt(1.0, 5.0), pt(ulps(1.0, -1), 3.0)));
+        assert!(!on_segment(
+            pt(1.0, 0.0),
+            pt(1.0, 5.0),
+            pt(ulps(1.0, -1), 3.0)
+        ));
     }
 
     #[test]

@@ -264,7 +264,10 @@ mod tests {
         let s = Segment::new(s.a, pt(4.0, 4.0));
         let t = s.crossing_parameter(Line::Horizontal(1.0)).unwrap();
         assert!((t - 0.25).abs() < 1e-15);
-        assert_eq!(s.crossing_point(Line::Horizontal(1.0)).unwrap(), s.a.lerp(s.b, t).into_exact_y(1.0));
+        assert_eq!(
+            s.crossing_point(Line::Horizontal(1.0)).unwrap(),
+            s.a.lerp(s.b, t).into_exact_y(1.0)
+        );
     }
 
     trait IntoExactY {
@@ -307,7 +310,7 @@ mod tests {
         assert!(s.contains_point(pt(4.0, 2.0)));
         assert!(!s.contains_point(pt(2.0, 1.1)));
         assert!(!s.contains_point(pt(5.0, 2.5))); // collinear but beyond B
-        // Exact: one ulp off the carrier line is off the segment.
+                                                  // Exact: one ulp off the carrier line is off the segment.
         assert!(!s.contains_point(pt(2.0, 1.0f64.next_up())));
         assert!(!s.contains_point(pt(2.0, 1.0f64.next_down())));
     }
@@ -324,9 +327,21 @@ mod tests {
             // hair inside an endpoint, where rounding pressure on
             // oa / (oa - ob) is worst.
             for (a, b, line) in [
-                (pt(-3.0 * s, s), pt(s * 1e-9, s + s * 1e-9), Line::Vertical(0.0)),
-                (pt(-(s * 1e-9), s), pt(3.0 * s, 2.0 * s), Line::Vertical(0.0)),
-                (pt(s, -(s * 1e-9)), pt(2.0 * s, 3.0 * s), Line::Horizontal(0.0)),
+                (
+                    pt(-3.0 * s, s),
+                    pt(s * 1e-9, s + s * 1e-9),
+                    Line::Vertical(0.0),
+                ),
+                (
+                    pt(-(s * 1e-9), s),
+                    pt(3.0 * s, 2.0 * s),
+                    Line::Vertical(0.0),
+                ),
+                (
+                    pt(s, -(s * 1e-9)),
+                    pt(2.0 * s, 3.0 * s),
+                    Line::Horizontal(0.0),
+                ),
             ] {
                 let edge = Segment::new(a, b);
                 let t = edge.crossing_parameter(line).expect("genuine crossing");

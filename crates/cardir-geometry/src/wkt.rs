@@ -36,7 +36,10 @@ impl fmt::Display for WktError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WktError::UnsupportedGeometry(tag) => {
-                write!(f, "unsupported WKT geometry {tag:?} (expected POLYGON or MULTIPOLYGON)")
+                write!(
+                    f,
+                    "unsupported WKT geometry {tag:?} (expected POLYGON or MULTIPOLYGON)"
+                )
             }
             WktError::InteriorRingsUnsupported => write!(
                 f,
@@ -139,7 +142,10 @@ fn take_group(s: &str) -> Result<(&str, &str), WktError> {
 fn parse_ring_group(s: &str) -> Result<Vec<Vec<Point>>, WktError> {
     let (inside, rest) = take_group(s.trim())?;
     if !rest.trim().is_empty() {
-        return Err(WktError::Syntax(format!("trailing input {:.20?}", rest.trim())));
+        return Err(WktError::Syntax(format!(
+            "trailing input {:.20?}",
+            rest.trim()
+        )));
     }
     let mut rings = Vec::new();
     let mut cursor = inside.trim();
@@ -155,7 +161,10 @@ fn parse_ring_group(s: &str) -> Result<Vec<Vec<Point>>, WktError> {
 fn parse_group_list(s: &str) -> Result<Vec<Vec<Vec<Point>>>, WktError> {
     let (inside, rest) = take_group(s.trim())?;
     if !rest.trim().is_empty() {
-        return Err(WktError::Syntax(format!("trailing input {:.20?}", rest.trim())));
+        return Err(WktError::Syntax(format!(
+            "trailing input {:.20?}",
+            rest.trim()
+        )));
     }
     let mut groups = Vec::new();
     let mut cursor = inside.trim();
@@ -190,10 +199,14 @@ fn parse_coordinates(s: &str) -> Result<Vec<Point>, WktError> {
             .parse()
             .map_err(|_| WktError::Syntax(format!("bad coordinate in {pair:?}")))?;
         if nums.next().is_some() {
-            return Err(WktError::Syntax(format!("more than two coordinates in {pair:?}")));
+            return Err(WktError::Syntax(format!(
+                "more than two coordinates in {pair:?}"
+            )));
         }
         if !x.is_finite() || !y.is_finite() {
-            return Err(WktError::InvalidGeometry(format!("non-finite coordinate in {pair:?}")));
+            return Err(WktError::InvalidGeometry(format!(
+                "non-finite coordinate in {pair:?}"
+            )));
         }
         points.push(Point::new(x, y));
     }
@@ -238,20 +251,38 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_and_malformed() {
-        assert!(matches!(from_wkt("POINT (1 2)"), Err(WktError::UnsupportedGeometry(_))));
+        assert!(matches!(
+            from_wkt("POINT (1 2)"),
+            Err(WktError::UnsupportedGeometry(_))
+        ));
         assert!(matches!(
             from_wkt("POLYGON ((0 0, 9 0, 9 9, 0 9), (3 3, 6 3, 6 6, 3 6))"),
             Err(WktError::InteriorRingsUnsupported)
         ));
-        assert!(matches!(from_wkt("POLYGON ((0 0, 1 1"), Err(WktError::Syntax(_))));
-        assert!(matches!(from_wkt("POLYGON ((0 zero, 1 1, 2 0))"), Err(WktError::Syntax(_))));
-        assert!(matches!(from_wkt("POLYGON ((0 0 0, 1 1 1, 2 0 0))"), Err(WktError::Syntax(_))));
-        assert!(matches!(from_wkt("((0 0, 1 1, 2 0))"), Err(WktError::Syntax(_))));
+        assert!(matches!(
+            from_wkt("POLYGON ((0 0, 1 1"),
+            Err(WktError::Syntax(_))
+        ));
+        assert!(matches!(
+            from_wkt("POLYGON ((0 zero, 1 1, 2 0))"),
+            Err(WktError::Syntax(_))
+        ));
+        assert!(matches!(
+            from_wkt("POLYGON ((0 0 0, 1 1 1, 2 0 0))"),
+            Err(WktError::Syntax(_))
+        ));
+        assert!(matches!(
+            from_wkt("((0 0, 1 1, 2 0))"),
+            Err(WktError::Syntax(_))
+        ));
         assert!(matches!(
             from_wkt("POLYGON ((0 0, 1 1, 2 2))"),
             Err(WktError::InvalidGeometry(_))
         ));
-        assert!(matches!(from_wkt("POLYGON (()) trailing"), Err(WktError::Syntax(_))));
+        assert!(matches!(
+            from_wkt("POLYGON (()) trailing"),
+            Err(WktError::Syntax(_))
+        ));
     }
 
     #[test]

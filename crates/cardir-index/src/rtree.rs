@@ -33,7 +33,10 @@ impl<T> Default for RTree<T> {
 impl<T> RTree<T> {
     /// Creates an empty tree.
     pub fn new() -> Self {
-        RTree { root: Node::Leaf(Vec::new()), len: 0 }
+        RTree {
+            root: Node::Leaf(Vec::new()),
+            len: 0,
+        }
     }
 
     /// Number of stored entries.
@@ -167,9 +170,7 @@ fn choose_subtree<T>(children: &[(BoundingBox, Node<T>)], bbox: BoundingBox) -> 
     for (i, (b, _)) in children.iter().enumerate() {
         let area = b.area();
         let enlargement = b.union(bbox).area() - area;
-        if enlargement < best_enlargement
-            || (enlargement == best_enlargement && area < best_area)
-        {
+        if enlargement < best_enlargement || (enlargement == best_enlargement && area < best_area) {
             best = i;
             best_enlargement = enlargement;
             best_area = area;
@@ -300,8 +301,11 @@ mod tests {
         let all: Vec<(BoundingBox, usize)> = t.iter().map(|(b, v)| (*b, *v)).collect();
         assert_eq!(all.len(), 300);
         for q in queries {
-            let mut expected: Vec<usize> =
-                all.iter().filter(|(b, _)| b.intersects(q)).map(|(_, v)| *v).collect();
+            let mut expected: Vec<usize> = all
+                .iter()
+                .filter(|(b, _)| b.intersects(q))
+                .map(|(_, v)| *v)
+                .collect();
             let mut got: Vec<usize> = t.search(q).into_iter().copied().collect();
             expected.sort_unstable();
             got.sort_unstable();
@@ -362,8 +366,11 @@ mod tests {
             let w = rng.random_range(0.0..60.0);
             let h = rng.random_range(0.0..60.0);
             let q = bb(x, y, x + w, y + h);
-            let mut expected: Vec<usize> =
-                reference.iter().filter(|(b, _)| b.intersects(q)).map(|(_, v)| *v).collect();
+            let mut expected: Vec<usize> = reference
+                .iter()
+                .filter(|(b, _)| b.intersects(q))
+                .map(|(_, v)| *v)
+                .collect();
             let mut got: Vec<usize> = t.search(q).into_iter().copied().collect();
             expected.sort_unstable();
             got.sort_unstable();

@@ -54,7 +54,9 @@ pub fn sweep_stabs<F: FnMut(usize, usize)>(intervals: &[Interval], points: &[f64
         return;
     }
     debug_assert!(
-        intervals.iter().all(|iv| !iv.lo.is_nan() && !iv.hi.is_nan())
+        intervals
+            .iter()
+            .all(|iv| !iv.lo.is_nan() && !iv.hi.is_nan())
             && points.iter().all(|p| !p.is_nan()),
         "sweep_stabs does not support NaN coordinates"
     );
@@ -67,9 +69,17 @@ pub fn sweep_stabs<F: FnMut(usize, usize)>(intervals: &[Interval], points: &[f64
         .filter(|&i| intervals[i as usize].lo <= intervals[i as usize].hi)
         .collect();
     let mut by_lo = live.clone();
-    by_lo.sort_unstable_by(|&a, &b| intervals[a as usize].lo.total_cmp(&intervals[b as usize].lo));
+    by_lo.sort_unstable_by(|&a, &b| {
+        intervals[a as usize]
+            .lo
+            .total_cmp(&intervals[b as usize].lo)
+    });
     let mut by_hi = live;
-    by_hi.sort_unstable_by(|&a, &b| intervals[a as usize].hi.total_cmp(&intervals[b as usize].hi));
+    by_hi.sort_unstable_by(|&a, &b| {
+        intervals[a as usize]
+            .hi
+            .total_cmp(&intervals[b as usize].hi)
+    });
     let mut pt_order: Vec<u32> = (0..points.len() as u32).collect();
     pt_order.sort_unstable_by(|&a, &b| points[a as usize].total_cmp(&points[b as usize]));
 
@@ -130,7 +140,10 @@ mod tests {
         for (i, iv) in intervals.iter().enumerate() {
             for (p, &v) in points.iter().enumerate() {
                 if iv.contains(v) {
-                    assert!(seen.contains(&(i, p)), "missed containment ({i}, {p}): {iv:?} ∋ {v}");
+                    assert!(
+                        seen.contains(&(i, p)),
+                        "missed containment ({i}, {p}): {iv:?} ∋ {v}"
+                    );
                 }
             }
         }
@@ -140,7 +153,10 @@ mod tests {
     struct Lcg(u64);
     impl Lcg {
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             self.0 >> 33
         }
         fn coord(&mut self) -> f64 {
@@ -179,7 +195,11 @@ mod tests {
         let mut hits = Vec::new();
         sweep_stabs(&intervals, &points, &mut |i, p| hits.push((i, p)));
         hits.sort_unstable();
-        assert_eq!(hits, vec![(0, 1), (0, 2)], "both duplicate points at 3.0, nothing else");
+        assert_eq!(
+            hits,
+            vec![(0, 1), (0, 2)],
+            "both duplicate points at 3.0, nothing else"
+        );
     }
 
     #[test]
@@ -189,7 +209,11 @@ mod tests {
         let mut hits = Vec::new();
         sweep_stabs(&intervals, &points, &mut |_, p| hits.push(p));
         hits.sort_unstable();
-        assert_eq!(hits, vec![1, 2, 3], "lo and hi endpoints are contained, outside points not");
+        assert_eq!(
+            hits,
+            vec![1, 2, 3],
+            "lo and hi endpoints are contained, outside points not"
+        );
     }
 
     #[test]
@@ -231,6 +255,9 @@ mod tests {
         // total_cmp orders -0.0 < 0.0, but closed containment uses <=,
         // which treats them as equal; the sweep must agree with the
         // oracle on the mixed-zero case.
-        assert_matches_oracle(&[Interval::new(-0.0, 0.0), Interval::new(0.0, 0.0)], &[-0.0, 0.0]);
+        assert_matches_oracle(
+            &[Interval::new(-0.0, 0.0), Interval::new(0.0, 0.0)],
+            &[-0.0, 0.0],
+        );
     }
 }

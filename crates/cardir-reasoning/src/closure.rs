@@ -253,7 +253,10 @@ mod tests {
     #[test]
     fn build_errors() {
         let mut n = net(&["a"]);
-        assert!(matches!(n.add_variable("a"), Err(ClosureError::DuplicateVariable(_))));
+        assert!(matches!(
+            n.add_variable("a"),
+            Err(ClosureError::DuplicateVariable(_))
+        ));
         assert!(matches!(
             n.constrain("a", single("N"), "z"),
             Err(ClosureError::UnknownVariable(_))
@@ -263,8 +266,18 @@ mod tests {
     #[test]
     fn constrain_intersects() {
         let mut n = net(&["a", "b"]);
-        n.constrain("a", DisjunctiveRelation::from_relations([rel("N"), rel("W")]), "b").unwrap();
-        n.constrain("a", DisjunctiveRelation::from_relations([rel("W"), rel("S")]), "b").unwrap();
+        n.constrain(
+            "a",
+            DisjunctiveRelation::from_relations([rel("N"), rel("W")]),
+            "b",
+        )
+        .unwrap();
+        n.constrain(
+            "a",
+            DisjunctiveRelation::from_relations([rel("W"), rel("S")]),
+            "b",
+        )
+        .unwrap();
         let d = n.constraint("a", "b").unwrap();
         assert_eq!(d.len(), 1);
         assert!(d.contains(rel("W")));
@@ -308,7 +321,12 @@ mod tests {
         // a is N or S of b; b N c; and a is known north-ish of c in a way
         // only consistent with a N b.
         let mut n = net(&["a", "b", "c"]);
-        n.constrain("a", DisjunctiveRelation::from_relations([rel("N"), rel("S")]), "b").unwrap();
+        n.constrain(
+            "a",
+            DisjunctiveRelation::from_relations([rel("N"), rel("S")]),
+            "b",
+        )
+        .unwrap();
         n.constrain("b", single("N"), "c").unwrap();
         n.constrain("c", single("S"), "a").unwrap(); // a strictly north of c
         assert_eq!(n.close(), ClosureOutcome::Closed);
@@ -322,19 +340,32 @@ mod tests {
     #[test]
     fn closure_is_idempotent() {
         let mut n = net(&["a", "b", "c"]);
-        n.constrain("a", DisjunctiveRelation::from_relations([rel("NW"), rel("W")]), "b").unwrap();
+        n.constrain(
+            "a",
+            DisjunctiveRelation::from_relations([rel("NW"), rel("W")]),
+            "b",
+        )
+        .unwrap();
         n.constrain("b", single("SW"), "c").unwrap();
         assert_eq!(n.close(), ClosureOutcome::Closed);
         let snapshot: Vec<_> = ["a", "b", "c"]
             .iter()
-            .flat_map(|x| ["a", "b", "c"].iter().map(move |y| (x.to_string(), y.to_string())))
+            .flat_map(|x| {
+                ["a", "b", "c"]
+                    .iter()
+                    .map(move |y| (x.to_string(), y.to_string()))
+            })
             .filter(|(x, y)| x != y)
             .map(|(x, y)| n.constraint(&x, &y).unwrap())
             .collect();
         assert_eq!(n.close(), ClosureOutcome::Closed);
         let again: Vec<_> = ["a", "b", "c"]
             .iter()
-            .flat_map(|x| ["a", "b", "c"].iter().map(move |y| (x.to_string(), y.to_string())))
+            .flat_map(|x| {
+                ["a", "b", "c"]
+                    .iter()
+                    .map(move |y| (x.to_string(), y.to_string()))
+            })
             .filter(|(x, y)| x != y)
             .map(|(x, y)| n.constraint(&x, &y).unwrap())
             .collect();
@@ -357,8 +388,12 @@ mod tests {
         for (i, x) in names.iter().enumerate() {
             for (j, y) in names.iter().enumerate() {
                 if i != j {
-                    n.constrain(x, DisjunctiveRelation::singleton(compute_cdr(&rects[i], &rects[j])), y)
-                        .unwrap();
+                    n.constrain(
+                        x,
+                        DisjunctiveRelation::singleton(compute_cdr(&rects[i], &rects[j])),
+                        y,
+                    )
+                    .unwrap();
                 }
             }
         }
@@ -378,6 +413,9 @@ mod tests {
     fn universal_composition_short_circuits() {
         let u = DisjunctiveRelation::universal();
         let d = single("N");
-        assert_eq!(compose_upper_disjunctive(&u, &d).len(), CardinalRelation::COUNT);
+        assert_eq!(
+            compose_upper_disjunctive(&u, &d).len(),
+            CardinalRelation::COUNT
+        );
     }
 }

@@ -59,9 +59,12 @@ pub fn weak_compose(r1: CardinalRelation, r2: CardinalRelation) -> CompositionBo
         net.add_variable("a").expect("fresh network");
         net.add_variable("b").expect("fresh network");
         net.add_variable("c").expect("fresh network");
-        net.add_constraint("a", r1, "b").expect("declared variables");
-        net.add_constraint("b", r2, "c").expect("declared variables");
-        net.add_constraint("a", r3, "c").expect("declared variables");
+        net.add_constraint("a", r1, "b")
+            .expect("declared variables");
+        net.add_constraint("b", r2, "c")
+            .expect("declared variables");
+        net.add_constraint("a", r3, "c")
+            .expect("declared variables");
         match net.solve() {
             Outcome::Consistent(_) => {
                 lower.insert(r3);

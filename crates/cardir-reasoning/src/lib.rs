@@ -29,7 +29,9 @@ pub mod ordertype;
 pub mod pairs;
 pub mod witness;
 
-pub use closure::{compose_upper_disjunctive, inverse_disjunctive, ClosureOutcome, DisjunctiveNetwork};
+pub use closure::{
+    compose_upper_disjunctive, inverse_disjunctive, ClosureOutcome, DisjunctiveNetwork,
+};
 pub use compose::{weak_compose, CompositionBounds};
 pub use disjunctive::DisjunctiveRelation;
 pub use inverse::inverse;

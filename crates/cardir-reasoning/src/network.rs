@@ -69,7 +69,10 @@ pub struct Solution {
 impl Solution {
     /// The region assigned to `variable`, if it exists.
     pub fn region(&self, variable: &str) -> Option<&Region> {
-        self.regions.iter().find(|(n, _)| n == variable).map(|(_, r)| r)
+        self.regions
+            .iter()
+            .find(|(n, _)| n == variable)
+            .map(|(_, r)| r)
     }
 
     /// All assignments in declaration order.
@@ -160,7 +163,9 @@ impl Network {
     /// Decides consistency (see the module docs for the exact guarantee).
     pub fn solve(&self) -> Outcome {
         if self.names.is_empty() {
-            return Outcome::Consistent(Box::new(Solution { regions: Vec::new() }));
+            return Outcome::Consistent(Box::new(Solution {
+                regions: Vec::new(),
+            }));
         }
         let n = self.names.len();
         let edges = self.endpoint_edges();
@@ -173,8 +178,7 @@ impl Network {
         // The midpoint schedule: the sum of two feasible schedules
         // satisfies every difference constraint with doubled slack, and
         // separates endpoints that are tied in only one of the extremes.
-        let midpoint: Vec<i64> =
-            earliest.iter().zip(&latest).map(|(e, l)| e + l).collect();
+        let midpoint: Vec<i64> = earliest.iter().zip(&latest).map(|(e, l)| e + l).collect();
 
         let mut candidates = vec![earliest, latest, midpoint];
         // Randomized restarts: seeding the longest-path relaxation with
@@ -186,7 +190,9 @@ impl Network {
         for _ in 0..8 {
             let init: Vec<i64> = (0..4 * n)
                 .map(|_| {
-                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    lcg = lcg
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     ((lcg >> 33) % (4 * n as u64 + 1)) as i64
                 })
                 .collect();
@@ -198,12 +204,7 @@ impl Network {
         for values in candidates {
             if let Some(regions) = realize(&values, n, &self.constraints) {
                 let solution = Solution {
-                    regions: self
-                        .names
-                        .iter()
-                        .cloned()
-                        .zip(regions)
-                        .collect(),
+                    regions: self.names.iter().cloned().zip(regions).collect(),
                 };
                 debug_assert!(self.verify(&solution));
                 return Outcome::Consistent(Box::new(solution));
@@ -412,7 +413,10 @@ mod tests {
     fn build_errors() {
         let mut n = Network::new();
         n.add_variable("a").unwrap();
-        assert_eq!(n.add_variable("a").unwrap_err(), NetworkError::DuplicateVariable("a".into()));
+        assert_eq!(
+            n.add_variable("a").unwrap_err(),
+            NetworkError::DuplicateVariable("a".into())
+        );
         assert_eq!(
             n.add_constraint("a", rel("S"), "z").unwrap_err(),
             NetworkError::UnknownVariable("z".into())
@@ -421,7 +425,14 @@ mod tests {
 
     #[test]
     fn single_constraint_networks_are_consistent() {
-        for r in ["S", "NE:E", "B", "B:S:SW:W", "NW:NE", "B:S:SW:W:NW:N:NE:E:SE"] {
+        for r in [
+            "S",
+            "NE:E",
+            "B",
+            "B:S:SW:W",
+            "NW:NE",
+            "B:S:SW:W:NW:N:NE:E:SE",
+        ] {
             let n = net(&["a", "b"], &[("a", r, "b")]);
             let outcome = n.solve();
             assert!(outcome.is_consistent(), "{r}: {outcome:?}");
@@ -474,7 +485,9 @@ mod tests {
             for r2 in CardinalRelation::all() {
                 let n = Network {
                     names: vec!["a".into(), "b".into()],
-                    index: [("a".to_string(), 0), ("b".to_string(), 1)].into_iter().collect(),
+                    index: [("a".to_string(), 0), ("b".to_string(), 1)]
+                        .into_iter()
+                        .collect(),
                     constraints: vec![(0, r1, 1), (1, r2, 0)],
                 };
                 let outcome = n.solve();
@@ -512,7 +525,11 @@ mod tests {
         // north of both.
         let n = net(
             &["a", "b", "c"],
-            &[("a", "S:SW:W:NW:N:NE:E:SE", "b"), ("c", "N", "b"), ("c", "N", "a")],
+            &[
+                ("a", "S:SW:W:NW:N:NE:E:SE", "b"),
+                ("c", "N", "b"),
+                ("c", "N", "a"),
+            ],
         );
         let outcome = n.solve();
         assert!(outcome.is_consistent(), "{outcome:?}");
@@ -525,7 +542,11 @@ mod tests {
         // strictly contains b's (it surrounds b).
         let n = net(
             &["a", "b", "c"],
-            &[("a", "S:SW:W:NW:N:NE:E:SE", "b"), ("c", "N", "b"), ("c", "N:NW:NE", "a")],
+            &[
+                ("a", "S:SW:W:NW:N:NE:E:SE", "b"),
+                ("c", "N", "b"),
+                ("c", "N:NW:NE", "a"),
+            ],
         );
         assert!(n.solve().is_inconsistent());
     }

@@ -68,7 +68,11 @@ fn cells_of(lo: i8, hi: i8, other_lo: i8, other_hi: i8) -> Vec<AxisCell> {
             } else {
                 Band::Middle
             };
-            AxisCell { band, touches_low: s == lo, touches_high: e == hi }
+            AxisCell {
+                band,
+                touches_low: s == lo,
+                touches_high: e == hi,
+            }
         })
         .collect()
 }
@@ -109,7 +113,11 @@ mod tests {
         let cells = cells_of(0, 1, 2, 3);
         assert_eq!(
             cells,
-            vec![AxisCell { band: Band::Lower, touches_low: true, touches_high: true }]
+            vec![AxisCell {
+                band: Band::Lower,
+                touches_low: true,
+                touches_high: true
+            }]
         );
     }
 

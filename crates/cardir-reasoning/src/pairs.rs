@@ -68,7 +68,10 @@ fn cells_2d(xs: &[AxisCell], ys: &[AxisCell]) -> Vec<Cell2> {
             if y.touches_high {
                 sides |= 8;
             }
-            out.push(Cell2 { tile_bit: tile.bit(), sides });
+            out.push(Cell2 {
+                tile_bit: tile.bit(),
+                sides,
+            });
         }
     }
     out
@@ -156,7 +159,10 @@ mod tests {
         }
         // And options pointing the wrong way must not be.
         for r2 in ["S", "B", "W", "E", "S:SW", "B:N"] {
-            assert!(!t.realizable(rel("S"), rel(r2)), "S vs {r2} should be impossible");
+            assert!(
+                !t.realizable(rel("S"), rel(r2)),
+                "S vs {r2} should be impossible"
+            );
         }
     }
 
@@ -170,7 +176,11 @@ mod tests {
     #[test]
     fn inverse_of_south_is_exactly_the_north_family() {
         let t = realizable_pairs();
-        let inv: Vec<String> = t.compatible(rel("S")).iter().map(|r| r.to_string()).collect();
+        let inv: Vec<String> = t
+            .compatible(rel("S"))
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
         // Every compatible relation uses only NW/N/NE tiles.
         for r in t.compatible(rel("S")).iter() {
             for tile in r.tiles() {

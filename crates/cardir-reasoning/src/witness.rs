@@ -86,7 +86,11 @@ pub fn realize(
                     tiles.push(t);
                 }
                 if ok {
-                    allowed.push(CellInfo { x: cell_x, y: cell_y, tiles });
+                    allowed.push(CellInfo {
+                        x: cell_x,
+                        y: cell_y,
+                        tiles,
+                    });
                 }
             }
         }
@@ -171,7 +175,10 @@ mod tests {
         let values = [0, 1, 0, 1, 0, 1, 2, 3];
         let constraint = [(0usize, "S".parse::<CardinalRelation>().unwrap(), 1usize)];
         let regions = realize(&values, 2, &constraint).unwrap();
-        assert_eq!(cardir_core::compute_cdr(&regions[0], &regions[1]), "S".parse().unwrap());
+        assert_eq!(
+            cardir_core::compute_cdr(&regions[0], &regions[1]),
+            "S".parse().unwrap()
+        );
     }
 
     #[test]

@@ -108,8 +108,7 @@ mod tests {
 
     #[test]
     fn rectangle_merges_into_one_polygon() {
-        let cells: Vec<(usize, usize)> =
-            (0..3).flat_map(|r| (1..4).map(move |c| (c, r))).collect();
+        let cells: Vec<(usize, usize)> = (0..3).flat_map(|r| (1..4).map(move |c| (c, r))).collect();
         let region = region_from_cells(&cells).unwrap();
         assert_eq!(region.polygon_count(), 1);
         assert_eq!(region.area(), 9.0);
@@ -158,7 +157,10 @@ mod tests {
         let island = r.extract_region(2).unwrap();
         assert_eq!(compute_cdr(&island, &ring).to_string(), "B");
         // …and the ring occupies all eight peripheral tiles of the island.
-        assert_eq!(compute_cdr(&ring, &island).to_string(), "S:SW:W:NW:N:NE:E:SE");
+        assert_eq!(
+            compute_cdr(&ring, &island).to_string(),
+            "S:SW:W:NW:N:NE:E:SE"
+        );
     }
 
     #[test]

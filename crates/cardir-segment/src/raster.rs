@@ -57,9 +57,16 @@ impl Raster {
             return Err(RasterError::EmptyDimensions);
         }
         if labels.len() != width * height {
-            return Err(RasterError::SizeMismatch { expected: width * height, found: labels.len() });
+            return Err(RasterError::SizeMismatch {
+                expected: width * height,
+                found: labels.len(),
+            });
         }
-        Ok(Raster { width, height, labels })
+        Ok(Raster {
+            width,
+            height,
+            labels,
+        })
     }
 
     /// Builds a raster by evaluating `f(col, row)` per cell.
@@ -77,7 +84,11 @@ impl Raster {
                 labels.push(f(col, row));
             }
         }
-        Ok(Raster { width, height, labels })
+        Ok(Raster {
+            width,
+            height,
+            labels,
+        })
     }
 
     /// Builds a raster from ASCII art: `.` (or space) is background,
@@ -107,7 +118,11 @@ impl Raster {
                 };
             }
         }
-        Ok(Raster { width, height, labels })
+        Ok(Raster {
+            width,
+            height,
+            labels,
+        })
     }
 
     /// Raster width in cells.
@@ -179,13 +194,25 @@ mod tests {
 
     #[test]
     fn construction_errors() {
-        assert_eq!(Raster::new(0, 3, vec![]).unwrap_err(), RasterError::EmptyDimensions);
+        assert_eq!(
+            Raster::new(0, 3, vec![]).unwrap_err(),
+            RasterError::EmptyDimensions
+        );
         assert_eq!(
             Raster::new(2, 2, vec![0; 3]).unwrap_err(),
-            RasterError::SizeMismatch { expected: 4, found: 3 }
+            RasterError::SizeMismatch {
+                expected: 4,
+                found: 3
+            }
         );
-        assert_eq!(Raster::from_text("11\n1").unwrap_err(), RasterError::RaggedRows);
-        assert_eq!(Raster::from_text("  \n  ").unwrap_err(), RasterError::EmptyDimensions);
+        assert_eq!(
+            Raster::from_text("11\n1").unwrap_err(),
+            RasterError::RaggedRows
+        );
+        assert_eq!(
+            Raster::from_text("  \n  ").unwrap_err(),
+            RasterError::EmptyDimensions
+        );
     }
 
     #[test]

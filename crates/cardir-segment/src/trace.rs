@@ -78,7 +78,9 @@ pub fn trace_boundaries(cells: &[(usize, usize)]) -> Vec<BoundaryLoop> {
         let mut current = start;
         let mut incoming_dir: Option<(i64, i64)> = None;
         loop {
-            let nexts = outgoing.get_mut(&current).expect("boundary edges form loops");
+            let nexts = outgoing
+                .get_mut(&current)
+                .expect("boundary edges form loops");
             // At saddle vertices prefer the rightmost turn relative to the
             // incoming direction, keeping distinct loops from merging.
             let pick = if nexts.len() == 1 {
@@ -147,8 +149,7 @@ fn finish_loop(vertices: Vec<(i64, i64)>) -> BoundaryLoop {
         let prev = vertices[(i + n - 1) % n];
         let cur = vertices[i];
         let next = vertices[(i + 1) % n];
-        let straight =
-            (prev.0 == cur.0 && cur.0 == next.0) || (prev.1 == cur.1 && cur.1 == next.1);
+        let straight = (prev.0 == cur.0 && cur.0 == next.0) || (prev.1 == cur.1 && cur.1 == next.1);
         if !straight {
             cleaned.push(Point::new(cur.0 as f64, cur.1 as f64));
         }
@@ -161,7 +162,10 @@ fn finish_loop(vertices: Vec<(i64, i64)>) -> BoundaryLoop {
         let q = cleaned[(i + 1) % cleaned.len()];
         shoelace += p.x * q.y - p.y * q.x;
     }
-    BoundaryLoop { vertices: cleaned, is_hole: shoelace > 0.0 }
+    BoundaryLoop {
+        vertices: cleaned,
+        is_hole: shoelace > 0.0,
+    }
 }
 
 impl Raster {
@@ -188,8 +192,7 @@ impl Raster {
                 polygons.extend(rect_region.polygons().iter().cloned());
             } else {
                 for l in loops {
-                    polygons
-                        .push(Polygon::new(l.vertices).expect("traced loops are simple rings"));
+                    polygons.push(Polygon::new(l.vertices).expect("traced loops are simple rings"));
                 }
             }
         }
@@ -212,8 +215,7 @@ mod tests {
 
     #[test]
     fn rectangle_traces_to_four_vertices() {
-        let cells: Vec<(usize, usize)> =
-            (0..3).flat_map(|r| (0..5).map(move |c| (c, r))).collect();
+        let cells: Vec<(usize, usize)> = (0..3).flat_map(|r| (0..5).map(move |c| (c, r))).collect();
         let loops = trace_boundaries(&cells);
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].vertices.len(), 4);
@@ -255,8 +257,8 @@ mod tests {
         assert_eq!(traced.area(), rects.area());
         assert_eq!(traced.mbb(), rects.mbb());
         // Same relations against a probe region.
-        let probe = Region::from_coords([(10.0, -5.0), (12.0, -5.0), (12.0, -3.0), (10.0, -3.0)])
-            .unwrap();
+        let probe =
+            Region::from_coords([(10.0, -5.0), (12.0, -5.0), (12.0, -3.0), (10.0, -3.0)]).unwrap();
         assert_eq!(compute_cdr(&traced, &probe), compute_cdr(&rects, &probe));
         assert_eq!(compute_cdr(&probe, &traced), compute_cdr(&probe, &rects));
     }

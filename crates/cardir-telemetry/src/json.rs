@@ -174,7 +174,10 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON document; trailing whitespace is allowed,
 /// trailing content is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -191,7 +194,10 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn err(&self, message: &str) -> JsonError {
-        JsonError { offset: self.pos, message: message.to_string() }
+        JsonError {
+            offset: self.pos,
+            message: message.to_string(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -373,9 +379,10 @@ impl Parser<'_> {
                 return Ok(Json::I64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| JsonError { offset: start, message: "invalid number".to_string() })
+        text.parse::<f64>().map(Json::F64).map_err(|_| JsonError {
+            offset: start,
+            message: "invalid number".to_string(),
+        })
     }
 }
 
@@ -443,7 +450,10 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
-        assert!(parse("{\"a\":1} junk").unwrap_err().message.contains("trailing"));
+        assert!(parse("{\"a\":1} junk")
+            .unwrap_err()
+            .message
+            .contains("trailing"));
         let err = parse("nope").unwrap_err();
         assert_eq!(err.offset, 0);
     }
@@ -451,7 +461,10 @@ mod tests {
     #[test]
     fn whitespace_tolerated_everywhere() {
         let v = parse(" { \"a\" : [ 1 , 2.5 , null ] , \"b\" : true } \n").unwrap();
-        assert_eq!(v.get("a").unwrap(), &Json::Arr(vec![Json::U64(1), Json::F64(2.5), Json::Null]));
+        assert_eq!(
+            v.get("a").unwrap(),
+            &Json::Arr(vec![Json::U64(1), Json::F64(2.5), Json::Null])
+        );
         assert_eq!(v.get("b"), Some(&Json::Bool(true)));
     }
 

@@ -18,7 +18,9 @@ pub struct Counter {
 
 impl Counter {
     pub(crate) fn new() -> Self {
-        Counter { cell: Arc::new(AtomicU64::new(0)) }
+        Counter {
+            cell: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Adds one.
@@ -123,7 +125,10 @@ struct HistogramInner {
 
 impl Histogram {
     pub(crate) fn new(bounds: &[u64]) -> Self {
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must be strictly increasing");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "bounds must be strictly increasing"
+        );
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram {
             inner: Arc::new(HistogramInner {
@@ -139,7 +144,11 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         let inner = &*self.inner;
-        let idx = inner.bounds.iter().position(|&b| v <= b).unwrap_or(inner.bounds.len());
+        let idx = inner
+            .bounds
+            .iter()
+            .position(|&b| v <= b)
+            .unwrap_or(inner.bounds.len());
         inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
         inner.count.fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(v, Ordering::Relaxed);
@@ -155,7 +164,11 @@ impl Histogram {
         let inner = &*self.inner;
         HistogramSnapshot {
             bounds: inner.bounds.clone(),
-            buckets: inner.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets: inner
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
             count: inner.count.load(Ordering::Relaxed),
             sum: inner.sum.load(Ordering::Relaxed),
         }

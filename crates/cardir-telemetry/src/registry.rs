@@ -34,7 +34,11 @@ impl Registry {
     /// use. The handle stays valid for the registry's lifetime.
     pub fn counter(&self, name: &str) -> Counter {
         let mut inner = self.inner.lock().expect("registry poisoned");
-        inner.counters.entry(name.to_string()).or_insert_with(Counter::new).clone()
+        inner
+            .counters
+            .entry(name.to_string())
+            .or_insert_with(Counter::new)
+            .clone()
     }
 
     /// Returns the histogram named `name`, creating it with `bounds` on
@@ -50,7 +54,11 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Histogram::new(bounds))
             .clone();
-        assert_eq!(h.bounds(), bounds, "histogram {name:?} re-registered with different bounds");
+        assert_eq!(
+            h.bounds(),
+            bounds,
+            "histogram {name:?} re-registered with different bounds"
+        );
         h
     }
 
@@ -58,8 +66,16 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().expect("registry poisoned");
         Snapshot {
-            counters: inner.counters.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            histograms: inner.histograms.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect(),
+            counters: inner
+                .counters
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            histograms: inner
+                .histograms
+                .iter()
+                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .collect(),
         }
     }
 }
@@ -76,12 +92,18 @@ pub struct Snapshot {
 impl Snapshot {
     /// Looks up a counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
     }
 
     /// Looks up a histogram snapshot by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
+        self.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h)
     }
 }
 

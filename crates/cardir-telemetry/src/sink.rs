@@ -14,16 +14,26 @@ impl Report {
     pub fn render(snapshot: &Snapshot) -> String {
         let mut out = String::new();
         if !snapshot.counters.is_empty() {
-            let width =
-                snapshot.counters.iter().map(|(n, _)| n.len()).max().unwrap_or(0).max(8);
+            let width = snapshot
+                .counters
+                .iter()
+                .map(|(n, _)| n.len())
+                .max()
+                .unwrap_or(0)
+                .max(8);
             out.push_str("counters:\n");
             for (name, value) in &snapshot.counters {
                 let _ = writeln!(out, "  {name:<width$}  {value:>12}");
             }
         }
         if !snapshot.histograms.is_empty() {
-            let width =
-                snapshot.histograms.iter().map(|(n, _)| n.len()).max().unwrap_or(0).max(8);
+            let width = snapshot
+                .histograms
+                .iter()
+                .map(|(n, _)| n.len())
+                .max()
+                .unwrap_or(0)
+                .max(8);
             out.push_str("histograms:\n");
             for (name, h) in &snapshot.histograms {
                 let _ = writeln!(
@@ -110,7 +120,11 @@ impl<W: Write> JsonLines<W> {
     /// and the p50/p95/p99 estimates.
     pub fn emit_snapshot(&mut self, snapshot: &Snapshot) -> io::Result<()> {
         let counters = Json::Obj(
-            snapshot.counters.iter().map(|(n, v)| (n.clone(), Json::U64(*v))).collect(),
+            snapshot
+                .counters
+                .iter()
+                .map(|(n, v)| (n.clone(), Json::U64(*v)))
+                .collect(),
         );
         let histograms = Json::Obj(
             snapshot
@@ -170,7 +184,10 @@ mod tests {
         let text = Report::render(&r.snapshot());
         assert!(text.contains("engine.pairs"), "{text}");
         assert!(text.contains("count"), "{text}");
-        assert_eq!(Report::render(&Snapshot::default()), "(no metrics recorded)\n");
+        assert_eq!(
+            Report::render(&Snapshot::default()),
+            "(no metrics recorded)\n"
+        );
     }
 
     #[test]
@@ -183,11 +200,17 @@ mod tests {
         assert_eq!(lines.len(), 2);
         let counter = parse(lines[0]).unwrap();
         assert_eq!(counter.get("type").and_then(Json::as_str), Some("counter"));
-        assert_eq!(counter.get("name").and_then(Json::as_str), Some("server.requests"));
+        assert_eq!(
+            counter.get("name").and_then(Json::as_str),
+            Some("server.requests")
+        );
         assert_eq!(counter.get("value").and_then(Json::as_u64), Some(12));
         let hist = parse(lines[1]).unwrap();
         assert_eq!(hist.get("type").and_then(Json::as_str), Some("histogram"));
-        assert_eq!(hist.get("name").and_then(Json::as_str), Some("server.request_ns"));
+        assert_eq!(
+            hist.get("name").and_then(Json::as_str),
+            Some("server.request_ns")
+        );
         assert_eq!(hist.get("count").and_then(Json::as_u64), Some(1));
         assert!(hist.get("p95").and_then(Json::as_f64).is_some());
         assert_eq!(render_json_lines(&Snapshot::default()), "");
@@ -196,7 +219,8 @@ mod tests {
     #[test]
     fn emit_prepends_type_and_stays_one_line() {
         let mut sink = JsonLines::new(Vec::new());
-        sink.emit("cell", Json::obj([("threads", Json::U64(4))])).unwrap();
+        sink.emit("cell", Json::obj([("threads", Json::U64(4))]))
+            .unwrap();
         sink.emit("scalar", Json::U64(3)).unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -224,7 +248,10 @@ mod tests {
         let hist = v.get("histograms").unwrap().get("b.ns").unwrap();
         assert_eq!(hist.get("count").and_then(Json::as_u64), Some(1));
         assert_eq!(hist.get("sum").and_then(Json::as_u64), Some(150));
-        assert!(hist.get("p95").and_then(Json::as_f64).is_some(), "p95 exported");
+        assert!(
+            hist.get("p95").and_then(Json::as_f64).is_some(),
+            "p95 exported"
+        );
         assert_eq!(
             hist.get("buckets").unwrap(),
             &Json::Arr(vec![Json::U64(0), Json::U64(1), Json::U64(0)])

@@ -153,24 +153,31 @@ impl Tracer {
             Some(s) => Vec::with_capacity(s.capacity),
             None => Vec::new(),
         };
-        ThreadTrace { shared: self.shared.clone(), tid, buf, dropped: 0 }
+        ThreadTrace {
+            shared: self.shared.clone(),
+            tid,
+            buf,
+            dropped: 0,
+        }
     }
 
     /// Events discarded because a per-thread buffer was full (merged
     /// buffers only — a still-open [`ThreadTrace`] reports on drop).
     pub fn dropped(&self) -> u64 {
-        self.shared.as_ref().map_or(0, |s| s.dropped.load(Ordering::Relaxed))
+        self.shared
+            .as_ref()
+            .map_or(0, |s| s.dropped.load(Ordering::Relaxed))
     }
 
     /// Takes every merged event, sorted by start time (ties by thread
     /// then name), leaving the tracer empty and ready for another run.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let Some(shared) = &self.shared else { return Vec::new() };
+        let Some(shared) = &self.shared else {
+            return Vec::new();
+        };
         let mut events =
             std::mem::take(&mut *shared.merged.lock().unwrap_or_else(PoisonError::into_inner));
-        events.sort_by(|a, b| {
-            (a.start_ns, a.tid, &a.name).cmp(&(b.start_ns, b.tid, &b.name))
-        });
+        events.sort_by(|a, b| (a.start_ns, a.tid, &a.name).cmp(&(b.start_ns, b.tid, &b.name)));
         events
     }
 }
@@ -231,7 +238,12 @@ impl ThreadTrace {
     /// [`ThreadTrace::end`] where the body must keep recording.
     pub fn span(&mut self, name: &'static str, chunk: Option<u64>) -> TraceSpan<'_> {
         let start = self.begin();
-        TraceSpan { owner: self, name, chunk, start }
+        TraceSpan {
+            owner: self,
+            name,
+            chunk,
+            start,
+        }
     }
 
     /// Events recorded so far (merged events not included).
@@ -343,7 +355,11 @@ impl ChromeTrace {
     /// Adds a process from already-collected events.
     pub fn add_events(&mut self, label: &str, events: Vec<TraceEvent>, dropped: u64) -> u32 {
         let pid = self.processes.len() as u32;
-        self.processes.push(TraceProcess { label: label.to_string(), events, dropped });
+        self.processes.push(TraceProcess {
+            label: label.to_string(),
+            events,
+            dropped,
+        });
         pid
     }
 
@@ -365,7 +381,10 @@ impl ChromeTrace {
                 ("ph", Json::from("M")),
                 ("pid", Json::from(u64::from(pid))),
                 ("tid", Json::from(0u64)),
-                ("args", Json::obj([("name", Json::from(process.label.as_str()))])),
+                (
+                    "args",
+                    Json::obj([("name", Json::from(process.label.as_str()))]),
+                ),
             ]));
             let mut tids: Vec<u32> = process.events.iter().map(|e| e.tid).collect();
             tids.sort_unstable();
@@ -455,7 +474,11 @@ impl ChromeTrace {
                 None => {
                     by_pid.push((
                         pid,
-                        TraceProcess { label: String::new(), events: Vec::new(), dropped: 0 },
+                        TraceProcess {
+                            label: String::new(),
+                            events: Vec::new(),
+                            dropped: 0,
+                        },
                     ));
                     &mut by_pid.last_mut().expect("just pushed").1
                 }
@@ -463,8 +486,10 @@ impl ChromeTrace {
             match ph {
                 "M" => {
                     if field("name")?.as_str() == Some("process_name") {
-                        if let Some(name) =
-                            ev.get("args").and_then(|a| a.get("name")).and_then(Json::as_str)
+                        if let Some(name) = ev
+                            .get("args")
+                            .and_then(|a| a.get("name"))
+                            .and_then(Json::as_str)
                         {
                             process.label = name.to_string();
                         }
@@ -672,8 +697,12 @@ impl ProcessAnalysis {
         if self.wall_ns == 0 {
             return 0.0;
         }
-        let weighted: u128 =
-            self.concurrency.iter().enumerate().map(|(k, &ns)| k as u128 * ns as u128).sum();
+        let weighted: u128 = self
+            .concurrency
+            .iter()
+            .enumerate()
+            .map(|(k, &ns)| k as u128 * ns as u128)
+            .sum();
         weighted as f64 / self.wall_ns as f64
     }
 
@@ -766,7 +795,13 @@ mod tests {
     use super::*;
 
     fn ev(name: &'static str, tid: u32, chunk: Option<u64>, start: u64, dur: u64) -> TraceEvent {
-        TraceEvent { name: Cow::Borrowed(name), tid, chunk, start_ns: start, dur_ns: dur }
+        TraceEvent {
+            name: Cow::Borrowed(name),
+            tid,
+            chunk,
+            start_ns: start,
+            dur_ns: dur,
+        }
     }
 
     #[test]
@@ -802,7 +837,11 @@ mod tests {
         assert_eq!(events[0].name, phases::CHUNK_COMPUTE);
         assert_eq!(events[0].tid, 2);
         assert_eq!(events[0].chunk, Some(7));
-        assert!(events[0].dur_ns >= 1_000_000, "slept 1ms: {}", events[0].dur_ns);
+        assert!(
+            events[0].dur_ns >= 1_000_000,
+            "slept 1ms: {}",
+            events[0].dur_ns
+        );
         // Drain leaves the tracer reusable.
         assert!(tracer.drain().is_empty());
     }
@@ -818,7 +857,11 @@ mod tests {
                 tt.end(t0, phases::CHUNK_COMPUTE, Some(i));
             }
             assert_eq!(tt.len(), 2);
-            assert_eq!(tt.buf.capacity(), cap_before, "no reallocation past capacity");
+            assert_eq!(
+                tt.buf.capacity(),
+                cap_before,
+                "no reallocation past capacity"
+            );
         }
         assert_eq!(tracer.drain().len(), 2);
         assert_eq!(tracer.dropped(), 3);
@@ -844,7 +887,10 @@ mod tests {
         for tid in 1..=4u32 {
             assert_eq!(events.iter().filter(|e| e.tid == tid).count(), 100);
         }
-        assert!(events.windows(2).all(|w| w[0].start_ns <= w[1].start_ns), "drain sorts");
+        assert!(
+            events.windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
+            "drain sorts"
+        );
     }
 
     #[test]
@@ -859,7 +905,11 @@ mod tests {
             ],
             2,
         );
-        chrome.add_events("cell-b", vec![ev(phases::CHUNK_COMPUTE, 3, Some(9), 0, 7)], 0);
+        chrome.add_events(
+            "cell-b",
+            vec![ev(phases::CHUNK_COMPUTE, 3, Some(9), 0, 7)],
+            0,
+        );
         let mut buf = Vec::new();
         chrome.write_to(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -880,10 +930,19 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(matches!(ChromeTrace::parse("not json"), Err(TraceError::Json(_))));
-        assert!(matches!(ChromeTrace::parse("{\"a\":1}"), Err(TraceError::Malformed(_))));
+        assert!(matches!(
+            ChromeTrace::parse("not json"),
+            Err(TraceError::Json(_))
+        ));
+        assert!(matches!(
+            ChromeTrace::parse("{\"a\":1}"),
+            Err(TraceError::Malformed(_))
+        ));
         let no_args = r#"{"traceEvents":[{"name":"x","ph":"X","pid":0,"tid":1,"args":{}}]}"#;
-        assert!(matches!(ChromeTrace::parse(no_args), Err(TraceError::Malformed(_))));
+        assert!(matches!(
+            ChromeTrace::parse(no_args),
+            Err(TraceError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -903,8 +962,24 @@ mod tests {
         let a = ProcessAnalysis::analyze(&process);
         assert_eq!(a.wall_ns, 100);
         assert_eq!(a.threads.len(), 2);
-        assert_eq!(a.threads[0], ThreadUtilization { tid: 1, busy_ns: 60, wait_ns: 10, events: 2 });
-        assert_eq!(a.threads[1], ThreadUtilization { tid: 2, busy_ns: 60, wait_ns: 0, events: 1 });
+        assert_eq!(
+            a.threads[0],
+            ThreadUtilization {
+                tid: 1,
+                busy_ns: 60,
+                wait_ns: 10,
+                events: 2
+            }
+        );
+        assert_eq!(
+            a.threads[1],
+            ThreadUtilization {
+                tid: 2,
+                busy_ns: 60,
+                wait_ns: 0,
+                events: 1
+            }
+        );
         assert_eq!(a.phases[0].name, phases::CHUNK_COMPUTE);
         assert_eq!(a.phases[0].total_ns, 120);
         assert_eq!(a.concurrency, vec![0, 80, 20]);

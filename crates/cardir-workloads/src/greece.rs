@@ -158,17 +158,61 @@ pub fn scenario() -> Vec<GreeceRegion> {
     ]));
 
     vec![
-        GreeceRegion { name: "Attica", alliance: Athenean, region: attica },
-        GreeceRegion { name: "Islands", alliance: Athenean, region: islands },
-        GreeceRegion { name: "East", alliance: Athenean, region: east },
-        GreeceRegion { name: "Corfu", alliance: Athenean, region: corfu },
-        GreeceRegion { name: "SouthItaly", alliance: Athenean, region: south_italy },
-        GreeceRegion { name: "Aegina", alliance: Athenean, region: aegina },
-        GreeceRegion { name: "Peloponnesos", alliance: Spartan, region: peloponnesos },
-        GreeceRegion { name: "Beotia", alliance: Spartan, region: beotia },
-        GreeceRegion { name: "Crete", alliance: Spartan, region: crete },
-        GreeceRegion { name: "Sicily", alliance: Spartan, region: sicily },
-        GreeceRegion { name: "Macedonia", alliance: ProSpartan, region: macedonia },
+        GreeceRegion {
+            name: "Attica",
+            alliance: Athenean,
+            region: attica,
+        },
+        GreeceRegion {
+            name: "Islands",
+            alliance: Athenean,
+            region: islands,
+        },
+        GreeceRegion {
+            name: "East",
+            alliance: Athenean,
+            region: east,
+        },
+        GreeceRegion {
+            name: "Corfu",
+            alliance: Athenean,
+            region: corfu,
+        },
+        GreeceRegion {
+            name: "SouthItaly",
+            alliance: Athenean,
+            region: south_italy,
+        },
+        GreeceRegion {
+            name: "Aegina",
+            alliance: Athenean,
+            region: aegina,
+        },
+        GreeceRegion {
+            name: "Peloponnesos",
+            alliance: Spartan,
+            region: peloponnesos,
+        },
+        GreeceRegion {
+            name: "Beotia",
+            alliance: Spartan,
+            region: beotia,
+        },
+        GreeceRegion {
+            name: "Crete",
+            alliance: Spartan,
+            region: crete,
+        },
+        GreeceRegion {
+            name: "Sicily",
+            alliance: Spartan,
+            region: sicily,
+        },
+        GreeceRegion {
+            name: "Macedonia",
+            alliance: ProSpartan,
+            region: macedonia,
+        },
     ]
 }
 

@@ -44,7 +44,11 @@ pub fn random_map(rng: &mut SplitMix64, n: usize, extent: BoundingBox) -> Vec<Ma
                 pitch_x,
                 pitch_y,
             );
-            MapRegion { id: format!("r{i}"), color, region }
+            MapRegion {
+                id: format!("r{i}"),
+                color,
+                region,
+            }
         })
         .collect()
 }
@@ -68,7 +72,11 @@ pub fn random_region(rng: &mut SplitMix64, extent: BoundingBox) -> MapRegion {
         pitch_x,
         pitch_y,
     );
-    MapRegion { id: "r0".to_string(), color, region }
+    MapRegion {
+        id: "r0".to_string(),
+        color,
+        region,
+    }
 }
 
 /// One jittered star in the grid cell centred at `(cx, cy)` with the
@@ -91,7 +99,10 @@ fn star_cell(
     let c = Point::new(cx + jx, cy + jy);
     let vertices = rng.random_range(6..=14usize);
     let color = COLORS[rng.random_range(0..COLORS.len())];
-    (color, Region::single(star_polygon(rng, c, r_min, r_max, vertices)))
+    (
+        color,
+        Region::single(star_polygon(rng, c, r_min, r_max, vertices)),
+    )
 }
 
 #[cfg(test)]

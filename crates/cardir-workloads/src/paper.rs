@@ -12,8 +12,7 @@ use cardir_geometry::{Polygon, Region};
 /// The reference region `b` used throughout the figures: a square whose
 /// `mbb` is `[0,4] × [0,4]` (lines `m1=0, m2=4, l1=0, l2=4`).
 pub fn reference_b() -> Region {
-    Region::from_coords([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])
-        .expect("static geometry")
+    Region::from_coords([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]).expect("static geometry")
 }
 
 /// Fig. 1b: region `a` with `a S b`.
@@ -24,8 +23,7 @@ pub fn fig1_a_south() -> Region {
 
 /// Fig. 1c: region `c` with `c NE:E b`, 50 % in each tile.
 pub fn fig1_c_northeast_east() -> Region {
-    Region::from_coords([(5.0, 2.0), (7.0, 2.0), (7.0, 6.0), (5.0, 6.0)])
-        .expect("static geometry")
+    Region::from_coords([(5.0, 2.0), (7.0, 2.0), (7.0, 6.0), (5.0, 6.0)]).expect("static geometry")
 }
 
 /// Fig. 1d: the composite region `d = d1 ∪ … ∪ d8` (disconnected, with a
@@ -35,14 +33,14 @@ pub fn fig1_d_composite() -> Region {
         Polygon::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).expect("static geometry")
     };
     Region::new([
-        rect(1.0, 1.0, 3.0, 3.0),   // d1 in B
-        rect(1.0, -3.0, 3.0, -1.0), // d2 in S
+        rect(1.0, 1.0, 3.0, 3.0),     // d1 in B
+        rect(1.0, -3.0, 3.0, -1.0),   // d2 in S
         rect(-3.0, -3.0, -1.0, -1.0), // d3 in SW
-        rect(-3.0, 1.0, -1.0, 3.0), // d4 in W
-        rect(-3.0, 5.0, -1.0, 7.0), // d5 in NW
-        rect(1.0, 5.0, 3.0, 7.0),   // d6 in N
-        rect(5.0, -3.0, 7.0, -1.0), // d7 in SE
-        rect(5.0, 1.0, 7.0, 3.0),   // d8 in E
+        rect(-3.0, 1.0, -1.0, 3.0),   // d4 in W
+        rect(-3.0, 5.0, -1.0, 7.0),   // d5 in NW
+        rect(1.0, 5.0, 3.0, 7.0),     // d6 in N
+        rect(5.0, -3.0, 7.0, -1.0),   // d7 in SE
+        rect(5.0, 1.0, 7.0, 3.0),     // d8 in E
     ])
     .expect("static geometry")
 }
@@ -79,7 +77,10 @@ mod tests {
     fn example_1_relations_hold() {
         let b = reference_b();
         assert_eq!(compute_cdr(&fig1_a_south(), &b).to_string(), "S");
-        assert_eq!(compute_cdr(&fig1_c_northeast_east(), &b).to_string(), "NE:E");
+        assert_eq!(
+            compute_cdr(&fig1_c_northeast_east(), &b).to_string(),
+            "NE:E"
+        );
         assert_eq!(
             compute_cdr(&fig1_d_composite(), &b).to_string(),
             "B:S:SW:W:NW:N:E:SE"

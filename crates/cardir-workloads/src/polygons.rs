@@ -28,7 +28,10 @@ pub fn star_polygon(
     n: usize,
 ) -> Polygon {
     assert!(n >= 3, "a polygon needs at least 3 vertices");
-    assert!(0.0 < r_min && r_min <= r_max, "radii must be positive and ordered");
+    assert!(
+        0.0 < r_min && r_min <= r_max,
+        "radii must be positive and ordered"
+    );
     let step = std::f64::consts::TAU / n as f64;
     let vertices = (0..n).map(|i| {
         let jitter = rng.random_range(-0.4..0.4) * step;

@@ -95,7 +95,11 @@ mod tests {
     #[test]
     fn archipelago_counts() {
         let mut rng = SplitMix64::seed_from_u64(3);
-        let spec = RegionSpec { polygons: 5, vertices_per_polygon: 12, ..RegionSpec::default() };
+        let spec = RegionSpec {
+            polygons: 5,
+            vertices_per_polygon: 12,
+            ..RegionSpec::default()
+        };
         let r = archipelago(&mut rng, spec);
         assert_eq!(r.polygon_count(), 5);
         assert_eq!(r.edge_count(), 60);
@@ -107,7 +111,11 @@ mod tests {
     #[test]
     fn archipelago_islands_are_disjoint() {
         let mut rng = SplitMix64::seed_from_u64(4);
-        let spec = RegionSpec { polygons: 9, vertices_per_polygon: 10, ..RegionSpec::default() };
+        let spec = RegionSpec {
+            polygons: 9,
+            vertices_per_polygon: 10,
+            ..RegionSpec::default()
+        };
         let r = archipelago(&mut rng, spec);
         let boxes: Vec<_> = r.polygons().iter().map(|p| p.bounding_box()).collect();
         for i in 0..boxes.len() {
@@ -115,7 +123,8 @@ mod tests {
                 // Bounding boxes may touch but island interiors must not
                 // overlap; star radii < spread/2 guarantee box disjointness.
                 assert!(
-                    !boxes[i].intersects(boxes[j]) || boxes[i].intersection(boxes[j]).unwrap().area() == 0.0,
+                    !boxes[i].intersects(boxes[j])
+                        || boxes[i].intersection(boxes[j]).unwrap().area() == 0.0,
                     "islands {i} and {j} overlap"
                 );
             }

@@ -77,7 +77,11 @@ pub fn region_from_json(value: &Json) -> Result<Region, ApiError> {
     for polygon in polygons {
         let vertices = match polygon {
             Json::Arr(vertices) => vertices,
-            _ => return Err(ApiError::new("each polygon must be an array of [x, y] pairs")),
+            _ => {
+                return Err(ApiError::new(
+                    "each polygon must be an array of [x, y] pairs",
+                ))
+            }
         };
         let mut ring = Vec::with_capacity(vertices.len());
         for vertex in vertices {
@@ -121,7 +125,10 @@ pub fn edit_from_json(value: &Json) -> Result<(Edit, RegionMeta), ApiError> {
     };
     let meta = RegionMeta {
         id: value.get("id").and_then(Json::as_str).map(str::to_string),
-        color: value.get("color").and_then(Json::as_str).map(str::to_string),
+        color: value
+            .get("color")
+            .and_then(Json::as_str)
+            .map(str::to_string),
     };
     let edit = match op {
         "insert" => Edit::Insert(region()?),
@@ -149,7 +156,10 @@ pub fn pair_to_json(primary: u32, reference: u32, pair: &PairRelation) -> Json {
     let mut fields = vec![
         ("primary".to_string(), Json::from(u64::from(primary))),
         ("reference".to_string(), Json::from(u64::from(reference))),
-        ("relation".to_string(), Json::from(pair.relation.to_string().as_str())),
+        (
+            "relation".to_string(),
+            Json::from(pair.relation.to_string().as_str()),
+        ),
     ];
     if let Some(pct) = &pair.percentages {
         fields.push(("percentages".to_string(), percentages_to_json(pct)));

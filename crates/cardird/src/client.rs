@@ -35,7 +35,11 @@ impl Client {
         // exchange can stall ~40ms on Nagle + delayed ACK.
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer, host: addr.to_string() })
+        Ok(Client {
+            reader: BufReader::new(stream),
+            writer,
+            host: addr.to_string(),
+        })
     }
 
     /// Issues `GET path`.
@@ -73,7 +77,10 @@ impl Client {
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad status line: {status_line}"))
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bad status line: {status_line}"),
+                )
             })?;
         let mut content_length = 0usize;
         loop {
@@ -100,7 +107,10 @@ impl Client {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed",
+            ));
         }
         while line.ends_with('\n') || line.ends_with('\r') {
             line.pop();

@@ -35,7 +35,10 @@ pub struct Request {
 impl Request {
     /// The first query value under `key`, when present.
     pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        self.query
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// The body as UTF-8 text.
@@ -86,8 +89,12 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
     }
     let mut parts = line.split(' ');
     let method = parts.next().unwrap_or("").to_string();
-    let target = parts.next().ok_or(HttpError::Malformed("missing request target"))?;
-    let version = parts.next().ok_or(HttpError::Malformed("missing HTTP version"))?;
+    let target = parts
+        .next()
+        .ok_or(HttpError::Malformed("missing request target"))?;
+    let version = parts
+        .next()
+        .ok_or(HttpError::Malformed("missing HTTP version"))?;
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed("unsupported request line"));
     }
@@ -119,8 +126,9 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
         if line.is_empty() {
             break;
         }
-        let (name, value) =
-            line.split_once(':').ok_or(HttpError::Malformed("header without a colon"))?;
+        let (name, value) = line
+            .split_once(':')
+            .ok_or(HttpError::Malformed("header without a colon"))?;
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
         match name.as_str() {
@@ -144,7 +152,13 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
 
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Some(Request { method, path, query, body, keep_alive }))
+    Ok(Some(Request {
+        method,
+        path,
+        query,
+        body,
+        keep_alive,
+    }))
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, bounded by `limit`
@@ -273,18 +287,26 @@ mod tests {
     #[test]
     fn clean_eof_is_none_and_connection_close_is_honoured() {
         assert!(parse("").unwrap().is_none());
-        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap().unwrap();
+        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert!(!req.keep_alive);
     }
 
     #[test]
     fn malformed_and_oversized_requests_are_named_errors() {
-        assert!(matches!(parse("GET /\r\n\r\n"), Err(HttpError::Malformed(_))));
+        assert!(matches!(
+            parse("GET /\r\n\r\n"),
+            Err(HttpError::Malformed(_))
+        ));
         assert!(matches!(
             parse("GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
-        let huge = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let huge = format!(
+            "GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
         assert!(matches!(parse(&huge), Err(HttpError::TooLarge(_))));
         let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES + 10));
         assert!(matches!(parse(&long_line), Err(HttpError::TooLarge(_))));

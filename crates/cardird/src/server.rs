@@ -20,9 +20,7 @@
 //!   framing is unrecoverable), while malformed *payloads* on valid
 //!   HTTP keep the connection usable.
 
-use crate::api::{
-    edit_from_json, error_body, pair_to_json, region_from_json, relation_to_json,
-};
+use crate::api::{edit_from_json, error_body, pair_to_json, region_from_json, relation_to_json};
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::session::{Session, SessionRegistry, SessionSummary};
 use cardir_cardirect::StoreOptions;
@@ -90,12 +88,18 @@ impl ConnTable {
     fn register(&self, stream: &TcpStream) -> Option<u64> {
         let clone = stream.try_clone().ok()?;
         let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().unwrap_or_else(PoisonError::into_inner).insert(id, clone);
+        self.streams
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, clone);
         Some(id)
     }
 
     fn deregister(&self, id: u64) {
-        self.streams.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
+        self.streams
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id);
     }
 
     fn close_all(&self) {
@@ -191,7 +195,13 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         }
     });
 
-    Ok(ServerHandle { addr, stop, conns, accept: Some(accept), workers })
+    Ok(ServerHandle {
+        addr,
+        stop,
+        conns,
+        accept: Some(accept),
+        workers,
+    })
 }
 
 /// One connection's keep-alive loop.
@@ -228,7 +238,11 @@ fn serve_connection(state: &ServerState, stream: TcpStream) {
             Ok(response) => response,
             Err(_) => {
                 state.telemetry.counter("server.panics").add(1);
-                (500, "application/json", error_body("internal", "request handler panicked"))
+                (
+                    500,
+                    "application/json",
+                    error_body("internal", "request handler panicked"),
+                )
             }
         };
         if status >= 400 {
@@ -262,9 +276,11 @@ fn route(state: &ServerState, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => json_response(200, Json::obj([("ok", Json::from(true))])),
-        ("GET", ["metrics"]) => {
-            (200, "application/x-ndjson", render_json_lines(&state.telemetry.snapshot()))
-        }
+        ("GET", ["metrics"]) => (
+            200,
+            "application/x-ndjson",
+            render_json_lines(&state.telemetry.snapshot()),
+        ),
         ("GET", ["sessions"]) => {
             let names = state.registry.names().into_iter().map(Json::Str).collect();
             json_response(200, Json::obj([("sessions", Json::Arr(names))]))
@@ -284,11 +300,14 @@ fn route(state: &ServerState, req: &Request) -> Response {
             with_session(state, name, |s| handle_relation(s, req))
         }
         ("GET", ["sessions", name, "relations"]) => with_session(state, name, handle_relations),
-        ("POST", ["sessions", name, "query"]) => with_session(state, name, |s| handle_query(s, req)),
-        ("POST", ["compute"]) => handle_compute(state, req),
-        (_, ["healthz" | "metrics" | "sessions" | "compute", ..]) => {
-            json_response(405, err_json("method_not_allowed", "unsupported method for this path"))
+        ("POST", ["sessions", name, "query"]) => {
+            with_session(state, name, |s| handle_query(s, req))
         }
+        ("POST", ["compute"]) => handle_compute(state, req),
+        (_, ["healthz" | "metrics" | "sessions" | "compute", ..]) => json_response(
+            405,
+            err_json("method_not_allowed", "unsupported method for this path"),
+        ),
         _ => json_response(404, err_json("not_found", "no such endpoint")),
     }
 }
@@ -297,11 +316,7 @@ fn err_json(kind: &str, detail: &str) -> Json {
     Json::obj([("error", Json::from(kind)), ("detail", Json::from(detail))])
 }
 
-fn with_session(
-    state: &ServerState,
-    name: &str,
-    f: impl FnOnce(&Session) -> Response,
-) -> Response {
+fn with_session(state: &ServerState, name: &str, f: impl FnOnce(&Session) -> Response) -> Response {
     // Opening is idempotent and cheap for live sessions, so every
     // session route auto-loads from the journal dir — "load session"
     // needs no dedicated verb.
@@ -440,7 +455,10 @@ fn handle_apply(state: &ServerState, session: &Session, req: &Request) -> Respon
                 ("applied", Json::from(applied)),
                 ("requested", Json::from(edits.len())),
                 ("pending", Json::from(pending)),
-                ("detail", Json::from("deadline hit; applied edits keep their pairs pending until repair")),
+                (
+                    "detail",
+                    Json::from("deadline hit; applied edits keep their pairs pending until repair"),
+                ),
             ]),
         );
     }
@@ -492,7 +510,10 @@ fn handle_relation(session: &Session, req: &Request) -> Response {
         _ => {
             return json_response(
                 400,
-                err_json("bad_request", "needs integer \"primary\" and \"reference\" params"),
+                err_json(
+                    "bad_request",
+                    "needs integer \"primary\" and \"reference\" params",
+                ),
             )
         }
     };
@@ -534,7 +555,12 @@ fn handle_query(session: &Session, req: &Request) -> Response {
     };
     let text = match body.get("query").and_then(Json::as_str) {
         Some(text) => text,
-        None => return json_response(400, err_json("bad_request", "body needs a \"query\" string")),
+        None => {
+            return json_response(
+                400,
+                err_json("bad_request", "body needs a \"query\" string"),
+            )
+        }
     };
     let query = match cardir_cardirect::parse_query(text) {
         Ok(query) => query,
@@ -547,7 +573,11 @@ fn handle_query(session: &Session, req: &Request) -> Response {
     };
     match cardir_cardirect::evaluate(&query, config) {
         Ok(bindings) => {
-            let variables = query.variables.iter().map(|v| Json::from(v.as_str())).collect();
+            let variables = query
+                .variables
+                .iter()
+                .map(|v| Json::from(v.as_str()))
+                .collect();
             let rows = bindings
                 .iter()
                 .map(|b| Json::Arr(b.values.iter().map(|v| Json::from(v.as_str())).collect()))
@@ -579,7 +609,10 @@ fn handle_compute(state: &ServerState, req: &Request) -> Response {
         _ => {
             return json_response(
                 400,
-                err_json("bad_request", "body needs a \"regions\" array of 2+ regions"),
+                err_json(
+                    "bad_request",
+                    "body needs a \"regions\" array of 2+ regions",
+                ),
             )
         }
     };
@@ -594,13 +627,18 @@ fn handle_compute(state: &ServerState, req: &Request) -> Response {
         Some("qualitative") => EngineMode::Qualitative,
         Some("quantitative") | None => EngineMode::Quantitative,
         Some(other) => {
-            return json_response(400, err_json("bad_request", &format!("unknown mode {other:?}")))
+            return json_response(
+                400,
+                err_json("bad_request", &format!("unknown mode {other:?}")),
+            )
         }
     };
     let deadline = request_deadline(state, &body);
     let cache = RegionCache::build(&regions);
     let engine = BatchEngine::new().with_mode(mode);
-    let outcome = engine.run_join(&cache, &policy_with(deadline)).materialize(&cache);
+    let outcome = engine
+        .run_join(&cache, &policy_with(deadline))
+        .materialize(&cache);
     if outcome.status == CompletionStatus::DeadlineExceeded {
         return json_response(
             408,

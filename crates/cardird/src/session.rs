@@ -32,9 +32,7 @@
 //! clients re-annotate — documented in DESIGN.md §14.
 
 use crate::api::RegionMeta;
-use cardir_cardirect::{
-    Configuration, JournalError, RelationStore, StoreOptions, StoredRelation,
-};
+use cardir_cardirect::{Configuration, JournalError, RelationStore, StoreOptions, StoredRelation};
 use cardir_engine::{
     ApplyDelta, Edit, EditError, EditKind, EngineSnapshot, RepairDelta, RunPolicy,
 };
@@ -86,7 +84,9 @@ impl SessionSnapshot {
         let mut id_of = BTreeMap::new();
         for (slot, region) in self.engine.live_regions() {
             let meta = self.meta.get(slot as usize).and_then(Option::as_ref);
-            let id = meta.map(|m| m.id_for(slot)).unwrap_or_else(|| format!("r{slot}"));
+            let id = meta
+                .map(|m| m.id_for(slot))
+                .unwrap_or_else(|| format!("r{slot}"));
             let color = meta.and_then(|m| m.color.clone()).unwrap_or_default();
             config
                 .add_region(id.clone(), id.clone(), color, region.clone())
@@ -105,7 +105,9 @@ impl SessionSnapshot {
                     reference: id_of[&slots[p.reference]].clone(),
                 })
                 .collect();
-            config.set_relations(stored).map_err(|e| format!("bad stored relations: {e}"))?;
+            config
+                .set_relations(stored)
+                .map_err(|e| format!("bad stored relations: {e}"))?;
         }
         Ok(config)
     }
@@ -153,14 +155,22 @@ pub struct Session {
 impl Session {
     fn open(name: &str, path: PathBuf, opts: StoreOptions) -> Session {
         let store = RelationStore::open(path, &[], opts);
-        let state = WriterState { store, meta: Arc::default(), epoch: 1 };
+        let state = WriterState {
+            store,
+            meta: Arc::default(),
+            epoch: 1,
+        };
         let snapshot = Arc::new(SessionSnapshot {
             epoch: state.epoch,
             engine: state.store.engine().snapshot(),
             meta: state.meta.clone(),
             config: OnceLock::new(),
         });
-        Session { name: name.to_string(), writer: Mutex::new(state), current: RwLock::new(snapshot) }
+        Session {
+            name: name.to_string(),
+            writer: Mutex::new(state),
+            current: RwLock::new(snapshot),
+        }
     }
 
     /// The session's name.
@@ -171,7 +181,10 @@ impl Session {
     /// The current epoch's snapshot. This is the entire read path: one
     /// brief read lock to clone an `Arc`, never held during compute.
     pub fn snapshot(&self) -> Arc<SessionSnapshot> {
-        self.current.read().unwrap_or_else(PoisonError::into_inner).clone()
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Applies one edit under `policy` and publishes the next epoch.
@@ -276,14 +289,20 @@ impl SessionRegistry {
     pub fn new(data_dir: impl Into<PathBuf>, opts: StoreOptions) -> io::Result<SessionRegistry> {
         let data_dir = data_dir.into();
         std::fs::create_dir_all(&data_dir)?;
-        Ok(SessionRegistry { data_dir, opts, sessions: RwLock::new(BTreeMap::new()) })
+        Ok(SessionRegistry {
+            data_dir,
+            opts,
+            sessions: RwLock::new(BTreeMap::new()),
+        })
     }
 
     /// `true` for names safe to embed in a journal filename.
     pub fn valid_name(name: &str) -> bool {
         !name.is_empty()
             && name.len() <= 64
-            && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+            && name
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
     }
 
     /// Opens (or creates) the named session. Idempotent: a second open
@@ -297,7 +316,10 @@ impl SessionRegistry {
         if let Some(session) = self.get(name) {
             return Ok(session);
         }
-        let mut sessions = self.sessions.write().unwrap_or_else(PoisonError::into_inner);
+        let mut sessions = self
+            .sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         // Re-check under the write lock: another thread may have opened
         // it between our read miss and here.
         if let Some(session) = sessions.get(name) {
@@ -311,12 +333,21 @@ impl SessionRegistry {
 
     /// The named session, when already open.
     pub fn get(&self, name: &str) -> Option<Arc<Session>> {
-        self.sessions.read().unwrap_or_else(PoisonError::into_inner).get(name).cloned()
+        self.sessions
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .cloned()
     }
 
     /// Names of all open sessions.
     pub fn names(&self) -> Vec<String> {
-        self.sessions.read().unwrap_or_else(PoisonError::into_inner).keys().cloned().collect()
+        self.sessions
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .cloned()
+            .collect()
     }
 }
 
@@ -327,21 +358,28 @@ mod tests {
     use cardir_geometry::{BoundingBox, Point, Region};
 
     fn square(x: f64, y: f64, side: f64) -> Region {
-        Region::rectangle(BoundingBox::new(Point::new(x, y), Point::new(x + side, y + side)))
-            .unwrap()
+        Region::rectangle(BoundingBox::new(
+            Point::new(x, y),
+            Point::new(x + side, y + side),
+        ))
+        .unwrap()
     }
 
     fn registry(dir: &std::path::Path) -> SessionRegistry {
         SessionRegistry::new(
             dir,
-            StoreOptions { mode: EngineMode::Qualitative, threads: 1, ..StoreOptions::default() },
+            StoreOptions {
+                mode: EngineMode::Qualitative,
+                threads: 1,
+                ..StoreOptions::default()
+            },
         )
         .unwrap()
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("cardird-session-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cardird-session-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -353,17 +391,29 @@ mod tests {
         let session = reg.open("demo").unwrap();
         let policy = RunPolicy::default();
         session
-            .apply(Edit::Insert(square(0.0, 0.0, 10.0)), RegionMeta::default(), &policy)
+            .apply(
+                Edit::Insert(square(0.0, 0.0, 10.0)),
+                RegionMeta::default(),
+                &policy,
+            )
             .unwrap();
         session
-            .apply(Edit::Insert(square(20.0, 20.0, 10.0)), RegionMeta::default(), &policy)
+            .apply(
+                Edit::Insert(square(20.0, 20.0, 10.0)),
+                RegionMeta::default(),
+                &policy,
+            )
             .unwrap();
 
         let before = session.snapshot();
         let pairs_before = before.engine.materialize().unwrap();
         // A writer advances the session; the held snapshot must not move.
         session
-            .apply(Edit::Insert(square(40.0, 0.0, 10.0)), RegionMeta::default(), &policy)
+            .apply(
+                Edit::Insert(square(40.0, 0.0, 10.0)),
+                RegionMeta::default(),
+                &policy,
+            )
             .unwrap();
         let after = session.snapshot();
         assert!(after.epoch > before.epoch);
@@ -379,25 +429,44 @@ mod tests {
         let reg = registry(&dir);
         let session = reg.open("meta").unwrap();
         let policy = RunPolicy::default();
-        let named = RegionMeta { id: Some("a".into()), color: None };
-        session.apply(Edit::Insert(square(0.0, 0.0, 10.0)), named, &policy).unwrap();
+        let named = RegionMeta {
+            id: Some("a".into()),
+            color: None,
+        };
+        session
+            .apply(Edit::Insert(square(0.0, 0.0, 10.0)), named, &policy)
+            .unwrap();
         let before = session.snapshot();
         // A replace without annotations publishes the same table.
         session
-            .apply(Edit::Replace(0, square(1.0, 1.0, 10.0)), RegionMeta::default(), &policy)
+            .apply(
+                Edit::Replace(0, square(1.0, 1.0, 10.0)),
+                RegionMeta::default(),
+                &policy,
+            )
             .unwrap();
         let moved = session.snapshot();
         assert!(Arc::ptr_eq(&before.meta, &moved.meta));
         assert_eq!(moved.region_id(0), "a");
         // An annotated replace copies it; the held epoch keeps its value.
-        let red = RegionMeta { id: None, color: Some("red".into()) };
-        session.apply(Edit::Replace(0, square(2.0, 2.0, 10.0)), red, &policy).unwrap();
+        let red = RegionMeta {
+            id: None,
+            color: Some("red".into()),
+        };
+        session
+            .apply(Edit::Replace(0, square(2.0, 2.0, 10.0)), red, &policy)
+            .unwrap();
         let recoloured = session.snapshot();
         assert!(!Arc::ptr_eq(&moved.meta, &recoloured.meta));
-        assert_eq!(recoloured.meta[0].as_ref().unwrap().color.as_deref(), Some("red"));
+        assert_eq!(
+            recoloured.meta[0].as_ref().unwrap().color.as_deref(),
+            Some("red")
+        );
         assert_eq!(recoloured.region_id(0), "a");
         assert_eq!(moved.meta[0].as_ref().unwrap().color, None);
-        session.apply(Edit::Remove(0), RegionMeta::default(), &policy).unwrap();
+        session
+            .apply(Edit::Remove(0), RegionMeta::default(), &policy)
+            .unwrap();
         assert_eq!(session.snapshot().meta[0], None);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -411,14 +480,20 @@ mod tests {
         session
             .apply(
                 Edit::Insert(square(0.0, 0.0, 10.0)),
-                RegionMeta { id: Some("sparta".into()), color: Some("red".into()) },
+                RegionMeta {
+                    id: Some("sparta".into()),
+                    color: Some("red".into()),
+                },
                 &policy,
             )
             .unwrap();
         session
             .apply(
                 Edit::Insert(square(0.0, 20.0, 10.0)),
-                RegionMeta { id: Some("athens".into()), color: Some("blue".into()) },
+                RegionMeta {
+                    id: Some("athens".into()),
+                    color: Some("blue".into()),
+                },
                 &policy,
             )
             .unwrap();
@@ -431,7 +506,10 @@ mod tests {
         let query = cardir_cardirect::parse_query("{(x, y) | y = sparta, x N y}").unwrap();
         let bindings = cardir_cardirect::evaluate(&query, config).unwrap();
         assert_eq!(bindings.len(), 1);
-        assert_eq!(bindings[0].values, vec!["athens".to_string(), "sparta".to_string()]);
+        assert_eq!(
+            bindings[0].values,
+            vec!["athens".to_string(), "sparta".to_string()]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -444,7 +522,10 @@ mod tests {
             session
                 .apply(
                     Edit::Insert(square(0.0, 0.0, 10.0)),
-                    RegionMeta { id: Some("named".into()), color: None },
+                    RegionMeta {
+                        id: Some("named".into()),
+                        color: None,
+                    },
                     &RunPolicy::default(),
                 )
                 .unwrap();
@@ -479,7 +560,11 @@ mod tests {
         }
         let strict = RunPolicy::default().with_deadline(std::time::Duration::from_nanos(0));
         let delta = session
-            .apply(Edit::Insert(square(0.0, 30.0, 80.0)), RegionMeta::default(), &strict)
+            .apply(
+                Edit::Insert(square(0.0, 30.0, 80.0)),
+                RegionMeta::default(),
+                &strict,
+            )
             .unwrap();
         assert_eq!(delta.status, CompletionStatus::DeadlineExceeded);
         assert!(!delta.pending_added.is_empty());

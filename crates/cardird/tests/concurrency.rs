@@ -38,9 +38,15 @@ fn extent() -> BoundingBox {
 /// bit-identical to a fresh full spatial join over the snapshot's own
 /// live geometry.
 fn check_snapshot(snapshot: &cardird::SessionSnapshot) {
-    let pairs = snapshot.engine.materialize().expect("no pending pairs under default policy");
-    let regions: Vec<Region> =
-        snapshot.engine.live_regions().map(|(_, r)| r.clone()).collect();
+    let pairs = snapshot
+        .engine
+        .materialize()
+        .expect("no pending pairs under default policy");
+    let regions: Vec<Region> = snapshot
+        .engine
+        .live_regions()
+        .map(|(_, r)| r.clone())
+        .collect();
     let n = regions.len();
     assert_eq!(pairs.len(), n.saturating_sub(1) * n, "ordered pair count");
     let cache = RegionCache::build(&regions);
@@ -50,7 +56,10 @@ fn check_snapshot(snapshot: &cardird::SessionSnapshot) {
         .materialize(&cache);
     assert_eq!(oracle.status, CompletionStatus::Complete);
     let oracle_pairs: Vec<_> = oracle.relations().cloned().collect();
-    assert_eq!(pairs, oracle_pairs, "snapshot materialisation diverged from a fresh join");
+    assert_eq!(
+        pairs, oracle_pairs,
+        "snapshot materialisation diverged from a fresh join"
+    );
 }
 
 #[test]
@@ -70,7 +79,13 @@ fn readers_materialize_consistent_snapshots_under_concurrent_edits() {
     let mut rng = SplitMix64::seed_from_u64(7);
     for _ in 0..6 {
         let region = random_region(&mut rng, extent()).region;
-        session.apply(cardir_engine::Edit::Insert(region), RegionMeta::default(), &policy).unwrap();
+        session
+            .apply(
+                cardir_engine::Edit::Insert(region),
+                RegionMeta::default(),
+                &policy,
+            )
+            .unwrap();
     }
 
     let done = Arc::new(AtomicBool::new(false));
@@ -113,10 +128,7 @@ fn readers_materialize_consistent_snapshots_under_concurrent_edits() {
             1 => {
                 let snapshot = session.snapshot();
                 let slot = snapshot.engine.live_regions().next().unwrap().0;
-                cardir_engine::Edit::Replace(
-                    slot,
-                    random_region(&mut writer_rng, extent()).region,
-                )
+                cardir_engine::Edit::Replace(slot, random_region(&mut writer_rng, extent()).region)
             }
             _ => {
                 let snapshot = session.snapshot();
@@ -152,7 +164,11 @@ fn square_json(x: f64, y: f64, side: f64) -> String {
 #[test]
 fn parallel_http_clients_share_one_session_without_errors() {
     let dir = temp_dir("http");
-    let handle = serve(ServerConfig { workers: 8, ..ServerConfig::ephemeral(&dir) }).unwrap();
+    let handle = serve(ServerConfig {
+        workers: 8,
+        ..ServerConfig::ephemeral(&dir)
+    })
+    .unwrap();
     let addr = handle.addr();
 
     // Seed the session with a few regions.
@@ -161,7 +177,10 @@ fn parallel_http_clients_share_one_session_without_errors() {
     assert_eq!(create.status, 200, "{}", create.body);
     for i in 0..4 {
         let resp = seed
-            .post("/sessions/shared/apply", &insert_body(&square_json(30.0 * i as f64, 0.0, 20.0)))
+            .post(
+                "/sessions/shared/apply",
+                &insert_body(&square_json(30.0 * i as f64, 0.0, 20.0)),
+            )
             .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
@@ -177,7 +196,9 @@ fn parallel_http_clients_share_one_session_without_errors() {
             while !done.load(Ordering::Relaxed) {
                 let resp = match c % 3 {
                     0 => client.get("/sessions/shared/relations").unwrap(),
-                    1 => client.get("/sessions/shared/relation?primary=0&reference=1").unwrap(),
+                    1 => client
+                        .get("/sessions/shared/relation?primary=0&reference=1")
+                        .unwrap(),
                     _ => client
                         .post("/sessions/shared/query", "{\"query\":\"{(x, y) | x N y}\"}")
                         .unwrap(),
@@ -185,7 +206,10 @@ fn parallel_http_clients_share_one_session_without_errors() {
                 assert_eq!(resp.status, 200, "{}", resp.body);
                 let body = parse_json(&resp.body).unwrap();
                 let epoch = body.get("epoch").and_then(Json::as_u64).unwrap();
-                assert!(epoch >= last_epoch, "epoch went backwards over one connection");
+                assert!(
+                    epoch >= last_epoch,
+                    "epoch went backwards over one connection"
+                );
                 last_epoch = epoch;
                 requests += 1;
             }
@@ -224,7 +248,11 @@ fn parallel_http_clients_share_one_session_without_errors() {
         }
     }
     assert!(requests > total, "request counter undercounts");
-    assert_eq!(errors, 0, "no request may error during the stress\n{}", metrics.body);
+    assert_eq!(
+        errors, 0,
+        "no request may error during the stress\n{}",
+        metrics.body
+    );
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -237,7 +265,10 @@ fn deadline_zero_returns_the_structured_timeout_and_repair_converges() {
     let mut client = Client::connect(handle.addr()).unwrap();
     for i in 0..4 {
         let resp = client
-            .post("/sessions/t/apply", &insert_body(&square_json(30.0 * i as f64, 0.0, 20.0)))
+            .post(
+                "/sessions/t/apply",
+                &insert_body(&square_json(30.0 * i as f64, 0.0, 20.0)),
+            )
             .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
@@ -250,7 +281,10 @@ fn deadline_zero_returns_the_structured_timeout_and_repair_converges() {
     let resp = client.post("/sessions/t/apply", &body).unwrap();
     assert_eq!(resp.status, 408, "{}", resp.body);
     let json = parse_json(&resp.body).unwrap();
-    assert_eq!(json.get("error").and_then(Json::as_str), Some("deadline_exceeded"));
+    assert_eq!(
+        json.get("error").and_then(Json::as_str),
+        Some("deadline_exceeded")
+    );
     assert!(json.get("pending").and_then(Json::as_u64).is_some());
 
     // Materialisation now reports the pending pairs as a conflict...
@@ -281,15 +315,24 @@ fn panics_and_malformed_traffic_map_to_5xx_and_4xx_bodies() {
     let resp = client.post("/sessions/f/apply", "{not json").unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("bad_json"), "{}", resp.body);
-    let resp = client.post("/sessions/f/apply", "{\"edits\":[{\"op\":\"warp\"}]}").unwrap();
+    let resp = client
+        .post("/sessions/f/apply", "{\"edits\":[{\"op\":\"warp\"}]}")
+        .unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("bad_edit"), "{}", resp.body);
-    let resp = client.post("/sessions", "{\"name\":\"../escape\"}").unwrap();
+    let resp = client
+        .post("/sessions", "{\"name\":\"../escape\"}")
+        .unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("bad_session_name"), "{}", resp.body);
 
     // Editing a slot that does not exist is a 409, not a panic.
-    let resp = client.post("/sessions/f/apply", "{\"edits\":[{\"op\":\"remove\",\"slot\":99}]}").unwrap();
+    let resp = client
+        .post(
+            "/sessions/f/apply",
+            "{\"edits\":[{\"op\":\"remove\",\"slot\":99}]}",
+        )
+        .unwrap();
     assert_eq!(resp.status, 409, "{}", resp.body);
 
     // The server is still healthy after the abuse.

@@ -19,7 +19,12 @@ fn main() {
     let mut config = Configuration::new("land cover", "survey.png");
     for r in &map {
         config
-            .add_region(r.id.clone(), format!("parcel {}", r.id), r.color, r.region.clone())
+            .add_region(
+                r.id.clone(),
+                format!("parcel {}", r.id),
+                r.color,
+                r.region.clone(),
+            )
             .expect("generated ids are unique");
     }
     println!("annotated {} parcels", config.len());

@@ -28,15 +28,15 @@ fn main() {
     assert_eq!(rel.to_string(), "B:S:SW:W");
 
     // Fig. 12 (right): Attica's percentage matrix w.r.t. Peloponnesos.
-    let pct = config.percentages_between("attica", "peloponnesos").unwrap();
+    let pct = config
+        .percentages_between("attica", "peloponnesos")
+        .unwrap();
     println!("Attica, relative to Peloponnesos:\n{pct:.1}\n");
 
     // The paper's query: "Find all regions of the Athenean Alliance which
     // are surrounded by a region in the Spartan Alliance."
-    let q = parse_query(
-        "{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}",
-    )
-    .unwrap();
+    let q =
+        parse_query("{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}").unwrap();
     println!("q = {q}");
     let answers = evaluate(&q, &config).unwrap();
     for binding in &answers {
@@ -55,8 +55,7 @@ fn main() {
     for line in xml.lines().take(4) {
         println!("  {line}");
     }
-    let path = std::env::temp_dir()
-        .join(format!("peloponnesian-war-{}.xml", std::process::id()));
+    let path = std::env::temp_dir().join(format!("peloponnesian-war-{}.xml", std::process::id()));
     let report = config.save_to(&path).expect("atomic save succeeds");
     let loaded = Configuration::load_from(&path).expect("saved file loads");
     assert_eq!(loaded.config.len(), config.len());

@@ -30,7 +30,11 @@ fn main() {
     println!(
         "N ∘ S = {} ({}, gap {})",
         bounds.lower,
-        if bounds.is_exact() { "exact" } else { "bounded" },
+        if bounds.is_exact() {
+            "exact"
+        } else {
+            "bounded"
+        },
         bounds.gap().len()
     );
 
@@ -39,9 +43,12 @@ fn main() {
     for v in ["athens", "sparta", "thebes"] {
         net.add_variable(v).unwrap();
     }
-    net.add_constraint("sparta", "B:S:SW:W".parse().unwrap(), "athens").unwrap();
-    net.add_constraint("thebes", "NW:N".parse().unwrap(), "athens").unwrap();
-    net.add_constraint("thebes", "N:NE".parse().unwrap(), "sparta").unwrap();
+    net.add_constraint("sparta", "B:S:SW:W".parse().unwrap(), "athens")
+        .unwrap();
+    net.add_constraint("thebes", "NW:N".parse().unwrap(), "athens")
+        .unwrap();
+    net.add_constraint("thebes", "N:NE".parse().unwrap(), "sparta")
+        .unwrap();
     match net.solve() {
         Outcome::Consistent(solution) => {
             println!("network is consistent; witness regions:");
@@ -82,7 +89,12 @@ fn main() {
         "S".parse::<CardinalRelation>().unwrap(),
     ]);
     dn.constrain("a", n_or_s, "b").unwrap();
-    dn.constrain("b", DisjunctiveRelation::singleton("N".parse().unwrap()), "c").unwrap();
+    dn.constrain(
+        "b",
+        DisjunctiveRelation::singleton("N".parse().unwrap()),
+        "c",
+    )
+    .unwrap();
     assert_eq!(dn.close(), ClosureOutcome::Closed);
     println!(
         "closure refined a–c from 511 candidates to {}",

@@ -19,11 +19,19 @@ fn main() {
     // 1. "Segment" an image: 64×40 cells, 8 labelled areas.
     let mut rng = SplitMix64::seed_from_u64(329); // first page of the paper
     let raster = random_blobs(&mut rng, 64, 40, 8, 120);
-    println!("segmented image ({}×{} cells):", raster.width(), raster.height());
+    println!(
+        "segmented image ({}×{} cells):",
+        raster.width(),
+        raster.height()
+    );
     println!("{raster}\n");
 
     let components = raster.components(Connectivity::Four);
-    println!("{} connected components across {} labels", components.len(), raster.labels().len());
+    println!(
+        "{} connected components across {} labels",
+        components.len(),
+        raster.labels().len()
+    );
 
     // 2. Extract each label as a polygonal region and annotate it.
     let palette = ["blue", "red", "black", "green", "yellow"];
@@ -32,7 +40,12 @@ fn main() {
         let region = raster.extract_region(label).expect("label is present");
         let color = palette[(label as usize - 1) % palette.len()];
         config
-            .add_region(format!("seg{label}"), format!("segment {label}"), color, region)
+            .add_region(
+                format!("seg{label}"),
+                format!("segment {label}"),
+                color,
+                region,
+            )
             .expect("labels are unique");
     }
 
@@ -46,10 +59,12 @@ fn main() {
 
     // 4. Persist as the paper's XML (atomic save, `.bak` generation on
     //    re-save) and re-import via the recovery-aware loader.
-    let path = std::env::temp_dir()
-        .join(format!("segmentation-pipeline-{}.xml", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("segmentation-pipeline-{}.xml", std::process::id()));
     let report = config.save_to(&path).expect("atomic save succeeds");
-    let reloaded = Configuration::load_from(&path).expect("saved file loads").config;
+    let reloaded = Configuration::load_from(&path)
+        .expect("saved file loads")
+        .config;
     assert_eq!(reloaded.len(), config.len());
     println!("XML round-trip: {} bytes", report.bytes);
     let _ = std::fs::remove_file(&path);

@@ -10,7 +10,10 @@ use cardir::workloads::greece;
 fn main() {
     let regions = greece::scenario();
     // Scale distances to Attica's diameter, the paper's focal region.
-    let attica = regions.iter().find(|r| r.name == "Attica").expect("scenario has Attica");
+    let attica = regions
+        .iter()
+        .find(|r| r.name == "Attica")
+        .expect("scenario has Attica");
     let mbb = attica.region.mbb();
     let scheme = DistanceScheme::scaled_to(mbb.width().hypot(mbb.height()));
 
@@ -25,7 +28,10 @@ fn main() {
 
     // The combination the future work motivates: qualify a directional
     // answer with contact information.
-    let pel = regions.iter().find(|r| r.name == "Peloponnesos").expect("scenario");
+    let pel = regions
+        .iter()
+        .find(|r| r.name == "Peloponnesos")
+        .expect("scenario");
     let d = describe(&pel.region, &attica.region, &scheme);
     println!("\nPeloponnesos vs Attica: {d}");
     assert_eq!(d.direction.to_string(), "B:S:SW:W");

@@ -93,7 +93,10 @@ fn percentage_invariants() {
             assert!(areas.get(t) >= 0.0, "case {case}, tile {t}");
             total += areas.get(t);
         }
-        assert!((total - a.area()).abs() < 1e-9 * a.area().max(1.0), "case {case}");
+        assert!(
+            (total - a.area()).abs() < 1e-9 * a.area().max(1.0),
+            "case {case}"
+        );
 
         let matrix = areas.percentages();
         assert!((matrix.sum() - 100.0).abs() < 1e-9, "case {case}");
@@ -184,6 +187,10 @@ fn shared_boundary_cases_agree() {
         Region::from_coords([(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]).unwrap(), // inside
     ];
     for a in cases {
-        assert_eq!(compute_cdr(&a, &b), clipping_cdr(&a, &b).relation, "a = {a}");
+        assert_eq!(
+            compute_cdr(&a, &b),
+            clipping_cdr(&a, &b).relation,
+            "a = {a}"
+        );
     }
 }

@@ -18,7 +18,11 @@ use cardir::workloads::{archipelago, random_map, RegionSpec, SplitMix64};
 fn assert_engine_matches_naive(regions: &[Region], family: &str) {
     let cache = RegionCache::build(regions);
     let every: Vec<(usize, usize)> = (0..regions.len())
-        .flat_map(|i| (0..regions.len()).filter(move |&j| j != i).map(move |j| (i, j)))
+        .flat_map(|i| {
+            (0..regions.len())
+                .filter(move |&j| j != i)
+                .map(move |j| (i, j))
+        })
         .collect();
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         // The naive reference: the plain double loop in primary-major
@@ -34,35 +38,61 @@ fn assert_engine_matches_naive(regions: &[Region], family: &str) {
         }
         for threads in [1usize, 2, 4] {
             let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
-            let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
-            let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
+            let joined = engine
+                .run_join(&cache, &RunPolicy::default())
+                .materialize(&cache);
+            let exact = engine
+                .run_pairs(&cache, &every, &RunPolicy::default())
+                .unwrap();
             for (result, path) in [(&joined, "join"), (&exact, "every pair exact")] {
                 let label = format!("{family}, {mode:?}, {threads} threads, {path}");
                 assert_matches(result, &naive, &label);
             }
             let stats = &joined.stats;
             assert_eq!(stats.pairs, naive.len(), "{family}");
-            assert_eq!(stats.mask_emitted + stats.exact_pairs, stats.pairs, "{family}");
+            assert_eq!(
+                stats.mask_emitted + stats.exact_pairs,
+                stats.pairs,
+                "{family}"
+            );
             let decided = every
                 .iter()
                 .filter(|&&(i, j)| decided_tile(cache.mbb(i), cache.mbb(j)).is_some())
                 .count();
-            assert_eq!(stats.mask_emitted, decided, "{family}: the boxes decide these pairs");
+            assert_eq!(
+                stats.mask_emitted, decided,
+                "{family}: the boxes decide these pairs"
+            );
             let stats = &exact.stats;
-            assert_eq!((stats.mask_emitted, stats.exact_pairs), (0, naive.len()), "{family}");
+            assert_eq!(
+                (stats.mask_emitted, stats.exact_pairs),
+                (0, naive.len()),
+                "{family}"
+            );
         }
     }
 }
 
 fn assert_matches(
     result: &BatchOutcome,
-    naive: &[(usize, usize, cardir::core::CardinalRelation, Option<cardir::core::PercentageMatrix>)],
+    naive: &[(
+        usize,
+        usize,
+        cardir::core::CardinalRelation,
+        Option<cardir::core::PercentageMatrix>,
+    )],
     label: &str,
 ) {
     assert_eq!(result.pairs.len(), naive.len(), "{label}");
     for (got, (i, j, rel, pct)) in result.pairs.iter().zip(naive) {
-        let got = got.ok().unwrap_or_else(|| panic!("{label}: pair ({i}, {j}) not computed"));
-        assert_eq!((got.primary, got.reference), (*i, *j), "{label}: order must be primary-major");
+        let got = got
+            .ok()
+            .unwrap_or_else(|| panic!("{label}: pair ({i}, {j}) not computed"));
+        assert_eq!(
+            (got.primary, got.reference),
+            (*i, *j),
+            "{label}: order must be primary-major"
+        );
         assert_eq!(got.relation, *rel, "{label}, pair ({i}, {j})");
         assert_eq!(
             got.percentages, *pct,
@@ -78,8 +108,10 @@ fn grid_maps_bit_identical_across_threads() {
     let mut rng = SplitMix64::seed_from_u64(601);
     for n in [5usize, 17, 40] {
         let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(600.0, 450.0));
-        let regions: Vec<Region> =
-            random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect();
+        let regions: Vec<Region> = random_map(&mut rng, n, extent)
+            .into_iter()
+            .map(|m| m.region)
+            .collect();
         assert_engine_matches_naive(&regions, &format!("grid map n={n}"));
     }
 }
@@ -88,9 +120,14 @@ fn grid_maps_bit_identical_across_threads() {
 /// touching and straddling boxes the boxes cannot decide.
 #[test]
 fn greece_scenario_bit_identical_across_threads() {
-    let regions: Vec<Region> =
-        cardir::workloads::greece_scenario().into_iter().map(|r| r.region).collect();
-    assert!(regions.len() >= 5, "scenario should exercise a real pair matrix");
+    let regions: Vec<Region> = cardir::workloads::greece_scenario()
+        .into_iter()
+        .map(|r| r.region)
+        .collect();
+    assert!(
+        regions.len() >= 5,
+        "scenario should exercise a real pair matrix"
+    );
     assert_engine_matches_naive(&regions, "greece scenario");
 }
 
@@ -144,11 +181,18 @@ fn shared_mbb_edges_and_corners_bit_identical_with_and_without_prefilter() {
 fn selected_pairs_bit_identical() {
     let mut rng = SplitMix64::seed_from_u64(603);
     let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(500.0, 500.0));
-    let regions: Vec<Region> =
-        random_map(&mut rng, 30, extent).into_iter().map(|m| m.region).collect();
+    let regions: Vec<Region> = random_map(&mut rng, 30, extent)
+        .into_iter()
+        .map(|m| m.region)
+        .collect();
     let cache = RegionCache::build(&regions);
     let pairs: Vec<(usize, usize)> = (0..200)
-        .map(|_| (rng.random_range(0..regions.len()), rng.random_range(0..regions.len())))
+        .map(|_| {
+            (
+                rng.random_range(0..regions.len()),
+                rng.random_range(0..regions.len()),
+            )
+        })
         .collect();
     for threads in [1usize, 2, 4] {
         let result = BatchEngine::new()
@@ -159,7 +203,11 @@ fn selected_pairs_bit_identical() {
         assert_eq!(result.pairs.len(), pairs.len());
         for (got, &(i, j)) in result.relations().zip(&pairs) {
             assert_eq!((got.primary, got.reference), (i, j), "{threads} threads");
-            assert_eq!(got.relation, compute_cdr(&regions[i], &regions[j]), "{threads} threads");
+            assert_eq!(
+                got.relation,
+                compute_cdr(&regions[i], &regions[j]),
+                "{threads} threads"
+            );
             assert_eq!(
                 got.percentages,
                 Some(compute_cdr_pct(&regions[i], &regions[j])),
@@ -179,14 +227,20 @@ fn configuration_relations_match_naive_order() {
     let map = random_map(&mut rng, 20, extent);
     let mut config = cardir::cardirect::Configuration::new("engine-check", "gen.png");
     for r in &map {
-        config.add_region(r.id.clone(), r.id.clone(), r.color, r.region.clone()).unwrap();
+        config
+            .add_region(r.id.clone(), r.id.clone(), r.color, r.region.clone())
+            .unwrap();
     }
     config.compute_all_relations();
     let mut expected = Vec::new();
     for p in &map {
         for q in &map {
             if p.id != q.id {
-                expected.push((p.id.clone(), q.id.clone(), compute_cdr(&p.region, &q.region)));
+                expected.push((
+                    p.id.clone(),
+                    q.id.clone(),
+                    compute_cdr(&p.region, &q.region),
+                ));
             }
         }
     }

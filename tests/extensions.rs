@@ -3,7 +3,9 @@
 //! against each other, over a fixed seeded case list.
 
 use cardir::extensions::topology::topological_relation;
-use cardir::extensions::{describe, min_distance, DistanceRelation, DistanceScheme, TopologicalRelation};
+use cardir::extensions::{
+    describe, min_distance, DistanceRelation, DistanceScheme, TopologicalRelation,
+};
 use cardir::geometry::{Point, Region};
 use cardir::workloads::{star_polygon, SplitMix64};
 
@@ -58,7 +60,11 @@ fn combined_description_consistency() {
         let d = describe(&a, &b, &scheme);
         let touching = d.topology != TopologicalRelation::Disjoint;
         assert_eq!(touching, d.separation == 0.0, "case {case}: {d}");
-        assert_eq!(d.distance == DistanceRelation::Equal, touching, "case {case}");
+        assert_eq!(
+            d.distance == DistanceRelation::Equal,
+            touching,
+            "case {case}"
+        );
         // Equality of regions forces the direction relation B.
         if d.topology == TopologicalRelation::Equals {
             assert_eq!(d.direction.to_string(), "B", "case {case}");
@@ -72,7 +78,11 @@ fn self_description() {
     let mut rng = SplitMix64::seed_from_u64(304);
     for case in 0..96 {
         let a = random_star(&mut rng);
-        assert_eq!(topological_relation(&a, &a), TopologicalRelation::Equals, "case {case}");
+        assert_eq!(
+            topological_relation(&a, &a),
+            TopologicalRelation::Equals,
+            "case {case}"
+        );
         assert_eq!(min_distance(&a, &a), 0.0, "case {case}");
     }
 }
@@ -85,8 +95,14 @@ fn scaled_copies_nest() {
     let inner_poly = outer_poly.scaled(0.5, Point::ORIGIN).unwrap();
     let outer = Region::single(outer_poly);
     let inner = Region::single(inner_poly);
-    assert_eq!(topological_relation(&inner, &outer), TopologicalRelation::Inside);
-    assert_eq!(topological_relation(&outer, &inner), TopologicalRelation::Contains);
+    assert_eq!(
+        topological_relation(&inner, &outer),
+        TopologicalRelation::Inside
+    );
+    assert_eq!(
+        topological_relation(&outer, &inner),
+        TopologicalRelation::Contains
+    );
     assert_eq!(min_distance(&inner, &outer), 0.0);
 }
 

@@ -42,7 +42,9 @@ fn random_regions(n: usize, seed: u64) -> Vec<Region> {
 
 /// Every ordered pair `(i, j)`, `i ≠ j`, in primary-major order.
 fn every_pair(n: usize) -> Vec<(usize, usize)> {
-    (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j))).collect()
+    (0..n)
+        .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect()
 }
 
 /// Runs every ordered pair of `cache` as an explicit list.
@@ -99,7 +101,13 @@ fn fault_counters(stats: &BatchStats) -> [usize; 7] {
 /// A quantitative pair must match the naive algorithms bit for bit.
 fn assert_naive(pr: &PairRelation, regions: &[Region], context: &str) {
     let (a, b) = (&regions[pr.primary], &regions[pr.reference]);
-    assert_eq!(pr.relation, compute_cdr(a, b), "{context}: ({}, {})", pr.primary, pr.reference);
+    assert_eq!(
+        pr.relation,
+        compute_cdr(a, b),
+        "{context}: ({}, {})",
+        pr.primary,
+        pr.reference
+    );
     assert_eq!(
         pr.percentages,
         Some(compute_cdr_pct(a, b)),
@@ -152,7 +160,11 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
             let (plan, policy) = armed(
                 sites::ENGINE_PAIR_COMPUTE,
                 action.clone(),
-                Trigger::Probability { num: 1, den: 5, seed: 0xFEED ^ threads as u64 },
+                Trigger::Probability {
+                    num: 1,
+                    den: 5,
+                    seed: 0xFEED ^ threads as u64,
+                },
             );
             let outcome = run_every_pair(&cache, EngineMode::Quantitative, threads, &policy);
 
@@ -201,14 +213,25 @@ fn one_poisoned_pair_still_yields_all_other_results() {
         );
         let outcome = run_every_pair(&cache, EngineMode::Quantitative, threads, &policy);
 
-        assert_eq!(outcome.status, CompletionStatus::PartialPanics, "threads={threads}");
-        assert_eq!(outcome.failed, 1, "threads={threads}: exactly one PairError");
+        assert_eq!(
+            outcome.status,
+            CompletionStatus::PartialPanics,
+            "threads={threads}"
+        );
+        assert_eq!(
+            outcome.failed, 1,
+            "threads={threads}: exactly one PairError"
+        );
         assert_eq!(outcome.succeeded, total - 1);
         assert_eq!(outcome.stats.panics_caught, 1);
         let failures: Vec<_> = outcome.failures().collect();
         assert_eq!(failures.len(), 1);
         assert!(matches!(failures[0].failure, PairFailure::Panicked(_)));
-        assert!(failures[0].to_string().contains("poisoned pair"), "{}", failures[0]);
+        assert!(
+            failures[0].to_string().contains("poisoned pair"),
+            "{}",
+            failures[0]
+        );
         // The N−1 others are correct and in their slots.
         for (got, &want) in outcome.pairs.iter().zip(&pairs) {
             assert_eq!(got.indices(), want);
@@ -231,21 +254,34 @@ fn one_poisoned_pair_still_yields_all_other_results() {
 #[test]
 fn injected_panic_yields_the_failed_outcome_the_facade_rethrows() {
     // Overlapping boxes, so the join has exact work for the failpoint.
-    let regions = [rect(0.0, 0.0, 4.0, 4.0), rect(2.0, 2.0, 6.0, 6.0), rect(1.0, 3.0, 5.0, 7.0)];
+    let regions = [
+        rect(0.0, 0.0, 4.0, 4.0),
+        rect(2.0, 2.0, 6.0, 6.0),
+        rect(1.0, 3.0, 5.0, 7.0),
+    ];
     let cache = RegionCache::build(&regions);
-    let (plan, policy) =
-        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Panic("legacy".into()), Trigger::Nth(3));
+    let (plan, policy) = armed(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Panic("legacy".into()),
+        Trigger::Nth(3),
+    );
     let outcome = BatchEngine::new()
         .with_mode(EngineMode::Qualitative)
         .run_join(&cache, &policy)
         .materialize(&cache);
     assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
     assert_eq!(outcome.status, CompletionStatus::PartialPanics);
-    assert_eq!((outcome.succeeded, outcome.failed, outcome.skipped), (5, 1, 0));
+    assert_eq!(
+        (outcome.succeeded, outcome.failed, outcome.skipped),
+        (5, 1, 0)
+    );
     let failure = outcome.failures().next().expect("one pair failed");
     assert!(matches!(failure.failure, PairFailure::Panicked(_)));
     let message = failure.to_string();
-    assert!(message.contains("failed after") && message.contains("legacy"), "{message}");
+    assert!(
+        message.contains("failed after") && message.contains("legacy"),
+        "{message}"
+    );
 }
 
 #[test]
@@ -280,11 +316,18 @@ fn retry_exhaustion_reports_the_attempt_count() {
     let cache = RegionCache::build(&regions);
 
     // A single-pair run where every attempt fails: true exhaustion.
-    let (plan, policy) =
-        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("permanent".into()), Trigger::Always);
+    let (plan, policy) = armed(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Error("permanent".into()),
+        Trigger::Always,
+    );
     let outcome = BatchEngine::new()
         .with_threads(1)
-        .run_pairs(&cache, &[(0, 1)], &policy.with_retries(3).with_backoff(Duration::ZERO))
+        .run_pairs(
+            &cache,
+            &[(0, 1)],
+            &policy.with_retries(3).with_backoff(Duration::ZERO),
+        )
         .unwrap();
     assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 4);
 
@@ -341,19 +384,30 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
 
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
     assert!(outcome.skipped > 0, "some chunks must miss the deadline");
-    assert!(outcome.succeeded > 0, "the first chunk fits in the deadline");
+    assert!(
+        outcome.succeeded > 0,
+        "the first chunk fits in the deadline"
+    );
     assert_eq!(outcome.succeeded + outcome.skipped, total);
     assert_eq!(outcome.succeeded + outcome.failed + outcome.skipped, total);
     // Every slot, skipped or computed, names its own pair in input order.
     let order: Vec<(usize, usize)> = outcome.pairs.iter().map(PairOutcome::indices).collect();
     assert_eq!(order, every_pair(regions.len()));
     assert_eq!(
-        outcome.pairs.iter().filter(|p| matches!(p, PairOutcome::Skipped { .. })).count(),
+        outcome
+            .pairs
+            .iter()
+            .filter(|p| matches!(p, PairOutcome::Skipped { .. }))
+            .count(),
         outcome.skipped
     );
     // Completed work is contiguous from the front (chunk order on one
     // thread), and all of it is correct.
-    let done = outcome.pairs.iter().take_while(|p| p.ok().is_some()).count();
+    let done = outcome
+        .pairs
+        .iter()
+        .take_while(|p| p.ok().is_some())
+        .count();
     assert_eq!(done, outcome.succeeded, "completed work is a prefix");
     for pr in outcome.relations() {
         assert_naive(pr, &regions, "mid-run deadline");
@@ -369,7 +423,11 @@ fn mid_run_deadline_on_the_join_keeps_unclaimed_pairs_in_row_order() {
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
     let (interacting, _) = interacting_pairs(&cache);
-    assert!(interacting.len() > 3 * 256, "{} interacting pairs", interacting.len());
+    assert!(
+        interacting.len() > 3 * 256,
+        "{} interacting pairs",
+        interacting.len()
+    );
 
     let (_plan, policy) = armed(
         sites::ENGINE_CHUNK_CLAIM,
@@ -393,14 +451,29 @@ fn mid_run_deadline_on_the_join_keeps_unclaimed_pairs_in_row_order() {
             (i as u32, j as u32)
         })
         .collect();
-    assert_eq!(order, interacting, "every slot names its pair in primary-major order");
     assert_eq!(
-        outcome.interacting.iter().filter(|p| matches!(p, PairOutcome::Skipped { .. })).count(),
+        order, interacting,
+        "every slot names its pair in primary-major order"
+    );
+    assert_eq!(
+        outcome
+            .interacting
+            .iter()
+            .filter(|p| matches!(p, PairOutcome::Skipped { .. }))
+            .count(),
         outcome.skipped
     );
-    let done = outcome.interacting.iter().take_while(|p| p.ok().is_some()).count();
+    let done = outcome
+        .interacting
+        .iter()
+        .take_while(|p| p.ok().is_some())
+        .count();
     assert!(done > 0, "the first chunk fits in the deadline");
-    assert_eq!(done, interacting.len() - outcome.skipped, "completed work is a prefix");
+    assert_eq!(
+        done,
+        interacting.len() - outcome.skipped,
+        "completed work is a prefix"
+    );
     for pr in outcome.interacting.iter().filter_map(PairOutcome::ok) {
         assert_naive(pr, &regions, "join deadline");
     }
@@ -414,7 +487,9 @@ fn panic_without_isolation_unwinds_out_of_both_entry_points() {
     let regions = random_regions(30, 29);
     let cache = RegionCache::build(&regions);
     for threads in [1usize, 2] {
-        let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
+        let engine = BatchEngine::new()
+            .with_mode(EngineMode::Quantitative)
+            .with_threads(threads);
         let (plan, policy) = armed(
             sites::ENGINE_PAIR_COMPUTE,
             FaultAction::Panic("unisolated".into()),
@@ -425,7 +500,10 @@ fn panic_without_isolation_unwinds_out_of_both_entry_points() {
             engine.run_join(&cache, &policy)
         }));
         let message = faults::panic_message(joined.expect_err("run_join must unwind"));
-        assert!(message.contains("unisolated"), "threads={threads}: {message}");
+        assert!(
+            message.contains("unisolated"),
+            "threads={threads}: {message}"
+        );
 
         plan.arm(
             sites::ENGINE_PAIR_COMPUTE,
@@ -436,7 +514,10 @@ fn panic_without_isolation_unwinds_out_of_both_entry_points() {
             engine.run_pairs(&cache, &every_pair(regions.len()), &policy)
         }));
         let message = faults::panic_message(listed.expect_err("run_pairs must unwind"));
-        assert!(message.contains("unisolated"), "threads={threads}: {message}");
+        assert!(
+            message.contains("unisolated"),
+            "threads={threads}: {message}"
+        );
     }
 }
 
@@ -465,8 +546,11 @@ fn fault_events_flow_into_telemetry() {
     let regions = random_regions(8, 31);
     let cache = RegionCache::build(&regions);
 
-    let (plan, policy) =
-        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Panic("telemetry".into()), Trigger::Nth(5));
+    let (plan, policy) = armed(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Panic("telemetry".into()),
+        Trigger::Nth(5),
+    );
     let outcome = run_every_pair(&cache, EngineMode::Qualitative, 2, &policy);
     assert_eq!(outcome.failed, 1);
     assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
@@ -489,10 +573,18 @@ fn the_stats_record_closes_its_own_accounting() {
     let cache = RegionCache::build(&regions);
     let closes = |stats: &BatchStats, failed: usize, skipped: usize, context: &str| {
         let claimed: usize = stats.per_thread_pairs.iter().sum();
-        assert_eq!(claimed + skipped, stats.exact_pairs, "{context}: claimed + skipped");
+        assert_eq!(
+            claimed + skipped,
+            stats.exact_pairs,
+            "{context}: claimed + skipped"
+        );
         assert_eq!(stats.failed_pairs, failed, "{context}: failed");
         assert_eq!(stats.skipped_pairs, skipped, "{context}: skipped");
-        assert_eq!(stats.mask_emitted + stats.exact_pairs, stats.pairs, "{context}: partition");
+        assert_eq!(
+            stats.mask_emitted + stats.exact_pairs,
+            stats.pairs,
+            "{context}: partition"
+        );
     };
     for threads in [1usize, 2] {
         let cancelled = CancelToken::new();
@@ -509,7 +601,10 @@ fn the_stats_record_closes_its_own_accounting() {
         let cases = [
             ("cancel", RunPolicy::default().with_cancel(cancelled)),
             ("deadline", stalled.with_deadline(Duration::from_millis(50))),
-            ("nth(5) retried", fifth().with_retries(2).with_backoff(Duration::ZERO)),
+            (
+                "nth(5) retried",
+                fifth().with_retries(2).with_backoff(Duration::ZERO),
+            ),
             ("nth(5)", fifth()),
         ];
         for (label, policy) in cases {
@@ -523,7 +618,11 @@ fn the_stats_record_closes_its_own_accounting() {
             let stats = &outcome.stats;
             closes(stats, outcome.failed, outcome.skipped, &context);
             assert_eq!(outcome.failures().count(), outcome.failed, "{context}");
-            assert_eq!(outcome.succeeded + outcome.failed + outcome.skipped, stats.pairs, "{context}");
+            assert_eq!(
+                outcome.succeeded + outcome.failed + outcome.skipped,
+                stats.pairs,
+                "{context}"
+            );
             match label {
                 "cancel" => assert_eq!(outcome.skipped, stats.exact_pairs, "{context}"),
                 "nth(5) retried" => {
@@ -550,9 +649,14 @@ fn concurrent_joins_see_only_their_own_plan() {
     let regions = overlapping_regions(37);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
-    let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(2);
-    let (plan, armed_policy) =
-        armed(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("scoped".into()), Trigger::Always);
+    let engine = BatchEngine::new()
+        .with_mode(EngineMode::Quantitative)
+        .with_threads(2);
+    let (plan, armed_policy) = armed(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Error("scoped".into()),
+        Trigger::Always,
+    );
     for round in 0..4 {
         let start = Barrier::new(2);
         let (faulted, clean) = std::thread::scope(|s| {
@@ -562,7 +666,9 @@ fn concurrent_joins_see_only_their_own_plan() {
             });
             let clean = s.spawn(|| {
                 start.wait();
-                engine.run_join(&cache, &RunPolicy::default()).materialize(&cache)
+                engine
+                    .run_join(&cache, &RunPolicy::default())
+                    .materialize(&cache)
             });
             (faulted.join().unwrap(), clean.join().unwrap())
         });

@@ -21,8 +21,10 @@ use cardir::workloads::{random_map, SplitMix64};
 fn engine_runs_never_reflatten_region_geometry() {
     let mut rng = SplitMix64::seed_from_u64(803);
     let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(600.0, 450.0));
-    let regions: Vec<Region> =
-        random_map(&mut rng, 40, extent).into_iter().map(|m| m.region).collect();
+    let regions: Vec<Region> = random_map(&mut rng, 40, extent)
+        .into_iter()
+        .map(|m| m.region)
+        .collect();
 
     // The cache itself reads `Polygon::vertices` directly, so even the
     // build performs zero flatten events — but only the *post-build*
@@ -31,13 +33,19 @@ fn engine_runs_never_reflatten_region_geometry() {
     let after_build = flatten::events();
 
     let every: Vec<(usize, usize)> = (0..regions.len())
-        .flat_map(|i| (0..regions.len()).filter(move |&j| j != i).map(move |j| (i, j)))
+        .flat_map(|i| {
+            (0..regions.len())
+                .filter(move |&j| j != i)
+                .map(move |j| (i, j))
+        })
         .collect();
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         for threads in [1usize, 2, 8] {
             let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
 
-            let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
+            let exact = engine
+                .run_pairs(&cache, &every, &RunPolicy::default())
+                .unwrap();
             assert!(exact.stats.fused_pairs > 0);
 
             let joined = engine.run_join(&cache, &RunPolicy::default());

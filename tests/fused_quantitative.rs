@@ -57,17 +57,35 @@ fn oracle(regions: &[Region], cache: &RegionCache<'_>) -> Oracle {
             let (fused_rel, fused_areas) = cdr_areas_from_soa(&soa, mbb);
             let fused_pct = fused_areas.percentages();
 
-            assert_eq!(naive_rel, legacy_rel, "pair ({i}, {j}): naive vs legacy relation");
-            assert_eq!(legacy_rel, fused_rel, "pair ({i}, {j}): legacy vs fused relation");
-            assert_eq!(fused_rel, fused_rel_only, "pair ({i}, {j}): fused modes disagree");
-            assert_eq!(naive_pct, legacy_pct, "pair ({i}, {j}): naive vs legacy percentages");
-            assert_eq!(legacy_pct, fused_pct, "pair ({i}, {j}): legacy vs fused percentages");
+            assert_eq!(
+                naive_rel, legacy_rel,
+                "pair ({i}, {j}): naive vs legacy relation"
+            );
+            assert_eq!(
+                legacy_rel, fused_rel,
+                "pair ({i}, {j}): legacy vs fused relation"
+            );
+            assert_eq!(
+                fused_rel, fused_rel_only,
+                "pair ({i}, {j}): fused modes disagree"
+            );
+            assert_eq!(
+                naive_pct, legacy_pct,
+                "pair ({i}, {j}): naive vs legacy percentages"
+            );
+            assert_eq!(
+                legacy_pct, fused_pct,
+                "pair ({i}, {j}): legacy vs fused percentages"
+            );
 
             relations.push(fused_rel);
             percentages.push(fused_pct);
         }
     }
-    Oracle { relations, percentages }
+    Oracle {
+        relations,
+        percentages,
+    }
 }
 
 /// Runs both entry points over the triple oracle at every thread count
@@ -77,18 +95,30 @@ fn assert_fused_pipeline_cross_validates(regions: &[Region], family: &str) {
     let cache = RegionCache::build(regions);
     let truth = oracle(regions, &cache);
     let every: Vec<(usize, usize)> = (0..regions.len())
-        .flat_map(|i| (0..regions.len()).filter(move |&j| j != i).map(move |j| (i, j)))
+        .flat_map(|i| {
+            (0..regions.len())
+                .filter(move |&j| j != i)
+                .map(move |j| (i, j))
+        })
         .collect();
 
     for threads in [1usize, 2, 8] {
-        let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
-        let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
-        let exact = engine.run_pairs(&cache, &every, &RunPolicy::default()).unwrap();
+        let engine = BatchEngine::new()
+            .with_mode(EngineMode::Quantitative)
+            .with_threads(threads);
+        let joined = engine
+            .run_join(&cache, &RunPolicy::default())
+            .materialize(&cache);
+        let exact = engine
+            .run_pairs(&cache, &every, &RunPolicy::default())
+            .unwrap();
         for (out, path) in [(&joined, "join"), (&exact, "every pair exact")] {
             let label = format!("{family}, {threads} threads, {path}");
             assert_eq!(out.pairs.len(), truth.relations.len(), "{label}");
             for (k, got) in out.pairs.iter().enumerate() {
-                let got = got.ok().unwrap_or_else(|| panic!("{label}: pair #{k} failed"));
+                let got = got
+                    .ok()
+                    .unwrap_or_else(|| panic!("{label}: pair #{k} failed"));
                 assert_eq!(got.relation, truth.relations[k], "{label}, pair #{k}");
                 assert_eq!(
                     got.percentages.as_ref(),
@@ -114,8 +144,10 @@ fn grid_maps_fused_bit_identical() {
     let mut rng = SplitMix64::seed_from_u64(801);
     for n in [6usize, 19, 36] {
         let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(600.0, 450.0));
-        let regions: Vec<Region> =
-            random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect();
+        let regions: Vec<Region> = random_map(&mut rng, n, extent)
+            .into_iter()
+            .map(|m| m.region)
+            .collect();
         assert_fused_pipeline_cross_validates(&regions, &format!("grid map n={n}"));
     }
 }
@@ -143,9 +175,14 @@ fn archipelagos_fused_bit_identical() {
 /// touching boxes, grid-line contacts, and B/N-boundary area splits.
 #[test]
 fn greece_scenario_fused_bit_identical() {
-    let regions: Vec<Region> =
-        cardir::workloads::greece_scenario().into_iter().map(|r| r.region).collect();
-    assert!(regions.len() >= 5, "scenario should exercise a real pair matrix");
+    let regions: Vec<Region> = cardir::workloads::greece_scenario()
+        .into_iter()
+        .map(|r| r.region)
+        .collect();
+    assert!(
+        regions.len() >= 5,
+        "scenario should exercise a real pair matrix"
+    );
     assert_fused_pipeline_cross_validates(&regions, "greece scenario");
 }
 
@@ -156,14 +193,14 @@ fn greece_scenario_fused_bit_identical() {
 #[test]
 fn boundary_contact_and_north_stack_fused_bit_identical() {
     let regions = vec![
-        rect(0.0, 0.0, 4.0, 4.0),   // the reference square
-        rect(1.0, 6.0, 3.0, 8.0),   // strictly north: N-tile fallback
-        rect(0.5, 9.0, 3.5, 11.0),  // strictly north of both
-        rect(4.0, 0.0, 8.0, 4.0),   // shares the full east edge
-        rect(0.0, 4.0, 4.0, 8.0),   // shares the full north edge
-        rect(4.0, 4.0, 8.0, 8.0),   // touches only the NE corner
-        rect(2.0, 2.0, 6.0, 6.0),   // straddles the NE corner
-        rect(0.0, 0.0, 4.0, 4.0),   // exact duplicate of the reference
+        rect(0.0, 0.0, 4.0, 4.0),  // the reference square
+        rect(1.0, 6.0, 3.0, 8.0),  // strictly north: N-tile fallback
+        rect(0.5, 9.0, 3.5, 11.0), // strictly north of both
+        rect(4.0, 0.0, 8.0, 4.0),  // shares the full east edge
+        rect(0.0, 4.0, 4.0, 8.0),  // shares the full north edge
+        rect(4.0, 4.0, 8.0, 8.0),  // touches only the NE corner
+        rect(2.0, 2.0, 6.0, 6.0),  // straddles the NE corner
+        rect(0.0, 0.0, 4.0, 4.0),  // exact duplicate of the reference
     ];
     assert_fused_pipeline_cross_validates(&regions, "boundary contact + north stack");
 }

@@ -22,7 +22,10 @@ fn extent() -> BoundingBox {
 
 fn map(seed: u64, n: usize) -> Vec<Region> {
     let mut rng = SplitMix64::seed_from_u64(seed);
-    random_map(&mut rng, n, extent()).into_iter().map(|m| m.region).collect()
+    random_map(&mut rng, n, extent())
+        .into_iter()
+        .map(|m| m.region)
+        .collect()
 }
 
 fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
@@ -35,8 +38,14 @@ fn full_recompute(engine: &IncrementalEngine) -> Vec<PairRelation> {
     let regions: Vec<&Region> = engine.live_regions().map(|(_, r)| r).collect();
     let cache = RegionCache::build(regions);
     let batch = BatchEngine::new().with_mode(engine.mode()).with_threads(1);
-    let outcome = batch.run_join(&cache, &RunPolicy::default()).materialize(&cache);
-    outcome.pairs.iter().map(|p| p.ok().expect("clean oracle run").clone()).collect()
+    let outcome = batch
+        .run_join(&cache, &RunPolicy::default())
+        .materialize(&cache);
+    outcome
+        .pairs
+        .iter()
+        .map(|p| p.ok().expect("clean oracle run").clone())
+        .collect()
 }
 
 /// A fresh, unarmed plan and a default policy that carries it.
@@ -51,7 +60,11 @@ fn assert_matches_full(engine: &IncrementalEngine, context: &str) {
     let oracle = full_recompute(engine);
     assert_eq!(materialized.len(), oracle.len(), "{context}: pair count");
     for (got, want) in materialized.iter().zip(&oracle) {
-        assert_eq!(got, want, "{context}: pair ({}, {})", got.primary, got.reference);
+        assert_eq!(
+            got, want,
+            "{context}: pair ({}, {})",
+            got.primary, got.reference
+        );
     }
 }
 
@@ -105,18 +118,26 @@ fn faulted_edits_park_pending_then_repair_converges() {
     plan.arm(
         sites::ENGINE_PAIR_COMPUTE,
         FaultAction::Error("injected".into()),
-        Trigger::Probability { num: 1, den: 2, seed: 611 },
+        Trigger::Probability {
+            num: 1,
+            den: 2,
+            seed: 611,
+        },
     );
     let mut pending_seen = 0;
     for replacement in map(613, 6) {
         let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
         let victim = live[(replacement.mbb().min.x as u64 % live.len() as u64) as usize];
-        let delta =
-            engine.apply_with(Edit::Replace(victim, replacement), &policy).expect("edit applies");
+        let delta = engine
+            .apply_with(Edit::Replace(victim, replacement), &policy)
+            .expect("edit applies");
         pending_seen += delta.pending_added.len();
     }
     plan.disarm(sites::ENGINE_PAIR_COMPUTE);
-    assert!(pending_seen > 0, "the 1-in-2 fault never fired across 6 edits");
+    assert!(
+        pending_seen > 0,
+        "the 1-in-2 fault never fired across 6 edits"
+    );
     assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), pending_seen as u64);
 
     if engine.pending_count() > 0 {
@@ -130,7 +151,10 @@ fn faulted_edits_park_pending_then_repair_converges() {
     }
 
     let repaired = engine.repair_with(&policy);
-    assert_eq!(repaired.still_pending, 0, "disarmed repair must clear the backlog");
+    assert_eq!(
+        repaired.still_pending, 0,
+        "disarmed repair must clear the backlog"
+    );
     assert_eq!(repaired.status, CompletionStatus::Complete);
     assert_matches_full(&engine, "after repair");
 }
@@ -152,9 +176,14 @@ fn repair_under_fire_keeps_failures_pending() {
 
     // Fault every compute: the replace parks all its pairs.
     let (plan, policy) = planned();
-    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("injected".into()), Trigger::Always);
-    let delta =
-        engine.apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("applies");
+    plan.arm(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Error("injected".into()),
+        Trigger::Always,
+    );
+    let delta = engine
+        .apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
+        .expect("applies");
     assert!(delta.installed.is_empty());
     assert!(!delta.pending_added.is_empty());
 
@@ -183,13 +212,21 @@ fn invalidation_supersedes_pending_pairs_of_the_edited_slot() {
         &RunPolicy::default(),
     );
     let (plan, policy) = planned();
-    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("injected".into()), Trigger::Always);
-    engine.apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy).expect("applies");
+    plan.arm(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Error("injected".into()),
+        Trigger::Always,
+    );
+    engine
+        .apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
+        .expect("applies");
     assert!(engine.pending_count() > 0);
     plan.disarm(sites::ENGINE_PAIR_COMPUTE);
 
     // Removing the slot drops its pending pairs with it.
-    engine.apply_with(Edit::Remove(1), &policy).expect("applies");
+    engine
+        .apply_with(Edit::Remove(1), &policy)
+        .expect("applies");
     assert_eq!(engine.pending_count(), 0);
     assert_matches_full(&engine, "after remove of faulted slot");
 }
@@ -206,11 +243,19 @@ fn injected_panic_is_isolated_as_a_pending_pair() {
         &RunPolicy::default(),
     );
     let (plan, policy) = planned();
-    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Panic("injected".into()), Trigger::Times(1));
+    plan.arm(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Panic("injected".into()),
+        Trigger::Times(1),
+    );
     let delta = engine
         .apply_with(Edit::Replace(1, rect(6.0, 6.0, 16.0, 16.0)), &policy)
         .expect("apply absorbs the panic");
-    assert_eq!(delta.pending_added.len(), 1, "the panicked pair parks as pending");
+    assert_eq!(
+        delta.pending_added.len(),
+        1,
+        "the panicked pair parks as pending"
+    );
     assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 1);
     let repaired = engine.repair_with(&policy);
     assert_eq!(repaired.still_pending, 0);
@@ -228,12 +273,17 @@ fn incremental_counters_export_and_the_plan_counts_its_site_fires() {
         &RunPolicy::default(),
     );
     let (plan, policy) = planned();
-    plan.arm(sites::ENGINE_PAIR_COMPUTE, FaultAction::Error("injected".into()), Trigger::Times(1));
+    plan.arm(
+        sites::ENGINE_PAIR_COMPUTE,
+        FaultAction::Error("injected".into()),
+        Trigger::Times(1),
+    );
     let mut pending_seen = 0;
     for replacement in map(633, 3) {
         let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
-        let delta =
-            engine.apply_with(Edit::Replace(live[0], replacement), &policy).expect("applies");
+        let delta = engine
+            .apply_with(Edit::Replace(live[0], replacement), &policy)
+            .expect("applies");
         pending_seen += delta.pending_added.len();
     }
     let repaired = engine.repair_with(&policy);

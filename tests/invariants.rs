@@ -50,7 +50,10 @@ fn scale_invariance() {
         // Percentages are scale-free as well.
         let pct = compute_cdr_pct(&a, &b);
         let pct_scaled = compute_cdr_pct(&scale_region(&a, factor), &scale_region(&b, factor));
-        assert!(pct.approx_eq(&pct_scaled, 1e-6), "case {case}, factor {factor}");
+        assert!(
+            pct.approx_eq(&pct_scaled, 1e-6),
+            "case {case}, factor {factor}"
+        );
     }
 }
 
@@ -88,19 +91,27 @@ fn closure_and_solver_agree() {
                     CardinalRelation::from_bits(rng.random_range(1u16..512)).unwrap()
                 };
                 net.add_constraint(names[i], rel, names[j]).unwrap();
-                closure.constrain(names[i], DisjunctiveRelation::singleton(rel), names[j]).unwrap();
+                closure
+                    .constrain(names[i], DisjunctiveRelation::singleton(rel), names[j])
+                    .unwrap();
             }
         }
         let solved = net.solve();
         let closed = closure.close();
         // Closure refuted ⇒ solver must not have found a witness.
         if closed == ClosureOutcome::Inconsistent {
-            assert!(!solved.is_consistent(), "case {case}: closure refuted a witnessed network");
+            assert!(
+                !solved.is_consistent(),
+                "case {case}: closure refuted a witnessed network"
+            );
         }
         // Solver refuted (exact) ⇒ geometric networks never reach here;
         // closure may or may not catch it (weaker), no assertion needed.
         if geometric {
-            assert!(solved.is_consistent(), "case {case}: geometric networks have witnesses");
+            assert!(
+                solved.is_consistent(),
+                "case {case}: geometric networks have witnesses"
+            );
             assert_eq!(closed, ClosureOutcome::Closed, "case {case}");
         }
     }
@@ -113,7 +124,8 @@ fn closure_and_solver_agree() {
 /// robustness edge of the paper's approach worth pinning down.
 #[test]
 fn mixed_scale_robustness_edge() {
-    let tiny = Region::from_coords([(1e-7, 1e-7), (3e-7, 1e-7), (3e-7, 3e-7), (1e-7, 3e-7)]).unwrap();
+    let tiny =
+        Region::from_coords([(1e-7, 1e-7), (3e-7, 1e-7), (3e-7, 3e-7), (1e-7, 3e-7)]).unwrap();
     let huge = Region::from_coords([(-1e8, -1e8), (1e8, -1e8), (1e8, 1e8), (-1e8, 1e8)]).unwrap();
     assert_eq!(compute_cdr(&tiny, &huge).to_string(), "B");
     let exact = compute_cdr(&huge, &tiny);
@@ -122,5 +134,8 @@ fn mixed_scale_robustness_edge() {
     // The clipping answer is a subset (it can only lose thin tiles)…
     assert!(clipped.is_subset_of(exact));
     // …and here it genuinely does lose the four edge strips.
-    assert!(clipped.tile_count() < 9, "expected the baseline to drop thin strips");
+    assert!(
+        clipped.tile_count() < 9,
+        "expected the baseline to drop thin strips"
+    );
 }

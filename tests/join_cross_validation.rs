@@ -54,7 +54,11 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
     let total = if n < 2 { 0 } else { n * (n - 1) };
 
     let (interacting, _) = interacting_pairs(&cache);
-    assert_eq!(interacting, undecided_oracle(&cache), "{label}: partition oracle");
+    assert_eq!(
+        interacting,
+        undecided_oracle(&cache),
+        "{label}: partition oracle"
+    );
 
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         let mut naive = Vec::new();
@@ -85,11 +89,25 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
 
             let out = joined.materialize(&cache);
             assert_eq!(out.status, CompletionStatus::Complete, "{sub}");
-            assert_eq!((out.succeeded, out.failed, out.skipped), (total, 0, 0), "{sub}");
+            assert_eq!(
+                (out.succeeded, out.failed, out.skipped),
+                (total, 0, 0),
+                "{sub}"
+            );
             let after = &out.stats;
             assert_eq!(
-                (after.pairs, after.mask_emitted, after.exact_pairs, after.candidates),
-                (stats.pairs, stats.mask_emitted, stats.exact_pairs, stats.candidates),
+                (
+                    after.pairs,
+                    after.mask_emitted,
+                    after.exact_pairs,
+                    after.candidates
+                ),
+                (
+                    stats.pairs,
+                    stats.mask_emitted,
+                    stats.exact_pairs,
+                    stats.candidates
+                ),
                 "{sub}: materializing must not move the partition"
             );
 
@@ -152,8 +170,10 @@ fn random_maps_cross_validate() {
     let mut rng = SplitMix64::seed_from_u64(71);
     for n in [6usize, 25] {
         let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(500.0, 400.0));
-        let regions: Vec<Region> =
-            random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect();
+        let regions: Vec<Region> = random_map(&mut rng, n, extent)
+            .into_iter()
+            .map(|m| m.region)
+            .collect();
         assert_join_cross_validates(&regions, &format!("random map n={n}"));
     }
 }
@@ -167,13 +187,13 @@ fn random_maps_cross_validate() {
 #[test]
 fn boundary_contact_pairs_stay_exact() {
     let regions = vec![
-        rect(0.0, 0.0, 4.0, 4.0),       // 0: the reference square
-        rect(4.0, 0.0, 8.0, 4.0),       // 1: shares the full east edge
-        rect(4.0, 4.0, 8.0, 8.0),       // 2: touches only the NE corner
-        rect(1.0, 4.0, 3.0, 4.5),       // 3: sits on the north line, inside its span
-        rect(0.0, 0.0, 4.0, 4.0),       // 4: exact duplicate of the reference
-        rect(1.0, 3.999, 3.0, 4.001),   // 5: hairline sliver straddling the north line
-        rect(10.0, 10.0, 11.0, 11.0),   // 6: strictly inside NE — the only decided one
+        rect(0.0, 0.0, 4.0, 4.0),     // 0: the reference square
+        rect(4.0, 0.0, 8.0, 4.0),     // 1: shares the full east edge
+        rect(4.0, 4.0, 8.0, 8.0),     // 2: touches only the NE corner
+        rect(1.0, 4.0, 3.0, 4.5),     // 3: sits on the north line, inside its span
+        rect(0.0, 0.0, 4.0, 4.0),     // 4: exact duplicate of the reference
+        rect(1.0, 3.999, 3.0, 4.001), // 5: hairline sliver straddling the north line
+        rect(10.0, 10.0, 11.0, 11.0), // 6: strictly inside NE — the only decided one
     ];
     let cache = RegionCache::build(&regions);
     let (interacting, _) = interacting_pairs(&cache);
@@ -189,12 +209,21 @@ fn boundary_contact_pairs_stay_exact() {
         (1, 2, "shared corner at (8, 4)"),
     ] {
         assert!(has(i, j), "({i}, {j}) [{why}] must be routed exact");
-        assert!(has(j, i), "({j}, {i}) [{why}, reversed] must be routed exact");
+        assert!(
+            has(j, i),
+            "({j}, {i}) [{why}, reversed] must be routed exact"
+        );
     }
     // The far box is decided against everything, both ways.
     for other in 0u32..6 {
-        assert!(!has(6, other), "(6, {other}) is strictly separated: mask-emitted");
-        assert!(!has(other, 6), "({other}, 6) is strictly separated: mask-emitted");
+        assert!(
+            !has(6, other),
+            "(6, {other}) is strictly separated: mask-emitted"
+        );
+        assert!(
+            !has(other, 6),
+            "({other}, 6) is strictly separated: mask-emitted"
+        );
         // And what the mask emits is the geometric truth.
         let tile = decided_tile(cache.mbb(6), cache.mbb(other as usize))
             .expect("strictly separated boxes are decided");
@@ -225,9 +254,19 @@ fn pre_cancelled_join_still_emits_mask_pairs() {
         .run_join(&cache, &RunPolicy::default().with_cancel(token));
 
     assert_eq!(joined.status, CompletionStatus::Cancelled);
-    assert!(joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0, "{:?}", joined.stats);
-    assert_eq!(joined.succeeded, joined.stats.mask_emitted, "emission ignores the token");
-    assert_eq!(joined.skipped, joined.stats.exact_pairs, "the whole exact subset is skipped");
+    assert!(
+        joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0,
+        "{:?}",
+        joined.stats
+    );
+    assert_eq!(
+        joined.succeeded, joined.stats.mask_emitted,
+        "emission ignores the token"
+    );
+    assert_eq!(
+        joined.skipped, joined.stats.exact_pairs,
+        "the whole exact subset is skipped"
+    );
     assert_eq!(joined.failed, 0);
 
     let (interacting, _) = interacting_pairs(&cache);
@@ -243,7 +282,10 @@ fn pre_cancelled_join_still_emits_mask_pairs() {
                     pr.primary,
                     pr.reference
                 );
-                assert_eq!(pr.relation, compute_cdr(&regions[pr.primary], &regions[pr.reference]));
+                assert_eq!(
+                    pr.relation,
+                    compute_cdr(&regions[pr.primary], &regions[pr.reference])
+                );
             }
             PairOutcome::Skipped { primary, reference } => {
                 assert!(
@@ -263,14 +305,19 @@ fn zero_deadline_join_skips_only_exact_pairs() {
     let regions = mixed_map();
     let cache = RegionCache::build(&regions);
 
-    let joined = BatchEngine::new()
-        .with_threads(2)
-        .run_join(&cache, &RunPolicy::default().with_deadline(std::time::Duration::ZERO));
+    let joined = BatchEngine::new().with_threads(2).run_join(
+        &cache,
+        &RunPolicy::default().with_deadline(std::time::Duration::ZERO),
+    );
 
     assert_eq!(joined.status, CompletionStatus::DeadlineExceeded);
     assert_eq!(joined.succeeded, joined.stats.mask_emitted);
     assert_eq!(joined.skipped, joined.stats.exact_pairs);
-    assert!(joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0, "{:?}", joined.stats);
+    assert!(
+        joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0,
+        "{:?}",
+        joined.stats
+    );
 }
 
 /// Panic isolation parity: a poisoned exact pair fails alone — every
@@ -282,7 +329,9 @@ fn poisoned_exact_pair_is_isolated_and_survivors_match() {
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
     let engine = BatchEngine::new().with_threads(1);
-    let baseline = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+    let baseline = engine
+        .run_join(&cache, &RunPolicy::default())
+        .materialize(&cache);
     assert_eq!(baseline.status, CompletionStatus::Complete);
 
     let plan = Arc::new(FaultPlan::new());
@@ -310,7 +359,11 @@ fn poisoned_exact_pair_is_isolated_and_survivors_match() {
             PairOutcome::Failed(e) => {
                 failures += 1;
                 let (i, j) = got.indices();
-                assert_eq!((i, j), want.indices(), "the failure sits in its input-order slot");
+                assert_eq!(
+                    (i, j),
+                    want.indices(),
+                    "the failure sits in its input-order slot"
+                );
                 assert!(e.to_string().contains("poisoned join pair"), "{e}");
             }
             PairOutcome::Skipped { .. } => panic!("nothing may be skipped"),
@@ -334,7 +387,10 @@ fn mask_emission_never_hits_the_compute_failpoint() {
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
     let (interacting, _) = interacting_pairs(&cache);
-    assert!(interacting.is_empty(), "the map must be fully mask-emittable");
+    assert!(
+        interacting.is_empty(),
+        "the map must be fully mask-emittable"
+    );
 
     let plan = Arc::new(FaultPlan::new());
     plan.arm(
@@ -353,7 +409,10 @@ fn mask_emission_never_hits_the_compute_failpoint() {
     for pair in &out.pairs {
         match pair {
             PairOutcome::Ok(pr) => {
-                assert_eq!(pr.relation, compute_cdr(&regions[pr.primary], &regions[pr.reference]));
+                assert_eq!(
+                    pr.relation,
+                    compute_cdr(&regions[pr.primary], &regions[pr.reference])
+                );
             }
             other => panic!("every pair must compute: {other:?}"),
         }
@@ -365,9 +424,9 @@ fn mask_emission_never_hits_the_compute_failpoint() {
 fn mixed_map() -> Vec<Region> {
     vec![
         rect(0.0, 0.0, 4.0, 4.0),
-        rect(4.0, 0.0, 8.0, 4.0),     // shared edge
-        rect(4.0, 4.0, 8.0, 8.0),     // corner touch
-        rect(1.0, 1.0, 3.0, 3.0),     // strictly inside the reference's span
+        rect(4.0, 0.0, 8.0, 4.0),         // shared edge
+        rect(4.0, 4.0, 8.0, 8.0),         // corner touch
+        rect(1.0, 1.0, 3.0, 3.0),         // strictly inside the reference's span
         rect(100.0, 100.0, 101.0, 101.0), // far satellite
         rect(-100.0, 50.0, -99.0, 51.0),  // far satellite
     ]

@@ -21,7 +21,10 @@ fn counted(a: &Region, b: &Region) -> (CardinalRelation, CountingHook) {
 fn e1_example_1_relations() {
     let b = paper::reference_b();
     assert_eq!(compute_cdr(&paper::fig1_a_south(), &b).to_string(), "S");
-    assert_eq!(compute_cdr(&paper::fig1_c_northeast_east(), &b).to_string(), "NE:E");
+    assert_eq!(
+        compute_cdr(&paper::fig1_c_northeast_east(), &b).to_string(),
+        "NE:E"
+    );
     assert_eq!(
         compute_cdr(&paper::fig1_d_composite(), &b).to_string(),
         "B:S:SW:W:NW:N:E:SE"
@@ -32,11 +35,20 @@ fn e1_example_1_relations() {
 #[test]
 fn e1_direction_matrices() {
     let s: CardinalRelation = "S".parse().unwrap();
-    assert_eq!(DirectionMatrix::from_relation(s).to_string(), "□□□\n□□□\n□■□");
+    assert_eq!(
+        DirectionMatrix::from_relation(s).to_string(),
+        "□□□\n□□□\n□■□"
+    );
     let ne_e: CardinalRelation = "NE:E".parse().unwrap();
-    assert_eq!(DirectionMatrix::from_relation(ne_e).to_string(), "□□■\n□□■\n□□□");
+    assert_eq!(
+        DirectionMatrix::from_relation(ne_e).to_string(),
+        "□□■\n□□■\n□□□"
+    );
     let big: CardinalRelation = "B:S:SW:W:NW:N:E:SE".parse().unwrap();
-    assert_eq!(DirectionMatrix::from_relation(big).to_string(), "■■□\n■■■\n■■■");
+    assert_eq!(
+        DirectionMatrix::from_relation(big).to_string(),
+        "■■□\n■■■\n■■■"
+    );
 }
 
 /// E2 — Section 2: region `c` is 50 % north-east and 50 % east of `b`,

@@ -7,7 +7,8 @@ use cardir::workloads::greece;
 fn config() -> Configuration {
     let mut c = Configuration::new("Ancient Greece", "peloponnesian_war.png");
     for r in greece::scenario() {
-        c.add_region(r.name.to_lowercase(), r.name, r.alliance.color(), r.region).unwrap();
+        c.add_region(r.name.to_lowercase(), r.name, r.alliance.color(), r.region)
+            .unwrap();
     }
     c.compute_all_relations();
     c
@@ -18,10 +19,8 @@ fn config() -> Configuration {
 #[test]
 fn e8_the_papers_query() {
     let c = config();
-    let q = parse_query(
-        "{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}",
-    )
-    .unwrap();
+    let q =
+        parse_query("{(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b}").unwrap();
     let answers = evaluate(&q, &c).unwrap();
     assert_eq!(answers.len(), 1);
     assert_eq!(answers[0].values, ["peloponnesos", "aegina"]);
@@ -45,7 +44,10 @@ fn alliance_membership() {
     let q = parse_query("{(x) | color(x) = blue}").unwrap();
     let answers = evaluate(&q, &c).unwrap();
     let ids: Vec<&str> = answers.iter().map(|b| b.values[0].as_str()).collect();
-    assert_eq!(ids, ["attica", "islands", "east", "corfu", "southitaly", "aegina"]);
+    assert_eq!(
+        ids,
+        ["attica", "islands", "east", "corfu", "southitaly", "aegina"]
+    );
 }
 
 /// Disjunctive predicates: regions north or north-west of Attica.
@@ -57,7 +59,10 @@ fn disjunctive_predicate() {
     assert!(!answers.is_empty());
     for b in &answers {
         let rel = c.relation_between(&b.values[0], "attica").unwrap();
-        assert!(["N", "NW", "NW:N"].contains(&rel.to_string().as_str()), "{rel}");
+        assert!(
+            ["N", "NW", "NW:N"].contains(&rel.to_string().as_str()),
+            "{rel}"
+        );
     }
 }
 
@@ -68,7 +73,8 @@ fn disjunctive_predicate() {
 fn indexed_matches_plain_without_stored_relations() {
     let mut c = Configuration::new("Ancient Greece", "map.png");
     for r in greece::scenario() {
-        c.add_region(r.name.to_lowercase(), r.name, r.alliance.color(), r.region).unwrap();
+        c.add_region(r.name.to_lowercase(), r.name, r.alliance.color(), r.region)
+            .unwrap();
     }
     // No compute_all_relations here: relations are computed on demand.
     let index = RegionIndex::build(&c);

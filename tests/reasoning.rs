@@ -49,7 +49,13 @@ fn e10_pair_characterization_conditions() {
 /// R3 inside the lower bound.
 #[test]
 fn e10_composition_agrees_with_witnesses() {
-    for (r1, r2) in [("SW", "SW"), ("N", "S"), ("W", "W"), ("B", "NE"), ("S", "E")] {
+    for (r1, r2) in [
+        ("SW", "SW"),
+        ("N", "S"),
+        ("W", "W"),
+        ("B", "NE"),
+        ("S", "E"),
+    ] {
         let r1: CardinalRelation = r1.parse().unwrap();
         let r2: CardinalRelation = r2.parse().unwrap();
         let bounds = weak_compose(r1, r2);

@@ -30,7 +30,12 @@ fn ulp_adversarial_sweep_agrees_with_clipping_baseline() {
     assert!(
         report.divergences.is_empty(),
         "ulp sweep diverged:\n{}",
-        report.divergences.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
+        report
+            .divergences
+            .iter()
+            .map(|d| d.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }
 
@@ -47,11 +52,20 @@ fn tile_assignment_is_sharp_to_one_ulp_at_a_grid_line() {
     assert_ne!(straddling, beyond);
 
     let just_west = compute_cdr(&rect(4.0f64.next_down(), 1.0, 6.0, 3.0), &reference);
-    assert_eq!(just_west, straddling, "1 ulp west of the line must straddle");
+    assert_eq!(
+        just_west, straddling,
+        "1 ulp west of the line must straddle"
+    );
     let just_east = compute_cdr(&rect(4.0f64.next_up(), 1.0, 6.0, 3.0), &reference);
-    assert_eq!(just_east, beyond, "1 ulp east of the line must not straddle");
+    assert_eq!(
+        just_east, beyond,
+        "1 ulp east of the line must not straddle"
+    );
     let exactly_on = compute_cdr(&rect(4.0, 1.0, 6.0, 3.0), &reference);
-    assert_eq!(exactly_on, beyond, "edge contact with the line adds no tile");
+    assert_eq!(
+        exactly_on, beyond,
+        "edge contact with the line adds no tile"
+    );
 }
 
 /// The same discrimination at `2^±40` magnitudes: scaling by exact
@@ -92,7 +106,11 @@ fn b_center_containment_is_exact_across_magnitudes() {
         let relation = compute_cdr(&cover, &reference);
         let clipped = clipping_cdr(&cover, &reference);
         assert_eq!(relation, clipped.relation, "exp = {exp}");
-        assert_eq!(relation.to_string().matches('B').count(), 1, "exp = {exp}: {relation}");
+        assert_eq!(
+            relation.to_string().matches('B').count(),
+            1,
+            "exp = {exp}: {relation}"
+        );
     }
 }
 

@@ -8,7 +8,9 @@ use cardir::workloads::SplitMix64;
 /// A random string of up to `max_len` chars drawn from `pool`.
 fn fuzz(rng: &mut SplitMix64, max_len: usize, pool: &[char]) -> String {
     let len = rng.random_range(0..=max_len);
-    (0..len).map(|_| pool[rng.random_range(0..pool.len())]).collect()
+    (0..len)
+        .map(|_| pool[rng.random_range(0..pool.len())])
+        .collect()
 }
 
 /// A wide pool: ASCII text, XML/query metacharacters, whitespace,
@@ -83,8 +85,7 @@ fn query_parser_never_panics() {
 #[test]
 fn query_parser_never_panics_on_near_queries() {
     let mut rng = SplitMix64::seed_from_u64(204);
-    let body_pool: Vec<char> =
-        "abcxyzNSEWB(){}=:, ".chars().collect();
+    let body_pool: Vec<char> = "abcxyzNSEWB(){}=:, ".chars().collect();
     let var_pool: Vec<char> = "xyz, ".chars().collect();
     for _ in 0..512 {
         let input = format!(
@@ -144,7 +145,11 @@ fn xml_writer_output_always_parses() {
         let back = cardir::cardirect::from_xml(&xml).unwrap();
         assert_eq!(&back.name, &config.name, "case {case}");
         assert_eq!(&back.file, &config.file, "case {case}");
-        assert_eq!(&back.regions()[0].color, &config.regions()[0].color, "case {case}");
+        assert_eq!(
+            &back.regions()[0].color,
+            &config.regions()[0].color,
+            "case {case}"
+        );
     }
 }
 
@@ -158,7 +163,13 @@ fn wkt_round_trip_random_regions() {
         let k = rng.random_range(1usize..4);
         let polys: Vec<_> = (0..k)
             .map(|i| {
-                cardir::workloads::star_polygon(&mut rng, Point::new(i as f64 * 20.0, 0.0), 1.0, 4.0, n)
+                cardir::workloads::star_polygon(
+                    &mut rng,
+                    Point::new(i as f64 * 20.0, 0.0),
+                    1.0,
+                    4.0,
+                    n,
+                )
             })
             .collect();
         let region = Region::new(polys).unwrap();

@@ -19,7 +19,11 @@ fn extraction_preserves_areas() {
         let raster = random_blobs(&mut rng, w, h, n_labels, growth);
         for label in raster.labels() {
             let region = raster.extract_region(label).expect("label present");
-            assert_eq!(region.area(), raster.count(label) as f64, "case {case}, label {label}");
+            assert_eq!(
+                region.area(),
+                raster.count(label) as f64,
+                "case {case}, label {label}"
+            );
             // Every polygon is a valid simple rectangle tile.
             for p in region.polygons() {
                 assert!(p.is_simple(), "case {case}");
@@ -28,7 +32,10 @@ fn extraction_preserves_areas() {
             // The extracted region's mbb stays inside the raster extent.
             let mbb = region.mbb();
             assert!(mbb.min.x >= 0.0 && mbb.min.y >= 0.0, "case {case}");
-            assert!(mbb.max.x <= w as f64 && mbb.max.y <= h as f64, "case {case}");
+            assert!(
+                mbb.max.x <= w as f64 && mbb.max.y <= h as f64,
+                "case {case}"
+            );
         }
     }
 }
@@ -47,7 +54,10 @@ fn components_partition_cells() {
         let mut seen = std::collections::HashSet::new();
         for c in &comps {
             for cell in &c.cells {
-                assert!(seen.insert(*cell), "case {case}: cell {cell:?} in two components");
+                assert!(
+                    seen.insert(*cell),
+                    "case {case}: cell {cell:?} in two components"
+                );
             }
         }
     }
@@ -63,7 +73,12 @@ fn segmented_configuration_round_trips() {
         for label in raster.labels() {
             let region = raster.extract_region(label).expect("present");
             config
-                .add_region(format!("seg{label}"), format!("segment {label}"), "blue", region)
+                .add_region(
+                    format!("seg{label}"),
+                    format!("segment {label}"),
+                    "blue",
+                    region,
+                )
                 .expect("unique");
         }
         if config.is_empty() {

@@ -21,7 +21,10 @@ use cardir_workloads::{random_map, SplitMix64};
 fn jittered_map(n: usize, seed: u64) -> Vec<Region> {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(600.0, 400.0));
-    random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect()
+    random_map(&mut rng, n, extent)
+        .into_iter()
+        .map(|m| m.region)
+        .collect()
 }
 
 #[test]
@@ -40,7 +43,10 @@ fn hook_counts_satisfy_theorem_1_on_jittered_grid() {
             let hooked = compute_cdr_with_mbb(a, b.mbb(), &mut hook);
             let plain = compute_cdr(a, b);
             assert_eq!(hooked, plain, "hook altered pair ({i}, {j})");
-            assert_eq!(hook.edges_scanned, k_a, "pair ({i}, {j}): every edge scanned once");
+            assert_eq!(
+                hook.edges_scanned, k_a,
+                "pair ({i}, {j}): every edge scanned once"
+            );
             assert!(
                 hook.edges_divided <= k_a,
                 "pair ({i}, {j}): only input edges can divide"
@@ -79,7 +85,10 @@ fn disabled_hook_is_bit_identical_to_plain() {
     for a in &regions {
         for b in &regions {
             let mut noop = cardir_core::NoopHook;
-            assert_eq!(compute_cdr_with_mbb(a, b.mbb(), &mut noop), compute_cdr(a, b));
+            assert_eq!(
+                compute_cdr_with_mbb(a, b.mbb(), &mut noop),
+                compute_cdr(a, b)
+            );
         }
     }
 }
@@ -97,16 +106,33 @@ fn engine_stats_are_internally_consistent() {
     let stats = &result.stats;
     assert_eq!(stats.pairs, regions.len() * (regions.len() - 1));
     assert_eq!(stats.mask_emitted + stats.exact_pairs, stats.pairs);
-    assert!(stats.edges_scanned > 0, "some pairs must take the exact path");
+    assert!(
+        stats.edges_scanned > 0,
+        "some pairs must take the exact path"
+    );
     // Each region's own box touches all four of its grid coordinates, so
     // the sweeps see at least four contacts per region.
     assert!(stats.candidates >= 4 * regions.len());
-    assert_eq!(stats.per_thread_pairs.iter().sum::<usize>(), stats.exact_pairs);
-    assert!(stats.per_thread_pairs.iter().any(|&p| p > 0), "some worker ran the exact pass");
+    assert_eq!(
+        stats.per_thread_pairs.iter().sum::<usize>(),
+        stats.exact_pairs
+    );
+    assert!(
+        stats.per_thread_pairs.iter().any(|&p| p > 0),
+        "some worker ran the exact pass"
+    );
     // Per-chunk timings are the tracer's compute spans: one per chunk
     // of exact work items.
-    let chunks = tracer.drain().iter().filter(|e| e.name == phases::CHUNK_COMPUTE).count();
-    assert_eq!(chunks, stats.exact_pairs.div_ceil(256), "one span per chunk");
+    let chunks = tracer
+        .drain()
+        .iter()
+        .filter(|e| e.name == phases::CHUNK_COMPUTE)
+        .count();
+    assert_eq!(
+        chunks,
+        stats.exact_pairs.div_ceil(256),
+        "one span per chunk"
+    );
 
     // The edge tally must equal a replay of the engine's own decisions:
     // k_primary per pair not decided from the boxes.
@@ -122,16 +148,27 @@ fn engine_stats_are_internally_consistent() {
 fn engine_metrics_export_feeds_the_registry() {
     let regions = jittered_map(20, 3);
     let cache = RegionCache::build(&regions);
-    let result = BatchEngine::new().with_threads(2).run_join(&cache, &RunPolicy::default());
+    let result = BatchEngine::new()
+        .with_threads(2)
+        .run_join(&cache, &RunPolicy::default());
     let registry = cardir_telemetry::Registry::new();
     result.stats.export(&registry);
     let snap = registry.snapshot();
     let stats = &result.stats;
     assert_eq!(snap.counter("engine.pairs"), Some(stats.pairs as u64));
-    assert_eq!(snap.counter("join.mask_emitted"), Some(stats.mask_emitted as u64));
-    assert_eq!(snap.counter("join.exact_pairs"), Some(stats.exact_pairs as u64));
+    assert_eq!(
+        snap.counter("join.mask_emitted"),
+        Some(stats.mask_emitted as u64)
+    );
+    assert_eq!(
+        snap.counter("join.exact_pairs"),
+        Some(stats.exact_pairs as u64)
+    );
     assert_eq!(snap.counter("engine.runs"), Some(1));
     assert!(snap.histogram("engine.exact_pass_ns").is_some());
     let report = cardir_telemetry::Report::render(&snap);
-    assert!(report.contains("engine.pairs"), "report must list the counter:\n{report}");
+    assert!(
+        report.contains("engine.pairs"),
+        "report must list the counter:\n{report}"
+    );
 }

@@ -29,7 +29,11 @@ fn greece_round_trip_exact() {
         assert_eq!(a.id, b.id);
         assert_eq!(a.name, b.name);
         assert_eq!(a.color, b.color);
-        assert_eq!(a.region, b.region, "geometry of {} must survive exactly", a.id);
+        assert_eq!(
+            a.region, b.region,
+            "geometry of {} must survive exactly",
+            a.id
+        );
     }
     assert_eq!(back.relations(), config.relations());
     // Idempotence: exporting the re-import gives byte-identical XML.
@@ -47,7 +51,11 @@ fn relations_survive_and_remain_correct() {
             &back.region(&rel.primary).unwrap().region,
             &back.region(&rel.reference).unwrap().region,
         );
-        assert_eq!(rel.relation, recomputed, "{} vs {}", rel.primary, rel.reference);
+        assert_eq!(
+            rel.relation, recomputed,
+            "{} vs {}",
+            rel.primary, rel.reference
+        );
     }
 }
 
@@ -63,7 +71,12 @@ fn random_configs_round_trip() {
         let mut config = Configuration::new(format!("map-{case}"), "gen.png");
         for r in &map {
             config
-                .add_region(r.id.clone(), format!("region {}", r.id), r.color, r.region.clone())
+                .add_region(
+                    r.id.clone(),
+                    format!("region {}", r.id),
+                    r.color,
+                    r.region.clone(),
+                )
                 .unwrap();
         }
         config.compute_all_relations();
