@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# The repository's offline CI gate: release build, full test suite,
-# warning-free clippy and rustdoc — with --offline, because the
+# The repository's offline CI gate: rustfmt check, release build, full
+# test suite, warning-free clippy and rustdoc — with --offline, because the
 # workspace has zero external dependencies and must keep building on a
 # machine that has never contacted a registry.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# rustfmt-clean workspace, default configuration.
+cargo fmt --all --check
 
 cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
@@ -142,7 +145,8 @@ cargo run --release --offline -p cardir-bench --bin incremental_throughput -- 10
     --json "$incr_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$incr_json" \
     --require incremental.pairs_invalidated --require incremental.replay \
-    --require incremental.speedup_vs_full --require incremental.snapshot_ns
+    --require incremental.speedup_vs_full --require incremental.snapshot_ns \
+    --require incremental.replay_decode_ns --require incremental.replay_install_ns
 cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_incremental.json "$incr_json" \
     --key incremental=regions --metric incremental.edits_per_sec \
     --filter regions=1000 --threshold 3
