@@ -263,59 +263,56 @@ impl RelationStore {
     pub fn open(path: impl Into<PathBuf>, base: &[Region], opts: StoreOptions) -> RelationStore {
         let path = path.into();
         let fingerprint = fingerprint(base, opts.mode);
-        let mut store = RelationStore {
-            engine: IncrementalEngine::bootstrap(
-                opts.mode,
-                opts.threads,
-                Vec::new(),
-                &RunPolicy::default(),
-            ),
-            path,
-            opts,
-            fingerprint,
-            durable_len: 0,
-            snapshot_len: 0,
-            records: 0,
-            healthy: false,
-            report: ReplayReport {
-                source: ReplaySource::Rebuilt(RebuildReason::Missing),
-                records_replayed: 0,
-                decode: Duration::ZERO,
-                install: Duration::ZERO,
-                detail: None,
-            },
-            stats: StoreStats::default(),
-        };
-        match store.replay() {
-            Ok(report) => store.report = report,
+        let (replayed, rebuilt) = match Self::replay(&path, &opts, fingerprint) {
+            Ok(replayed) => (replayed, false),
             Err((reason, detail)) => {
-                store.engine = IncrementalEngine::bootstrap(
-                    store.opts.mode,
-                    store.opts.threads,
+                let engine = IncrementalEngine::bootstrap(
+                    opts.mode,
+                    opts.threads,
                     base.to_vec(),
                     &RunPolicy::default(),
                 );
-                store.report = ReplayReport {
+                let report = ReplayReport {
                     source: ReplaySource::Rebuilt(reason),
                     records_replayed: 0,
                     decode: Duration::ZERO,
                     install: Duration::ZERO,
                     detail,
                 };
-                // Write a fresh journal; on failure the store stays
-                // usable in memory and the next write retries — but the
-                // failure is recorded, so an unwritable journal location
-                // is distinguishable from a healthy cold start.
-                store.durable_len = 0;
-                store.records = 0;
-                store.healthy = false;
-                if let Err(e) = store.compact() {
-                    let msg = format!("journal not writable at open: {e}");
-                    store.report.detail = Some(match store.report.detail.take() {
-                        Some(d) => format!("{d}; {msg}"),
-                        None => msg,
-                    });
-                }
+                // No journal behind the rebuilt engine yet.
+                let replayed = Replayed {
+                    engine,
+                    durable_len: 0,
+                    snapshot_len: 0,
+                    records: 0,
+                    report,
+                };
+                (replayed, true)
+            }
+        };
+        let mut store = RelationStore {
+            engine: replayed.engine,
+            path,
+            opts,
+            fingerprint,
+            durable_len: replayed.durable_len,
+            snapshot_len: replayed.snapshot_len,
+            records: replayed.records,
+            healthy: !rebuilt,
+            report: replayed.report,
+            stats: StoreStats::default(),
+        };
+        if rebuilt {
+            // Write a fresh journal; on failure the store stays usable in
+            // memory and the next write retries — but the failure is
+            // recorded, so an unwritable journal location is
+            // distinguishable from a healthy cold start.
+            if let Err(e) = store.compact() {
+                let msg = format!("journal not writable at open: {e}");
+                store.report.detail = Some(match store.report.detail.take() {
+                    Some(d) => format!("{d}; {msg}"),
+                    None => msg,
+                });
             }
         }
         store
@@ -572,11 +569,15 @@ impl RelationStore {
         Ok(())
     }
 
-    /// Replays the journal into `self.engine`. `Err` carries the reason
-    /// the journal must be abandoned (the caller rebuilds).
+    /// Replays the journal at `path` into a fresh engine. `Err` carries
+    /// the reason the journal must be abandoned (the caller rebuilds).
     #[allow(clippy::result_large_err)]
-    fn replay(&mut self) -> Result<ReplayReport, (RebuildReason, Option<String>)> {
-        if let Some(plan) = &self.opts.faults {
+    fn replay(
+        path: &Path,
+        opts: &StoreOptions,
+        fingerprint: u64,
+    ) -> Result<Replayed, (RebuildReason, Option<String>)> {
+        if let Some(plan) = &opts.faults {
             if let Err(msg) = plan.step(sites::JOURNAL_REPLAY) {
                 return Err((RebuildReason::Corrupt, Some(format!("injected: {msg}"))));
             }
@@ -585,7 +586,7 @@ impl RelationStore {
         // bytes — never the whole journal — and its memory does not grow
         // with the tail appended since the last snapshot.
         let (mut reader, total) =
-            match fs::File::open(&self.path).and_then(|file| Ok((file.metadata()?.len(), file))) {
+            match fs::File::open(path).and_then(|file| Ok((file.metadata()?.len(), file))) {
                 Ok((total, file)) => (BufReader::new(file), total),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     return Err((RebuildReason::Missing, None));
@@ -611,14 +612,14 @@ impl RelationStore {
                 Some(format!("unknown version {version}")),
             ));
         }
-        if header[12] != mode_byte(self.opts.mode) {
+        if header[12] != mode_byte(opts.mode) {
             return Err((
                 RebuildReason::Stale,
                 Some("journal written in a different mode".into()),
             ));
         }
         let fp = u64::from_le_bytes(header[13..21].try_into().expect("8 bytes"));
-        if fp != self.fingerprint {
+        if fp != fingerprint {
             return Err((
                 RebuildReason::Stale,
                 Some("journal belongs to a different base region set".into()),
@@ -678,8 +679,8 @@ impl RelationStore {
                     pending,
                 } => {
                     let rebuilt = IncrementalEngine::from_parts(
-                        self.opts.mode,
-                        self.opts.threads,
+                        opts.mode,
+                        opts.threads,
                         slots,
                         exact,
                         pending,
@@ -726,31 +727,45 @@ impl RelationStore {
             // see a frame-aligned file.
             let file = fs::OpenOptions::new()
                 .write(true)
-                .open(&self.path)
+                .open(path)
                 .map_err(|e| (RebuildReason::Corrupt, Some(e.to_string())))?;
             file.set_len(offset)
                 .map_err(|e| (RebuildReason::Corrupt, Some(e.to_string())))?;
             let _ = file.sync_all();
         }
-        self.engine = engine;
-        self.durable_len = offset;
-        self.snapshot_len = snapshot_end;
-        self.records = records;
-        self.healthy = true;
-        Ok(ReplayReport {
-            source: if truncated > 0 {
-                ReplaySource::TruncatedJournal {
-                    dropped_bytes: truncated,
-                }
-            } else {
-                ReplaySource::Journal
+        Ok(Replayed {
+            engine,
+            durable_len: offset,
+            snapshot_len: snapshot_end,
+            records,
+            report: ReplayReport {
+                source: if truncated > 0 {
+                    ReplaySource::TruncatedJournal {
+                        dropped_bytes: truncated,
+                    }
+                } else {
+                    ReplaySource::Journal
+                },
+                records_replayed: records,
+                decode,
+                install,
+                detail: None,
             },
-            records_replayed: records,
-            decode,
-            install,
-            detail: None,
         })
     }
+}
+
+/// What [`RelationStore::open`] builds a store from: an engine, the
+/// journal offsets that describe it on disk, and how it was obtained.
+struct Replayed {
+    engine: IncrementalEngine,
+    /// Frame-aligned journal length after the replay.
+    durable_len: u64,
+    /// Header plus the latest snapshot frame.
+    snapshot_len: u64,
+    /// Records in the journal.
+    records: u64,
+    report: ReplayReport,
 }
 
 fn mode_byte(mode: EngineMode) -> u8 {

@@ -260,8 +260,8 @@ impl Configuration {
     ///
     /// # Panics
     /// Re-raises the first pair failure, which only a bug in the kernels
-    /// can cause — the default policy has no deadline, no cancel token
-    /// and no fault plan, so nothing is skipped or injected.
+    /// can cause — the default policy has no deadline and no fault plan,
+    /// so nothing is skipped or injected.
     pub fn compute_all_relations(&mut self) -> BatchStats {
         self.relations.clear();
         self.relation_map.clear();
@@ -276,7 +276,7 @@ impl Configuration {
                 PairOutcome::Ok(pr) => pr,
                 PairOutcome::Failed(e) => panic!("{e}"),
                 PairOutcome::Skipped { .. } => {
-                    unreachable!("the default policy has no deadline and no cancel token")
+                    unreachable!("the default policy has no deadline")
                 }
             };
             self.relations.push(StoredRelation {

@@ -21,11 +21,9 @@
 //!    how the scheduler interleaved them, and a chunk nobody claimed
 //!    simply keeps its `Skipped` slots.
 //!
-//! Every run executes under a [`RunPolicy`]: each pair attempt is wrapped
-//! in `catch_unwind` (so one poisoned pair becomes a
-//! [`PairOutcome::Failed`] instead of aborting the batch), transient
-//! failures retry with bounded deterministic backoff, and deadline /
-//! cancellation checks run cooperatively between chunks; the returned
+//! Every pair runs once, under `catch_unwind`, so one poisoned pair
+//! becomes a [`PairOutcome::Failed`] instead of aborting the batch. A
+//! [`RunPolicy`] deadline is checked between chunks; the returned
 //! [`BatchOutcome`] reports every pair's fate. Fault injection for tests
 //! rides on the `cardir-faults` plan the policy carries
 //! ([`RunPolicy::faults`]: `engine.pair.compute`, `engine.chunk.claim`);
@@ -117,20 +115,16 @@ pub struct BatchStats {
     /// Kernel computations behind [`BatchStats::edges_scanned`]: every
     /// one runs over the cache's struct-of-arrays store.
     pub fused_pairs: usize,
-    /// Panics caught by per-pair isolation (retried attempts included).
+    /// Panics caught by per-pair isolation.
     pub panics_caught: usize,
-    /// Failures surfaced by armed failpoints (retried attempts included).
+    /// Failures surfaced by armed failpoints.
     pub injected_failures: usize,
-    /// Retry attempts performed.
-    pub retries: usize,
-    /// Pairs that failed permanently.
+    /// Pairs that failed: `panics_caught + injected_failures`.
     pub failed_pairs: usize,
-    /// Pairs skipped by deadline or cancellation.
+    /// Pairs skipped because the deadline passed.
     pub skipped_pairs: usize,
     /// Workers that stopped because the deadline had passed.
     pub deadline_hits: usize,
-    /// Workers that stopped because cancellation was requested.
-    pub cancel_hits: usize,
     /// Wall time of [`RegionCache::build`] for the cache this run used.
     pub cache_build: Duration,
     /// Wall time of the join's sweep discovery; zero for an explicit
@@ -156,11 +150,9 @@ impl BatchStats {
         self.fused_pairs += other.fused_pairs;
         self.panics_caught += other.panics_caught;
         self.injected_failures += other.injected_failures;
-        self.retries += other.retries;
         self.failed_pairs += other.failed_pairs;
         self.skipped_pairs += other.skipped_pairs;
         self.deadline_hits += other.deadline_hits;
-        self.cancel_hits += other.cancel_hits;
     }
 
     /// Folds this run into `registry`: counters `engine.{runs,pairs,
@@ -197,11 +189,9 @@ impl BatchStats {
         for (name, value) in [
             ("engine.faults.panics_caught", self.panics_caught),
             ("engine.faults.injected_failures", self.injected_failures),
-            ("engine.faults.retries", self.retries),
             ("engine.faults.failed_pairs", self.failed_pairs),
             ("engine.faults.skipped_pairs", self.skipped_pairs),
             ("engine.faults.deadline_hits", self.deadline_hits),
-            ("engine.faults.cancel_hits", self.cancel_hits),
         ] {
             if value > 0 {
                 registry.counter(name).add(value as u64);
@@ -271,7 +261,7 @@ impl Default for BatchEngine {
 }
 
 /// Chunk size of the work queue: big enough to amortise the queue lock
-/// and the per-chunk stop checks and trace spans, small enough to
+/// and the per-chunk deadline check and trace spans, small enough to
 /// load-balance maps where a few regions carry most edges.
 const CHUNK: usize = 256;
 
@@ -354,11 +344,9 @@ impl BatchEngine {
     /// The output starts as one [`PairOutcome::Skipped`] slot per work
     /// item, in input order, and workers overwrite the slots of the
     /// chunks they claim, each with the outcome of the pair the slot
-    /// names. Workers re-check the cancel token and the deadline before
-    /// claiming each chunk, so a chunk never claimed keeps its `Skipped`
-    /// slots and the output always has one entry per work item, in input
-    /// order. With panic isolation off, a panicking pair unwinds out of
-    /// `run` with its original payload.
+    /// names. Workers re-check the deadline before claiming each chunk,
+    /// so a chunk never claimed keeps its `Skipped` slots and the output
+    /// always has one entry per work item, in input order.
     pub(crate) fn run(
         &self,
         cache: &RegionCache<'_>,
@@ -370,7 +358,6 @@ impl BatchEngine {
         let workers = self.threads.min(n_chunks);
         let mode = self.mode;
         let deadline_hits = AtomicUsize::new(0);
-        let cancel_hits = AtomicUsize::new(0);
 
         let exact_start = Instant::now();
         let deadline_at = policy.deadline.and_then(|d| exact_start.checked_add(d));
@@ -383,7 +370,6 @@ impl BatchEngine {
             let queue = Mutex::new(pairs.chunks_mut(CHUNK).enumerate());
             let queue = &queue;
             let deadline_hits = &deadline_hits;
-            let cancel_hits = &cancel_hits;
             let tracer = &self.tracer;
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
@@ -398,19 +384,12 @@ impl BatchEngine {
                             let mut worker_pairs = 0usize;
                             loop {
                                 // A queue_wait span covers everything
-                                // between chunks: the stop checks, the
+                                // between chunks: the deadline check, the
                                 // claim, and any injected claim stall.
                                 let wait_start = trace.begin();
-                                // Cooperative stop checks, between chunks
+                                // The deadline is checked between chunks
                                 // only — claimed chunks always run to
                                 // completion.
-                                if let Some(token) = &policy.cancel {
-                                    if token.is_cancelled() {
-                                        cancel_hits.fetch_add(1, Ordering::Relaxed);
-                                        trace.end(wait_start, phases::QUEUE_WAIT, None);
-                                        break;
-                                    }
-                                }
                                 if let Some(t) = deadline_at {
                                     if Instant::now() >= t {
                                         deadline_hits.fetch_add(1, Ordering::Relaxed);
@@ -462,7 +441,6 @@ impl BatchEngine {
             exact_pairs: total,
             skipped_pairs: skipped,
             deadline_hits: deadline_hits.load(Ordering::Relaxed),
-            cancel_hits: cancel_hits.load(Ordering::Relaxed),
             cache_build: cache.build_time(),
             exact_pass,
             per_thread_pairs,
@@ -475,11 +453,7 @@ impl BatchEngine {
         let succeeded = total - failed - skipped;
 
         let status = if skipped > 0 {
-            if stats.cancel_hits > 0 {
-                CompletionStatus::Cancelled
-            } else {
-                CompletionStatus::DeadlineExceeded
-            }
+            CompletionStatus::DeadlineExceeded
         } else if failed > 0 {
             CompletionStatus::PartialPanics
         } else {
@@ -497,8 +471,8 @@ impl BatchEngine {
     }
 }
 
-/// Runs one pair under the policy: failpoint injection, panic isolation,
-/// and the bounded retry loop. Never panics while isolation is on.
+/// Runs one pair once under `catch_unwind`, with the policy's
+/// failpoint injection. Never panics.
 fn run_pair(
     cache: &RegionCache<'_>,
     i: usize,
@@ -507,47 +481,26 @@ fn run_pair(
     policy: &RunPolicy,
     stats: &mut BatchStats,
 ) -> PairOutcome {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let faults = policy.faults.as_deref();
-        let result = if policy.panic_isolation {
-            match catch_unwind(AssertUnwindSafe(|| {
-                attempt_pair(cache, i, j, mode, faults, stats)
-            })) {
-                Ok(r) => r,
-                Err(payload) => {
-                    stats.panics_caught += 1;
-                    Err(PairFailure::Panicked(cardir_faults::panic_message(payload)))
-                }
-            }
-        } else {
-            attempt_pair(cache, i, j, mode, faults, stats)
-        };
-        match result {
-            Ok(pr) => return PairOutcome::Ok(pr),
-            Err(failure) => {
-                if matches!(failure, PairFailure::Injected(_)) {
-                    stats.injected_failures += 1;
-                }
-                if attempt <= policy.retries {
-                    stats.retries += 1;
-                    let delay = policy.backoff_delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                } else {
-                    stats.failed_pairs += 1;
-                    return PairOutcome::Failed(PairError {
-                        primary: i,
-                        reference: j,
-                        failure,
-                        attempts: attempt,
-                    });
-                }
-            }
+    let faults = policy.faults.as_deref();
+    let failure = match catch_unwind(AssertUnwindSafe(|| {
+        attempt_pair(cache, i, j, mode, faults, stats)
+    })) {
+        Ok(Ok(pr)) => return PairOutcome::Ok(pr),
+        Ok(Err(failure)) => {
+            stats.injected_failures += 1;
+            failure
         }
-    }
+        Err(payload) => {
+            stats.panics_caught += 1;
+            PairFailure::Panicked(cardir_faults::panic_message(payload))
+        }
+    };
+    stats.failed_pairs += 1;
+    PairOutcome::Failed(PairError {
+        primary: i,
+        reference: j,
+        failure,
+    })
 }
 
 /// One pair attempt: the `engine.pair.compute` failpoint of the run's
@@ -981,7 +934,7 @@ mod tests {
             edges_scanned: 7,
             fused_pairs: 2,
             panics_caught: 1,
-            retries: 2,
+            deadline_hits: 2,
             exact_pass: Duration::from_micros(1),
             per_thread_pairs: vec![5],
             ..BatchStats::default()
@@ -993,7 +946,7 @@ mod tests {
             edges_scanned: 14,
             fused_pairs: 4,
             panics_caught: 2,
-            retries: 4,
+            deadline_hits: 4,
             ..BatchStats::default()
         };
         assert_eq!(
@@ -1011,7 +964,7 @@ mod tests {
             candidates: 12,
             edges_scanned: 64,
             fused_pairs: 4,
-            retries: 3,
+            deadline_hits: 3,
             cache_build: Duration::from_micros(5),
             discover: Duration::from_micros(3),
             exact_pass: Duration::from_micros(40),
@@ -1034,7 +987,7 @@ mod tests {
         assert_eq!(snap.histogram("engine.discover_ns").unwrap().count, 2);
         assert_eq!(snap.histogram("engine.thread_pairs").unwrap().count, 4);
         // Fault series exist only for counters that moved.
-        assert_eq!(snap.counter("engine.faults.retries"), Some(6));
+        assert_eq!(snap.counter("engine.faults.deadline_hits"), Some(6));
         assert_eq!(snap.counter("engine.faults.panics_caught"), None);
         assert_eq!(snap.counter("engine.faults.skipped_pairs"), None);
     }

@@ -7,7 +7,7 @@
 //! invalidates exactly the ordered pairs whose box decision or
 //! relation could change — the pairs involving the edited region — and
 //! recomputes only the *interacting* subset of those through the same
-//! exact pipeline the batch engine uses, under full [`RunPolicy`] fault
+//! exact pipeline the batch engine uses, with its per-pair panic
 //! isolation.
 //!
 //! # State model
@@ -25,7 +25,7 @@
 //!   optional percentage matrix. `O(K)` where `K` is the interacting
 //!   count, not `O(N²)`.
 //! * **pending** entries — interacting pairs whose computation failed
-//!   under an armed fault or was skipped by deadline/cancel. They are
+//!   under an armed fault or was skipped by the deadline. They are
 //!   excluded from reads until [`IncrementalEngine::repair_with`] recomputes
 //!   them, so a faulted edit degrades to "these pairs are unknown",
 //!   never to a wrong relation.

@@ -18,7 +18,7 @@
 //!   relation is the single-tile relation, emitted by `emit_decided`.
 //!   These pairs are never enumerated as work items.
 //! - **exact** — the `K` interacting pairs, which flow through the
-//!   chunked worker pipeline (retries, panic isolation, deadline/cancel).
+//!   chunked worker pipeline (panic isolation, deadline).
 //!
 //! [`BatchEngine::run_join`] returns the compact [`JoinOutcome`]: the `K`
 //! exact outcomes plus counters, with memory bounded by the interacting
@@ -42,12 +42,12 @@
 //!
 //! `RunPolicy` applies to the exact subset, which is the only part that
 //! does real work. Mask-emitted pairs cost `O(1)` each and are emitted
-//! regardless of deadline or cancellation — a cancelled join still
-//! reports them as succeeded. Likewise the `engine.pair.compute`
-//! failpoint only fires for exact work items: emitted pairs never were
-//! work items. Panic isolation still covers emission itself (each emit
-//! runs under `catch_unwind` during materialisation when the policy
-//! isolates).
+//! regardless of the deadline — a join whose deadline passed before the
+//! exact pass still reports them as succeeded. Likewise the
+//! `engine.pair.compute` failpoint only fires for exact work items:
+//! emitted pairs never were work items. Panic isolation still covers
+//! emission itself: each emit runs under `catch_unwind` during
+//! materialisation.
 
 use crate::batch::{emit_decided, BatchEngine, BatchStats, EngineMode, PairRelation};
 use crate::cache::RegionCache;
@@ -232,16 +232,15 @@ pub struct JoinOutcome {
     pub status: CompletionStatus,
     /// Mask-emitted pairs plus exact successes.
     pub succeeded: usize,
-    /// Exact pairs that failed permanently.
+    /// Exact pairs that failed.
     pub failed: usize,
-    /// Exact pairs skipped by deadline/cancel.
+    /// Exact pairs skipped by the deadline.
     pub skipped: usize,
     /// Counters over the whole pair space (`stats.pairs == N·(N−1)`),
     /// stage timings (`stats.discover` is the sweep), and the fault
     /// counters.
     pub stats: BatchStats,
     mode: EngineMode,
-    panic_isolation: bool,
     tracer: Tracer,
 }
 
@@ -268,7 +267,6 @@ impl JoinOutcome {
             skipped,
             mut stats,
             mode,
-            panic_isolation,
             tracer,
         } = self;
         let mut trace = tracer.thread(MAIN_TID);
@@ -286,7 +284,7 @@ impl JoinOutcome {
                 if exact.peek().is_some_and(|p| p.indices() == (i, j)) {
                     pairs.push(exact.next().expect("peeked"));
                 } else {
-                    pairs.push(emit_pair(cache, i, j, mode, panic_isolation, &mut emitted));
+                    pairs.push(emit_pair(cache, i, j, mode, &mut emitted));
                 }
             }
         }
@@ -320,18 +318,14 @@ impl JoinOutcome {
 }
 
 /// Emits one mask-decided pair during materialisation, under the same
-/// panic-isolation contract as the worker pipeline.
+/// panic isolation as the worker pipeline.
 fn emit_pair(
     cache: &RegionCache<'_>,
     i: usize,
     j: usize,
     mode: EngineMode,
-    isolate: bool,
     stats: &mut BatchStats,
 ) -> PairOutcome {
-    if !isolate {
-        return PairOutcome::Ok(emit_checked(cache, i, j, mode, stats));
-    }
     match catch_unwind(AssertUnwindSafe(|| emit_checked(cache, i, j, mode, stats))) {
         Ok(pr) => PairOutcome::Ok(pr),
         Err(payload) => {
@@ -341,7 +335,6 @@ fn emit_pair(
                 primary: i,
                 reference: j,
                 failure: PairFailure::Panicked(cardir_faults::panic_message(payload)),
-                attempts: 1,
             })
         }
     }
@@ -394,7 +387,6 @@ impl BatchEngine {
             skipped: sub.skipped,
             stats,
             mode: self.mode(),
-            panic_isolation: policy.panic_isolation,
             tracer: self.tracer().clone(),
         }
     }

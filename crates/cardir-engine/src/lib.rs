@@ -32,12 +32,12 @@
 //! and per-worker load, which exports into a `cardir-telemetry` registry
 //! for rendering.
 //!
-//! Runs are fault tolerant: a [`RunPolicy`] adds per-pair panic
-//! isolation, bounded deterministic retries, and cooperative
-//! deadline/cancellation, and [`BatchOutcome`] reports per-pair
-//! success/failure plus a [`CompletionStatus`] instead of promising a
-//! relation for every pair. Failure paths are testable deterministically
-//! through the `cardir-faults` fault plan a [`RunPolicy`] carries.
+//! Runs are fault tolerant: every pair runs once under `catch_unwind`, a
+//! [`RunPolicy`] deadline is checked between chunks, and
+//! [`BatchOutcome`] reports per-pair success/failure plus a
+//! [`CompletionStatus`] instead of promising a relation for every pair.
+//! Failure paths are testable deterministically through the
+//! `cardir-faults` fault plan a [`RunPolicy`] carries.
 
 pub mod batch;
 pub mod cache;
@@ -53,7 +53,5 @@ pub use incremental::{
     IncrementalStats, InstalledPair, RepairDelta,
 };
 pub use join::{interacting_pairs, JoinOutcome};
-pub use policy::{
-    BatchOutcome, CancelToken, CompletionStatus, PairError, PairFailure, PairOutcome, RunPolicy,
-};
+pub use policy::{BatchOutcome, CompletionStatus, PairError, PairFailure, PairOutcome, RunPolicy};
 pub use prefilter::decided_tile;

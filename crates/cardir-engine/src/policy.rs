@@ -1,12 +1,13 @@
 //! Fault-tolerant execution policy and the outcome types it produces.
 //!
 //! A production service cannot promise a relation for every pair: a pair
-//! may panic, a tenant's deadline may pass, or the caller may cancel.
-//! [`RunPolicy`] makes the failure handling explicit, and
-//! [`BatchOutcome`] makes the result honest: one [`PairOutcome`] per
-//! requested pair — `Ok`, `Failed`, or `Skipped` — plus a
-//! [`CompletionStatus`] for the run as a whole. The accounting invariant
-//! `succeeded + failed + skipped == total` always holds.
+//! may panic, or a tenant's deadline may pass. Every pair runs under
+//! `catch_unwind`, and [`BatchOutcome`] makes the result honest: one
+//! [`PairOutcome`] per requested pair — `Ok`, `Failed`, or `Skipped` —
+//! plus a [`CompletionStatus`] for the run as a whole. The accounting
+//! invariant `succeeded + failed + skipped == total` always holds.
+//! [`RunPolicy`] carries the two things a caller sets: a deadline and a
+//! fault plan.
 //!
 //! With the default policy nothing is ever skipped and results are
 //! bit-identical to the naive per-pair loop; the policy only changes what
@@ -15,112 +16,28 @@
 use crate::batch::{BatchStats, PairRelation};
 use cardir_faults::FaultPlan;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cooperative cancellation handle: clone it, hand one side to the batch
-/// run (via [`RunPolicy::with_cancel`]) and keep the other; calling
-/// [`cancel`](CancelToken::cancel) makes workers stop claiming work at
-/// the next chunk boundary.
+/// What a batch run may spend and which faults it obeys. The default
+/// policy never stops early and carries no fault plan. Each pair runs
+/// once under `catch_unwind` whatever the policy: the kernels are
+/// deterministic, so a second attempt would compute the same thing.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-/// How a batch run handles faults: panic isolation, bounded retries with
-/// deterministic backoff, a wall-clock deadline, and cooperative
-/// cancellation. The default policy isolates panics, never retries,
-/// never stops early, and carries no fault plan.
-#[derive(Debug, Clone)]
 pub struct RunPolicy {
     /// Wall-clock budget measured from the start of the exact pass;
     /// checked between chunks. `None` means no deadline.
     pub deadline: Option<Duration>,
-    /// Cooperative cancellation handle, checked between chunks.
-    pub cancel: Option<CancelToken>,
-    /// Retries per pair after its first failed attempt (so a pair runs at
-    /// most `retries + 1` times).
-    pub retries: u32,
-    /// Base backoff slept before retry `k` (1-based): `backoff · 2^(k−1)`,
-    /// exponent capped at [`RunPolicy::BACKOFF_CAP_EXP`]. Deterministic —
-    /// no jitter — so seeded tests replay exactly.
-    pub backoff: Duration,
-    /// Run each pair attempt under `catch_unwind`, converting panics into
-    /// [`PairFailure::Panicked`] instead of aborting the batch. Disabling
-    /// this restores fail-fast propagation out of the worker scope.
-    pub panic_isolation: bool,
     /// Failpoints this run obeys (`engine.pair.compute`,
     /// `engine.chunk.claim`); `None` injects nothing. Runs under other
     /// plans, or none, never see these faults.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
-impl Default for RunPolicy {
-    fn default() -> Self {
-        RunPolicy {
-            deadline: None,
-            cancel: None,
-            retries: 0,
-            backoff: Duration::from_millis(1),
-            panic_isolation: true,
-            faults: None,
-        }
-    }
-}
-
 impl RunPolicy {
-    /// Cap on the backoff exponent: delays never exceed `backoff · 2^6`.
-    pub const BACKOFF_CAP_EXP: u32 = 6;
-
-    /// The default policy (alias for `RunPolicy::default()`).
-    pub fn new() -> Self {
-        RunPolicy::default()
-    }
-
     /// Sets the wall-clock deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Sets the per-pair retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the base backoff duration (use `Duration::ZERO` in tests to
-    /// retry without sleeping).
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Enables or disables per-pair panic isolation.
-    pub fn with_panic_isolation(mut self, isolate: bool) -> Self {
-        self.panic_isolation = isolate;
         self
     }
 
@@ -129,16 +46,9 @@ impl RunPolicy {
         self.faults = Some(plan);
         self
     }
-
-    /// The deterministic delay before retry `attempt` (1-based):
-    /// exponential in the attempt number, capped, no jitter.
-    pub fn backoff_delay(&self, attempt: u32) -> Duration {
-        let exp = attempt.saturating_sub(1).min(Self::BACKOFF_CAP_EXP);
-        self.backoff.saturating_mul(1u32 << exp)
-    }
 }
 
-/// Why one pair failed permanently (its retry budget included).
+/// Why one pair failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PairFailure {
     /// The computation panicked; the payload message is preserved.
@@ -156,25 +66,23 @@ impl fmt::Display for PairFailure {
     }
 }
 
-/// A pair that exhausted its attempts without producing a relation.
+/// A pair whose one attempt produced no relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairError {
     /// Index of the primary region in the cache.
     pub primary: usize,
     /// Index of the reference region in the cache.
     pub reference: usize,
-    /// The final failure (earlier attempts may have failed differently).
+    /// What went wrong.
     pub failure: PairFailure,
-    /// Attempts consumed (1 means the first try failed with no retries).
-    pub attempts: u32,
 }
 
 impl fmt::Display for PairError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "pair ({}, {}) failed after {} attempt(s): {}",
-            self.primary, self.reference, self.attempts, self.failure
+            "pair ({}, {}) failed: {}",
+            self.primary, self.reference, self.failure
         )
     }
 }
@@ -186,10 +94,10 @@ impl std::error::Error for PairError {}
 pub enum PairOutcome {
     /// Computed successfully — bit-identical to the naive loop.
     Ok(PairRelation),
-    /// Failed permanently (panic, injected fault, or compute error).
+    /// Failed (a panic or an injected fault).
     Failed(PairError),
-    /// Never attempted: the deadline passed or the run was cancelled
-    /// before this pair's chunk was claimed.
+    /// Never attempted: the deadline passed before this pair's chunk was
+    /// claimed.
     Skipped {
         /// Index of the primary region in the cache.
         primary: usize,
@@ -223,13 +131,11 @@ impl PairOutcome {
 pub enum CompletionStatus {
     /// Every pair computed successfully.
     Complete,
-    /// Every pair was attempted, but some failed permanently (isolated
-    /// panics or injected faults).
+    /// Every pair was attempted, but some failed (isolated panics or
+    /// injected faults).
     PartialPanics,
     /// The deadline passed; unclaimed chunks were skipped.
     DeadlineExceeded,
-    /// The cancel token fired; unclaimed chunks were skipped.
-    Cancelled,
 }
 
 impl fmt::Display for CompletionStatus {
@@ -238,7 +144,6 @@ impl fmt::Display for CompletionStatus {
             CompletionStatus::Complete => "complete",
             CompletionStatus::PartialPanics => "partial (isolated failures)",
             CompletionStatus::DeadlineExceeded => "deadline exceeded",
-            CompletionStatus::Cancelled => "cancelled",
         };
         f.write_str(s)
     }
@@ -254,9 +159,9 @@ pub struct BatchOutcome {
     pub status: CompletionStatus,
     /// Pairs that produced a relation.
     pub succeeded: usize,
-    /// Pairs that failed permanently.
+    /// Pairs that failed.
     pub failed: usize,
-    /// Pairs never attempted (deadline/cancel).
+    /// Pairs never attempted (deadline).
     pub skipped: usize,
     /// The run's counters, stage timings, per-worker load and fault
     /// counters.
@@ -274,7 +179,7 @@ impl BatchOutcome {
         self.pairs.iter().filter_map(PairOutcome::ok)
     }
 
-    /// The permanent failures, in request order.
+    /// The failures, in request order.
     pub fn failures(&self) -> impl Iterator<Item = &PairError> {
         self.pairs.iter().filter_map(|p| match p {
             PairOutcome::Failed(e) => Some(e),
@@ -288,35 +193,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cancel_token_round_trip() {
-        let token = CancelToken::new();
-        assert!(!token.is_cancelled());
-        let clone = token.clone();
-        clone.cancel();
-        assert!(token.is_cancelled(), "clones share the flag");
-        clone.cancel(); // idempotent
-        assert!(token.is_cancelled());
-    }
-
-    #[test]
     fn default_policy_is_isolating_and_unbounded() {
         let p = RunPolicy::default();
-        assert!(p.panic_isolation);
-        assert_eq!(p.retries, 0);
         assert!(p.deadline.is_none());
-        assert!(p.cancel.is_none());
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RunPolicy::new().with_backoff(Duration::from_millis(2));
-        assert_eq!(p.backoff_delay(1), Duration::from_millis(2));
-        assert_eq!(p.backoff_delay(2), Duration::from_millis(4));
-        assert_eq!(p.backoff_delay(4), Duration::from_millis(16));
-        // Exponent caps at 2^6 no matter how many attempts.
-        assert_eq!(p.backoff_delay(100), Duration::from_millis(2 * 64));
-        let zero = RunPolicy::new().with_backoff(Duration::ZERO);
-        assert_eq!(zero.backoff_delay(50), Duration::ZERO);
+        assert!(p.faults.is_none());
     }
 
     #[test]
@@ -325,12 +205,8 @@ mod tests {
             primary: 3,
             reference: 7,
             failure: PairFailure::Panicked("boom".into()),
-            attempts: 2,
         };
-        let text = err.to_string();
-        assert!(text.contains("(3, 7)"), "{text}");
-        assert!(text.contains("2 attempt(s)"), "{text}");
-        assert!(text.contains("boom"), "{text}");
+        assert_eq!(err.to_string(), "pair (3, 7) failed: panicked: boom");
         assert_eq!(
             PairFailure::Injected("x".into()).to_string(),
             "injected fault: x"
@@ -353,7 +229,6 @@ mod tests {
             primary: 4,
             reference: 5,
             failure: PairFailure::Injected("f".into()),
-            attempts: 1,
         });
         assert_eq!(failed.indices(), (4, 5));
     }

@@ -39,9 +39,10 @@ fn survivor_matches(
 }
 
 /// Seeded fault sweep over the batch engine: arms `engine.pair.compute`
-/// with a probabilistic panic (and, second pass, an injected error with
-/// retries) during materialized quantitative joins, and checks
-/// accounting plus bit-identical survivors at several thread counts.
+/// with a probabilistic panic (and, second pass, an injected error)
+/// during materialized quantitative joins, and checks accounting plus
+/// bit-identical survivors at several thread counts. Each pair runs
+/// once, so every fault that fires fails its pair.
 pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     if regions.len() < 2 {
         return None;
@@ -58,19 +59,11 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
             .materialize(&cache)
     };
 
-    let scenarios: [(&str, FaultAction, u32); 2] = [
-        (
-            "faults-engine-panic",
-            FaultAction::Panic("injected".into()),
-            0,
-        ),
-        (
-            "faults-engine-error",
-            FaultAction::Error("injected".into()),
-            1,
-        ),
+    let scenarios = [
+        ("faults-engine-panic", FaultAction::Panic("injected".into())),
+        ("faults-engine-error", FaultAction::Error("injected".into())),
     ];
-    for (check, action, retries) in scenarios {
+    for (check, action) in scenarios {
         for threads in [1usize, 2, 4] {
             let plan = Arc::new(FaultPlan::new());
             plan.arm(
@@ -87,8 +80,18 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
             );
             let outcome = join(
                 threads,
-                &RunPolicy::default().with_retries(retries).with_faults(plan),
+                &RunPolicy::default().with_faults(Arc::clone(&plan)),
             );
+            let fired = plan.fired(sites::ENGINE_PAIR_COMPUTE);
+            if fired != outcome.failed as u64 {
+                return fail(
+                    check,
+                    format!(
+                        "threads={threads}: {fired} faults fired but {} pairs failed",
+                        outcome.failed
+                    ),
+                );
+            }
 
             if outcome.succeeded + outcome.failed + outcome.skipped != total {
                 return fail(
@@ -103,7 +106,7 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                 return fail(
                     check,
                     format!(
-                        "threads={threads}: {} pairs skipped with no deadline/cancel",
+                        "threads={threads}: {} pairs skipped with no deadline",
                         outcome.skipped
                     ),
                 );

@@ -11,7 +11,7 @@
 //! Fault mapping, per the ISSUE contract:
 //!
 //! * request deadlines (`deadline_ms`, or the server default) run the
-//!   engine under [`RunPolicy::with_deadline`] and a hit maps to a
+//!   engine under a [`RunPolicy`] deadline and a hit maps to a
 //!   `408` with a structured `{"error": "deadline_exceeded", ...}`
 //!   body — the edit still lands with its pairs journaled as pending;
 //! * handler panics are caught per request and map to a `500` with a
@@ -346,13 +346,6 @@ fn request_deadline(state: &ServerState, body: &Json) -> Option<Duration> {
         .or(state.default_deadline)
 }
 
-fn policy_with(deadline: Option<Duration>) -> RunPolicy {
-    match deadline {
-        Some(d) => RunPolicy::default().with_deadline(d),
-        None => RunPolicy::default(),
-    }
-}
-
 fn summary_json(name: &str, s: &SessionSummary) -> Json {
     Json::obj([
         ("name", Json::from(name)),
@@ -422,12 +415,9 @@ fn handle_apply(state: &ServerState, session: &Session, req: &Request) -> Respon
         // skipping: the edit still lands (a cheap journaled geometry
         // change) with its recompute parked as pending pairs, so a
         // timed-out request never silently drops edits.
-        let policy = match deadline {
-            Some(d) => {
-                let left = d.checked_sub(start.elapsed()).unwrap_or(Duration::ZERO);
-                RunPolicy::default().with_deadline(left)
-            }
-            None => RunPolicy::default(),
+        let policy = RunPolicy {
+            deadline: deadline.map(|d| d.saturating_sub(start.elapsed())),
+            faults: None,
         };
         match session.apply(edit, meta, &policy) {
             Ok(delta) => {
@@ -479,7 +469,10 @@ fn handle_repair(state: &ServerState, session: &Session, req: &Request) -> Respo
         Err(resp) => return resp,
     };
     let deadline = request_deadline(state, &body);
-    let delta = session.repair(&policy_with(deadline));
+    let delta = session.repair(&RunPolicy {
+        deadline,
+        faults: None,
+    });
     let epoch = session.snapshot().epoch;
     if delta.status == CompletionStatus::DeadlineExceeded {
         return json_response(
@@ -637,7 +630,13 @@ fn handle_compute(state: &ServerState, req: &Request) -> Response {
     let cache = RegionCache::build(&regions);
     let engine = BatchEngine::new().with_mode(mode);
     let outcome = engine
-        .run_join(&cache, &policy_with(deadline))
+        .run_join(
+            &cache,
+            &RunPolicy {
+                deadline,
+                faults: None,
+            },
+        )
         .materialize(&cache);
     if outcome.status == CompletionStatus::DeadlineExceeded {
         return json_response(

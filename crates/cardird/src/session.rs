@@ -189,7 +189,7 @@ impl Session {
 
     /// Applies one edit under `policy` and publishes the next epoch.
     /// The edit lands even when the recompute pass ends early
-    /// (deadline/cancel): affected pairs are journaled as pending and
+    /// (deadline): affected pairs are journaled as pending and
     /// the delta's `status` reports how the pass ended — the caller
     /// maps that to its timeout response.
     pub fn apply(

@@ -38,11 +38,12 @@ server_json="$(mktemp /tmp/server.XXXXXX.json)"
 server_log="$(mktemp /tmp/cardird.XXXXXX.log)"
 server_dir="$(mktemp -d /tmp/cardird-data.XXXXXX)"
 nan_json="$(mktemp /tmp/nan.XXXXXX.json)"
+unattributed_json="$(mktemp /tmp/unattributed.XXXXXX.json)"
 server_pid=""
 cleanup() {
     [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
     rm -rf "$bench_json" "$bench_trace" "$join_json" "$kernel_json" "$incr_json" \
-        "$server_json" "$server_log" "$server_dir" "$nan_json"
+        "$server_json" "$server_log" "$server_dir" "$nan_json" "$unattributed_json"
 }
 trap cleanup EXIT
 
@@ -97,12 +98,15 @@ cargo run --release --offline -p cardir-bench --bin json_check -- "$kernel_json"
 # 10k-region map (≈ 10^8 ordered pairs, counted not materialised;
 # --compare-max 0 skips the quadratic naive baseline here) and emit
 # the join.* partition counters CI dashboards track, plus the part of
-# the join's wall time outside its discover and exact-pass phases.
+# the join's wall time outside its discover and exact-pass phases, which
+# must stay within 5 % of the join's wall time: the named phases have to
+# account for where the time went.
 cargo run --release --offline -p cardir-bench --bin join_throughput -- 10000 \
     --compare-max 0 --json "$join_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$join_json" \
     --require join.candidates --require join.mask_emitted --require join.exact_pairs \
-    --require join.fused_pairs --require join.unattributed_ns
+    --require join.fused_pairs --require join.unattributed_ns \
+    --max-ratio join.unattributed_ns/join.elapsed_ns=0.05
 
 # Differential-fuzz smoke: 500 deterministic adversarial scenarios
 # cross-checked across the whole stack; any divergence or panic fails the
@@ -189,6 +193,19 @@ printf '{"type":"server","connections":8,"requests_per_sec":1e999}\n' > "$nan_js
 if cargo run --release --offline -p cardir-bench --bin bench_diff -- "$nan_json" "$server_json" \
     --key server=connections --metric server.requests_per_sec --threshold 3 > /dev/null 2>&1; then
     echo "ci: bench_diff accepted a non-finite baseline value" >&2
+    exit 1
+fi
+
+# The unattributed-time gate must actually gate: a join record whose
+# unattributed_ns is 10 % of its elapsed_ns has to fail json_check at
+# 5 %, and pass at 20 %, so the failure is the bound's and not the file's.
+printf '{"type":"join","regions":10000,"elapsed_ns":1000000,"unattributed_ns":100000}\n' \
+    > "$unattributed_json"
+cargo run --release --offline -p cardir-bench --bin json_check -- "$unattributed_json" \
+    --max-ratio join.unattributed_ns/join.elapsed_ns=0.2 > /dev/null
+if cargo run --release --offline -p cardir-bench --bin json_check -- "$unattributed_json" \
+    --max-ratio join.unattributed_ns/join.elapsed_ns=0.05 > /dev/null 2>&1; then
+    echo "ci: json_check accepted a join record 10 % unattributed" >&2
     exit 1
 fi
 

@@ -1,7 +1,8 @@
 //! Fault-injection sweep over the resilient batch pipeline: failpoint
 //! sites × actions (panic | error | latency) × thread counts, plus the
-//! policy features (retries, deadlines, cancellation) and the stats
-//! plumbing. The runs hand the engine every ordered pair as an explicit
+//! deadline and the stats plumbing. Every pair runs once under
+//! `catch_unwind`, so each panic or error that fires fails exactly its
+//! own pair. The runs hand the engine every ordered pair as an explicit
 //! list, so every pair is a work item the failpoints can reach;
 //! survivors are checked against the naive `compute_cdr` /
 //! `compute_cdr_pct` results. The join's own fault semantics (only the
@@ -12,10 +13,10 @@
 
 use cardir::core::{compute_cdr, compute_cdr_pct};
 use cardir::engine::{
-    interacting_pairs, BatchEngine, BatchOutcome, BatchStats, CancelToken, CompletionStatus,
-    EngineMode, PairFailure, PairOutcome, PairRelation, RegionCache, RunPolicy,
+    interacting_pairs, BatchEngine, BatchOutcome, BatchStats, CompletionStatus, EngineMode,
+    PairFailure, PairOutcome, PairRelation, RegionCache, RunPolicy,
 };
-use cardir::faults::{self, sites, FaultAction, FaultPlan, Trigger};
+use cardir::faults::{sites, FaultAction, FaultPlan, Trigger};
 use cardir::geometry::Region;
 use cardir::telemetry::Registry;
 use cardir::workloads::SplitMix64;
@@ -84,17 +85,15 @@ fn overlapping_regions(seed: u64) -> Vec<Region> {
         .collect()
 }
 
-/// The seven fault counters of a run's stats record: all zero when
+/// The five fault counters of a run's stats record: all zero when
 /// nothing fault-related happened.
-fn fault_counters(stats: &BatchStats) -> [usize; 7] {
+fn fault_counters(stats: &BatchStats) -> [usize; 5] {
     [
         stats.panics_caught,
         stats.injected_failures,
-        stats.retries,
         stats.failed_pairs,
         stats.skipped_pairs,
         stats.deadline_hits,
-        stats.cancel_hits,
     ]
 }
 
@@ -134,7 +133,7 @@ fn default_policy_join_is_bit_identical_to_naive() {
         assert_eq!(outcome.succeeded, total);
         assert_eq!(outcome.failed, 0);
         assert_eq!(outcome.skipped, 0);
-        assert_eq!(fault_counters(&outcome.stats), [0; 7], "threads={threads}");
+        assert_eq!(fault_counters(&outcome.stats), [0; 5], "threads={threads}");
         let relations: Vec<_> = outcome.relations().collect();
         assert_eq!(relations.len(), total);
         for (got, (i, j)) in relations.iter().zip(every_pair(regions.len())) {
@@ -173,10 +172,10 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
                 total,
                 "{action:?} threads={threads}: accounting must close"
             );
-            assert_eq!(outcome.skipped, 0, "no deadline or cancel was set");
+            assert_eq!(outcome.skipped, 0, "no deadline was set");
             assert_eq!(outcome.pairs.len(), total);
-            // Latency never fails a pair; without retries, each panic or
-            // error the plan fires fails exactly one.
+            // Latency never fails a pair; each panic or error the plan
+            // fires fails exactly one.
             if matches!(action, FaultAction::Delay(_)) {
                 assert_eq!(outcome.failed, 0, "latency must not fail pairs");
                 assert_eq!(outcome.status, CompletionStatus::Complete);
@@ -279,62 +278,9 @@ fn injected_panic_yields_the_failed_outcome_the_facade_rethrows() {
     assert!(matches!(failure.failure, PairFailure::Panicked(_)));
     let message = failure.to_string();
     assert!(
-        message.contains("failed after") && message.contains("legacy"),
+        message.contains("failed:") && message.contains("legacy"),
         "{message}"
     );
-}
-
-#[test]
-fn transient_failures_recover_with_retries() {
-    let regions = random_regions(4, 3);
-    let cache = RegionCache::build(&regions);
-
-    // The first two attempts anywhere fail; with two retries the first
-    // pair consumes them and everything completes.
-    let (plan, policy) = armed(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Error("transient".into()),
-        Trigger::Times(2),
-    );
-    let outcome = run_every_pair(
-        &cache,
-        EngineMode::Qualitative,
-        1,
-        &policy.with_retries(2).with_backoff(Duration::ZERO),
-    );
-    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 2);
-
-    assert_eq!(outcome.status, CompletionStatus::Complete);
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.stats.retries, 2);
-    assert_eq!(outcome.stats.injected_failures, 2);
-}
-
-#[test]
-fn retry_exhaustion_reports_the_attempt_count() {
-    let regions = random_regions(3, 9);
-    let cache = RegionCache::build(&regions);
-
-    // A single-pair run where every attempt fails: true exhaustion.
-    let (plan, policy) = armed(
-        sites::ENGINE_PAIR_COMPUTE,
-        FaultAction::Error("permanent".into()),
-        Trigger::Always,
-    );
-    let outcome = BatchEngine::new()
-        .with_threads(1)
-        .run_pairs(
-            &cache,
-            &[(0, 1)],
-            &policy.with_retries(3).with_backoff(Duration::ZERO),
-        )
-        .unwrap();
-    assert_eq!(plan.fired(sites::ENGINE_PAIR_COMPUTE), 4);
-
-    assert_eq!(outcome.failed, 1);
-    let failure = outcome.failures().next().unwrap();
-    assert_eq!(failure.attempts, 4, "1 initial + 3 retries");
-    assert!(matches!(failure.failure, PairFailure::Injected(_)));
 }
 
 #[test]
@@ -479,68 +425,6 @@ fn mid_run_deadline_on_the_join_keeps_unclaimed_pairs_in_row_order() {
     }
 }
 
-/// With panic isolation off, a panicking pair is not turned into a
-/// `Failed` slot: it unwinds out of both entry points, whichever worker
-/// thread it ran on.
-#[test]
-fn panic_without_isolation_unwinds_out_of_both_entry_points() {
-    let regions = random_regions(30, 29);
-    let cache = RegionCache::build(&regions);
-    for threads in [1usize, 2] {
-        let engine = BatchEngine::new()
-            .with_mode(EngineMode::Quantitative)
-            .with_threads(threads);
-        let (plan, policy) = armed(
-            sites::ENGINE_PAIR_COMPUTE,
-            FaultAction::Panic("unisolated".into()),
-            Trigger::Nth(2),
-        );
-        let policy = policy.with_panic_isolation(false);
-        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_join(&cache, &policy)
-        }));
-        let message = faults::panic_message(joined.expect_err("run_join must unwind"));
-        assert!(
-            message.contains("unisolated"),
-            "threads={threads}: {message}"
-        );
-
-        plan.arm(
-            sites::ENGINE_PAIR_COMPUTE,
-            FaultAction::Panic("unisolated".into()),
-            Trigger::Nth(300),
-        );
-        let listed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_pairs(&cache, &every_pair(regions.len()), &policy)
-        }));
-        let message = faults::panic_message(listed.expect_err("run_pairs must unwind"));
-        assert!(
-            message.contains("unisolated"),
-            "threads={threads}: {message}"
-        );
-    }
-}
-
-#[test]
-fn pre_cancelled_token_skips_everything() {
-    let regions = random_regions(6, 19);
-    let cache = RegionCache::build(&regions);
-    let total = regions.len() * (regions.len() - 1);
-
-    let token = CancelToken::new();
-    token.cancel();
-    let outcome = run_every_pair(
-        &cache,
-        EngineMode::Qualitative,
-        4,
-        &RunPolicy::default().with_cancel(token),
-    );
-
-    assert_eq!(outcome.status, CompletionStatus::Cancelled);
-    assert_eq!(outcome.skipped, total);
-    assert!(outcome.stats.cancel_hits > 0);
-}
-
 #[test]
 fn fault_events_flow_into_telemetry() {
     let regions = random_regions(8, 31);
@@ -587,8 +471,6 @@ fn the_stats_record_closes_its_own_accounting() {
         );
     };
     for threads in [1usize, 2] {
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
         let (_, stalled) = armed(
             sites::ENGINE_CHUNK_CLAIM,
             FaultAction::Delay(Duration::from_millis(30)),
@@ -599,12 +481,11 @@ fn the_stats_record_closes_its_own_accounting() {
             armed(sites::ENGINE_PAIR_COMPUTE, action, Trigger::Nth(5)).1
         };
         let cases = [
-            ("cancel", RunPolicy::default().with_cancel(cancelled)),
-            ("deadline", stalled.with_deadline(Duration::from_millis(50))),
             (
-                "nth(5) retried",
-                fifth().with_retries(2).with_backoff(Duration::ZERO),
+                "zero deadline",
+                RunPolicy::default().with_deadline(Duration::ZERO),
             ),
+            ("deadline", stalled.with_deadline(Duration::from_millis(50))),
             ("nth(5)", fifth()),
         ];
         for (label, policy) in cases {
@@ -614,6 +495,9 @@ fn the_stats_record_closes_its_own_accounting() {
                 .with_threads(threads)
                 .run_join(&cache, &policy);
             closes(&joined.stats, joined.failed, joined.skipped, &context);
+            if label == "zero deadline" {
+                assert_eq!(joined.skipped, joined.stats.exact_pairs, "{context}");
+            }
             let outcome = joined.materialize(&cache);
             let stats = &outcome.stats;
             closes(stats, outcome.failed, outcome.skipped, &context);
@@ -624,14 +508,10 @@ fn the_stats_record_closes_its_own_accounting() {
                 "{context}"
             );
             match label {
-                "cancel" => assert_eq!(outcome.skipped, stats.exact_pairs, "{context}"),
-                "nth(5) retried" => {
-                    let counts = (outcome.failed, stats.panics_caught, stats.retries);
-                    assert_eq!(counts, (0, 1, 1), "{context}: failed, panics, retries");
-                }
+                "zero deadline" => assert_eq!(outcome.skipped, stats.exact_pairs, "{context}"),
                 "nth(5)" => {
-                    let counts = (outcome.failed, stats.panics_caught, stats.retries);
-                    assert_eq!(counts, (1, 1, 0), "{context}: failed, panics, retries");
+                    let counts = (outcome.failed, stats.panics_caught);
+                    assert_eq!(counts, (1, 1), "{context}: failed, panics");
                 }
                 _ => {}
             }
@@ -675,7 +555,7 @@ fn concurrent_joins_see_only_their_own_plan() {
 
         assert_eq!(clean.status, CompletionStatus::Complete, "round {round}");
         assert_eq!((clean.failed, clean.skipped), (0, 0), "round {round}");
-        assert_eq!(fault_counters(&clean.stats), [0; 7], "round {round}");
+        assert_eq!(fault_counters(&clean.stats), [0; 5], "round {round}");
         assert_eq!(clean.pairs.len(), total);
         for (got, (i, j)) in clean.pairs.iter().zip(every_pair(regions.len())) {
             let pr = got.ok().expect("the unarmed join fails no pair");

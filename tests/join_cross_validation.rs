@@ -6,8 +6,8 @@
 //! exactly.
 //!
 //! The policy tests pin the join's documented fault semantics: the
-//! `RunPolicy` (deadline, cancellation, panic isolation, failpoints)
-//! governs the exact subset only — mask-emitted pairs are proven by the
+//! `RunPolicy` (deadline, failpoints) and the per-pair panic isolation
+//! govern the exact subset only — mask-emitted pairs are proven by the
 //! boxes, cost `O(1)`, and are never work items.
 //!
 //! A test that arms `engine.pair.compute` does so on a fault plan its
@@ -16,8 +16,8 @@
 
 use cardir::core::{compute_cdr, compute_cdr_pct, CardinalRelation, Tile};
 use cardir::engine::{
-    decided_tile, interacting_pairs, BatchEngine, CancelToken, CompletionStatus, EngineMode,
-    PairOutcome, RegionCache, RunPolicy,
+    decided_tile, interacting_pairs, BatchEngine, CompletionStatus, EngineMode, PairOutcome,
+    RegionCache, RunPolicy,
 };
 use cardir::faults::{sites, FaultAction, FaultPlan, Trigger};
 use cardir::geometry::{BoundingBox, Point, Region};
@@ -237,42 +237,35 @@ fn boundary_contact_pairs_stay_exact() {
     assert_join_cross_validates(&regions, "boundary contact");
 }
 
-/// A pre-cancelled token stops the exact pass before it starts, but the
+/// A zero deadline stops the exact pass before it starts, but the
 /// mask-emitted pairs — proven by the boxes during discovery — are still
 /// reported, and materialisation keeps the partition visible: emitted
-/// pairs `Ok`, exact pairs `Skipped`.
+/// pairs `Ok` and equal to `compute_cdr`, exact pairs `Skipped`.
 #[test]
-fn pre_cancelled_join_still_emits_mask_pairs() {
+fn zero_deadline_join_skips_only_exact_pairs() {
     let regions = mixed_map();
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
 
-    let token = CancelToken::new();
-    token.cancel();
-    let joined = BatchEngine::new()
-        .with_threads(2)
-        .run_join(&cache, &RunPolicy::default().with_cancel(token));
+    let joined = BatchEngine::new().with_threads(2).run_join(
+        &cache,
+        &RunPolicy::default().with_deadline(std::time::Duration::ZERO),
+    );
 
-    assert_eq!(joined.status, CompletionStatus::Cancelled);
+    assert_eq!(joined.status, CompletionStatus::DeadlineExceeded);
+    assert_eq!(joined.succeeded, joined.stats.mask_emitted);
+    assert_eq!(joined.skipped, joined.stats.exact_pairs);
+    assert_eq!(joined.failed, 0);
     assert!(
         joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0,
         "{:?}",
         joined.stats
     );
-    assert_eq!(
-        joined.succeeded, joined.stats.mask_emitted,
-        "emission ignores the token"
-    );
-    assert_eq!(
-        joined.skipped, joined.stats.exact_pairs,
-        "the whole exact subset is skipped"
-    );
-    assert_eq!(joined.failed, 0);
 
     let (interacting, _) = interacting_pairs(&cache);
     let out = joined.materialize(&cache);
     assert_eq!(out.pairs.len(), total);
-    assert_eq!(out.status, CompletionStatus::Cancelled);
+    assert_eq!(out.status, CompletionStatus::DeadlineExceeded);
     for pair in &out.pairs {
         match pair {
             PairOutcome::Ok(pr) => {
@@ -296,28 +289,6 @@ fn pre_cancelled_join_still_emits_mask_pairs() {
             PairOutcome::Failed(e) => panic!("nothing may fail: {e}"),
         }
     }
-}
-
-/// A zero deadline behaves like the pre-cancelled token, with
-/// `DeadlineExceeded` status: the deadline governs exact work only.
-#[test]
-fn zero_deadline_join_skips_only_exact_pairs() {
-    let regions = mixed_map();
-    let cache = RegionCache::build(&regions);
-
-    let joined = BatchEngine::new().with_threads(2).run_join(
-        &cache,
-        &RunPolicy::default().with_deadline(std::time::Duration::ZERO),
-    );
-
-    assert_eq!(joined.status, CompletionStatus::DeadlineExceeded);
-    assert_eq!(joined.succeeded, joined.stats.mask_emitted);
-    assert_eq!(joined.skipped, joined.stats.exact_pairs);
-    assert!(
-        joined.stats.mask_emitted > 0 && joined.stats.exact_pairs > 0,
-        "{:?}",
-        joined.stats
-    );
 }
 
 /// Panic isolation parity: a poisoned exact pair fails alone — every
